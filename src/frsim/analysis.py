@@ -1,7 +1,8 @@
 """Exact branch enumeration, Monte Carlo statistics, and record detection.
 
-:func:`enumerate_exact` expands the full amplitude tree of one round and is
-the verification oracle for every sampled statistic.  :func:`monte_carlo`
+:func:`enumerate_exact` reads the exact distribution off the round's
+compiled branch tree, the same tree the sampler draws from, and is the
+verification oracle for every sampled statistic.  :func:`monte_carlo`
 produces empirical frequency tables from independent seeded rounds.
 :func:`detect_records` runs the interaction-free detection experiment: it
 post-selects rounds where the coin lab reported ``ok``, measures the spin
@@ -16,16 +17,14 @@ from math import sqrt
 
 from scipy import stats
 
-from .measurement import branch_all, premeasure
+from .measurement import branch_all  # noqa: F401  (perfbench/test_benchmark.py traces it here)
 from .protocol import (
     OutcomeKey,
     ProtocolConfig,
     ProtocolVariant,
     compiled_round,
     round_rng,
-    state_after_preparation,
 )
-from .systems import W, WBAR, coin_lab_basis, record_basis, spin_basis, spin_lab_basis
 
 PROBABILITY_ATOL = 1e-10
 
@@ -108,29 +107,12 @@ class DetectionReport:
 
 
 def enumerate_exact(variant: ProtocolVariant) -> JointDistribution:
-    """Exhaustive amplitude tree over the round's sampled measurements.
+    """Exact joint distribution over the round's sampled measurements.
 
-    Walks every coin-lab branch and, per branch, every spin-lab (or
-    intrusion) branch, multiplying exact Born probabilities.  No randomness
-    is involved.
+    Read off the leaves of the compiled branch tree (:func:`compiled_round`),
+    each a product of exact Born probabilities.  No randomness is involved.
     """
-    prepared = premeasure(state_after_preparation(variant), coin_lab_basis(), WBAR)
-    entries: dict[OutcomeKey, float] = {}
-    for branch in branch_all(prepared, record_basis(WBAR)):
-        if branch.probability <= 0.0:
-            continue
-        if variant.intrusion and branch.label == "ok":
-            for spin in branch_all(branch.post_state, spin_basis()):
-                if spin.probability <= 0.0:
-                    continue
-                entries[(branch.label, None, spin.label)] = branch.probability * spin.probability
-        else:
-            lab = premeasure(branch.post_state, spin_lab_basis(), W)
-            for wb in branch_all(lab, record_basis(W)):
-                if wb.probability <= 0.0:
-                    continue
-                entries[(branch.label, wb.label, None)] = branch.probability * wb.probability
-    return JointDistribution(entries)
+    return JointDistribution(dict(compiled_round(variant).joint))
 
 
 def monte_carlo(
@@ -191,30 +173,20 @@ def detect_records(
     """
     if not config.variant.intrusion:
         raise ValueError("record detection requires the intrusion variant")
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must lie strictly between 0 and 1, got {confidence}")
+    if min_ok_rounds < 1:
+        raise ValueError(f"min_ok_rounds must be at least 1, got {min_ok_rounds}")
     table = monte_carlo(config, rounds)
-    ok_rounds = sum(
-        count for key, count in table.counts.items() if key[0] == "ok" and key[2] is not None
-    )
-    up_count = sum(
-        count
-        for key, count in table.counts.items()
-        if key[0] == "ok" and key[2] == "up"
-    )
+    # Post-selected ok rounds, by the intrusion's direct spin reading.
+    spins = {key[2]: n for key, n in table.counts.items() if key[0] == "ok" and key[2]}
+    ok_rounds, up_count = sum(spins.values()), spins.get("up", 0)
     if ok_rounds < min_ok_rounds:
-        return DetectionReport(
-            rounds=rounds,
-            ok_rounds=ok_rounds,
-            up_count=up_count,
-            observed_up_fraction=None,
-            predicted_up_fraction_no_record=1.0,
-            threshold=None,
-            confidence=confidence,
-            min_ok_rounds=min_ok_rounds,
-            decision="inconclusive",
-        )
-    fraction = up_count / ok_rounds
-    bound = binomial_upper_bound(up_count, ok_rounds, confidence)
-    decision = "record-detected" if bound < 1.0 else "no-record"
+        fraction, bound, decision = None, None, "inconclusive"
+    else:
+        fraction = up_count / ok_rounds
+        bound = binomial_upper_bound(up_count, ok_rounds, confidence)
+        decision = "record-detected" if bound < 1.0 else "no-record"
     return DetectionReport(
         rounds=rounds,
         ok_rounds=ok_rounds,

@@ -6,8 +6,9 @@ the full flag set including the seed; a wall-clock timestamp is only added
 on explicit request (``--timestamp``) since it would break byte-for-byte
 reproducibility.
 
-Exit codes: 0 success, 2 usage error, 3 inconsistent transcript
-(zero-probability conditioning), 4 internal invariant violation.
+Exit codes: 0 success, 2 usage error (including a value the library
+rejects), 3 inconsistent transcript (zero-probability conditioning), 4
+internal invariant violation.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ class ReportDocument:
     timestamps: dict | None = None
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
+        return json.dumps(asdict(self), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "ReportDocument":
@@ -465,6 +466,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ResidualError, BasisError) as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except ValueError as exc:  # a value the library rejects is a usage error
+        print(f"frsim: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if args.timestamp:
         doc.timestamps = {"unix_epoch_seconds": time.time()}
     rendered = doc.to_json() if args.format == "json" else render_text(doc)

@@ -17,6 +17,7 @@ Measurement comes in four flavours:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -87,7 +88,11 @@ class ResidualPolicy:
 
 @dataclass(frozen=True, eq=False)
 class MeasurementBasis:
-    """Labeled orthonormal outcome subspaces on an ordered tuple of systems."""
+    """Labeled orthonormal outcome subspaces on an ordered tuple of systems.
+
+    Construction runs :func:`validate_basis`, so every basis in existence is
+    orthonormal; an invalid one raises :class:`BasisError` right there.
+    """
 
     targets: tuple[SystemId, ...]
     outcomes: tuple[SubspaceOutcome, ...]
@@ -110,6 +115,7 @@ class MeasurementBasis:
                     f"outcome {outcome.label!r} has vectors of dimension "
                     f"{outcome.vectors.shape[1]}, target space has {d}"
                 )
+        validate_basis(self)
 
     @property
     def target_names(self) -> tuple[str, ...]:
@@ -118,6 +124,11 @@ class MeasurementBasis:
     @property
     def target_dimension(self) -> int:
         return int(np.prod([s.dimension for s in self.targets]))
+
+    @property
+    def residual_dimension(self) -> int:
+        """Dimension of the target space outside every declared outcome."""
+        return self.target_dimension - sum(o.subspace_dimension for o in self.outcomes)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(o.label for o in self.outcomes)
@@ -165,20 +176,21 @@ def validate_basis(basis: MeasurementBasis, atol: float = ORTHO_ATOL) -> BasisRe
     if np.any(off > atol):
         i, j = np.unravel_index(int(np.argmax(off)), off.shape)
         raise BasisError(f"outcome vectors {i} and {j} are not orthogonal")
-    outcome_dim = stacked.shape[0]
-    report = BasisReport(
+    return BasisReport(
         labels=basis.labels(),
         target_dimension=basis.target_dimension,
-        outcome_dimension=outcome_dim,
-        residual_dimension=basis.target_dimension - outcome_dim,
+        outcome_dimension=stacked.shape[0],
+        residual_dimension=basis.residual_dimension,
     )
-    object.__setattr__(basis, "_validated", True)
-    return report
 
 
-def _ensure_valid(basis: MeasurementBasis) -> None:
-    if not getattr(basis, "_validated", False):
-        validate_basis(basis)
+@cache
+def level_basis(system: SystemId) -> MeasurementBasis:
+    """Complete basis over all levels of one system, built once per system."""
+    return MeasurementBasis(
+        targets=(system,),
+        outcomes=tuple(SubspaceOutcome(label, system.ket(label)) for label in system.levels),
+    )
 
 
 def _target_matrix(state: StateVector, basis: MeasurementBasis) -> tuple[np.ndarray, list[int]]:
@@ -199,7 +211,6 @@ def branch_all(state: StateVector, basis: MeasurementBasis) -> list[Branch]:
     policy a final branch collects any probability outside the declared
     outcomes; under ``forbid`` such probability raises :class:`ResidualError`.
     """
-    _ensure_valid(basis)
     mat, perm = _target_matrix(state, basis)
     layout = state.layout
 
@@ -275,7 +286,6 @@ def condition_on(state: StateVector, basis: MeasurementBasis, label: str) -> Sta
     (near-)zero probability, which signals information inconsistent with the
     state rather than a numerical accident.
     """
-    _ensure_valid(basis)
     outcome = basis.outcome(label)
     mat, perm = _target_matrix(state, basis)
     coeffs = outcome.vectors.conj() @ mat
@@ -291,7 +301,6 @@ def condition_on(state: StateVector, basis: MeasurementBasis, label: str) -> Sta
 
 def outcome_probability(state: StateVector, basis: MeasurementBasis, label: str) -> float:
     """Born probability of one labeled outcome, without collapsing."""
-    _ensure_valid(basis)
     outcome = basis.outcome(label)
     mat, _ = _target_matrix(state, basis)
     coeffs = outcome.vectors.conj() @ mat
@@ -319,7 +328,6 @@ def premeasure(
     must hold a level named after every outcome label and must start in its
     ready level on all populated amplitudes.
     """
-    _ensure_valid(basis)
     layout = state.layout
     if memory.name not in layout:
         raise LayoutError(f"memory system {memory.name!r} not in state layout")
@@ -373,17 +381,11 @@ def record_copy(
     superpositions between different source labels.
     """
     if basis is None:
-        basis = MeasurementBasis(
-            targets=(source,),
-            outcomes=tuple(
-                SubspaceOutcome(label, source.ket(label)) for label in source.levels
-            ),
-        )
+        basis = level_basis(source)
     if basis.target_names != (source.name,):
         raise BasisError("record_copy basis must target exactly the source system")
-    report = validate_basis(basis)
-    if report.residual_dimension != 0:
+    if basis.residual_dimension != 0:
         raise BasisError(
-            f"source basis is incomplete: residual dimension {report.residual_dimension}"
+            f"source basis is incomplete: residual dimension {basis.residual_dimension}"
         )
     return premeasure(state, basis, target, ready=ready)

@@ -5,13 +5,13 @@ measurement of a lab containing itself would amount to a self-measurement,
 which the formalism cannot express; see :class:`PerspectiveLimit`).  The
 external observer ``C`` models all systems.
 
-An agent's state evolves only through three kinds of events:
+An agent's description folds over the protocol schedule
+(:func:`frsim.protocol.schedule`), each step seen from where the agent stands:
 
-* unitary protocol steps (friend premeasurements, notebook copies, the
-  superobservers' premeasurements of labs the agent is not part of),
-* the agent's own sampled outcomes, which condition its model of the other
-  systems,
-* heard announcements, which condition the model on the announcer's memory.
+* the agent's own outcome conditions its model of the other systems,
+* every other step (friend premeasurements, notebook copies, the spin
+  preparation, the superobservers' premeasurements) acts unitarily,
+* a heard announcement conditions the model on the announcer's memory.
 
 Announcement conditioning applies in the original protocol
 (``announce_wbar=True``), where outcomes are shared and agents accept
@@ -20,37 +20,19 @@ secret and no agent revises its description on hearsay, so descriptions keep
 the full superposition over unannounced records.
 
 In cheat mode the coin friend's notebook exists physically but is unknown to
-the other participants: their models omit it, while the external observer
-and the true dynamics include it.
+the other participants: their models omit it, and their folds skip its
+copy step, while the external observer and the true dynamics include it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .measurement import (
-    MeasurementBasis,
-    condition_on,
-    outcome_probability,
-    premeasure,
-    record_copy,
-)
-from .protocol import (
-    _COIN_SUPERPOSITION,
-    _PREPARE_SPIN,
-    ProtocolVariant,
-    RoundTranscript,
-)
+from .measurement import MeasurementBasis, condition_on, outcome_probability
+from .protocol import ProtocolVariant, RoundTranscript, fresh_state, schedule
 from .systems import (
     BY_NAME,
-    F,
-    FBAR,
-    N,
-    NBAR,
-    R,
-    S,
-    W,
-    WBAR,
+    basis_name,
     canonical_layout,
     coin_basis,
     coin_lab_basis,
@@ -59,13 +41,13 @@ from .systems import (
     spin_basis,
     spin_lab_basis,
 )
-from .tensor import RegisterLayout, StateVector, apply_unitary, product_state
+from .tensor import RegisterLayout, StateVector
 
 AGENTS = ("Fbar", "F", "Wbar", "W", "C")
 
-# First time step at which the agent's lab (containing the agent) is measured
-# by someone else, ending the agent's ability to describe the experiment.
-_LIMIT_TIME = {"Fbar": 2, "F": 3}
+# How error messages name the agents whose outcomes the steps write.
+_ROLES = {"Fbar": "coin friend", "F": "spin friend",
+          "Wbar": "coin-lab observer", "W": "spin-lab observer"}
 
 CERTAINTY_TOL = 1e-10
 
@@ -147,91 +129,48 @@ def agent_model_at(
 ) -> AgentModel:
     """The agent's description after the steps completed at ``time``.
 
-    Raises :class:`PerspectiveLimit` when the step measures a lab containing
-    the agent, and :class:`ValueError` when the transcript prefix does not
-    pin an outcome the agent would know at that time.
+    Folds the agent's view over the protocol schedule.  Raises
+    :class:`PerspectiveLimit` when a step measures a lab containing the
+    agent, and :class:`ValueError` when the transcript prefix does not pin
+    an outcome the agent would know at that time.
     """
     if time not in (0, 1, 2, 3):
         raise ValueError(f"time must be one of 0..3, got {time}")
     given = given or Given()
-    limit = _LIMIT_TIME.get(agent)
-    if limit is not None and time >= limit:
-        raise PerspectiveLimit(
-            f"agent {agent!r} cannot describe the t={limit} measurement of "
-            f"the lab containing itself"
-        )
+    steps = [step for step in schedule(variant) if step.time <= time]
+    for step in steps:
+        if step.basis is not None and agent in step.targets:
+            raise PerspectiveLimit(
+                f"agent {agent!r} cannot describe the t={step.time} measurement of "
+                f"the lab containing itself"
+            )
 
-    names = known_system_names(agent, variant)
-    layout = canonical_layout(names)
+    layout = canonical_layout(known_system_names(agent, variant))
+    state = fresh_state(layout)
     log: list[tuple[str, str, str]] = []
-
-    factors: dict[str, object] = {"R": _COIN_SUPERPOSITION, "S": "down"}
-    for name in names:
-        if name not in factors:
-            factors[name] = "ready"
-    state = product_state(layout, factors)
-
-    # t = 0: coin measured by its friend, notebook copy, spin preparation.
-    if agent == "Fbar":
-        r = given.r or "t"
-        state = condition_on(state, coin_basis(), r)
-        log.append(("own", "R", r))
-    else:
-        state = record_copy(state, R, FBAR)
-    if "Nbar" in layout:
-        state = record_copy(state, R, NBAR)
-    state = apply_unitary(state, ("R", "S"), _PREPARE_SPIN)
-
-    if time >= 1:
-        # t = 1: spin measured by its friend, notebook copy.
-        if agent == "F":
-            if given.s is None:
-                raise ValueError("the spin friend's own outcome (s) is required at t>=1")
-            state = condition_on(state, spin_basis(), given.s)
-            log.append(("own", "S", given.s))
-        else:
-            state = record_copy(state, S, F)
-        if "N" in layout:
-            state = record_copy(state, S, N)
-
-    if time >= 2:
-        # t = 2: the coin lab is measured.
-        if agent == "Wbar":
-            if given.wbar is None:
-                raise ValueError("the coin-lab observer's own outcome (wbar) is required at t>=2")
-            state = condition_on(state, coin_lab_basis(), given.wbar)
-            log.append(("own", "coin_lab", given.wbar))
-            if variant.intrusion and given.wbar == "ok" and given.intrusion is not None:
-                state = condition_on(state, spin_basis(), given.intrusion)
-                log.append(("own", "S", given.intrusion))
-        else:
-            state = premeasure(state, coin_lab_basis(), WBAR)
-            if variant.announce_wbar:
-                if given.wbar is None:
-                    raise ValueError(
-                        "the announced coin-lab outcome (wbar) is required at t>=2 "
-                        "in the announcing protocol"
-                    )
-                state = condition_on(state, record_basis(WBAR), given.wbar)
-                log.append(("heard", "Wbar", given.wbar))
-
-    if time >= 3:
-        # t = 3: the spin lab is measured.
-        if agent == "W":
-            if given.w is None:
-                raise ValueError("the spin-lab observer's own outcome (w) is required at t=3")
-            state = condition_on(state, spin_lab_basis(), given.w)
-            log.append(("own", "spin_lab", given.w))
-        else:
-            state = premeasure(state, spin_lab_basis(), W)
-            if variant.announce_wbar:
-                if given.w is None:
-                    raise ValueError(
-                        "the announced spin-lab outcome (w) is required at t=3 "
-                        "in the announcing protocol"
-                    )
-                state = condition_on(state, record_basis(W), given.w)
-                log.append(("heard", "W", given.w))
+    for step in steps:
+        memory = step.memory.name if step.memory is not None else None
+        if memory == agent:
+            label = getattr(given, step.outcome)
+            if step.after is not None:
+                # The intrusion reading is the agent's to use, not to require.
+                if label is None or step.skipped(vars(given)):
+                    continue
+            elif label is None:
+                raise ValueError(f"the {_ROLES[agent]}'s own outcome ({step.outcome}) "
+                                 f"is required at t>={step.time}")
+            state = condition_on(state, step.basis, label)
+            log.append(("own", basis_name(step.targets), label))
+        elif step.unitary is not None or (memory in layout and step.after is None):
+            state = step.evolve(state)
+            if step.announced and variant.announce_wbar:
+                label = getattr(given, step.outcome)
+                if label is None:
+                    lab = basis_name(step.targets).replace("_", "-")
+                    raise ValueError(f"the announced {lab} outcome ({step.outcome}) is "
+                                     f"required at t>={step.time} in the announcing protocol")
+                state = condition_on(state, record_basis(step.memory), label)
+                log.append(("heard", memory, label))
 
     return AgentModel(agent=agent, layout=layout, state=state, log=tuple(log))
 
@@ -284,27 +223,12 @@ def standard_predictions(model: AgentModel) -> dict[str, dict[str, float]]:
     layout appear, so the coin friend gets no coin-lab prediction.
     """
     names = set(model.layout.names)
+    bases = [coin_basis(), spin_basis(), coin_lab_basis(), spin_lab_basis()]
+    bases += [level_basis(BY_NAME[name]) for name in ("Fbar", "F", "Nbar", "N", "Wbar", "W")]
     out: dict[str, dict[str, float]] = {}
-    if "R" in names:
-        basis = coin_basis()
-        out["R"] = {lab: outcome_probability(model.state, basis, lab) for lab in basis.labels()}
-    if "S" in names:
-        basis = spin_basis()
-        out["S"] = {lab: outcome_probability(model.state, basis, lab) for lab in basis.labels()}
-    if {"R", "Fbar"} <= names:
-        basis = coin_lab_basis()
-        out["coin_lab"] = {
-            lab: outcome_probability(model.state, basis, lab) for lab in basis.labels()
-        }
-    if {"S", "F"} <= names:
-        basis = spin_lab_basis()
-        out["spin_lab"] = {
-            lab: outcome_probability(model.state, basis, lab) for lab in basis.labels()
-        }
-    for name in ("Fbar", "F", "Nbar", "N", "Wbar", "W"):
-        if name in names:
-            basis = level_basis(BY_NAME[name])
-            out[name] = {
+    for basis in bases:
+        if set(basis.target_names) <= names:
+            out[basis_name(basis.target_names)] = {
                 lab: outcome_probability(model.state, basis, lab) for lab in basis.labels()
             }
     return out

@@ -1,17 +1,23 @@
-"""The two-lab protocol as an executable, seeded stochastic process.
+"""The two-lab protocol, written once as a schedule of steps.
 
-One round runs four steps:
+:func:`schedule` gives a variant's round as a tuple of :class:`Step` values
+in time order:
 
 * t=0  the coin is measured by its friend (unitary premeasurement), the spin
        is prepared conditionally on the coin, enabled notebooks are written;
 * t=1  the spin is measured by its friend (+ notebook copy);
 * t=2  the coin-lab superobserver measures the coin lab in the ok/fail basis
-       (sampled collapse recorded into its memory);
+       (sampled collapse recorded into its memory); in the intrusion variant
+       an ``ok`` is followed by a direct spin measurement that ends the round;
 * t=3  the spin-lab superobserver does the same for the spin lab.
 
-The round halts the experiment when both superobservers record ``ok``.  In
-the intrusion variant, an ``ok`` at t=2 is followed by a direct spin
-measurement and the round is aborted instead of continuing to t=3.
+The round halts the experiment when both superobservers record ``ok``.
+
+The true dynamics fold over the schedule: :func:`run_round` samples it on
+the state (the reference path), and :func:`compiled_round` expands every
+branch once into the one tree of labels and Born probabilities that
+sampling and exact enumeration read.  Agents fold over it in
+:mod:`frsim.perspectives`.
 
 Randomness contract: one master seed; round ``k`` draws from an independent
 substream derived from ``(seed, k)``; each sampled measurement consumes
@@ -24,26 +30,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import sqrt
+from types import MappingProxyType
 
 import numpy as np
 
-from .measurement import branch_all, pick_index, premeasure, record_copy, sample
+from .measurement import MeasurementBasis, branch_all, pick_index, premeasure, sample
 from .systems import (
     F,
     FBAR,
     N,
     NBAR,
-    R,
-    S,
     W,
     WBAR,
     canonical_layout,
+    coin_basis,
     coin_lab_basis,
     record_basis,
     spin_basis,
     spin_lab_basis,
 )
-from .tensor import StateVector, apply_unitary, product_state
+from .tensor import RegisterLayout, StateVector, SystemId, apply_unitary, product_state
 
 FRIENDS_WITH_NOTEBOOKS = ("Fbar", "F")
 
@@ -101,6 +107,8 @@ class ProtocolConfig:
     max_rounds: int = 10000
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be at least 1")
 
@@ -161,34 +169,115 @@ _PREPARE_SPIN = np.block([
 ]).astype(np.complex128)
 
 
-def initial_state(variant: ProtocolVariant) -> StateVector:
-    """Fresh-round state: coin superposed, everything else ready.
+@dataclass(frozen=True, eq=False)
+class Step:
+    """One event of a round, read alike by the true dynamics and every agent.
 
-    The coin starts in ``sqrt(2/3)|t> + sqrt(1/3)|h>``; the spin rests in
-    ``down`` until prepared; memories and enabled notebooks are ready.
+    A measurement step writes the outcome of ``basis`` into ``memory`` by a
+    unitary premeasurement; ``outcome`` names the ``Given`` field that
+    holds it.  A ``sampled`` step then collapses on that record in the true
+    dynamics; an ``announced`` one is heard by every agent of the announcing
+    protocol.  The spin preparation applies ``unitary`` to ``targets``
+    instead.  The intrusion has ``after=(field, label)``: it happens only
+    when that earlier outcome has that label, reads ``basis`` directly (its
+    ``memory`` only names whose reading it is), and ends the round.
     """
-    layout = variant.layout()
+
+    time: int
+    targets: tuple[str, ...]
+    basis: MeasurementBasis | None = None
+    memory: SystemId | None = None
+    outcome: str | None = None
+    sampled: bool = False
+    announced: bool = False
+    after: tuple[str, str] | None = None
+    unitary: np.ndarray | None = None
+
+    def skipped(self, outcomes: dict[str, str]) -> bool:
+        """Whether the earlier outcomes rule this step out of the round."""
+        return self.after is not None and outcomes.get(self.after[0]) != self.after[1]
+
+    @property
+    def readout(self) -> MeasurementBasis:
+        """What a sampled step collapses: its written record, or its basis directly."""
+        return self.basis if self.after is not None else record_basis(self.memory)
+
+    def evolve(self, state: StateVector) -> StateVector:
+        """The unitary part of the step: the spin preparation or the premeasurement."""
+        if self.unitary is not None:
+            return apply_unitary(state, self.targets, self.unitary)
+        if self.after is None:
+            return premeasure(state, self.basis, self.memory)
+        return state
+
+
+def schedule(variant: ProtocolVariant) -> tuple[Step, ...]:
+    """The variant's round as one tuple of steps in time order."""
+
+    def measured(time: int, basis: MeasurementBasis, memory: SystemId, outcome=None, **flags):
+        return Step(time, basis.target_names, basis, memory, outcome, **flags)
+
+    steps = [measured(0, coin_basis(), FBAR, "r")]
+    if "Fbar" in variant.notebooks:
+        steps.append(measured(0, coin_basis(), NBAR))
+    steps.append(Step(0, ("R", "S"), unitary=_PREPARE_SPIN))
+    steps.append(measured(1, spin_basis(), F, "s"))
+    if "F" in variant.notebooks:
+        steps.append(measured(1, spin_basis(), N))
+    steps.append(measured(2, coin_lab_basis(), WBAR, "wbar", sampled=True, announced=True))
+    if variant.intrusion:
+        steps.append(measured(2, spin_basis(), WBAR, "intrusion", sampled=True,
+                              after=("wbar", "ok")))
+    steps.append(measured(3, spin_lab_basis(), W, "w", sampled=True, announced=True))
+    return tuple(steps)
+
+
+def _at(variant: ProtocolVariant, *times: int) -> tuple[Step, ...]:
+    return tuple(step for step in schedule(variant) if step.time in times)
+
+
+def fresh_state(layout: RegisterLayout) -> StateVector:
+    """Coin in ``sqrt(2/3)|t> + sqrt(1/3)|h>``, spin resting in ``down`` until
+    prepared, every memory and notebook ready."""
     factors: dict[str, object] = {"R": _COIN_SUPERPOSITION, "S": "down"}
     for name in layout.names:
-        if name not in factors:
-            factors[name] = "ready"
+        factors.setdefault(name, "ready")
     return product_state(layout, factors)
+
+
+def initial_state(variant: ProtocolVariant) -> StateVector:
+    """Fresh-round state over the variant's systems (see :func:`fresh_state`)."""
+    return fresh_state(variant.layout())
+
+
+def _fold(
+    state: StateVector, steps: tuple[Step, ...], rng: np.random.Generator | None = None
+) -> tuple[StateVector, dict[str, str]]:
+    """The true dynamics of ``steps``: the final state and the sampled outcomes."""
+    outcomes: dict[str, str] = {}
+    for step in steps:
+        if step.skipped(outcomes):
+            continue
+        state = step.evolve(state)
+        if step.sampled:
+            outcomes[step.outcome], state = sample(state, step.readout, rng)
+            if step.after is not None:
+                break
+    return state, outcomes
+
+
+def _key(outcomes: dict[str, str]) -> OutcomeKey:
+    return (outcomes.get("wbar"), outcomes.get("w"), outcomes.get("intrusion"))
 
 
 def step_t0(state: StateVector, variant: ProtocolVariant) -> StateVector:
     """Coin measured by its friend, notebook written, spin prepared."""
-    state = record_copy(state, R, FBAR)
-    if "Fbar" in variant.notebooks:
-        state = record_copy(state, R, NBAR)
-    return apply_unitary(state, ("R", "S"), _PREPARE_SPIN)
+    return _fold(state, _at(variant, 0))[0]
 
 
 def step_t1(state: StateVector, variant: ProtocolVariant) -> StateVector:
     """Spin measured by its friend (+ notebook copy)."""
-    state = record_copy(state, S, F)
-    if "F" in variant.notebooks:
-        state = record_copy(state, S, N)
-    return state
+    return _fold(state, _at(variant, 1))[0]
 
 
 def step_t2(
@@ -201,19 +290,14 @@ def step_t2(
     Returns the post-measurement state, the sampled coin-lab outcome, and
     the intrusion outcome (None unless the intrusion variant fired).
     """
-    state = premeasure(state, coin_lab_basis(), WBAR)
-    label, state = sample(state, record_basis(WBAR), rng)
-    intrusion_outcome = None
-    if variant.intrusion and label == "ok":
-        intrusion_outcome, state = sample(state, spin_basis(), rng)
-    return state, label, intrusion_outcome
+    state, outcomes = _fold(state, _at(variant, 2), rng)
+    return state, outcomes["wbar"], outcomes.get("intrusion")
 
 
 def step_t3(state: StateVector, rng: np.random.Generator) -> tuple[StateVector, str]:
-    """Spin lab measured and recorded."""
-    state = premeasure(state, spin_lab_basis(), W)
-    label, state = sample(state, record_basis(W), rng)
-    return state, label
+    """Spin lab measured and recorded; the same step in every variant."""
+    state, outcomes = _fold(state, _at(ProtocolVariant(), 3), rng)
+    return state, outcomes["w"]
 
 
 def state_after_preparation(variant: ProtocolVariant) -> StateVector:
@@ -221,13 +305,8 @@ def state_after_preparation(variant: ProtocolVariant) -> StateVector:
     return step_t1(step_t0(initial_state(variant), variant), variant)
 
 
-def _transcript(
-    variant: ProtocolVariant,
-    round_index: int,
-    wbar: str,
-    w: str | None,
-    intrusion: str | None,
-) -> RoundTranscript:
+def _transcript(variant: ProtocolVariant, round_index: int, key: OutcomeKey) -> RoundTranscript:
+    wbar, w, intrusion = key
     announcements: list[tuple[int, str, str]] = []
     if variant.announce_wbar:
         announcements.append((2, "Wbar", wbar))
@@ -250,56 +329,73 @@ def run_round(
     round_index: int = 0,
 ) -> RoundTranscript:
     """Execute one full round on a fresh set of systems (reference path)."""
-    state = state_after_preparation(variant)
-    state, wbar, intrusion = step_t2(state, variant, rng)
-    if intrusion is not None:
-        return _transcript(variant, round_index, wbar, None, intrusion)
-    state, w = step_t3(state, rng)
-    return _transcript(variant, round_index, wbar, w, intrusion)
+    _, outcomes = _fold(state_after_preparation(variant), _at(variant, 2, 3), rng)
+    return _transcript(variant, round_index, _key(outcomes))
+
+
+@dataclass(frozen=True, eq=False)
+class _Node:
+    """One sampled step of the tree: Born probabilities and what follows each."""
+
+    probabilities: tuple[float, ...]
+    children: tuple["_Node | OutcomeKey | None", ...]
+
+
+def _branch_tree(
+    state: StateVector,
+    steps: tuple[Step, ...],
+    outcomes: dict[str, str],
+    probability: float,
+    leaves: dict[OutcomeKey, float],
+) -> "_Node | OutcomeKey":
+    """Expand ``steps`` like :func:`_fold`, following every branch of each sampled step.
+
+    A branch of zero probability gets no subtree.  Each leaf is an outcome
+    key, and its probability is also put into ``leaves``.
+    """
+    for i, step in enumerate(steps):
+        if step.skipped(outcomes):
+            continue
+        state = step.evolve(state)
+        if step.sampled:
+            rest = () if step.after is not None else steps[i + 1:]
+            branches = branch_all(state, step.readout)
+            return _Node(
+                tuple(b.probability for b in branches),
+                tuple(
+                    _branch_tree(b.post_state, rest, {**outcomes, step.outcome: b.label},
+                                 probability * b.probability, leaves)
+                    if b.probability > 0.0 else None
+                    for b in branches
+                ),
+            )
+    leaves[_key(outcomes)] = probability
+    return _key(outcomes)
 
 
 class RoundSampler:
-    """Precomputed branch tree of one round's sampled measurements.
+    """The branch tree of one round's sampled steps, compiled once.
 
-    The unitary prefix of a round is deterministic, so repeated rounds only
-    differ in the sampled collapses.  This caches the exact branch
-    probabilities (computed with the same operations as the reference path)
-    and replays the sampling logic, draw for draw, without touching state
-    vectors again.  ``draw`` consumes uniforms in the same order and against
-    the same cumulative sums as :func:`run_round`, so both paths produce
-    identical transcripts for identical generator states.
+    The tree holds the exact Born probability of every branch, computed with
+    the same operations as the reference path, and an outcome key at every
+    leaf; no state.  ``joint`` maps each leaf reached with nonzero
+    probability to that probability.  ``draw`` consumes uniforms in the same
+    order and against the same cumulative sums as :func:`run_round`, so both
+    paths give identical transcripts for identical generator states.
     """
 
     def __init__(self, variant: ProtocolVariant):
         self.variant = variant
-        prepared = premeasure(state_after_preparation(variant), coin_lab_basis(), WBAR)
-        self._wbar_probs: list[float] = []
-        self._wbar_labels: list[str] = []
-        self._leaves: list[tuple[str, list[str], list[float]]] = []
-        for branch in branch_all(prepared, record_basis(WBAR)):
-            self._wbar_labels.append(branch.label)
-            self._wbar_probs.append(branch.probability)
-            if branch.probability <= 0.0:
-                self._leaves.append(("none", [], []))
-                continue
-            if variant.intrusion and branch.label == "ok":
-                spin = branch_all(branch.post_state, spin_basis())
-                self._leaves.append(
-                    ("intrusion", [b.label for b in spin], [b.probability for b in spin])
-                )
-            else:
-                lab = premeasure(branch.post_state, spin_lab_basis(), W)
-                wb = branch_all(lab, record_basis(W))
-                self._leaves.append(("w", [b.label for b in wb], [b.probability for b in wb]))
+        joint: dict[OutcomeKey, float] = {}
+        self._tree = _branch_tree(
+            state_after_preparation(variant), _at(variant, 2, 3), {}, 1.0, joint)
+        self.joint = MappingProxyType(joint)  # shared through the cache: read-only
 
     def draw(self, rng: np.random.Generator, round_index: int = 0) -> RoundTranscript:
-        i = pick_index(self._wbar_probs, float(rng.random()))
-        wbar = self._wbar_labels[i]
-        kind, labels, probs = self._leaves[i]
-        j = pick_index(probs, float(rng.random()))
-        if kind == "intrusion":
-            return _transcript(self.variant, round_index, wbar, None, labels[j])
-        return _transcript(self.variant, round_index, wbar, labels[j], None)
+        node = self._tree
+        while isinstance(node, _Node):
+            node = node.children[pick_index(node.probabilities, float(rng.random()))]
+        return _transcript(self.variant, round_index, node)
 
 
 @lru_cache(maxsize=None)

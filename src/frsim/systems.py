@@ -17,15 +17,20 @@ written exactly once by a basis-copy unitary.
 
 All states are stored in one canonical system order so fixtures and
 cross-agent comparisons are unambiguous.
+
+Each basis constructor builds its basis once per argument and returns that
+same instance afterwards; the coin and spin bases are their systems' shared
+:func:`~frsim.measurement.level_basis`.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterable
 
 import numpy as np
 
-from .measurement import MeasurementBasis, ResidualPolicy, SubspaceOutcome
+from .measurement import MeasurementBasis, ResidualPolicy, SubspaceOutcome, level_basis
 from .tensor import RegisterLayout, SystemId
 
 READY = "ready"
@@ -44,6 +49,7 @@ BY_NAME: dict[str, SystemId] = {sys.name: sys for sys in CANONICAL_ORDER}
 
 COIN_LAB: tuple[str, str] = ("R", "Fbar")
 SPIN_LAB: tuple[str, str] = ("S", "F")
+LAB_NAMES: dict[tuple[str, ...], str] = {COIN_LAB: "coin_lab", SPIN_LAB: "spin_lab"}
 
 # Residual tolerance for the lab bases: the ok/fail vectors span only part of
 # the lab space, but no reachable protocol state leaves that span.
@@ -59,60 +65,52 @@ def canonical_layout(names: Iterable[str]) -> RegisterLayout:
     return RegisterLayout(tuple(sys for sys in CANONICAL_ORDER if sys.name in wanted))
 
 
+def basis_name(targets: tuple[str, ...]) -> str:
+    """What logs and predictions call a measurement of these systems."""
+    return LAB_NAMES.get(tuple(targets), "+".join(targets))
+
+
 def coin_basis() -> MeasurementBasis:
-    """Complete ``{t, h}`` basis on the coin."""
-    return MeasurementBasis(
-        targets=(R,),
-        outcomes=(SubspaceOutcome("t", R.ket("t")), SubspaceOutcome("h", R.ket("h"))),
-    )
+    """Complete ``{t, h}`` basis on the coin: the coin's level basis."""
+    return level_basis(R)
 
 
 def spin_basis() -> MeasurementBasis:
-    """Complete ``{up, down}`` basis on the spin."""
+    """Complete ``{up, down}`` basis on the spin: the spin's level basis."""
+    return level_basis(S)
+
+
+def _lab_basis(first: SystemId, second: SystemId, plus: str, minus: str) -> MeasurementBasis:
+    """``ok`` is ``(|plus,plus> - |minus,minus>)/sqrt(2)``, ``fail`` the sum."""
+    a = np.kron(first.ket(plus), second.ket(plus))
+    b = np.kron(first.ket(minus), second.ket(minus))
     return MeasurementBasis(
-        targets=(S,),
-        outcomes=(SubspaceOutcome("up", S.ket("up")), SubspaceOutcome("down", S.ket("down"))),
+        targets=(first, second),
+        outcomes=(
+            SubspaceOutcome("ok", (a - b) / np.sqrt(2.0)),
+            SubspaceOutcome("fail", (a + b) / np.sqrt(2.0)),
+        ),
+        residual=ResidualPolicy.forbid(LAB_RESIDUAL_TOL),
     )
 
 
-def _lab_vectors(first: SystemId, second: SystemId, pairs: tuple[tuple[str, str], ...],
-                 signs: tuple[float, ...]) -> np.ndarray:
-    vec = np.zeros(first.dimension * second.dimension, dtype=np.complex128)
-    for (a, b), sign in zip(pairs, signs):
-        vec += sign * np.kron(first.ket(a), second.ket(b))
-    return vec / np.sqrt(2.0)
-
-
+@cache
 def coin_lab_basis() -> MeasurementBasis:
     """``ok``/``fail`` basis on the coin lab ``(R, Fbar)``.
 
     ``ok`` is the odd combination ``(|h,h> - |t,t>)/sqrt(2)``, ``fail`` the
     even one; the rest of the lab space is a forbidden residual.
     """
-    pairs = (("h", "h"), ("t", "t"))
-    return MeasurementBasis(
-        targets=(R, FBAR),
-        outcomes=(
-            SubspaceOutcome("ok", _lab_vectors(R, FBAR, pairs, (1.0, -1.0))),
-            SubspaceOutcome("fail", _lab_vectors(R, FBAR, pairs, (1.0, 1.0))),
-        ),
-        residual=ResidualPolicy.forbid(LAB_RESIDUAL_TOL),
-    )
+    return _lab_basis(R, FBAR, "h", "t")
 
 
+@cache
 def spin_lab_basis() -> MeasurementBasis:
     """``ok``/``fail`` basis on the spin lab ``(S, F)``."""
-    pairs = (("down", "down"), ("up", "up"))
-    return MeasurementBasis(
-        targets=(S, F),
-        outcomes=(
-            SubspaceOutcome("ok", _lab_vectors(S, F, pairs, (1.0, -1.0))),
-            SubspaceOutcome("fail", _lab_vectors(S, F, pairs, (1.0, 1.0))),
-        ),
-        residual=ResidualPolicy.forbid(LAB_RESIDUAL_TOL),
-    )
+    return _lab_basis(S, F, "down", "up")
 
 
+@cache
 def record_basis(memory: SystemId) -> MeasurementBasis:
     """Basis over a memory's written levels; the unwritten ready level is forbidden."""
     outcomes = tuple(
@@ -124,12 +122,4 @@ def record_basis(memory: SystemId) -> MeasurementBasis:
         targets=(memory,),
         outcomes=outcomes,
         residual=ResidualPolicy.forbid(LAB_RESIDUAL_TOL),
-    )
-
-
-def level_basis(system: SystemId) -> MeasurementBasis:
-    """Complete basis over all levels of one system."""
-    return MeasurementBasis(
-        targets=(system,),
-        outcomes=tuple(SubspaceOutcome(label, system.ket(label)) for label in system.levels),
     )

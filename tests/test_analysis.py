@@ -204,6 +204,19 @@ def test_detection_requires_intrusion_variant():
         detect_records(config, 100)
 
 
+@pytest.mark.parametrize("confidence", (0.0, 1.0, 1.5, -0.2, float("nan")))
+def test_detection_rejects_confidence_outside_the_unit_interval(confidence):
+    config = ProtocolConfig(variant=variant({"Fbar"}, intrusion=True, cheat=True), seed=3)
+    with pytest.raises(ValueError, match="confidence"):
+        detect_records(config, 100, confidence=confidence)
+
+
+def test_detection_rejects_min_ok_rounds_below_one():
+    config = ProtocolConfig(variant=variant(intrusion=True), seed=3)
+    with pytest.raises(ValueError, match="min_ok_rounds"):
+        detect_records(config, 1, min_ok_rounds=0)
+
+
 def test_single_down_observation_is_logically_decisive():
     # With 40 post-selected rounds and a single down, the bound drops below 1.
     assert binomial_upper_bound(39, 40) < 1.0

@@ -8,6 +8,7 @@ from frsim.cli import (
     EXIT_INCONSISTENT,
     EXIT_INTERNAL,
     EXIT_OK,
+    EXIT_USAGE,
     ReportDocument,
     main,
 )
@@ -107,6 +108,23 @@ def test_run_requires_rounds(capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("run", "--rounds", "10", "--seed", "-1"),
+        ("run", "--until-halt", "--max-rounds", "0"),
+        ("detect", "--rounds", "1", "--min-ok", "0"),
+        ("detect", "--cheat", "--rounds", "10000", "--seed", "3", "--confidence", "1.5"),
+    ),
+    ids=("negative-seed", "zero-max-rounds", "zero-min-ok", "confidence-above-one"),
+)
+def test_values_the_library_rejects_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
 # perspectives --------------------------------------------------------------------
 
 def test_perspectives_after_announced_ok(capsys):
@@ -198,6 +216,13 @@ def test_document_round_trip(capsys):
     _, out, _ = run_cli(capsys, "branches", "--notebooks", "both")
     doc = ReportDocument.from_json(out)
     assert doc.to_json() == out
+
+
+def test_document_rejects_nan():
+    doc = ReportDocument(schema_version="1", command="detect", variant={}, seed=0,
+                         results={"threshold": float("nan")})
+    with pytest.raises(ValueError):
+        doc.to_json()
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

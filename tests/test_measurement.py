@@ -26,6 +26,7 @@ from frsim.systems import (
     WBAR,
     coin_basis,
     coin_lab_basis,
+    level_basis,
     record_basis,
     spin_basis,
     spin_lab_basis,
@@ -74,21 +75,36 @@ def test_validate_complete_coin_basis():
 
 def test_validate_rejects_non_orthogonal_outcomes():
     plus = (R.ket("t") + R.ket("h")) / SQ2
-    basis = MeasurementBasis(
-        targets=(R,),
-        outcomes=(SubspaceOutcome("t", R.ket("t")), SubspaceOutcome("plus", plus)),
-    )
     with pytest.raises(BasisError, match="orthogonal"):
+        basis = MeasurementBasis(
+            targets=(R,),
+            outcomes=(SubspaceOutcome("t", R.ket("t")), SubspaceOutcome("plus", plus)),
+        )
         validate_basis(basis)
 
 
 def test_validate_rejects_unnormalized_vector():
-    basis = MeasurementBasis(
-        targets=(R,),
-        outcomes=(SubspaceOutcome("t", 0.5 * R.ket("t")),),
-    )
     with pytest.raises(BasisError, match="normalized"):
+        basis = MeasurementBasis(
+            targets=(R,),
+            outcomes=(SubspaceOutcome("t", 0.5 * R.ket("t")),),
+        )
         validate_basis(basis)
+
+
+def test_bases_are_built_once_and_validated_on_construction():
+    constructors = (coin_basis, spin_basis, coin_lab_basis, spin_lab_basis,
+                    lambda: record_basis(WBAR), lambda: level_basis(N))
+    for build in constructors:
+        assert build() is build()
+    assert coin_basis() is level_basis(R)
+    assert spin_basis() is level_basis(S)
+    skew = (R.ket("t") + 0.5 * R.ket("h")) / np.sqrt(1.25)
+    with pytest.raises(BasisError, match="orthogonal"):
+        MeasurementBasis(
+            targets=(R,),
+            outcomes=(SubspaceOutcome("t", R.ket("t")), SubspaceOutcome("skew", skew)),
+        )
 
 
 # branch_all ------------------------------------------------------------------

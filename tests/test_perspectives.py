@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from frsim.analysis import enumerate_exact
@@ -77,6 +79,8 @@ def test_perspective_limits_are_exactly_the_self_measurements(agent, time, annou
 
 
 def test_missing_own_outcome_is_an_error_not_a_limit():
+    with pytest.raises(ValueError, match="required"):
+        agent_state_at("Fbar", 0, Given(), MODIFIED)
     with pytest.raises(ValueError, match="required"):
         agent_state_at("F", 1, Given(), MODIFIED)
     with pytest.raises(ValueError, match="required"):
@@ -226,25 +230,44 @@ def test_coin_friend_has_no_lab_prediction():
 
 # Perspective consistency against the exact oracle ------------------------------
 
+def _variants_with_full_models(notebooks):
+    """Each valid variant with these notebooks, with the agents whose models
+    hold every physical record: the three observers, or under cheat only C."""
+    for announce, cheat, intrusion in itertools.product((False, True), repeat=3):
+        if cheat and "Fbar" not in notebooks:
+            continue
+        variant = ProtocolVariant(announce_wbar=announce, notebooks=notebooks, cheat=cheat,
+                                  intrusion=intrusion)
+        yield variant, ("C",) if cheat else ("Wbar", "W", "C")
+
+
 @pytest.mark.parametrize("notebooks", ALL_NOTEBOOK_SETS)
 def test_agents_match_exact_marginal_before_measurement(notebooks):
-    variant = ProtocolVariant(announce_wbar=False, notebooks=notebooks)
-    exact = enumerate_exact(variant)
-    for agent in ("Wbar", "W", "C"):
-        model = agent_model_at(agent, 1, Given(), variant)
-        p = outcome_probability(model.state, coin_lab_basis(), "ok")
-        assert p == pytest.approx(exact.marginal_wbar("ok"), abs=EXACT_ATOL)
+    for variant, agents in _variants_with_full_models(notebooks):
+        exact = enumerate_exact(variant)
+        for agent in agents:
+            model = agent_model_at(agent, 1, Given(), variant)
+            p = outcome_probability(model.state, coin_lab_basis(), "ok")
+            assert p == pytest.approx(exact.marginal_wbar("ok"), abs=EXACT_ATOL)
 
 
 @pytest.mark.parametrize("notebooks", ALL_NOTEBOOK_SETS)
 @pytest.mark.parametrize("wbar", ("ok", "fail"))
 def test_agents_match_exact_conditional_after_measurement(notebooks, wbar):
-    variant = ProtocolVariant(announce_wbar=True, notebooks=notebooks)
-    exact = enumerate_exact(variant)
-    for agent in ("Wbar", "W", "C"):
-        model = agent_model_at(agent, 2, Given(wbar=wbar), variant)
-        p = outcome_probability(model.state, spin_lab_basis(), "ok")
-        assert p == pytest.approx(exact.conditional_w("ok", wbar), abs=EXACT_ATOL)
+    for variant, agents in _variants_with_full_models(notebooks):
+        exact = enumerate_exact(variant)
+        for agent in agents:
+            model = agent_model_at(agent, 2, Given(wbar=wbar), variant)
+            if agent != "Wbar" and not variant.announce_wbar:
+                model = apply_announcement(model, "Wbar", wbar)  # learn the secret outcome
+            if variant.intrusion and wbar == "ok":
+                # An ok ends the round with the intrusion's direct spin reading.
+                p = outcome_probability(model.state, spin_basis(), "up")
+                expected = exact.conditional_intrusion("up")
+            else:
+                p = outcome_probability(model.state, spin_lab_basis(), "ok")
+                expected = exact.conditional_w("ok", wbar)
+            assert p == pytest.approx(expected, abs=EXACT_ATOL), (variant, agent)
 
 
 # Cheat mode ---------------------------------------------------------------------

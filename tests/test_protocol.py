@@ -41,6 +41,8 @@ def test_variant_validation():
 def test_config_validation():
     with pytest.raises(ValueError):
         ProtocolConfig(variant=NONE, max_rounds=0)
+    with pytest.raises(ValueError, match="seed"):
+        ProtocolConfig(variant=NONE, seed=-1)
 
 
 def test_initial_state_layouts():
