@@ -13,9 +13,9 @@ coin outcome exists inside the coin lab.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import fsum, log, log1p, sqrt
 
-from scipy import stats
+import numpy as np
 
 from .measurement import branch_all  # noqa: F401  (perfbench/test_benchmark.py traces it here)
 from .protocol import (
@@ -80,9 +80,6 @@ class FrequencyTable:
     def std_error(self, key: OutcomeKey) -> float:
         p = self.frequency(key)
         return sqrt(p * (1.0 - p) / self.total)
-
-    def keys(self) -> list[OutcomeKey]:
-        return sorted(self.counts, key=str)
 
 
 @dataclass(frozen=True)
@@ -150,12 +147,55 @@ def z_scores(table: FrequencyTable, exact: JointDistribution) -> dict[OutcomeKey
 
 
 def binomial_upper_bound(successes: int, trials: int, confidence: float = 0.99) -> float:
-    """One-sided Clopper-Pearson upper confidence bound for a proportion."""
-    if trials <= 0:
-        raise ValueError("trials must be positive")
-    if successes >= trials:
+    """One-sided Clopper-Pearson upper confidence bound for a proportion.
+
+    The bound is the ``p`` at which at most ``successes`` in ``trials`` has
+    probability ``1 - confidence`` (Clopper & Pearson, Biometrika 1934),
+    i.e. the ``confidence`` quantile of Beta(successes + 1, trials - successes).
+    It is found by bisection on the exact binomial lower tail, evaluated in
+    log space, and is 1 when every trial succeeded.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if not 0 <= successes <= trials:
+        raise ValueError(f"successes must lie in [0, {trials}], got {successes}")
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must lie strictly between 0 and 1, got {confidence}")
+    if successes == trials:
         return 1.0
-    return float(stats.beta.ppf(confidence, successes + 1, trials - successes))
+    log_tail = _log_binomial_tail(successes, trials)
+    target = log1p(-confidence)
+    lo, hi = 0.0, 1.0  # the tail falls from 1 at p = 0 to 0 at p = 1
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if log_tail(mid) > target:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def _log_binomial_tail(x: int, n: int):
+    """``p -> log P(X <= x)`` for ``X ~ Binomial(n, p)`` and ``0 < p < 1``.
+
+    Every term is taken relative to the ``k = x`` term, whose log binomial
+    coefficient is a sum of small logs added exactly (``fsum``), so no large
+    lgamma values cancel.
+    """
+    m = min(x, n - x)
+    i = np.arange(1.0, m + 1)
+    log_choose = fsum(np.log((n - m + i) / i))  # log C(n, x)
+    k = np.arange(float(x), 0.0, -1.0)
+    # log C(n, x - j) - log C(n, x), for j = 0..x
+    log_ratio = np.concatenate(([0.0], np.cumsum(np.log(k / (n - k + 1)))))
+    j = np.arange(x + 1.0)
+
+    def log_tail(p: float) -> float:
+        log_p, log_q = log(p), log1p(-p)
+        z = log_ratio + j * (log_q - log_p)  # log term(x - j) - log term(x)
+        top = z.max()
+        return log_choose + x * log_p + (n - x) * log_q + top + log(np.exp(z - top).sum())
+
+    return log_tail
 
 
 def detect_records(

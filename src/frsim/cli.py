@@ -24,6 +24,7 @@ from .analysis import detect_records, enumerate_exact, monte_carlo, z_scores
 from .measurement import BasisError, InconsistentOutcomeError, ResidualError
 from .perspectives import (
     AGENTS,
+    GIVEN_LABELS,
     Given,
     PerspectiveLimit,
     agent_model_at,
@@ -40,13 +41,6 @@ SCHEMA_VERSION = "1"
 
 _NOTEBOOKS = {"none": (), "fbar": ("Fbar",), "f": ("F",), "both": ("Fbar", "F")}
 _AGENT_FLAGS = {"fbar": "Fbar", "f": "F", "wbar": "Wbar", "w": "W", "c": "C"}
-_GIVEN_LABELS = {
-    "r": ("t", "h"),
-    "s": ("up", "down"),
-    "wbar": ("ok", "fail"),
-    "w": ("ok", "fail"),
-    "intrusion": ("up", "down"),
-}
 
 
 @dataclass
@@ -133,12 +127,13 @@ def _given_from_flag(parser: argparse.ArgumentParser, text: str | None) -> Given
         key, label = item.split("=", 1)
         key = key.strip().lower()
         label = label.strip()
-        if key not in _GIVEN_LABELS:
-            parser.error(f"--given key must be one of {sorted(_GIVEN_LABELS)}, got {key!r}")
-        if label not in _GIVEN_LABELS[key]:
-            parser.error(f"--given {key} must be one of {_GIVEN_LABELS[key]}, got {label!r}")
+        if key not in GIVEN_LABELS:
+            parser.error(f"--given key must be one of {sorted(GIVEN_LABELS)}, got {key!r}")
         values[key] = label
-    return Given(**values)
+    try:
+        return Given(**values)
+    except ValueError as exc:
+        parser.error(f"--given {exc}")
 
 
 def _key_dict(key: tuple[str | None, str | None, str | None]) -> dict:

@@ -27,9 +27,15 @@ copy step, while the external observer and the true dynamics include it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
-from .measurement import MeasurementBasis, condition_on, outcome_probability
-from .protocol import ProtocolVariant, RoundTranscript, fresh_state, schedule
+from .measurement import (
+    InconsistentOutcomeError,
+    MeasurementBasis,
+    condition_on,
+    outcome_probability,
+)
+from .protocol import ProtocolVariant, fresh_state, schedule
 from .systems import (
     BY_NAME,
     basis_name,
@@ -50,6 +56,12 @@ _ROLES = {"Fbar": "coin friend", "F": "spin friend",
           "Wbar": "coin-lab observer", "W": "spin-lab observer"}
 
 CERTAINTY_TOL = 1e-10
+
+# The labels each ``Given`` field can take: those of the step that writes it.
+GIVEN_LABELS = MappingProxyType({
+    step.outcome: step.basis.labels()
+    for step in schedule(ProtocolVariant(intrusion=True)) if step.outcome is not None
+})
 
 
 class PerspectiveLimit(Exception):
@@ -72,13 +84,10 @@ class Given:
     w: str | None = None
     intrusion: str | None = None
 
-    @classmethod
-    def from_transcript(cls, transcript: RoundTranscript) -> "Given":
-        return cls(
-            wbar=transcript.wbar_outcome,
-            w=transcript.w_outcome,
-            intrusion=transcript.intrusion_outcome,
-        )
+    def __post_init__(self) -> None:
+        for field, label in vars(self).items():
+            if label is not None and label not in GIVEN_LABELS[field]:
+                raise ValueError(f"{field} must be one of {GIVEN_LABELS[field]}, got {label!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,15 +138,29 @@ def agent_model_at(
 ) -> AgentModel:
     """The agent's description after the steps completed at ``time``.
 
-    Folds the agent's view over the protocol schedule.  Raises
-    :class:`PerspectiveLimit` when a step measures a lab containing the
-    agent, and :class:`ValueError` when the transcript prefix does not pin
-    an outcome the agent would know at that time.
+    Folds the agent's view over the protocol schedule, over the steps the
+    round reaches: like the true dynamics, the fold ends with the intrusion
+    once ``Given`` has the ``wbar=ok`` that triggers it.  Raises
+    :class:`PerspectiveLimit` when a reached step measures a lab containing
+    the agent, :class:`InconsistentOutcomeError` when ``Given`` holds an
+    outcome of a step after the end of the round, and :class:`ValueError`
+    when the transcript prefix does not pin an outcome the agent would know
+    at that time.
     """
     if time not in (0, 1, 2, 3):
         raise ValueError(f"time must be one of 0..3, got {time}")
     given = given or Given()
-    steps = [step for step in schedule(variant) if step.time <= time]
+    reached = []
+    for step in schedule(variant):
+        if reached and reached[-1].after is not None:  # the intrusion ended the round
+            if step.outcome is not None and getattr(given, step.outcome) is not None:
+                field, label = reached[-1].after
+                raise InconsistentOutcomeError(
+                    f"the intrusion after {field}={label} ends the round at "
+                    f"t={reached[-1].time}, so no {step.outcome} outcome follows")
+        elif not step.skipped(vars(given)):
+            reached.append(step)
+    steps = [step for step in reached if step.time <= time]
     for step in steps:
         if step.basis is not None and agent in step.targets:
             raise PerspectiveLimit(
@@ -152,11 +175,10 @@ def agent_model_at(
         memory = step.memory.name if step.memory is not None else None
         if memory == agent:
             label = getattr(given, step.outcome)
-            if step.after is not None:
+            if label is None:
                 # The intrusion reading is the agent's to use, not to require.
-                if label is None or step.skipped(vars(given)):
+                if step.after is not None:
                     continue
-            elif label is None:
                 raise ValueError(f"the {_ROLES[agent]}'s own outcome ({step.outcome}) "
                                  f"is required at t>={step.time}")
             state = condition_on(state, step.basis, label)

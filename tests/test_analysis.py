@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -222,3 +224,48 @@ def test_single_down_observation_is_logically_decisive():
     assert binomial_upper_bound(39, 40) < 1.0
     assert binomial_upper_bound(40, 40) == 1.0
     assert binomial_upper_bound(0, 40) < 0.2
+
+
+@pytest.mark.parametrize("successes, trials, confidence", [
+    (3, 10, 1.5), (3, 10, 0.0), (3, 10, 1.0), (3, 10, float("nan")),
+    (-1, 10, 0.99), (12, 10, 0.99), (0, 0, 0.99),
+])
+def test_upper_bound_rejects_arguments_outside_its_domain(successes, trials, confidence):
+    with pytest.raises(ValueError):
+        binomial_upper_bound(successes, trials, confidence)
+
+
+BOUND_RTOL = 1e-12
+
+
+def lower_tail_exceeds(successes, trials, p, level):
+    """Whether P(X <= successes) > level for X ~ Binomial(trials, p), in exact arithmetic."""
+    a, d = p.as_integer_ratio()
+    b = d - a
+    term = total = b ** trials  # C(n, k) a^k b^(n - k) for k = 0
+    for k in range(1, successes + 1):
+        term = term * (trials - k + 1) * a // (k * b)
+        total += term
+    return Fraction(total, d ** trials) > level
+
+
+# (999, 9999, 0.999999): scipy's beta.ppf is 4.9e-12 off the exact root there.
+@pytest.mark.parametrize("successes, trials, confidence", [
+    (0, 1, 0.5), (3, 10, 0.999999), (39, 40, 0.99), (999, 9999, 0.999999),
+])
+def test_upper_bound_brackets_the_exact_root(successes, trials, confidence):
+    bound = binomial_upper_bound(successes, trials, confidence)
+    level = 1 - Fraction(confidence)
+    assert lower_tail_exceeds(successes, trials, bound * (1 - BOUND_RTOL), level)
+    assert not lower_tail_exceeds(successes, trials, bound * (1 + BOUND_RTOL), level)
+
+
+def test_upper_bound_matches_scipy_beta_quantile():
+    stats = pytest.importorskip("scipy.stats")
+    for trials in (1, 2, 3, 7, 40, 333, 4951, 10000):
+        for successes in sorted({0, 1, trials // 3, trials // 2, trials - 1} - {trials}):
+            for confidence in (0.5, 0.9, 0.99, 0.999999):
+                expected = stats.beta.ppf(confidence, successes + 1, trials - successes)
+                bound = binomial_upper_bound(successes, trials, confidence)
+                assert bound == pytest.approx(expected, rel=BOUND_RTOL, abs=0), (
+                    successes, trials, confidence)

@@ -169,11 +169,13 @@ def test_perspectives_single_agent_missing_outcome_is_usage_error(capsys):
 
 
 def test_perspectives_inconsistent_transcript_exits_3(capsys):
-    code, out, err = run_cli(
-        capsys, "perspectives", "--t", "2", "--given", "wbar=ok,s=down"
-    )
-    assert code == EXIT_INCONSISTENT
-    assert "inconsistent" in err
+    for argv in (
+        ("perspectives", "--t", "2", "--given", "wbar=ok,s=down"),
+        ("perspectives", "--t", "3", "--intrusion", "--given", "wbar=ok,w=fail"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_INCONSISTENT, argv
+        assert "inconsistent" in err
 
 
 def test_perspectives_bad_given_is_usage_error(capsys):

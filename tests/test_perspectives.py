@@ -6,6 +6,7 @@ from frsim.analysis import enumerate_exact
 from frsim.measurement import InconsistentOutcomeError, condition_on, outcome_probability
 from frsim.perspectives import (
     AGENTS,
+    GIVEN_LABELS,
     CertaintyVerdict,
     Given,
     PerspectiveLimit,
@@ -95,6 +96,23 @@ def test_modified_protocol_needs_no_heard_outcomes():
     state = agent_state_at("C", 3, Given(), MODIFIED)
     expected = reference_by_tag("external_t3_secret").state
     assert equal_up_to_global_phase(state, expected, tol=1e-10)
+
+
+def test_intrusion_after_ok_ends_the_round_in_the_agent_fold():
+    for announce in (False, True):
+        variant = ProtocolVariant(announce_wbar=announce, intrusion=True)
+        at_t2 = agent_model_at("C", 2, Given(wbar="ok"), variant)
+        at_t3 = agent_model_at("C", 3, Given(wbar="ok"), variant)
+        assert at_t3.log == at_t2.log
+        assert equal_up_to_global_phase(at_t3.state, at_t2.state, tol=1e-12)
+        with pytest.raises(InconsistentOutcomeError):
+            agent_model_at("C", 3, Given(wbar="ok", w="fail"), variant)
+
+
+def test_given_rejects_labels_its_steps_cannot_write():
+    for field in GIVEN_LABELS:
+        with pytest.raises(ValueError, match=f"{field} must be one of"):
+            Given(**{field: "maybe"})
 
 
 # Announcement updates ---------------------------------------------------------
