@@ -23,10 +23,13 @@ from .protocol import (
     ProtocolConfig,
     ProtocolVariant,
     compiled_round,
-    round_rng,
 )
 
 PROBABILITY_ATOL = 1e-10
+
+# Rounds sampled per block by monte_carlo: the block's uniforms and tree walk
+# take about 1 MiB.
+ROUND_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -121,16 +124,18 @@ def monte_carlo(
 
     Round ``k`` uses the substream keyed by ``(seed, *stream, k)``, so the
     table is deterministic per seed and rounds can be partitioned across
-    workers without changing the result.
+    workers without changing the result.  Rounds are sampled in blocks of
+    ``ROUND_CHUNK`` (:meth:`RoundSampler.leaf_counts`), with the same
+    uniforms and the same outcomes as one ``draw`` per round.
     """
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
     sampler = compiled_round(config.variant)
-    counts: dict[OutcomeKey, int] = {}
-    for k in range(rounds):
-        transcript = sampler.draw(round_rng(config.seed, *stream, k), k)
-        key = transcript.key()
-        counts[key] = counts.get(key, 0) + 1
+    leaf_counts = sum(
+        sampler.leaf_counts(config.seed, stream, start, min(start + ROUND_CHUNK, rounds))
+        for start in range(0, rounds, ROUND_CHUNK)
+    )
+    counts = {key: int(n) for key, n in zip(sampler.leaves, leaf_counts) if n}
     return FrequencyTable(counts=counts, total=rounds)
 
 

@@ -143,23 +143,36 @@ def agent_model_at(
     once ``Given`` has the ``wbar=ok`` that triggers it.  Raises
     :class:`PerspectiveLimit` when a reached step measures a lab containing
     the agent, :class:`InconsistentOutcomeError` when ``Given`` holds an
-    outcome of a step after the end of the round, and :class:`ValueError`
-    when the transcript prefix does not pin an outcome the agent would know
-    at that time.
+    outcome of a step the round does not reach (after the end of the round,
+    ruled out by a given earlier outcome, or absent from the variant), and
+    :class:`ValueError` when the transcript prefix does not pin an outcome
+    the agent would know at that time.
     """
     if time not in (0, 1, 2, 3):
         raise ValueError(f"time must be one of 0..3, got {time}")
     given = given or Given()
+    labels = vars(given)
+    round_steps = schedule(variant)
+    for field in labels.keys() - {step.outcome for step in round_steps}:
+        if labels[field] is not None:
+            raise InconsistentOutcomeError(
+                f"no step of this variant writes the {field} outcome, so "
+                f"{field}={labels[field]} cannot be given")
     reached = []
-    for step in schedule(variant):
+    for step in round_steps:
         if reached and reached[-1].after is not None:  # the intrusion ended the round
-            if step.outcome is not None and getattr(given, step.outcome) is not None:
+            if step.outcome is not None and labels[step.outcome] is not None:
                 field, label = reached[-1].after
                 raise InconsistentOutcomeError(
                     f"the intrusion after {field}={label} ends the round at "
                     f"t={reached[-1].time}, so no {step.outcome} outcome follows")
-        elif not step.skipped(vars(given)):
+        elif not step.skipped(labels):
             reached.append(step)
+        elif labels[step.after[0]] is not None and labels[step.outcome] is not None:
+            field, label = step.after
+            raise InconsistentOutcomeError(
+                f"the {step.outcome} step happens only after {field}={label}, so "
+                f"{field}={labels[field]} leaves no {step.outcome} outcome")
     steps = [step for step in reached if step.time <= time]
     for step in steps:
         if step.basis is not None and agent in step.targets:

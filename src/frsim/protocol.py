@@ -20,21 +20,33 @@ sampling and exact enumeration read.  Agents fold over it in
 :mod:`frsim.perspectives`.
 
 Randomness contract: one master seed; round ``k`` draws from an independent
-substream derived from ``(seed, k)``; each sampled measurement consumes
-exactly one uniform variate.  Rounds are therefore reproducible and safe to
-execute in parallel.
+substream derived from ``(seed, k)`` (``(seed, *stream, k)`` with a stream
+key), numpy's ``default_rng(SeedSequence(...))``; each sampled measurement
+consumes exactly one uniform variate.  Rounds are therefore reproducible and
+safe to execute in parallel.  :func:`round_uniforms` computes the same
+uniforms for a whole block of rounds at once and :meth:`RoundSampler.leaf_counts`
+walks the tree with them, so block sampling reproduces the per-round path
+bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 from math import sqrt
 from types import MappingProxyType
 
 import numpy as np
 
-from .measurement import MeasurementBasis, branch_all, pick_index, premeasure, sample
+from .measurement import (
+    ZERO_PROBABILITY_ATOL,
+    MeasurementBasis,
+    branch_all,
+    pick_index,
+    premeasure,
+    sample,
+)
 from .systems import (
     F,
     FBAR,
@@ -156,6 +168,121 @@ def round_rng(seed: int, *key: int) -> np.random.Generator:
     """Independent substream for one round, addressable by (seed, *key)."""
     entropy = (int(seed),) + tuple(int(k) for k in key)
     return np.random.default_rng(np.random.SeedSequence(entropy=entropy))
+
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
+# PCG64's 128-bit LCG multiplier (O'Neill, HMC-CS-2014-0905).
+_MASK32 = 0xFFFF_FFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG_MULT_HI, _PCG_MULT_LO = 2549297995355413924, 4865540595714422341
+
+
+def _hash_constants(value: int, mult: int):
+    """SeedSequence's successive (xor, multiplier) pairs; they do not depend
+    on the data, so they stay Python ints."""
+    while True:
+        following = value * mult & _MASK32
+        yield value, following
+        value = following
+
+
+def _hash(word, constants):
+    """One SeedSequence hash of a 32-bit word (Python int or uint32 array)."""
+    xor, mult = next(constants)
+    word = (word ^ xor) * mult & _MASK32
+    return word ^ word >> 16
+
+
+def _mix(x, y):
+    word = (_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32) & _MASK32
+    return word ^ word >> 16
+
+
+def _words(n: int) -> list[int]:
+    """``n`` as SeedSequence reads it: little-endian 32-bit words, one for 0."""
+    n = int(n)
+    if n < 0:
+        raise ValueError(f"seed and stream entries must be non-negative, got {n}")
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
+    """High 64 bits of ``a * b`` for uint64 ``a``, from 32-bit limbs."""
+    a0, a1, b0, b1 = a & _MASK32, a >> 32, b & _MASK32, b >> 32
+    p00, p01, p10, p11 = a0 * b0, a0 * b1, a1 * b0, a1 * b1
+    middle = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    return p11 + (p01 >> 32) + (p10 >> 32) + (middle >> 32)
+
+
+def _add128(hi, lo, add_hi, add_lo):
+    total = lo + add_lo
+    return hi + add_hi + (total < lo), total
+
+
+def _lcg_step(hi, lo, inc_hi, inc_lo):
+    """PCG64's state update ``state * multiplier + inc`` modulo 2**128."""
+    product_hi = _mulhi64(lo, _PCG_MULT_LO) + lo * np.uint64(_PCG_MULT_HI) \
+        + hi * np.uint64(_PCG_MULT_LO)
+    return _add128(product_hi, lo * np.uint64(_PCG_MULT_LO), inc_hi, inc_lo)
+
+
+def _block_uniforms(entropy: list, depth: int) -> np.ndarray:
+    """``default_rng(SeedSequence(entropy)).random(depth)`` for every round at
+    once; one entropy word is a uint32 array over the rounds."""
+    constants = _hash_constants(_INIT_A, _MULT_A)
+    pool = [_hash(entropy[i] if i < len(entropy) else 0, constants)
+            for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], constants))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hash(word, constants))
+    # generate_state(4, uint64): eight words, paired little-endian.
+    constants = _hash_constants(_INIT_B, _MULT_B)
+    words = [_hash(pool[i % _POOL_SIZE], constants).astype(np.uint64) for i in range(8)]
+    seed_hi, seed_lo, seq_hi, seq_lo = (words[i] | words[i + 1] << 32 for i in range(0, 8, 2))
+    # PCG64 seeding: inc = 2 * seq + 1; state = inc, += seed, one step.
+    inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
+    hi, lo = _lcg_step(*_add128(inc_hi, inc_lo, seed_hi, seed_lo), inc_hi, inc_lo)
+    out = np.empty((len(lo), depth))
+    for column in range(depth):
+        hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
+        x, rot = hi ^ lo, hi >> 58  # XSL-RR output
+        x = x >> rot | x << (64 - rot & 63)
+        out[:, column] = (x >> 11) * 2.0**-53
+    return out
+
+
+def round_uniforms(seed: int, key: tuple[int, ...], start: int, stop: int,
+                   depth: int) -> np.ndarray:
+    """The first ``depth`` uniforms of rounds ``start..stop-1``, one row each.
+
+    Row ``i`` equals ``round_rng(seed, *key, start + i).random(depth)`` bit
+    for bit: numpy's SeedSequence mixing, PCG64 seeding and output are
+    computed in vectorised uint32/uint64 arithmetic.  Round indices stop
+    below 2**64.
+    """
+    if not 0 <= start <= stop <= 2**64:
+        raise ValueError(f"rounds must satisfy 0 <= start <= stop <= 2**64, got {start}, {stop}")
+    prefix = _words(seed) + [word for k in key for word in _words(k)]
+    out = np.empty((stop - start, depth))
+    lo = int(start)
+    while lo < stop:  # SeedSequence reads k as one word below 2**32, as two above
+        width = max(1, -(-lo.bit_length() // 32))
+        hi = min(stop, 2 ** (32 * width))
+        ks = np.arange(lo, hi, dtype=np.uint64)
+        words = [(ks >> 32 * j & _MASK32).astype(np.uint32) for j in range(width)]
+        out[lo - start:hi - start] = _block_uniforms(prefix + words, depth)
+        lo = hi
+    return out
 
 
 _COIN_SUPERPOSITION = np.array([sqrt(2.0 / 3.0), sqrt(1.0 / 3.0)], dtype=np.complex128)
@@ -335,10 +462,27 @@ def run_round(
 
 @dataclass(frozen=True, eq=False)
 class _Node:
-    """One sampled step of the tree: Born probabilities and what follows each."""
+    """One sampled step of the tree: its branches of nonzero probability.
 
+    ``children[i]`` follows branch ``i``: a node index, or ``~j`` for the
+    ``j``-th leaf.  ``level`` counts the sampled steps before this one, so
+    it is the column of the round's uniforms this node reads.  A branch of
+    zero probability is left out: :func:`pick_index` never picks it, and
+    without it the cumulative sums and the fallback pick the same branches.
+    """
+
+    level: int
     probabilities: tuple[float, ...]
-    children: tuple["_Node | OutcomeKey | None", ...]
+    children: tuple[int, ...]
+    # What pick_index computes, for a whole column of uniforms at once: its
+    # running sums, and the branch it takes in the roundoff slack at the top.
+    cumulative: np.ndarray = field(init=False)
+    fallback: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "cumulative", np.array(list(accumulate(self.probabilities))))
+        object.__setattr__(self, "fallback", max(
+            i for i, p in enumerate(self.probabilities) if p > ZERO_PROBABILITY_ATOL))
 
 
 def _branch_tree(
@@ -346,12 +490,15 @@ def _branch_tree(
     steps: tuple[Step, ...],
     outcomes: dict[str, str],
     probability: float,
+    nodes: list[_Node],
     leaves: dict[OutcomeKey, float],
-) -> "_Node | OutcomeKey":
+) -> int:
     """Expand ``steps`` like :func:`_fold`, following every branch of each sampled step.
 
-    A branch of zero probability gets no subtree.  Each leaf is an outcome
-    key, and its probability is also put into ``leaves``.
+    Each sampled step becomes a node appended to ``nodes`` after its
+    subtrees, so a parent's index exceeds its children's.  Each leaf is an
+    outcome key put into ``leaves`` with its probability.  Returns what
+    ``steps`` start with: a node index, or ``~j`` for the ``j``-th leaf.
     """
     for i, step in enumerate(steps):
         if step.skipped(outcomes):
@@ -359,18 +506,16 @@ def _branch_tree(
         state = step.evolve(state)
         if step.sampled:
             rest = () if step.after is not None else steps[i + 1:]
-            branches = branch_all(state, step.readout)
-            return _Node(
-                tuple(b.probability for b in branches),
-                tuple(
-                    _branch_tree(b.post_state, rest, {**outcomes, step.outcome: b.label},
-                                 probability * b.probability, leaves)
-                    if b.probability > 0.0 else None
-                    for b in branches
-                ),
+            branches = [b for b in branch_all(state, step.readout) if b.probability > 0.0]
+            children = tuple(
+                _branch_tree(b.post_state, rest, {**outcomes, step.outcome: b.label},
+                             probability * b.probability, nodes, leaves)
+                for b in branches
             )
+            nodes.append(_Node(len(outcomes), tuple(b.probability for b in branches), children))
+            return len(nodes) - 1
     leaves[_key(outcomes)] = probability
-    return _key(outcomes)
+    return ~(len(leaves) - 1)
 
 
 class RoundSampler:
@@ -378,24 +523,45 @@ class RoundSampler:
 
     The tree holds the exact Born probability of every branch, computed with
     the same operations as the reference path, and an outcome key at every
-    leaf; no state.  ``joint`` maps each leaf reached with nonzero
-    probability to that probability.  ``draw`` consumes uniforms in the same
-    order and against the same cumulative sums as :func:`run_round`, so both
-    paths give identical transcripts for identical generator states.
+    leaf; no state.  ``joint`` maps each leaf to its (nonzero) probability,
+    and ``leaves`` lists the leaf keys in the same order.  ``draw`` consumes
+    uniforms in the same order and against the same cumulative sums as
+    :func:`run_round`, so both paths give identical transcripts for
+    identical generator states; ``leaf_counts`` does the same for a block of
+    rounds at once.
     """
 
     def __init__(self, variant: ProtocolVariant):
         self.variant = variant
+        nodes: list[_Node] = []
         joint: dict[OutcomeKey, float] = {}
-        self._tree = _branch_tree(
-            state_after_preparation(variant), _at(variant, 2, 3), {}, 1.0, joint)
+        self._root = _branch_tree(
+            state_after_preparation(variant), _at(variant, 2, 3), {}, 1.0, nodes, joint)
+        self._nodes = tuple(nodes)
         self.joint = MappingProxyType(joint)  # shared through the cache: read-only
+        self.leaves = tuple(joint)
+        self.depth = 1 + max(node.level for node in nodes)
 
     def draw(self, rng: np.random.Generator, round_index: int = 0) -> RoundTranscript:
-        node = self._tree
-        while isinstance(node, _Node):
-            node = node.children[pick_index(node.probabilities, float(rng.random()))]
-        return _transcript(self.variant, round_index, node)
+        nodes, ref = self._nodes, self._root
+        while ref >= 0:
+            node = nodes[ref]
+            ref = node.children[pick_index(node.probabilities, float(rng.random()))]
+        return _transcript(self.variant, round_index, self.leaves[~ref])
+
+    def leaf_counts(self, seed: int, key: tuple[int, ...], start: int, stop: int) -> np.ndarray:
+        """How often each leaf ends rounds ``start..stop-1`` of the substreams
+        ``(seed, *key, k)``: the counts of ``draw(round_rng(seed, *key, k))``
+        over those ``k``, computed a block at a time."""
+        uniforms = round_uniforms(seed, key, start, stop, self.depth)
+        ref = np.full(len(uniforms), self._root)
+        for index in range(self._root, -1, -1):  # parents before children
+            node = self._nodes[index]
+            at = np.flatnonzero(ref == index)
+            picked = np.searchsorted(node.cumulative, uniforms[at, node.level], side="right")
+            picked[picked == len(node.cumulative)] = node.fallback
+            ref[at] = np.take(node.children, picked)
+        return np.bincount(~ref, minlength=len(self.leaves))
 
 
 @lru_cache(maxsize=None)

@@ -13,7 +13,7 @@ from frsim.analysis import (
     monte_carlo,
     z_scores,
 )
-from frsim.protocol import ProtocolConfig, ProtocolVariant
+from frsim.protocol import ProtocolConfig, ProtocolVariant, compiled_round, round_rng
 
 EXACT_ATOL = 1e-10
 
@@ -126,6 +126,20 @@ def test_monte_carlo_is_deterministic_per_seed():
     assert a.counts == b.counts and a.total == b.total == 500
     c = monte_carlo(ProtocolConfig(variant=variant(), seed=100), 500)
     assert c.counts != a.counts
+
+
+@pytest.mark.parametrize("rounds", (1, 4095, 4096, 4097, 10_001))
+def test_monte_carlo_blocks_match_one_draw_per_round(rounds):
+    # A single round; one short of, exactly, and one over a ROUND_CHUNK block; several blocks.
+    variant = ProtocolVariant(notebooks=frozenset({"Fbar", "F"}), intrusion=True)
+    seed, stream = 2**32 + 5, (3,)
+    sampler = compiled_round(variant)
+    expected: dict = {}
+    for k in range(rounds):
+        key = sampler.draw(round_rng(seed, *stream, k), k).key()
+        expected[key] = expected.get(key, 0) + 1
+    table = monte_carlo(ProtocolConfig(variant=variant, seed=seed), rounds, stream)
+    assert table.counts == expected and table.total == rounds
 
 
 def test_monte_carlo_degenerate_branch_has_frequency_one():

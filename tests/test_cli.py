@@ -172,6 +172,9 @@ def test_perspectives_inconsistent_transcript_exits_3(capsys):
     for argv in (
         ("perspectives", "--t", "2", "--given", "wbar=ok,s=down"),
         ("perspectives", "--t", "3", "--intrusion", "--given", "wbar=ok,w=fail"),
+        ("perspectives", "--t", "2", "--intrusion", "--agent", "wbar",
+         "--given", "wbar=fail,intrusion=up"),
+        ("perspectives", "--t", "2", "--agent", "wbar", "--given", "wbar=ok,intrusion=down"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_INCONSISTENT, argv

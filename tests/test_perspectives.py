@@ -109,6 +109,16 @@ def test_intrusion_after_ok_ends_the_round_in_the_agent_fold():
             agent_model_at("C", 3, Given(wbar="ok", w="fail"), variant)
 
 
+def test_intrusion_outcome_without_an_intrusion_is_inconsistent():
+    intrusion = ProtocolVariant(intrusion=True)
+    with pytest.raises(InconsistentOutcomeError, match="only after wbar=ok"):
+        agent_model_at("Wbar", 2, Given(wbar="fail", intrusion="up"), intrusion)
+    with pytest.raises(InconsistentOutcomeError, match="no step of this variant"):
+        agent_model_at("Wbar", 2, Given(wbar="ok", intrusion="down"), ProtocolVariant())
+    # Without wbar the intrusion reading contradicts nothing given.
+    assert agent_model_at("C", 1, Given(intrusion="up"), intrusion).log == ()
+
+
 def test_given_rejects_labels_its_steps_cannot_write():
     for field in GIVEN_LABELS:
         with pytest.raises(ValueError, match=f"{field} must be one of"):

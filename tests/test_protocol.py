@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frsim.measurement import branch_all, condition_on
 from frsim.protocol import (
     ProtocolConfig,
     ProtocolVariant,
     RoundSampler,
+    compiled_round,
     initial_state,
     round_rng,
+    round_uniforms,
     run_round,
     run_until_halt,
     state_after_preparation,
@@ -27,6 +31,15 @@ ALL_NOTEBOOK_SETS = (
     frozenset({"Fbar"}),
     frozenset({"F"}),
     frozenset({"Fbar", "F"}),
+)
+
+ALL_VARIANTS = tuple(
+    ProtocolVariant(announce_wbar=announce, notebooks=notebooks, cheat=cheat, intrusion=intrusion)
+    for announce in (True, False)
+    for notebooks in ALL_NOTEBOOK_SETS
+    for cheat in (False, True)
+    for intrusion in (False, True)
+    if not cheat or "Fbar" in notebooks
 )
 
 
@@ -180,6 +193,48 @@ def test_sampler_matches_reference_path(notebooks, intrusion):
         reference = run_round(variant, round_rng(41, k), k)
         fast = sampler.draw(round_rng(41, k), k)
         assert reference == fast
+
+
+def _uniforms_by_round(seed, stream, start, stop, depth):
+    return np.array([round_rng(seed, *stream, k).random(depth) for k in range(start, stop)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    variant=st.sampled_from(ALL_VARIANTS),
+    seed=st.integers(0, 2**40 - 1),
+    stream=st.lists(st.integers(0, 2**40 - 1), max_size=2).map(tuple),
+    start=st.integers(0, 2**33 - 1),
+    rounds=st.integers(1, 6),
+)
+def test_block_sampling_matches_the_per_round_path(variant, seed, stream, start, rounds):
+    sampler = compiled_round(variant)
+    stop = start + rounds
+    uniforms = round_uniforms(seed, stream, start, stop, sampler.depth)
+    np.testing.assert_array_equal(
+        uniforms, _uniforms_by_round(seed, stream, start, stop, sampler.depth))
+    counts = np.zeros(len(sampler.leaves), dtype=np.int64)
+    for k in range(start, stop):
+        transcript = sampler.draw(round_rng(seed, *stream, k), k)
+        assert transcript == run_round(variant, round_rng(seed, *stream, k), k)
+        counts[sampler.leaves.index(transcript.key())] += 1
+    np.testing.assert_array_equal(sampler.leaf_counts(seed, stream, start, stop), counts)
+
+
+def test_round_uniforms_across_the_two_word_boundary():
+    # SeedSequence reads k as one 32-bit word below 2**32 and as two above.
+    start, stop = 2**32 - 3, 2**32 + 3
+    np.testing.assert_array_equal(
+        round_uniforms(2**35 + 1, (9,), start, stop, 3),
+        _uniforms_by_round(2**35 + 1, (9,), start, stop, 3))
+
+
+def test_round_uniforms_rejects_what_seed_sequence_rejects():
+    with pytest.raises(ValueError, match="non-negative"):
+        round_uniforms(1, (-1,), 0, 4, 2)
+    with pytest.raises(ValueError, match="start <= stop"):
+        round_uniforms(1, (), 5, 4, 2)
+    assert round_uniforms(1, (), 4, 4, 2).shape == (0, 2)
 
 
 def test_run_until_halt_determinism_and_halting():
