@@ -37,7 +37,6 @@ from .perspectives import (
     Given,
     PerspectiveLimit,
     agent_model_at,
-    agent_state_at,
     apply_announcement,
     certainty_query,
     known_system_names,
@@ -53,10 +52,6 @@ from .protocol import (
     run_round,
     run_until_halt,
     state_after_preparation,
-    step_t0,
-    step_t1,
-    step_t2,
-    step_t3,
 )
 from .reference import ReferenceState, load_reference_states, reference_by_tag
 from .tensor import (

@@ -126,10 +126,11 @@ def monte_carlo(
     table is deterministic per seed and rounds can be partitioned across
     workers without changing the result.  Rounds are sampled in blocks of
     ``ROUND_CHUNK`` (:meth:`RoundSampler.leaf_counts`), with the same
-    uniforms and the same outcomes as one ``draw`` per round.
+    uniforms and the same outcomes as one ``draw`` per round.  Round indices
+    stop below 2**64, so more rounds are rejected before any is sampled.
     """
-    if rounds < 1:
-        raise ValueError("rounds must be at least 1")
+    if not 1 <= rounds <= 2**64:
+        raise ValueError(f"rounds must lie in [1, 2**64], got {rounds}")
     sampler = compiled_round(config.variant)
     leaf_counts = sum(
         sampler.leaf_counts(config.seed, stream, start, min(start + ROUND_CHUNK, rounds))

@@ -42,6 +42,9 @@ SCHEMA_VERSION = "1"
 _NOTEBOOKS = {"none": (), "fbar": ("Fbar",), "f": ("F",), "both": ("Fbar", "F")}
 _AGENT_FLAGS = {"fbar": "Fbar", "f": "F", "wbar": "Wbar", "w": "W", "c": "C"}
 
+# A command's variant and results; main wraps them in the ReportDocument.
+Report = tuple[ProtocolVariant, dict]
+
 
 @dataclass
 class ReportDocument:
@@ -129,6 +132,8 @@ def _given_from_flag(parser: argparse.ArgumentParser, text: str | None) -> Given
         label = label.strip()
         if key not in GIVEN_LABELS:
             parser.error(f"--given key must be one of {sorted(GIVEN_LABELS)}, got {key!r}")
+        if key in values:
+            parser.error(f"--given key {key!r} is repeated")
         values[key] = label
     try:
         return Given(**values)
@@ -140,7 +145,7 @@ def _key_dict(key: tuple[str | None, str | None, str | None]) -> dict:
     return {"wbar": key[0], "w": key[1], "intrusion": key[2]}
 
 
-def cmd_branches(parser: argparse.ArgumentParser, args: argparse.Namespace) -> ReportDocument:
+def cmd_branches(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Report:
     variant = _variant_from_args(parser, args)
     joint = enumerate_exact(variant)
     rows = []
@@ -162,16 +167,10 @@ def cmd_branches(parser: argparse.ArgumentParser, args: argparse.Namespace) -> R
     else:
         conditionals["up_given_wbar_ok"] = _prob_entry(joint.conditional_intrusion("up"))
     results["conditionals"] = conditionals
-    return ReportDocument(
-        schema_version=SCHEMA_VERSION,
-        command="branches",
-        variant=_variant_dict(variant),
-        seed=None,
-        results=results,
-    )
+    return variant, results
 
 
-def cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> ReportDocument:
+def cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Report:
     variant = _variant_from_args(parser, args)
     if args.until_halt:
         if args.repeats < 1:
@@ -188,7 +187,7 @@ def cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Report
         histogram = {}
         for n in sorted(set(rounds_to_halt)):
             histogram[str(n)] = rounds_to_halt.count(n)
-        results = {
+        return variant, {
             "repeats": args.repeats,
             "max_rounds": args.max_rounds,
             "halted_runs": len(rounds_to_halt),
@@ -198,13 +197,6 @@ def cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Report
             ),
             "rounds_to_halt_histogram": histogram,
         }
-        return ReportDocument(
-            schema_version=SCHEMA_VERSION,
-            command="run",
-            variant=_variant_dict(variant),
-            seed=args.seed,
-            results=results,
-        )
 
     if args.rounds is None:
         parser.error("--rounds is required (or use --until-halt)")
@@ -230,14 +222,7 @@ def cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Report
         if frac is not None:
             row["exact_fraction"] = frac
         rows.append(row)
-    results = {"rounds": args.rounds, "frequencies": rows}
-    return ReportDocument(
-        schema_version=SCHEMA_VERSION,
-        command="run",
-        variant=_variant_dict(variant),
-        seed=args.seed,
-        results=results,
-    )
+    return variant, {"rounds": args.rounds, "frequencies": rows}
 
 
 def _amplitude_rows(model) -> list[dict]:
@@ -268,7 +253,7 @@ def _agent_entry(agent: str, args_time: int, given: Given, variant: ProtocolVari
     }
 
 
-def cmd_perspectives(parser: argparse.ArgumentParser, args: argparse.Namespace) -> ReportDocument:
+def cmd_perspectives(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Report:
     variant = _variant_from_args(parser, args)
     given = _given_from_flag(parser, args.given)
     agents = list(AGENTS) if args.agent == "all" else [_AGENT_FLAGS[args.agent]]
@@ -278,21 +263,14 @@ def cmd_perspectives(parser: argparse.ArgumentParser, args: argparse.Namespace) 
         if args.agent != "all" and "undetermined" in entry:
             parser.error(entry["undetermined"])
         entries[agent] = entry
-    results = {
+    return variant, {
         "time": args.t,
         "given": {k: v for k, v in asdict(given).items() if v is not None},
         "agents": entries,
     }
-    return ReportDocument(
-        schema_version=SCHEMA_VERSION,
-        command="perspectives",
-        variant=_variant_dict(variant),
-        seed=None,
-        results=results,
-    )
 
 
-def cmd_detect(parser: argparse.ArgumentParser, args: argparse.Namespace) -> ReportDocument:
+def cmd_detect(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Report:
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
     notebooks = frozenset({"Fbar"}) if args.cheat else frozenset()
@@ -309,13 +287,7 @@ def cmd_detect(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Rep
         confidence=args.confidence,
         min_ok_rounds=args.min_ok,
     )
-    return ReportDocument(
-        schema_version=SCHEMA_VERSION,
-        command="detect",
-        variant=_variant_dict(variant),
-        seed=args.seed,
-        results=asdict(report),
-    )
+    return variant, asdict(report)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -454,7 +426,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        doc = _HANDLERS[args.command](parser, args)
+        variant, results = _HANDLERS[args.command](parser, args)
     except InconsistentOutcomeError as exc:
         print(f"inconsistent transcript: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
@@ -464,12 +436,22 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # a value the library rejects is a usage error
         print(f"frsim: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.timestamp:
-        doc.timestamps = {"unix_epoch_seconds": time.time()}
+    doc = ReportDocument(
+        schema_version=SCHEMA_VERSION,
+        command=args.command,
+        variant=_variant_dict(variant),
+        seed=vars(args).get("seed"),
+        results=results,
+        timestamps={"unix_epoch_seconds": time.time()} if args.timestamp else None,
+    )
     rendered = doc.to_json() if args.format == "json" else render_text(doc)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(rendered)
+        except OSError as exc:  # an unwritable --out is a usage error
+            print(f"frsim: error: cannot write --out: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(rendered)
     return EXIT_OK

@@ -1,9 +1,9 @@
 """Projective measurements in labeled orthonormal bases on subsystem tuples.
 
 A measurement basis assigns outcome labels to orthonormal subspaces of the
-joint space of some target systems.  The basis need not be complete: the
-residual policy decides whether probability landing outside the declared
-subspaces is an error (``forbid``) or an extra labeled branch (``allow``).
+joint space of some target systems.  The basis need not be complete, but
+probability landing outside the declared subspaces (the residual) is an
+error once it reaches the tolerance of the basis's residual policy.
 
 Measurement comes in four flavours:
 
@@ -65,25 +65,14 @@ class SubspaceOutcome:
 
 @dataclass(frozen=True)
 class ResidualPolicy:
-    """What to do with probability outside the declared outcome subspaces."""
+    """Probability outside the declared outcome subspaces is forbidden: from
+    ``tol`` on it raises :class:`ResidualError`."""
 
-    kind: str
     tol: float = 1e-9
-    label: str | None = None
 
     @classmethod
     def forbid(cls, tol: float = 1e-9) -> "ResidualPolicy":
-        return cls(kind="forbid", tol=tol)
-
-    @classmethod
-    def allow(cls, label: str) -> "ResidualPolicy":
-        return cls(kind="allow", label=label)
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("forbid", "allow"):
-            raise ValueError(f"unknown residual policy {self.kind!r}")
-        if self.kind == "allow" and not self.label:
-            raise ValueError("allow policy needs a residual label")
+        return cls(tol=tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,16 +129,6 @@ class MeasurementBasis:
         raise KeyError(f"basis has no outcome labeled {label!r}")
 
 
-@dataclass(frozen=True)
-class BasisReport:
-    """Result of validating a basis: dimensions of its parts."""
-
-    labels: tuple[str, ...]
-    target_dimension: int
-    outcome_dimension: int
-    residual_dimension: int
-
-
 @dataclass(frozen=True, eq=False)
 class Branch:
     """One measurement outcome with its probability and collapsed state."""
@@ -159,12 +138,11 @@ class Branch:
     post_state: StateVector
 
 
-def validate_basis(basis: MeasurementBasis, atol: float = ORTHO_ATOL) -> BasisReport:
+def validate_basis(basis: MeasurementBasis, atol: float = ORTHO_ATOL) -> None:
     """Check orthonormality within and across outcomes.
 
     Raises :class:`BasisError` if any vector is not normalized or any pair of
     vectors (within one outcome or across outcomes) is not orthogonal.
-    Returns the dimension of the residual complement.
     """
     stacked = np.vstack([o.vectors for o in basis.outcomes])
     gram = stacked.conj() @ stacked.T
@@ -176,12 +154,6 @@ def validate_basis(basis: MeasurementBasis, atol: float = ORTHO_ATOL) -> BasisRe
     if np.any(off > atol):
         i, j = np.unravel_index(int(np.argmax(off)), off.shape)
         raise BasisError(f"outcome vectors {i} and {j} are not orthogonal")
-    return BasisReport(
-        labels=basis.labels(),
-        target_dimension=basis.target_dimension,
-        outcome_dimension=stacked.shape[0],
-        residual_dimension=basis.residual_dimension,
-    )
 
 
 @cache
@@ -207,9 +179,9 @@ def branch_all(state: StateVector, basis: MeasurementBasis) -> list[Branch]:
     """Expand the measurement into one branch per outcome.
 
     Each branch carries the Born probability (squared norm of the projection)
-    and the normalized post-measurement state.  Under an ``allow`` residual
-    policy a final branch collects any probability outside the declared
-    outcomes; under ``forbid`` such probability raises :class:`ResidualError`.
+    and the normalized post-measurement state.  Probability outside the
+    declared outcomes raises :class:`ResidualError` from the residual
+    policy's ``tol`` on.
     """
     mat, perm = _target_matrix(state, basis)
     layout = state.layout
@@ -228,20 +200,12 @@ def branch_all(state: StateVector, basis: MeasurementBasis) -> list[Branch]:
             post = state  # placeholder, never a physical branch
         branches.append(Branch(outcome.label, probability, post))
 
-    residual_mat = mat - projected_total
-    residual_probability = float(np.sum(np.abs(residual_mat) ** 2))
-    if basis.residual.kind == "forbid":
-        if residual_probability >= basis.residual.tol:
-            raise ResidualError(
-                f"residual outcome on {basis.target_names} has probability "
-                f"{residual_probability:.3e} under a forbid policy"
-            )
-    elif residual_probability > ZERO_PROBABILITY_ATOL:
-        post = StateVector(
-            layout,
-            _restore(residual_mat / np.sqrt(residual_probability), layout, perm),
+    residual_probability = float(np.sum(np.abs(mat - projected_total) ** 2))
+    if residual_probability >= basis.residual.tol:
+        raise ResidualError(
+            f"residual outcome on {basis.target_names} has probability "
+            f"{residual_probability:.3e} under a forbid policy"
         )
-        branches.append(Branch(basis.residual.label, residual_probability, post))
     return branches
 
 

@@ -210,16 +210,6 @@ def agent_model_at(
     return AgentModel(agent=agent, layout=layout, state=state, log=tuple(log))
 
 
-def agent_state_at(
-    agent: str,
-    time: int,
-    given: Given | None = None,
-    variant: ProtocolVariant = ProtocolVariant(),
-) -> StateVector:
-    """State vector of :func:`agent_model_at`, in canonical system order."""
-    return agent_model_at(agent, time, given, variant).state
-
-
 def apply_announcement(model: AgentModel, announcer: str, label: str) -> AgentModel:
     """Condition the model on an announcement, via the announcer's memory.
 

@@ -154,15 +154,6 @@ class RunReport:
     def rounds_executed(self) -> int:
         return len(self.transcripts)
 
-    def frequencies(self) -> dict[OutcomeKey, tuple[int, float, float]]:
-        """Per outcome: (count, relative frequency, binomial standard error)."""
-        n = self.rounds_executed
-        out = {}
-        for key, count in sorted(self.outcome_counts.items(), key=str):
-            p = count / n
-            out[key] = (count, p, sqrt(p * (1.0 - p) / n))
-        return out
-
 
 def round_rng(seed: int, *key: int) -> np.random.Generator:
     """Independent substream for one round, addressable by (seed, *key)."""
@@ -397,39 +388,9 @@ def _key(outcomes: dict[str, str]) -> OutcomeKey:
     return (outcomes.get("wbar"), outcomes.get("w"), outcomes.get("intrusion"))
 
 
-def step_t0(state: StateVector, variant: ProtocolVariant) -> StateVector:
-    """Coin measured by its friend, notebook written, spin prepared."""
-    return _fold(state, _at(variant, 0))[0]
-
-
-def step_t1(state: StateVector, variant: ProtocolVariant) -> StateVector:
-    """Spin measured by its friend (+ notebook copy)."""
-    return _fold(state, _at(variant, 1))[0]
-
-
-def step_t2(
-    state: StateVector,
-    variant: ProtocolVariant,
-    rng: np.random.Generator,
-) -> tuple[StateVector, str, str | None]:
-    """Coin lab measured and recorded; optional intrusion on ``ok``.
-
-    Returns the post-measurement state, the sampled coin-lab outcome, and
-    the intrusion outcome (None unless the intrusion variant fired).
-    """
-    state, outcomes = _fold(state, _at(variant, 2), rng)
-    return state, outcomes["wbar"], outcomes.get("intrusion")
-
-
-def step_t3(state: StateVector, rng: np.random.Generator) -> tuple[StateVector, str]:
-    """Spin lab measured and recorded; the same step in every variant."""
-    state, outcomes = _fold(state, _at(ProtocolVariant(), 3), rng)
-    return state, outcomes["w"]
-
-
 def state_after_preparation(variant: ProtocolVariant) -> StateVector:
     """Deterministic state after t=1, before any sampled measurement."""
-    return step_t1(step_t0(initial_state(variant), variant), variant)
+    return _fold(initial_state(variant), _at(variant, 0, 1))[0]
 
 
 def _transcript(variant: ProtocolVariant, round_index: int, key: OutcomeKey) -> RoundTranscript:

@@ -23,7 +23,6 @@ from frsim.perspectives import (
     Given,
     PerspectiveLimit,
     agent_model_at,
-    agent_state_at,
     certainty_query,
 )
 from frsim.protocol import (
@@ -104,7 +103,7 @@ def test_criterion_3_golden_state_suite():
     with criterion(3, f"all {len(refs)} reference descriptions reproduced, under 1 s"):
         start = time.perf_counter()
         for ref in refs:
-            derived = agent_state_at(ref.agent, ref.time, ref.given, ref.variant)
+            derived = agent_model_at(ref.agent, ref.time, ref.given, ref.variant).state
             assert equal_up_to_global_phase(derived, ref.state, tol=1e-10), ref.tag
         elapsed = time.perf_counter() - start
         assert len(refs) >= 20
@@ -199,7 +198,7 @@ def test_criterion_9_perspective_limits():
         for agent in AGENTS:
             for t in (0, 1, 2, 3):
                 try:
-                    state = agent_state_at(agent, t, given, ProtocolVariant())
+                    state = agent_model_at(agent, t, given, ProtocolVariant()).state
                     assert abs(state.norm - 1.0) < 1e-12
                 except PerspectiveLimit:
                     limited.add((agent, t))

@@ -142,6 +142,15 @@ def test_monte_carlo_blocks_match_one_draw_per_round(rounds):
     assert table.counts == expected and table.total == rounds
 
 
+def test_monte_carlo_rejects_rounds_beyond_the_round_indices():
+    # Round indices stop below 2**64; the check comes before any sampling,
+    # so an oversized request fails at once instead of after 2**52 blocks.
+    config = ProtocolConfig(variant=variant(), seed=0)
+    for rounds in (0, 2**64 + 1, 2**70):
+        with pytest.raises(ValueError, match="rounds"):
+            monte_carlo(config, rounds)
+
+
 def test_monte_carlo_degenerate_branch_has_frequency_one():
     # Only the spin friend keeps a notebook: an intrusion after ok always
     # finds the spin up, so that sub-branch is deterministic.

@@ -14,7 +14,8 @@ from frsim.cli import (
 )
 from frsim.measurement import ResidualError
 
-GOLDEN = Path(__file__).parent / "data" / "branches_none_golden.json"
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "branches_none_golden.json"
 
 
 def run_cli(capsys, *argv):
@@ -60,6 +61,22 @@ def test_branches_golden_document(capsys):
     code, out, _ = run_cli(capsys, "branches", "--notebooks", "none")
     assert code == EXIT_OK
     assert out == GOLDEN.read_text()
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    (
+        (("run", "--rounds", "120000", "--seed", "7"), "run_rounds_golden.json"),
+        (("run", "--until-halt", "--repeats", "2000", "--seed", "7"), "run_until_halt_golden.json"),
+        (("perspectives", "--t", "2", "--given", "wbar=ok"), "perspectives_t2_golden.json"),
+        (("detect", "--cheat", "--rounds", "10000", "--seed", "3"), "detect_cheat_golden.json"),
+    ),
+    ids=("run-rounds", "run-until-halt", "perspectives", "detect"),
+)
+def test_golden_document(capsys, argv, golden):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    assert out == (DATA / golden).read_text()
 
 
 def test_cheat_without_coin_notebook_is_usage_error(capsys):
@@ -115,8 +132,13 @@ def test_run_requires_rounds(capsys):
         ("run", "--until-halt", "--max-rounds", "0"),
         ("detect", "--rounds", "1", "--min-ok", "0"),
         ("detect", "--cheat", "--rounds", "10000", "--seed", "3", "--confidence", "1.5"),
+        ("run", "--rounds", str(2**64 + 1)),
+        ("detect", "--rounds", str(2**64 + 1)),
+        ("branches", "--out", str(DATA / "no-such-dir" / "x.json")),
+        ("branches", "--out", str(DATA)),
     ),
-    ids=("negative-seed", "zero-max-rounds", "zero-min-ok", "confidence-above-one"),
+    ids=("negative-seed", "zero-max-rounds", "zero-min-ok", "confidence-above-one",
+         "run-rounds-beyond-2-64", "detect-rounds-beyond-2-64", "out-missing-dir", "out-is-dir"),
 )
 def test_values_the_library_rejects_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -182,9 +204,10 @@ def test_perspectives_inconsistent_transcript_exits_3(capsys):
 
 
 def test_perspectives_bad_given_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["perspectives", "--t", "2", "--given", "wbar=sideways"])
-    assert err.value.code == 2
+    for given in ("wbar=sideways", "wbar=ok,wbar=fail"):
+        with pytest.raises(SystemExit) as err:
+            main(["perspectives", "--t", "2", "--given", given])
+        assert err.value.code == 2, given
 
 
 # detect ---------------------------------------------------------------------------

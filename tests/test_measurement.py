@@ -6,7 +6,6 @@ from frsim.measurement import (
     InconsistentOutcomeError,
     MeasurementBasis,
     ResidualError,
-    ResidualPolicy,
     SubspaceOutcome,
     branch_all,
     condition_on,
@@ -48,13 +47,12 @@ def qubit(name):
     return SystemId(name, ("t", "h"))
 
 
-def two_qubit_lab_basis(a, b, residual=None):
+def two_qubit_lab_basis(a, b):
     ok = (np.kron(a.ket("h"), b.ket("h")) - np.kron(a.ket("t"), b.ket("t"))) / SQ2
     fail = (np.kron(a.ket("h"), b.ket("h")) + np.kron(a.ket("t"), b.ket("t"))) / SQ2
     return MeasurementBasis(
         targets=(a, b),
         outcomes=(SubspaceOutcome("ok", ok), SubspaceOutcome("fail", fail)),
-        residual=residual or ResidualPolicy.forbid(),
     )
 
 
@@ -62,15 +60,16 @@ def two_qubit_lab_basis(a, b, residual=None):
 
 def test_validate_lab_basis_on_four_dimensional_lab():
     a, b = qubit("a"), qubit("b")
-    report = validate_basis(two_qubit_lab_basis(a, b))
-    assert report.target_dimension == 4
-    assert report.residual_dimension == 2
-    assert report.labels == ("ok", "fail")
+    basis = two_qubit_lab_basis(a, b)
+    assert validate_basis(basis) is None
+    assert basis.target_dimension == 4
+    assert basis.residual_dimension == 2
+    assert basis.labels() == ("ok", "fail")
 
 
 def test_validate_complete_coin_basis():
-    report = validate_basis(coin_basis())
-    assert report.residual_dimension == 0
+    assert validate_basis(coin_basis()) is None
+    assert coin_basis().residual_dimension == 0
 
 
 def test_validate_rejects_non_orthogonal_outcomes():
@@ -170,17 +169,21 @@ def test_forbidden_residual_raises():
         branch_all(crossed, two_qubit_lab_basis(a, b))
 
 
-def test_allowed_residual_becomes_labeled_branch():
+def test_forbidden_residual_tolerance_is_1e_9():
     a, b = qubit("a"), qubit("b")
     layout = RegisterLayout((a, b))
-    basis = two_qubit_lab_basis(a, b, residual=ResidualPolicy.allow("other"))
-    amps = np.array([1.0, 1.0, 0.0, 0.0]) / SQ2  # |t,t> + |t,h>
-    state = StateVector(layout, amps)
-    branches = {br.label: br.probability for br in branch_all(state, basis)}
-    assert branches["other"] == pytest.approx(0.5, abs=1e-12)
-    assert branches["ok"] == pytest.approx(0.25, abs=1e-12)
-    assert branches["fail"] == pytest.approx(0.25, abs=1e-12)
-    assert sum(branches.values()) == pytest.approx(1.0, abs=1e-12)
+    basis = two_qubit_lab_basis(a, b)
+    ok = basis.outcome("ok").vectors[0]
+    crossed = product_state(layout, {"a": "t", "b": "h"}).amplitudes  # outside ok and fail
+
+    def leaking(residual):
+        return StateVector(layout, np.sqrt(1.0 - residual) * ok + np.sqrt(residual) * crossed)
+
+    with pytest.raises(ResidualError):
+        branch_all(leaking(2e-9), basis)
+    branches = {br.label: br.probability for br in branch_all(leaking(5e-10), basis)}
+    assert branches["ok"] == pytest.approx(1.0 - 5e-10, abs=1e-15)
+    assert branches["fail"] == pytest.approx(0.0, abs=1e-15)
 
 
 # sample ----------------------------------------------------------------------

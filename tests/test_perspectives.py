@@ -11,7 +11,6 @@ from frsim.perspectives import (
     Given,
     PerspectiveLimit,
     agent_model_at,
-    agent_state_at,
     apply_announcement,
     certainty_query,
     known_system_names,
@@ -41,7 +40,7 @@ REFERENCES = load_reference_states()
 
 @pytest.mark.parametrize("ref", REFERENCES, ids=lambda r: r.tag)
 def test_reference_state_is_reproduced(ref):
-    derived = agent_state_at(ref.agent, ref.time, ref.given, ref.variant)
+    derived = agent_model_at(ref.agent, ref.time, ref.given, ref.variant).state
     assert equal_up_to_global_phase(derived, ref.state, tol=1e-10)
 
 
@@ -73,27 +72,27 @@ def test_perspective_limits_are_exactly_the_self_measurements(agent, time, annou
     given = _given_for(agent, time)
     if should_fail:
         with pytest.raises(PerspectiveLimit):
-            agent_state_at(agent, time, given, variant)
+            agent_model_at(agent, time, given, variant)
     else:
-        state = agent_state_at(agent, time, given, variant)
+        state = agent_model_at(agent, time, given, variant).state
         assert abs(state.norm - 1.0) < 1e-12
 
 
 def test_missing_own_outcome_is_an_error_not_a_limit():
     with pytest.raises(ValueError, match="required"):
-        agent_state_at("Fbar", 0, Given(), MODIFIED)
+        agent_model_at("Fbar", 0, Given(), MODIFIED)
     with pytest.raises(ValueError, match="required"):
-        agent_state_at("F", 1, Given(), MODIFIED)
+        agent_model_at("F", 1, Given(), MODIFIED)
     with pytest.raises(ValueError, match="required"):
-        agent_state_at("Wbar", 2, Given(), MODIFIED)
+        agent_model_at("Wbar", 2, Given(), MODIFIED)
     with pytest.raises(ValueError, match="required"):
-        agent_state_at("W", 3, Given(wbar="ok"), MODIFIED)
+        agent_model_at("W", 3, Given(wbar="ok"), MODIFIED)
     with pytest.raises(ValueError, match="required"):
-        agent_state_at("C", 2, Given(), ORIGINAL)  # announced outcome not given
+        agent_model_at("C", 2, Given(), ORIGINAL)  # announced outcome not given
 
 
 def test_modified_protocol_needs_no_heard_outcomes():
-    state = agent_state_at("C", 3, Given(), MODIFIED)
+    state = agent_model_at("C", 3, Given(), MODIFIED).state
     expected = reference_by_tag("external_t3_secret").state
     assert equal_up_to_global_phase(state, expected, tol=1e-10)
 

@@ -8,6 +8,8 @@ from frsim.protocol import (
     ProtocolConfig,
     ProtocolVariant,
     RoundSampler,
+    _at,
+    _fold,
     compiled_round,
     initial_state,
     round_rng,
@@ -15,9 +17,6 @@ from frsim.protocol import (
     run_round,
     run_until_halt,
     state_after_preparation,
-    step_t0,
-    step_t2,
-    step_t3,
 )
 from frsim.reference import reference_by_tag
 from frsim.systems import coin_basis, coin_lab_basis, spin_basis
@@ -77,16 +76,16 @@ def test_initial_state_layouts():
         assert by_name["Nbar"] == "ready" and by_name["N"] == "ready"
 
 
-def test_step_t0_head_branch_prepares_spin_down():
-    state = step_t0(initial_state(NONE), NONE)
+def test_t0_head_branch_prepares_spin_down():
+    state, _ = _fold(initial_state(NONE), _at(NONE, 0))
     head = condition_on(state, coin_basis(), "h")
     spin = {b.label: b.probability for b in branch_all(head, spin_basis())}
     assert spin["down"] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_step_t0_correlates_coin_friend_and_notebook():
+def test_t0_correlates_coin_friend_and_notebook():
     variant = ProtocolVariant(announce_wbar=False, notebooks=frozenset({"Fbar"}))
-    state = step_t0(initial_state(variant), variant)
+    state, _ = _fold(initial_state(variant), _at(variant, 0))
     for labels, _ in state.nonzero_terms():
         by_name = dict(zip(state.layout.names, labels))
         assert by_name["Nbar"] == by_name["R"] == by_name["Fbar"]
@@ -112,14 +111,14 @@ def test_state_after_preparation_with_both_notebooks():
     assert lab["ok"] == pytest.approx(0.5, abs=1e-12)
 
 
-def test_step_t2_collapse_and_memory_record():
+def test_t2_collapse_and_memory_record():
     state = state_after_preparation(NONE)
     # Find a substream that yields each outcome, then check the post state.
     seen = {}
     for k in range(50):
-        post, label, intrusion = step_t2(state, NONE, round_rng(11, k))
-        assert intrusion is None
-        seen.setdefault(label, post)
+        post, outcomes = _fold(state, _at(NONE, 2), round_rng(11, k))
+        assert "intrusion" not in outcomes
+        seen.setdefault(outcomes["wbar"], post)
     assert set(seen) == {"ok", "fail"}
     ok_terms = dict(seen["ok"].nonzero_terms())
     for labels, _ in ok_terms.items():
@@ -128,22 +127,21 @@ def test_step_t2_collapse_and_memory_record():
         assert by_name["S"] == "up" and by_name["F"] == "up"
 
 
-def test_step_t3_conditional_probabilities():
+def test_t3_conditional_probabilities():
     state = state_after_preparation(NONE)
-    post2, _, _ = step_t2(state, NONE, _rng_for_outcome(state, "ok"))
+    post2, _ = _fold(state, _at(NONE, 2), _rng_for_outcome(state, "ok"))
     labels = []
     for k in range(400):
-        _, label = step_t3(post2, round_rng(23, k))
-        labels.append(label)
+        _, outcomes = _fold(post2, _at(NONE, 3), round_rng(23, k))
+        labels.append(outcomes["w"])
     frac_ok = labels.count("ok") / len(labels)
     assert abs(frac_ok - 0.5) < 4 * np.sqrt(0.25 / len(labels))
 
 
 def _rng_for_outcome(state, wanted):
     for k in range(200):
-        rng = round_rng(17, k)
-        _, label, _ = step_t2(state, NONE, rng)
-        if label == wanted:
+        _, outcomes = _fold(state, _at(NONE, 2), round_rng(17, k))
+        if outcomes["wbar"] == wanted:
             return round_rng(17, k)
     raise AssertionError(f"no substream produced {wanted}")
 
@@ -255,8 +253,7 @@ def test_run_until_halt_exhaustion_reported():
     assert report.halted is False
     assert report.halting_round is None
     assert report.rounds_executed == 5
-    frequencies = report.frequencies()
-    assert sum(entry[0] for entry in frequencies.values()) == 5
+    assert sum(report.outcome_counts.values()) == 5
 
 
 def test_round_rng_substreams():
@@ -273,7 +270,7 @@ def test_global_state_after_sampling_matches_external_description():
     # The protocol's global state, conditioned on the sampled transcript,
     # is exactly what the external observer describes after hearing it.
     state = state_after_preparation(ProtocolVariant())
-    post, label, _ = step_t2(state, ProtocolVariant(), _rng_for_outcome(state, "ok"))
+    post, _ = _fold(state, _at(ProtocolVariant(), 2), _rng_for_outcome(state, "ok"))
     expected = reference_by_tag("external_t2_heard_ok").state
     assert equal_up_to_global_phase(post, expected, tol=1e-10)
 
