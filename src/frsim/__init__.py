@@ -21,7 +21,6 @@ from .measurement import (
     InconsistentOutcomeError,
     MeasurementBasis,
     ResidualError,
-    ResidualPolicy,
     SubspaceOutcome,
     branch_all,
     condition_on,

@@ -65,9 +65,9 @@ class ReportDocument:
         return cls(**json.loads(text))
 
 
-def _fraction(p: float, max_denominator: int = 24, atol: float = 1e-9) -> str | None:
-    frac = Fraction(p).limit_denominator(max_denominator)
-    if abs(float(frac) - p) < atol:
+def _fraction(p: float) -> str | None:
+    frac = Fraction(p).limit_denominator(24)
+    if abs(float(frac) - p) < 1e-9:
         return f"{frac.numerator}/{frac.denominator}"
     return None
 
@@ -177,13 +177,12 @@ def cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Report
             parser.error("--repeats must be at least 1")
         config = ProtocolConfig(variant=variant, seed=args.seed, max_rounds=args.max_rounds)
         rounds_to_halt: list[int] = []
-        exhausted = 0
-        for r in range(args.repeats):
-            report = run_until_halt(config, stream=(r,))
-            if report.halted:
-                rounds_to_halt.append(report.rounds_executed)
-            else:
-                exhausted += 1
+        # No run can halt if no round can (an intrusion round ends before W measures).
+        if enumerate_exact(variant).joint_wbar_w("ok", "ok") > 0.0:
+            for r in range(args.repeats):
+                report = run_until_halt(config, stream=(r,))
+                if report.halted:
+                    rounds_to_halt.append(report.rounds_executed)
         histogram = {}
         for n in sorted(set(rounds_to_halt)):
             histogram[str(n)] = rounds_to_halt.count(n)
@@ -191,7 +190,7 @@ def cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Report
             "repeats": args.repeats,
             "max_rounds": args.max_rounds,
             "halted_runs": len(rounds_to_halt),
-            "exhausted_runs": exhausted,
+            "exhausted_runs": args.repeats - len(rounds_to_halt),
             "mean_rounds_to_halt": (
                 sum(rounds_to_halt) / len(rounds_to_halt) if rounds_to_halt else None
             ),

@@ -3,7 +3,7 @@
 A measurement basis assigns outcome labels to orthonormal subspaces of the
 joint space of some target systems.  The basis need not be complete, but
 probability landing outside the declared subspaces (the residual) is an
-error once it reaches the tolerance of the basis's residual policy.
+error from :data:`RESIDUAL_TOL` on, for every basis.
 
 Measurement comes in four flavours:
 
@@ -12,13 +12,15 @@ Measurement comes in four flavours:
 * :func:`condition_on` projects on an outcome that is already known,
 * :func:`premeasure` and :func:`record_copy` write an outcome label into a
   memory system unitarily, without collapsing anything.
+
+The first three and :func:`outcome_probability` share one Born projection.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -32,6 +34,8 @@ from .tensor import (
 
 ORTHO_ATOL = 1e-12
 ZERO_PROBABILITY_ATOL = 1e-12
+RESIDUAL_TOL = 1e-9  # probability outside a basis's outcomes raises from here on
+READY = "ready"  # the level every memory starts in, before an outcome is written
 
 
 class BasisError(ValueError):
@@ -63,18 +67,6 @@ class SubspaceOutcome:
         return self.vectors.shape[0]
 
 
-@dataclass(frozen=True)
-class ResidualPolicy:
-    """Probability outside the declared outcome subspaces is forbidden: from
-    ``tol`` on it raises :class:`ResidualError`."""
-
-    tol: float = 1e-9
-
-    @classmethod
-    def forbid(cls, tol: float = 1e-9) -> "ResidualPolicy":
-        return cls(tol=tol)
-
-
 @dataclass(frozen=True, eq=False)
 class MeasurementBasis:
     """Labeled orthonormal outcome subspaces on an ordered tuple of systems.
@@ -85,7 +77,7 @@ class MeasurementBasis:
 
     targets: tuple[SystemId, ...]
     outcomes: tuple[SubspaceOutcome, ...]
-    residual: ResidualPolicy = field(default_factory=ResidualPolicy.forbid)
+    residual: ClassVar[float] = RESIDUAL_TOL  # every basis forbids its residual alike
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "targets", tuple(self.targets))
@@ -138,20 +130,21 @@ class Branch:
     post_state: StateVector
 
 
-def validate_basis(basis: MeasurementBasis, atol: float = ORTHO_ATOL) -> None:
+def validate_basis(basis: MeasurementBasis) -> None:
     """Check orthonormality within and across outcomes.
 
     Raises :class:`BasisError` if any vector is not normalized or any pair of
-    vectors (within one outcome or across outcomes) is not orthogonal.
+    vectors (within one outcome or across outcomes) is not orthogonal, each
+    beyond :data:`ORTHO_ATOL`.
     """
     stacked = np.vstack([o.vectors for o in basis.outcomes])
     gram = stacked.conj() @ stacked.T
     diag = np.abs(np.diag(gram) - 1.0)
-    if np.any(diag > atol):
+    if np.any(diag > ORTHO_ATOL):
         bad = int(np.argmax(diag))
         raise BasisError(f"outcome vector {bad} is not normalized")
     off = np.abs(gram - np.eye(gram.shape[0]))
-    if np.any(off > atol):
+    if np.any(off > ORTHO_ATOL):
         i, j = np.unravel_index(int(np.argmax(off)), off.shape)
         raise BasisError(f"outcome vectors {i} and {j} are not orthogonal")
 
@@ -165,14 +158,50 @@ def level_basis(system: SystemId) -> MeasurementBasis:
     )
 
 
-def _target_matrix(state: StateVector, basis: MeasurementBasis) -> tuple[np.ndarray, list[int]]:
+def _project(
+    state: StateVector, basis: MeasurementBasis, outcomes: Sequence[SubspaceOutcome]
+) -> tuple[np.ndarray, list[int], list[tuple[float, np.ndarray]]]:
+    """The state as a (target, rest) matrix, the axis order that restores it,
+    and each given outcome's Born probability and unnormalized projection."""
     layout = state.layout
     for system in basis.targets:
         if system.name not in layout:
             raise LayoutError(f"basis target {system.name!r} not in state layout")
         if layout.system(system.name) != system:
             raise LayoutError(f"system {system.name!r} differs from the basis target")
-    return _moved_matrix(state, basis.target_names)
+    mat, perm = _moved_matrix(state, basis.target_names)
+    projections = []
+    for outcome in outcomes:
+        coeffs = outcome.vectors.conj() @ mat
+        projections.append((float(np.sum(np.abs(coeffs) ** 2)), outcome.vectors.T @ coeffs))
+    return mat, perm, projections
+
+
+def _project_all(
+    state: StateVector, basis: MeasurementBasis
+) -> tuple[list[int], list[tuple[float, np.ndarray]]]:
+    """:func:`_project` on every outcome, raising :class:`ResidualError` when
+    at least :data:`RESIDUAL_TOL` of the probability lies outside them."""
+    mat, perm, projections = _project(state, basis, basis.outcomes)
+    projected_total = np.zeros_like(mat)
+    for _, projected in projections:
+        projected_total += projected
+    residual_probability = float(np.sum(np.abs(mat - projected_total) ** 2))
+    if residual_probability >= RESIDUAL_TOL:
+        raise ResidualError(
+            f"residual outcome on {basis.target_names} has probability "
+            f"{residual_probability:.3e} under a forbid policy"
+        )
+    return perm, projections
+
+
+def _post_state(
+    state: StateVector, perm: list[int], probability: float, projected: np.ndarray
+) -> StateVector:
+    if probability <= ZERO_PROBABILITY_ATOL:
+        return state  # placeholder, never a physical branch
+    layout = state.layout
+    return StateVector(layout, _restore(projected / np.sqrt(probability), layout, perm))
 
 
 def branch_all(state: StateVector, basis: MeasurementBasis) -> list[Branch]:
@@ -180,33 +209,12 @@ def branch_all(state: StateVector, basis: MeasurementBasis) -> list[Branch]:
 
     Each branch carries the Born probability (squared norm of the projection)
     and the normalized post-measurement state.  Probability outside the
-    declared outcomes raises :class:`ResidualError` from the residual
-    policy's ``tol`` on.
+    declared outcomes raises :class:`ResidualError` from
+    :data:`RESIDUAL_TOL` on.
     """
-    mat, perm = _target_matrix(state, basis)
-    layout = state.layout
-
-    branches: list[Branch] = []
-    projected_total = np.zeros_like(mat)
-    for outcome in basis.outcomes:
-        coeffs = outcome.vectors.conj() @ mat
-        probability = float(np.sum(np.abs(coeffs) ** 2))
-        projected = outcome.vectors.T @ coeffs
-        projected_total += projected
-        if probability > ZERO_PROBABILITY_ATOL:
-            post = StateVector(layout, _restore(projected / np.sqrt(probability), layout, perm))
-        else:
-            probability = max(probability, 0.0)
-            post = state  # placeholder, never a physical branch
-        branches.append(Branch(outcome.label, probability, post))
-
-    residual_probability = float(np.sum(np.abs(mat - projected_total) ** 2))
-    if residual_probability >= basis.residual.tol:
-        raise ResidualError(
-            f"residual outcome on {basis.target_names} has probability "
-            f"{residual_probability:.3e} under a forbid policy"
-        )
-    return branches
+    perm, projections = _project_all(state, basis)
+    return [Branch(outcome.label, p, _post_state(state, perm, p, projected))
+            for outcome, (p, projected) in zip(basis.outcomes, projections)]
 
 
 def pick_index(probabilities: Sequence[float], u: float) -> int:
@@ -236,11 +244,12 @@ def sample(
     """Draw one outcome with the Born probabilities of :func:`branch_all`.
 
     Consumes exactly one uniform variate from ``rng``, so outcome sequences
-    are reproducible from the generator state alone.
+    are reproducible from the generator state alone.  Only the drawn
+    outcome's post-measurement state is built.
     """
-    branches = branch_all(state, basis)
-    chosen = branches[pick_index([b.probability for b in branches], float(rng.random()))]
-    return chosen.label, chosen.post_state
+    perm, projections = _project_all(state, basis)
+    index = pick_index([p for p, _ in projections], float(rng.random()))
+    return basis.outcomes[index].label, _post_state(state, perm, *projections[index])
 
 
 def condition_on(state: StateVector, basis: MeasurementBasis, label: str) -> StateVector:
@@ -250,30 +259,24 @@ def condition_on(state: StateVector, basis: MeasurementBasis, label: str) -> Sta
     (near-)zero probability, which signals information inconsistent with the
     state rather than a numerical accident.
     """
-    outcome = basis.outcome(label)
-    mat, perm = _target_matrix(state, basis)
-    coeffs = outcome.vectors.conj() @ mat
-    probability = float(np.sum(np.abs(coeffs) ** 2))
+    _, perm, [(probability, projected)] = _project(state, basis, [basis.outcome(label)])
     if probability <= ZERO_PROBABILITY_ATOL:
         raise InconsistentOutcomeError(
             f"outcome {label!r} on {basis.target_names} has probability "
             f"{probability:.3e}; conditioning on it is inconsistent"
         )
-    projected = outcome.vectors.T @ coeffs / np.sqrt(probability)
-    return StateVector(state.layout, _restore(projected, state.layout, perm))
+    return _post_state(state, perm, probability, projected)
 
 
 def outcome_probability(state: StateVector, basis: MeasurementBasis, label: str) -> float:
     """Born probability of one labeled outcome, without collapsing."""
-    outcome = basis.outcome(label)
-    mat, _ = _target_matrix(state, basis)
-    coeffs = outcome.vectors.conj() @ mat
-    return float(np.sum(np.abs(coeffs) ** 2))
+    _, _, [(probability, _)] = _project(state, basis, [basis.outcome(label)])
+    return probability
 
 
-def _memory_swap(memory: SystemId, ready: str, label: str) -> np.ndarray:
+def _memory_swap(memory: SystemId, label: str) -> np.ndarray:
     swap = np.eye(memory.dimension, dtype=np.complex128)
-    i, j = memory.level_index(ready), memory.level_index(label)
+    i, j = memory.level_index(READY), memory.level_index(label)
     swap[[i, j]] = swap[[j, i]]
     return swap
 
@@ -282,7 +285,6 @@ def premeasure(
     state: StateVector,
     basis: MeasurementBasis,
     memory: SystemId,
-    ready: str = "ready",
 ) -> StateVector:
     """Unitarily write the basis outcome into a memory system.
 
@@ -290,7 +292,7 @@ def premeasure(
     P_residual (x) 1`` on (targets, memory): each outcome component gets the
     outcome's label written into the memory, without collapse.  The memory
     must hold a level named after every outcome label and must start in its
-    ready level on all populated amplitudes.
+    :data:`READY` level on all populated amplitudes.
     """
     layout = state.layout
     if memory.name not in layout:
@@ -309,7 +311,7 @@ def premeasure(
     d_m = memory.dimension
     cube = mat.reshape(d_t, d_m, -1)
 
-    ready_idx = memory.level_index(ready)
+    ready_idx = memory.level_index(READY)
     off_ready = float(np.sum(np.abs(np.delete(cube, ready_idx, axis=1)) ** 2))
     if off_ready > ZERO_PROBABILITY_ATOL:
         raise ValueError(
@@ -323,7 +325,7 @@ def premeasure(
         coeffs = np.einsum("kt,tmr->kmr", outcome.vectors.conj(), cube)
         projected = np.einsum("tk,kmr->tmr", outcome.vectors.T, coeffs)
         residual -= projected
-        swap = _memory_swap(memory, ready, outcome.label)
+        swap = _memory_swap(memory, outcome.label)
         result += np.einsum("nm,tmr->tnr", swap, projected)
     result += residual
 
@@ -335,7 +337,6 @@ def record_copy(
     source: SystemId,
     target: SystemId,
     basis: MeasurementBasis | None = None,
-    ready: str = "ready",
 ) -> StateVector:
     """Copy the source system's basis label into a ready target system.
 
@@ -352,4 +353,4 @@ def record_copy(
         raise BasisError(
             f"source basis is incomplete: residual dimension {basis.residual_dimension}"
         )
-    return premeasure(state, basis, target, ready=ready)
+    return premeasure(state, basis, target)

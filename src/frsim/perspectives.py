@@ -108,10 +108,10 @@ class CertaintyVerdict:
     classification: str
 
     @classmethod
-    def from_probability(cls, p: float, tol: float = CERTAINTY_TOL) -> "CertaintyVerdict":
-        if p >= 1.0 - tol:
+    def from_probability(cls, p: float) -> "CertaintyVerdict":
+        if p >= 1.0 - CERTAINTY_TOL:
             kind = "certain-yes"
-        elif p <= tol:
+        elif p <= CERTAINTY_TOL:
             kind = "certain-no"
         else:
             kind = "uncertain"

@@ -40,6 +40,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .measurement import (
+    READY,
     ZERO_PROBABILITY_ATOL,
     MeasurementBasis,
     branch_all,
@@ -359,7 +360,7 @@ def fresh_state(layout: RegisterLayout) -> StateVector:
     prepared, every memory and notebook ready."""
     factors: dict[str, object] = {"R": _COIN_SUPERPOSITION, "S": "down"}
     for name in layout.names:
-        factors.setdefault(name, "ready")
+        factors.setdefault(name, READY)
     return product_state(layout, factors)
 
 

@@ -30,10 +30,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .measurement import MeasurementBasis, ResidualPolicy, SubspaceOutcome, level_basis
+from .measurement import READY, MeasurementBasis, SubspaceOutcome, level_basis
 from .tensor import RegisterLayout, SystemId
-
-READY = "ready"
 
 R = SystemId("R", ("t", "h"))
 S = SystemId("S", ("up", "down"))
@@ -50,10 +48,6 @@ BY_NAME: dict[str, SystemId] = {sys.name: sys for sys in CANONICAL_ORDER}
 COIN_LAB: tuple[str, str] = ("R", "Fbar")
 SPIN_LAB: tuple[str, str] = ("S", "F")
 LAB_NAMES: dict[tuple[str, ...], str] = {COIN_LAB: "coin_lab", SPIN_LAB: "spin_lab"}
-
-# Residual tolerance for the lab bases: the ok/fail vectors span only part of
-# the lab space, but no reachable protocol state leaves that span.
-LAB_RESIDUAL_TOL = 1e-9
 
 
 def canonical_layout(names: Iterable[str]) -> RegisterLayout:
@@ -90,7 +84,6 @@ def _lab_basis(first: SystemId, second: SystemId, plus: str, minus: str) -> Meas
             SubspaceOutcome("ok", (a - b) / np.sqrt(2.0)),
             SubspaceOutcome("fail", (a + b) / np.sqrt(2.0)),
         ),
-        residual=ResidualPolicy.forbid(LAB_RESIDUAL_TOL),
     )
 
 
@@ -118,8 +111,4 @@ def record_basis(memory: SystemId) -> MeasurementBasis:
         for label in memory.levels
         if label != READY
     )
-    return MeasurementBasis(
-        targets=(memory,),
-        outcomes=outcomes,
-        residual=ResidualPolicy.forbid(LAB_RESIDUAL_TOL),
-    )
+    return MeasurementBasis(targets=(memory,), outcomes=outcomes)

@@ -13,6 +13,7 @@ functions, so states can be shared freely between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -70,15 +71,15 @@ class RegisterLayout:
         if not self.systems:
             raise ValueError("layout must contain at least one system")
 
-    @property
+    @cached_property
     def dims(self) -> tuple[int, ...]:
         return tuple(s.dimension for s in self.systems)
 
-    @property
+    @cached_property
     def total_dimension(self) -> int:
         return int(np.prod(self.dims))
 
-    @property
+    @cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(s.name for s in self.systems)
 
@@ -128,10 +129,10 @@ class StateVector:
         """Amplitudes reshaped to one axis per system (read-only view)."""
         return self.amplitudes.reshape(self.layout.dims)
 
-    def nonzero_terms(self, tol: float = 1e-12) -> list[tuple[tuple[str, ...], complex]]:
-        """(basis labels, amplitude) pairs with magnitude above ``tol``."""
+    def nonzero_terms(self) -> list[tuple[tuple[str, ...], complex]]:
+        """(basis labels, amplitude) pairs with magnitude above 1e-12."""
         out = []
-        for idx in np.flatnonzero(np.abs(self.amplitudes) > tol):
+        for idx in np.flatnonzero(np.abs(self.amplitudes) > 1e-12):
             out.append((self.layout.basis_label(int(idx)), complex(self.amplitudes[idx])))
         return out
 

@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,6 +110,24 @@ def test_announcement_invariance_of_joint_distribution(notebooks, intrusion):
     secret = enumerate_exact(variant(notebooks, announce=False, intrusion=intrusion))
     announced = enumerate_exact(variant(notebooks, announce=True, intrusion=intrusion))
     assert secret.entries == announced.entries
+
+
+# Every entry of the 24 valid variants as float.hex: a change to the
+# exact-state arithmetic must keep each bit of the exact joint.
+EXACT_JOINT_BITS = json.loads(
+    (Path(__file__).parent / "data" / "exact_joint_bits.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "row", EXACT_JOINT_BITS,
+    ids=lambda row: "announce={announce_wbar}-notebooks={notebooks}-cheat={cheat}-"
+                    "intrusion={intrusion}".format(**row),
+)
+def test_exact_joint_keeps_every_bit(row):
+    joint = enumerate_exact(variant(row["notebooks"], announce=row["announce_wbar"],
+                                    intrusion=row["intrusion"], cheat=row["cheat"]))
+    assert [[list(key), joint.entries[key].hex()] for key in sorted(joint.entries, key=str)] \
+        == row["joint"]
 
 
 def test_joint_distribution_validation():

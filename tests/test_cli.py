@@ -1,7 +1,12 @@
+import argparse
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import frsim.cli
 from frsim.cli import (
@@ -10,9 +15,11 @@ from frsim.cli import (
     EXIT_OK,
     EXIT_USAGE,
     ReportDocument,
+    build_parser,
     main,
 )
 from frsim.measurement import ResidualError
+from frsim.perspectives import GIVEN_LABELS
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "branches_none_golden.json"
@@ -70,8 +77,15 @@ def test_branches_golden_document(capsys):
         (("run", "--until-halt", "--repeats", "2000", "--seed", "7"), "run_until_halt_golden.json"),
         (("perspectives", "--t", "2", "--given", "wbar=ok"), "perspectives_t2_golden.json"),
         (("detect", "--cheat", "--rounds", "10000", "--seed", "3"), "detect_cheat_golden.json"),
+        (("branches", "--notebooks", "both", "--intrusion", "--format", "text"),
+         "branches_both_intrusion_golden.txt"),
+        (("perspectives", "--t", "3", "--notebooks", "both", "--announce", "off"),
+         "perspectives_t3_both_golden.json"),
+        (("run", "--until-halt", "--intrusion", "--repeats", "3", "--max-rounds", "5",
+          "--seed", "1"), "run_until_halt_intrusion_golden.json"),
     ),
-    ids=("run-rounds", "run-until-halt", "perspectives", "detect"),
+    ids=("run-rounds", "run-until-halt", "perspectives", "detect", "branches-intrusion-text",
+         "perspectives-t3-both", "run-until-halt-intrusion"),
 )
 def test_golden_document(capsys, argv, golden):
     code, out, _ = run_cli(capsys, *argv)
@@ -117,6 +131,19 @@ def test_run_until_halt(capsys):
     assert results["exhausted_runs"] == 0
     assert 5 < results["mean_rounds_to_halt"] < 25
     assert sum(results["rounds_to_halt_histogram"].values()) == 60
+
+
+def test_run_until_halt_samples_nothing_when_no_round_can_halt(capsys, monkeypatch):
+    def refuse(config, stream=()):
+        raise AssertionError("an intrusion round cannot halt; nothing should be sampled")
+
+    monkeypatch.setattr(frsim.cli, "run_until_halt", refuse)
+    code, out, _ = run_cli(
+        capsys, "run", "--until-halt", "--intrusion", "--repeats", "2000", "--seed", "1"
+    )
+    assert code == EXIT_OK
+    results = parse(out)["results"]
+    assert results["exhausted_runs"] == 2000 and results["halted_runs"] == 0
 
 
 def test_run_requires_rounds(capsys):
@@ -286,3 +313,69 @@ def test_timestamp_flag_adds_timestamps(capsys):
     assert doc["timestamps"] is not None
     _, plain, _ = run_cli(capsys, "branches", "--notebooks", "none")
     assert parse(plain)["timestamps"] is None
+
+
+# grammar-driven fuzz ----------------------------------------------------------------
+
+def _reject_constant(name):
+    raise ValueError(f"document holds {name}")
+
+
+def _sub_parsers():
+    parser = build_parser()
+    [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return commands.choices
+
+
+def _values(action):
+    """Two strategies for one flag's value: valid ones (a choice, a small count,
+    a probability, distinct --given keys), and ones at or past the edge of what
+    the flag accepts (junk, 0, negative, beyond 2**64, NaN, repeated keys)."""
+    junk = st.sampled_from(["", "x", "1.5"])
+    if action.choices is not None:
+        return st.sampled_from([str(c) for c in action.choices]), junk
+    if action.type is int:
+        # Every positive count of repeats is valid, and as slow as it is large.
+        huge = st.nothing() if action.dest == "repeats" else st.integers(2**64 + 1, 2**70)
+        edge = st.one_of(st.integers(max_value=0), huge).map(str) | junk
+        return st.integers(1, 40).map(str), edge
+    if action.type is float:
+        return st.floats(0, 1).map(str), st.sampled_from(["nan", "inf", "-inf", "0", "1"])
+    items = st.sampled_from([f"{key}={label}" for key, labels in GIVEN_LABELS.items()
+                             for label in labels])
+    bad_items = st.sampled_from(["", "wbar", "zz=ok", "wbar=", "wbar=?", " WBAR = ok "])
+    return (st.lists(items, max_size=4, unique_by=lambda item: item.split("=")[0]).map(",".join),
+            st.lists(items | bad_items, min_size=1, max_size=4).map(",".join))
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand with some of its flags (not --out, which writes files); in
+    half the draws one of them takes an edge value."""
+    name, sub = draw(st.sampled_from(sorted(_sub_parsers().items())))
+    flags = [a for a in sub._actions if a.option_strings and a.dest not in ("help", "out")]
+    edgy = draw(st.none() | st.sampled_from([a for a in flags if a.nargs != 0]))
+    argv = [name]
+    for action in flags:
+        if action is not edgy and not action.required and not draw(st.booleans()):
+            continue
+        argv.append(draw(st.sampled_from(action.option_strings)))
+        if action.nargs != 0:
+            valid, edge = _values(action)
+            argv.append(draw(edge if action is edgy else valid))
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=_argv())
+def test_every_argv_of_the_grammar_exits_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_INCONSISTENT, EXIT_INTERNAL), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == EXIT_OK and "text" not in argv:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
