@@ -7,7 +7,7 @@ therefore gives a geometric distribution of halting times.
 
 import numpy as np
 
-from frsim import ProtocolConfig, ProtocolVariant, enumerate_exact, run_until_halt
+from frsim import ProtocolConfig, ProtocolVariant, enumerate_exact, rounds_to_halt
 
 REPEATS = 1500
 SEED = 4
@@ -18,9 +18,8 @@ p_halt = joint.joint_wbar_w("ok", "ok")
 print(f"per-round halting probability: {p_halt:.6f} (exactly 1/12)")
 print(f"running {REPEATS} independent until-halt experiments, seed {SEED}")
 
-lengths = np.array(
-    [run_until_halt(config, stream=(r,)).rounds_executed for r in range(REPEATS)]
-)
+lengths = rounds_to_halt(config, REPEATS)
+assert lengths.all(), "a run reached max_rounds without halting"
 
 print(f"mean rounds to halt : {lengths.mean():.3f}   (geometric mean 1/p = 12)")
 print(f"median              : {np.median(lengths):.1f}")

@@ -13,6 +13,7 @@ from .analysis import (
     detect_records,
     enumerate_exact,
     monte_carlo,
+    rounds_to_halt,
     z_scores,
 )
 from .measurement import (
@@ -64,5 +65,20 @@ from .tensor import (
     product_state,
     reorder,
 )
+
+__all__ = [
+    "DetectionReport", "FrequencyTable", "JointDistribution", "detect_records",
+    "enumerate_exact", "monte_carlo", "rounds_to_halt", "z_scores", "BasisError",
+    "Branch", "InconsistentOutcomeError", "MeasurementBasis", "ResidualError",
+    "SubspaceOutcome", "branch_all", "condition_on", "outcome_probability",
+    "premeasure", "record_copy", "sample", "validate_basis", "AgentModel",
+    "CertaintyVerdict", "Given", "PerspectiveLimit", "agent_model_at",
+    "apply_announcement", "certainty_query", "known_system_names",
+    "standard_predictions", "ProtocolConfig", "ProtocolVariant", "RoundTranscript",
+    "RunReport", "initial_state", "round_rng", "run_round", "run_until_halt",
+    "state_after_preparation", "ReferenceState", "load_reference_states",
+    "reference_by_tag", "LayoutError", "RegisterLayout", "StateVector", "SystemId",
+    "apply_unitary", "equal_up_to_global_phase", "inner", "product_state", "reorder",
+]
 
 __version__ = "0.1.0"

@@ -17,10 +17,12 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 
-from .analysis import detect_records, enumerate_exact, monte_carlo, z_scores
+import numpy as np
+
+from .analysis import detect_records, enumerate_exact, monte_carlo, rounds_to_halt, z_scores
 from .measurement import BasisError, InconsistentOutcomeError, ResidualError
 from .perspectives import (
     AGENTS,
@@ -30,7 +32,7 @@ from .perspectives import (
     agent_model_at,
     standard_predictions,
 )
-from .protocol import ProtocolConfig, ProtocolVariant, run_until_halt
+from .protocol import ProtocolConfig, ProtocolVariant
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -173,30 +175,27 @@ def cmd_branches(parser: argparse.ArgumentParser, args: argparse.Namespace) -> R
 def cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Report:
     variant = _variant_from_args(parser, args)
     if args.until_halt:
-        if args.repeats < 1:
-            parser.error("--repeats must be at least 1")
-        config = ProtocolConfig(variant=variant, seed=args.seed, max_rounds=args.max_rounds)
-        rounds_to_halt: list[int] = []
-        # No run can halt if no round can (an intrusion round ends before W measures).
-        if enumerate_exact(variant).joint_wbar_w("ok", "ok") > 0.0:
-            for r in range(args.repeats):
-                report = run_until_halt(config, stream=(r,))
-                if report.halted:
-                    rounds_to_halt.append(report.rounds_executed)
-        histogram = {}
-        for n in sorted(set(rounds_to_halt)):
-            histogram[str(n)] = rounds_to_halt.count(n)
+        if args.rounds is not None:
+            raise ValueError("--rounds does not apply to --until-halt runs; cap them with --max-rounds")
+        repeats = 1 if args.repeats is None else args.repeats
+        config = ProtocolConfig(variant=variant, seed=args.seed)
+        if args.max_rounds is not None:
+            config = replace(config, max_rounds=args.max_rounds)
+        lengths = rounds_to_halt(config, repeats)
+        halted = lengths[lengths > 0]
+        histogram = {str(n): int(count) for n, count in zip(*np.unique(halted, return_counts=True))}
         return variant, {
-            "repeats": args.repeats,
-            "max_rounds": args.max_rounds,
-            "halted_runs": len(rounds_to_halt),
-            "exhausted_runs": args.repeats - len(rounds_to_halt),
-            "mean_rounds_to_halt": (
-                sum(rounds_to_halt) / len(rounds_to_halt) if rounds_to_halt else None
-            ),
+            "repeats": repeats,
+            "max_rounds": config.max_rounds,
+            "halted_runs": len(halted),
+            "exhausted_runs": repeats - len(halted),
+            "mean_rounds_to_halt": int(halted.sum()) / len(halted) if len(halted) else None,
             "rounds_to_halt_histogram": histogram,
         }
 
+    for flag, value in (("--repeats", args.repeats), ("--max-rounds", args.max_rounds)):
+        if value is not None:
+            raise ValueError(f"{flag} applies only to --until-halt runs")
     if args.rounds is None:
         parser.error("--rounds is required (or use --until-halt)")
     if args.rounds < 1:
@@ -307,9 +306,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--until-halt", action="store_true",
                        help="repeat whole runs until the halting condition")
-    p_run.add_argument("--repeats", type=int, default=1,
-                       help="number of independent until-halt runs")
-    p_run.add_argument("--max-rounds", type=int, default=10000)
+    p_run.add_argument("--repeats", type=int, default=None,
+                       help="number of independent until-halt runs (default 1)")
+    p_run.add_argument("--max-rounds", type=int, default=None,
+                       help="round cap of each until-halt run (default 10000)")
 
     p_persp = sub.add_parser("perspectives", help="per-agent states and predictions")
     _add_variant_flags(p_persp)

@@ -24,16 +24,16 @@ substream derived from ``(seed, k)`` (``(seed, *stream, k)`` with a stream
 key), numpy's ``default_rng(SeedSequence(...))``; each sampled measurement
 consumes exactly one uniform variate.  Rounds are therefore reproducible and
 safe to execute in parallel.  :func:`round_uniforms` computes the same
-uniforms for a whole block of rounds at once and :meth:`RoundSampler.leaf_counts`
-walks the tree with them, so block sampling reproduces the per-round path
-bit for bit.
+uniforms for a whole block of rounds at once (:func:`stream_uniforms` for
+the same rounds of many streams) and :meth:`RoundSampler.walk` walks the
+tree with them, so block sampling reproduces the per-round path bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, product
 from math import sqrt
 from types import MappingProxyType
 
@@ -253,6 +253,22 @@ def _block_uniforms(entropy: list, depth: int) -> np.ndarray:
     return out
 
 
+def _word_runs(values: np.ndarray):
+    """Ascending uint64 ``values`` as SeedSequence reads each one: one 32-bit
+    word below 2**32, two above.  Yields each run of equal word count as its
+    slice and its words, low word first."""
+    cut = int(np.searchsorted(values, np.uint64(2**32)))
+    for run, width in ((slice(0, cut), 1), (slice(cut, len(values)), 2)):
+        if run.start < run.stop:
+            part = values[run]
+            yield run, [(part >> 32 * j & _MASK32).astype(np.uint32) for j in range(width)]
+
+
+def _check_rounds(start: int, stop: int) -> None:
+    if not 0 <= start <= stop <= 2**64:
+        raise ValueError(f"rounds must satisfy 0 <= start <= stop <= 2**64, got {start}, {stop}")
+
+
 def round_uniforms(seed: int, key: tuple[int, ...], start: int, stop: int,
                    depth: int) -> np.ndarray:
     """The first ``depth`` uniforms of rounds ``start..stop-1``, one row each.
@@ -262,18 +278,32 @@ def round_uniforms(seed: int, key: tuple[int, ...], start: int, stop: int,
     computed in vectorised uint32/uint64 arithmetic.  Round indices stop
     below 2**64.
     """
-    if not 0 <= start <= stop <= 2**64:
-        raise ValueError(f"rounds must satisfy 0 <= start <= stop <= 2**64, got {start}, {stop}")
+    _check_rounds(start, stop)
     prefix = _words(seed) + [word for k in key for word in _words(k)]
     out = np.empty((stop - start, depth))
-    lo = int(start)
-    while lo < stop:  # SeedSequence reads k as one word below 2**32, as two above
-        width = max(1, -(-lo.bit_length() // 32))
-        hi = min(stop, 2 ** (32 * width))
-        ks = np.arange(lo, hi, dtype=np.uint64)
-        words = [(ks >> 32 * j & _MASK32).astype(np.uint32) for j in range(width)]
-        out[lo - start:hi - start] = _block_uniforms(prefix + words, depth)
-        lo = hi
+    for run, words in _word_runs(np.arange(start, stop, dtype=np.uint64)):
+        out[run] = _block_uniforms(prefix + words, depth)
+    return out
+
+
+def stream_uniforms(seed: int, streams: np.ndarray, start: int, stop: int,
+                    depth: int) -> np.ndarray:
+    """:func:`round_uniforms` of rounds ``start..stop-1`` for many streams at once.
+
+    ``out[i, j]`` equals ``round_rng(seed, streams[i], start + j).random(depth)``
+    bit for bit, from one ``_block_uniforms`` call over the (stream, round)
+    grid (one per word count where streams or rounds cross 2**32).
+    ``streams`` ascend and, like the rounds, stay below 2**64.
+    """
+    _check_rounds(start, stop)
+    streams = np.asarray(streams, dtype=np.uint64)
+    out = np.empty((len(streams), stop - start, depth))
+    for (rows, stream_words), (columns, round_words) in product(
+            _word_runs(streams), _word_runs(np.arange(start, stop, dtype=np.uint64))):
+        n, m = len(stream_words[0]), len(round_words[0])
+        entropy = (_words(seed) + [np.repeat(word, m) for word in stream_words]
+                   + [np.tile(word, n) for word in round_words])
+        out[rows, columns] = _block_uniforms(entropy, depth).reshape(n, m, depth)
     return out
 
 
@@ -394,6 +424,11 @@ def state_after_preparation(variant: ProtocolVariant) -> StateVector:
     return _fold(initial_state(variant), _at(variant, 0, 1))[0]
 
 
+def _halts(key: OutcomeKey) -> bool:
+    """Whether a round with these outcomes halts the experiment: both labs ok."""
+    return key[0] == "ok" and key[1] == "ok"
+
+
 def _transcript(variant: ProtocolVariant, round_index: int, key: OutcomeKey) -> RoundTranscript:
     wbar, w, intrusion = key
     announcements: list[tuple[int, str, str]] = []
@@ -401,14 +436,13 @@ def _transcript(variant: ProtocolVariant, round_index: int, key: OutcomeKey) -> 
         announcements.append((2, "Wbar", wbar))
     if w is not None:
         announcements.append((3, "W", w))
-    halted = wbar == "ok" and w == "ok"
     return RoundTranscript(
         round_index=round_index,
         wbar_outcome=wbar,
         w_outcome=w,
         intrusion_outcome=intrusion,
         announcements=tuple(announcements),
-        halted=halted,
+        halted=_halts(key),
     )
 
 
@@ -486,11 +520,12 @@ class RoundSampler:
     The tree holds the exact Born probability of every branch, computed with
     the same operations as the reference path, and an outcome key at every
     leaf; no state.  ``joint`` maps each leaf to its (nonzero) probability,
-    and ``leaves`` lists the leaf keys in the same order.  ``draw`` consumes
+    ``leaves`` lists the leaf keys in the same order, and ``halting`` marks
+    the leaves that halt the experiment.  ``draw`` consumes
     uniforms in the same order and against the same cumulative sums as
     :func:`run_round`, so both paths give identical transcripts for
-    identical generator states; ``leaf_counts`` does the same for a block of
-    rounds at once.
+    identical generator states; ``walk`` does the same for a matrix of
+    uniforms at once.
     """
 
     def __init__(self, variant: ProtocolVariant):
@@ -502,6 +537,7 @@ class RoundSampler:
         self._nodes = tuple(nodes)
         self.joint = MappingProxyType(joint)  # shared through the cache: read-only
         self.leaves = tuple(joint)
+        self.halting = np.array([_halts(key) for key in self.leaves])
         self.depth = 1 + max(node.level for node in nodes)
 
     def draw(self, rng: np.random.Generator, round_index: int = 0) -> RoundTranscript:
@@ -511,11 +547,9 @@ class RoundSampler:
             ref = node.children[pick_index(node.probabilities, float(rng.random()))]
         return _transcript(self.variant, round_index, self.leaves[~ref])
 
-    def leaf_counts(self, seed: int, key: tuple[int, ...], start: int, stop: int) -> np.ndarray:
-        """How often each leaf ends rounds ``start..stop-1`` of the substreams
-        ``(seed, *key, k)``: the counts of ``draw(round_rng(seed, *key, k))``
-        over those ``k``, computed a block at a time."""
-        uniforms = round_uniforms(seed, key, start, stop, self.depth)
+    def walk(self, uniforms: np.ndarray) -> np.ndarray:
+        """The leaf each row of ``uniforms`` ends at, as an index into
+        ``leaves``: row ``i`` read as the uniforms one ``draw`` consumes."""
         ref = np.full(len(uniforms), self._root)
         for index in range(self._root, -1, -1):  # parents before children
             node = self._nodes[index]
@@ -523,7 +557,14 @@ class RoundSampler:
             picked = np.searchsorted(node.cumulative, uniforms[at, node.level], side="right")
             picked[picked == len(node.cumulative)] = node.fallback
             ref[at] = np.take(node.children, picked)
-        return np.bincount(~ref, minlength=len(self.leaves))
+        return ~ref
+
+    def leaf_counts(self, seed: int, key: tuple[int, ...], start: int, stop: int) -> np.ndarray:
+        """How often each leaf ends rounds ``start..stop-1`` of the substreams
+        ``(seed, *key, k)``: the counts of ``draw(round_rng(seed, *key, k))``
+        over those ``k``, computed a block at a time."""
+        leaves = self.walk(round_uniforms(seed, key, start, stop, self.depth))
+        return np.bincount(leaves, minlength=len(self.leaves))
 
 
 @lru_cache(maxsize=None)

@@ -4,18 +4,30 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import frsim
 import hand_oracle
 from frsim.analysis import (
+    HALT_WINDOW,
+    ROUND_CHUNK,
     FrequencyTable,
     JointDistribution,
     binomial_upper_bound,
     detect_records,
     enumerate_exact,
     monte_carlo,
+    rounds_to_halt,
     z_scores,
 )
-from frsim.protocol import ProtocolConfig, ProtocolVariant, compiled_round, round_rng
+from frsim.protocol import (
+    ProtocolConfig,
+    ProtocolVariant,
+    compiled_round,
+    round_rng,
+    run_until_halt,
+)
 
 EXACT_ATOL = 1e-10
 
@@ -169,6 +181,59 @@ def test_monte_carlo_rejects_rounds_beyond_the_round_indices():
     for rounds in (0, 2**64 + 1, 2**70):
         with pytest.raises(ValueError, match="rounds"):
             monte_carlo(config, rounds)
+
+
+# rounds_to_halt -----------------------------------------------------------------
+
+ALL_VARIANTS = tuple(
+    variant(notebooks, announce=announce, intrusion=intrusion, cheat=cheat)
+    for notebooks in ALL_NOTEBOOK_SETS
+    for announce in (False, True)
+    for intrusion in (False, True)
+    for cheat in (False, True)
+    if not cheat or "Fbar" in notebooks
+)
+
+
+def _variant_id(v):
+    flags = ("announce" if v.announce_wbar else "secret", "+".join(sorted(v.notebooks)) or "none")
+    return "-".join(flags + ("cheat",) * v.cheat + ("intrusion",) * v.intrusion)
+
+
+@pytest.mark.parametrize("v", ALL_VARIANTS, ids=_variant_id)
+@settings(max_examples=5, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1) | st.integers(2**32, 2**64),
+    repeats=st.integers(1, 300),
+    max_rounds=st.integers(1, 40),
+)
+def test_rounds_to_halt_matches_run_until_halt(v, seed, repeats, max_rounds):
+    _assert_rounds_to_halt_matches_run_until_halt(
+        ProtocolConfig(variant=v, seed=seed, max_rounds=max_rounds), repeats)
+
+
+def test_rounds_to_halt_across_kernel_calls():
+    # More runs than one kernel call's grid holds: the first window takes three calls.
+    repeats = 2 * ROUND_CHUNK // HALT_WINDOW + 1
+    _assert_rounds_to_halt_matches_run_until_halt(ProtocolConfig(variant(), seed=11), repeats)
+
+
+def _assert_rounds_to_halt_matches_run_until_halt(config, repeats):
+    lengths = rounds_to_halt(config, repeats)
+    assert lengths.shape == (repeats,)
+    for r in range(repeats):
+        report = run_until_halt(config, stream=(r,))
+        assert lengths[r] == (report.rounds_executed if report.halted else 0), r
+
+
+def test_rounds_to_halt_needs_a_run():
+    with pytest.raises(ValueError, match="repeats"):
+        rounds_to_halt(ProtocolConfig(variant=variant()), 0)
+
+
+def test_rounds_to_halt_is_public():
+    assert frsim.rounds_to_halt is rounds_to_halt and "rounds_to_halt" in frsim.__all__
+    assert all(hasattr(frsim, name) for name in frsim.__all__)
 
 
 def test_monte_carlo_degenerate_branch_has_frequency_one():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import frsim.analysis
 import frsim.cli
 from frsim.cli import (
     EXIT_INCONSISTENT,
@@ -83,9 +84,11 @@ def test_branches_golden_document(capsys):
          "perspectives_t3_both_golden.json"),
         (("run", "--until-halt", "--intrusion", "--repeats", "3", "--max-rounds", "5",
           "--seed", "1"), "run_until_halt_intrusion_golden.json"),
+        (("run", "--until-halt", "--notebooks", "both", "--repeats", "500", "--max-rounds", "6",
+          "--seed", "9"), "run_until_halt_both_max6_golden.json"),
     ),
     ids=("run-rounds", "run-until-halt", "perspectives", "detect", "branches-intrusion-text",
-         "perspectives-t3-both", "run-until-halt-intrusion"),
+         "perspectives-t3-both", "run-until-halt-intrusion", "run-until-halt-both-max6"),
 )
 def test_golden_document(capsys, argv, golden):
     code, out, _ = run_cli(capsys, *argv)
@@ -134,10 +137,10 @@ def test_run_until_halt(capsys):
 
 
 def test_run_until_halt_samples_nothing_when_no_round_can_halt(capsys, monkeypatch):
-    def refuse(config, stream=()):
+    def refuse(*args):
         raise AssertionError("an intrusion round cannot halt; nothing should be sampled")
 
-    monkeypatch.setattr(frsim.cli, "run_until_halt", refuse)
+    monkeypatch.setattr(frsim.analysis, "stream_uniforms", refuse)
     code, out, _ = run_cli(
         capsys, "run", "--until-halt", "--intrusion", "--repeats", "2000", "--seed", "1"
     )
@@ -163,9 +166,14 @@ def test_run_requires_rounds(capsys):
         ("detect", "--rounds", str(2**64 + 1)),
         ("branches", "--out", str(DATA / "no-such-dir" / "x.json")),
         ("branches", "--out", str(DATA)),
+        ("run", "--until-halt", "--rounds", "5"),
+        ("run", "--rounds", "5", "--repeats", "9"),
+        ("run", "--rounds", "5", "--max-rounds", "6"),
     ),
     ids=("negative-seed", "zero-max-rounds", "zero-min-ok", "confidence-above-one",
-         "run-rounds-beyond-2-64", "detect-rounds-beyond-2-64", "out-missing-dir", "out-is-dir"),
+         "run-rounds-beyond-2-64", "detect-rounds-beyond-2-64", "out-missing-dir", "out-is-dir",
+         "rounds-with-until-halt", "repeats-without-until-halt",
+         "max-rounds-without-until-halt"),
 )
 def test_values_the_library_rejects_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

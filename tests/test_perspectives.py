@@ -16,7 +16,7 @@ from frsim.perspectives import (
     known_system_names,
     standard_predictions,
 )
-from frsim.protocol import ProtocolVariant
+from frsim.protocol import ProtocolVariant, schedule
 from frsim.reference import load_reference_states, reference_by_tag
 from frsim.systems import N, NBAR, WBAR, coin_lab_basis, record_basis, spin_basis, spin_lab_basis
 from frsim.tensor import equal_up_to_global_phase, inner
@@ -295,6 +295,69 @@ def test_agents_match_exact_conditional_after_measurement(notebooks, wbar):
                 p = outcome_probability(model.state, spin_lab_basis(), "ok")
                 expected = exact.conditional_w("ok", wbar)
             assert p == pytest.approx(expected, abs=EXACT_ATOL), (variant, agent)
+
+
+ALL_VARIANTS = tuple(
+    variant for notebooks in ALL_NOTEBOOK_SETS
+    for variant, _ in _variants_with_full_models(notebooks)
+)
+
+# The standard prediction that reads each sampled outcome.
+_PREDICTION_OF = {"wbar": "coin_lab", "w": "spin_lab", "intrusion": "S"}
+_KEY_FIELDS = ("wbar", "w", "intrusion")
+
+
+def _heard_transcripts(variant):
+    """Every (time, announced outcomes) C can stand at from t=1 on: nothing
+    heard before t=2, wbar from t=2, and w from t=3 unless the intrusion
+    after an ok ended the round."""
+    yield 1, {}
+    for wbar in GIVEN_LABELS["wbar"]:
+        yield 2, {"wbar": wbar}
+        if variant.intrusion and wbar == "ok":
+            yield 3, {"wbar": wbar}
+        else:
+            for w in GIVEN_LABELS["w"]:
+                yield 3, {"wbar": wbar, "w": w}
+
+
+def _exact_conditional(exact, heard, field, label):
+    """P(field = label | heard) from the exact joint over outcome keys."""
+    def outcome(key, name):
+        return key[_KEY_FIELDS.index(name)]
+
+    entries = {key: p for key, p in exact.entries.items()
+               if all(outcome(key, f) == value for f, value in heard.items())}
+    given = sum(entries.values())
+    joint = sum(p for key, p in entries.items() if outcome(key, field) == label)
+    assert given > EXACT_ATOL, heard  # every announced transcript can happen
+    return joint / given
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS,
+                         ids=lambda v: f"{v.announce_wbar}-{sorted(v.notebooks)}-{v.cheat}-{v.intrusion}")
+def test_external_observer_predicts_the_exact_conditionals(variant):
+    # C hears every announcement; where the protocol keeps them secret it is
+    # told them afterwards.  Each outcome the round is certain to produce
+    # next, or has produced, is then predicted with the exact conditional
+    # probability, the direct spin reading after an intrusion ok included.
+    exact = enumerate_exact(variant)
+    announcer = {step.outcome: step.memory.name for step in schedule(variant) if step.announced}
+    for time, heard in _heard_transcripts(variant):
+        model = agent_model_at("C", time, Given(**heard), variant)
+        if not variant.announce_wbar:
+            for field, label in heard.items():
+                model = apply_announcement(model, announcer[field], label)
+        predictions = standard_predictions(model)
+        ended_by_intrusion = variant.intrusion and heard.get("wbar") == "ok"
+        reached = ["wbar", "intrusion" if ended_by_intrusion else "w"]
+        if variant.intrusion and "wbar" not in heard:
+            reached.remove("w")  # W measures only if no intrusion came first
+        for field in reached:
+            for label in GIVEN_LABELS[field]:
+                expected = _exact_conditional(exact, heard, field, label)
+                assert predictions[_PREDICTION_OF[field]][label] == pytest.approx(
+                    expected, abs=EXACT_ATOL), (time, heard, field, label)
 
 
 # Cheat mode ---------------------------------------------------------------------

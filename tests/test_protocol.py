@@ -17,6 +17,7 @@ from frsim.protocol import (
     run_round,
     run_until_halt,
     state_after_preparation,
+    stream_uniforms,
 )
 from frsim.reference import reference_by_tag
 from frsim.systems import coin_basis, coin_lab_basis, spin_basis
@@ -225,6 +226,16 @@ def test_round_uniforms_across_the_two_word_boundary():
     np.testing.assert_array_equal(
         round_uniforms(2**35 + 1, (9,), start, stop, 3),
         _uniforms_by_round(2**35 + 1, (9,), start, stop, 3))
+
+
+def test_stream_uniforms_across_the_two_word_boundary():
+    # A window of rounds, and the streams, each cross 2**32 and so the
+    # change from one SeedSequence word to two.
+    seed, start, stop = 2**35 + 1, 2**32 - 3, 2**32 + 3
+    streams = np.array([0, 9, 2**32 - 1, 2**32, 2**40 + 3], dtype=np.uint64)
+    expected = np.array([_uniforms_by_round(seed, (int(r),), start, stop, 3) for r in streams])
+    np.testing.assert_array_equal(stream_uniforms(seed, streams, start, stop, 3), expected)
+    np.testing.assert_array_equal(stream_uniforms(seed, streams[:2], 5, 5, 3).shape, (2, 0, 3))
 
 
 def test_round_uniforms_rejects_what_seed_sequence_rejects():
