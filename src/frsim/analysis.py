@@ -66,12 +66,10 @@ class JointDistribution:
     def conditional_w(self, w: str, given_wbar: str) -> float:
         return self.joint_wbar_w(given_wbar, w) / self.marginal_wbar(given_wbar)
 
-    def conditional_intrusion(self, outcome: str, given_wbar: str = "ok") -> float:
-        joint = sum(
-            p for key, p in self.entries.items()
-            if key[0] == given_wbar and key[2] == outcome
-        )
-        return joint / self.marginal_wbar(given_wbar)
+    def conditional_intrusion(self, outcome: str) -> float:
+        """Probability of the direct spin reading that follows a ``wbar`` ok."""
+        joint = sum(p for key, p in self.entries.items() if key[0] == "ok" and key[2] == outcome)
+        return joint / self.marginal_wbar("ok")
 
 
 @dataclass(frozen=True)

@@ -239,15 +239,11 @@ def _agent_entry(agent: str, args_time: int, given: Given, variant: ProtocolVari
         raise  # a zero-probability transcript is an inconsistency, not a gap
     except ValueError as exc:
         return {"undetermined": str(exc)}
-    predictions = {
-        name: {label: p for label, p in probs.items()}
-        for name, probs in standard_predictions(model).items()
-    }
     return {
         "layout": list(model.layout.names),
         "amplitudes": _amplitude_rows(model),
         "log": [list(event) for event in model.log],
-        "predictions": predictions,
+        "predictions": standard_predictions(model),
     }
 
 

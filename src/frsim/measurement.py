@@ -13,7 +13,8 @@ Measurement comes in four flavours:
 * :func:`premeasure` and :func:`record_copy` write an outcome label into a
   memory system unitarily, without collapsing anything.
 
-The first three and :func:`outcome_probability` share one Born projection.
+The four flavours and :func:`outcome_probability` share one Born
+projection; :func:`record_copy` premeasures the source's :func:`level_basis`.
 """
 
 from __future__ import annotations
@@ -158,6 +159,13 @@ def level_basis(system: SystemId) -> MeasurementBasis:
     )
 
 
+def _components(vectors: np.ndarray, mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A (target, rest) matrix's coefficients on the outcome's kets, and its
+    projection on their span."""
+    coeffs = vectors.conj() @ mat
+    return coeffs, vectors.T @ coeffs
+
+
 def _project(
     state: StateVector, basis: MeasurementBasis, outcomes: Sequence[SubspaceOutcome]
 ) -> tuple[np.ndarray, list[int], list[tuple[float, np.ndarray]]]:
@@ -172,8 +180,8 @@ def _project(
     mat, perm = _moved_matrix(state, basis.target_names)
     projections = []
     for outcome in outcomes:
-        coeffs = outcome.vectors.conj() @ mat
-        projections.append((float(np.sum(np.abs(coeffs) ** 2)), outcome.vectors.T @ coeffs))
+        coeffs, projected = _components(outcome.vectors, mat)
+        projections.append((float(np.sum(np.abs(coeffs) ** 2)), projected))
     return mat, perm, projections
 
 
@@ -274,13 +282,6 @@ def outcome_probability(state: StateVector, basis: MeasurementBasis, label: str)
     return probability
 
 
-def _memory_swap(memory: SystemId, label: str) -> np.ndarray:
-    swap = np.eye(memory.dimension, dtype=np.complex128)
-    i, j = memory.level_index(READY), memory.level_index(label)
-    swap[[i, j]] = swap[[j, i]]
-    return swap
-
-
 def premeasure(
     state: StateVector,
     basis: MeasurementBasis,
@@ -305,52 +306,37 @@ def premeasure(
                 f"memory {memory.name!r} has no level for outcome {outcome.label!r}"
             )
 
-    names = list(basis.target_names) + [memory.name]
-    mat, perm = _moved_matrix(state, names)
-    d_t = basis.target_dimension
-    d_m = memory.dimension
-    cube = mat.reshape(d_t, d_m, -1)
+    mat, perm = _moved_matrix(state, basis.target_names + (memory.name,))
+    cube = mat.reshape(-1, memory.dimension, mat.shape[1])  # (target, memory, rest)
 
-    ready_idx = memory.level_index(READY)
-    off_ready = float(np.sum(np.abs(np.delete(cube, ready_idx, axis=1)) ** 2))
+    ready = memory.level_index(READY)
+    off_ready = float(np.sum(np.abs(np.delete(cube, ready, axis=1)) ** 2))
     if off_ready > ZERO_PROBABILITY_ATOL:
         raise ValueError(
             f"memory {memory.name!r} is not in its ready state "
             f"(off-ready probability {off_ready:.3e})"
         )
 
+    targets = mat.reshape(cube.shape[0], -1)  # (target, memory x rest)
     residual = cube.copy()
     result = np.zeros_like(cube)
     for outcome in basis.outcomes:
-        coeffs = np.einsum("kt,tmr->kmr", outcome.vectors.conj(), cube)
-        projected = np.einsum("tk,kmr->tmr", outcome.vectors.T, coeffs)
+        projected = _components(outcome.vectors, targets)[1].reshape(cube.shape)
         residual -= projected
-        swap = _memory_swap(memory, outcome.label)
-        result += np.einsum("nm,tmr->tnr", swap, projected)
+        levels = list(range(memory.dimension))  # SWAP(ready, outcome) as an index
+        written = memory.level_index(outcome.label)
+        levels[ready], levels[written] = written, ready
+        result += projected[:, levels]
     result += residual
 
-    return StateVector(layout, _restore(result.reshape(d_t * d_m, -1), layout, perm))
+    return StateVector(layout, _restore(result.reshape(mat.shape), layout, perm))
 
 
-def record_copy(
-    state: StateVector,
-    source: SystemId,
-    target: SystemId,
-    basis: MeasurementBasis | None = None,
-) -> StateVector:
-    """Copy the source system's basis label into a ready target system.
+def record_copy(state: StateVector, source: SystemId, target: SystemId) -> StateVector:
+    """Copy the source system's level label into a ready target system.
 
-    The designated source basis must be complete (its outcomes span the
-    source); by default it is the source's own level basis.  Each component
-    ``|x>|ready>`` maps to ``|x>|x>``, so the copy is unitary and preserves
-    superpositions between different source labels.
+    Premeasures the source's :func:`level_basis` into the target: each
+    component ``|x>|ready>`` maps to ``|x>|x>``, so the copy is unitary and
+    preserves superpositions between different source labels.
     """
-    if basis is None:
-        basis = level_basis(source)
-    if basis.target_names != (source.name,):
-        raise BasisError("record_copy basis must target exactly the source system")
-    if basis.residual_dimension != 0:
-        raise BasisError(
-            f"source basis is incomplete: residual dimension {basis.residual_dimension}"
-        )
-    return premeasure(state, basis, target)
+    return premeasure(state, level_basis(source), target)

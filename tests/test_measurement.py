@@ -17,6 +17,7 @@ from frsim.measurement import (
 )
 from frsim.reference import reference_by_tag
 from frsim.systems import (
+    FBAR,
     N,
     NBAR,
     R,
@@ -273,47 +274,52 @@ def test_record_copy_requires_ready_target():
         record_copy(state, R, NBAR)
 
 
-def test_record_copy_rejects_incomplete_source_basis():
-    layout = RegisterLayout((R, NBAR))
-    state = product_state(layout, {"R": "t", "Nbar": "ready"})
-    partial = MeasurementBasis(targets=(R,), outcomes=(SubspaceOutcome("t", R.ket("t")),))
-    with pytest.raises(BasisError, match="incomplete"):
-        record_copy(state, R, NBAR, basis=partial)
-
-
-def _copy_unitary_matrix(source, target):
-    """Explicit matrix oracle for the copy on (source, target)."""
-    dim = source.dimension * target.dimension
-    u = np.zeros((dim, dim), dtype=complex)
-    for label in source.levels:
-        proj = np.outer(source.ket(label), source.ket(label).conj())
-        swap = np.eye(target.dimension, dtype=complex)
-        i, j = target.level_index("ready"), target.level_index(label)
+def _premeasure_unitary_matrix(basis, memory):
+    """Explicit matrix oracle on (targets, memory):
+    ``sum_o P_o (x) SWAP(ready, o) + P_res (x) 1``."""
+    residual = np.eye(basis.target_dimension, dtype=complex)
+    u = np.zeros((basis.target_dimension * memory.dimension,) * 2, dtype=complex)
+    for outcome in basis.outcomes:
+        proj = outcome.vectors.T @ outcome.vectors.conj()
+        residual -= proj
+        swap = np.eye(memory.dimension, dtype=complex)
+        i, j = memory.level_index("ready"), memory.level_index(outcome.label)
         swap[[i, j]] = swap[[j, i]]
         u += np.kron(proj, swap)
-    return u
+    return u + np.kron(residual, np.eye(memory.dimension))
+
+
+def _random_ket(rng, dim):
+    ket = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return ket / np.linalg.norm(ket)
 
 
 def test_record_copy_matches_explicit_unitary_and_preserves_norm():
-    layout = RegisterLayout((R, NBAR, S))
-    u = _copy_unitary_matrix(R, NBAR)
     rng = np.random.default_rng(99)
-    for _ in range(20):
-        coin = rng.normal(size=2) + 1j * rng.normal(size=2)
-        spin = rng.normal(size=2) + 1j * rng.normal(size=2)
-        state = product_state(
-            layout,
-            {
-                "R": coin / np.linalg.norm(coin),
-                "Nbar": "ready",
-                "S": spin / np.linalg.norm(spin),
-            },
-        )
-        copied = record_copy(state, R, NBAR)
-        oracle = apply_unitary(state, ("R", "Nbar"), u)
-        np.testing.assert_allclose(copied.amplitudes, oracle.amplitudes, atol=1e-14)
-        assert abs(copied.norm - 1.0) < 1e-12
-    np.testing.assert_allclose(u.conj().T @ u, np.eye(6), atol=1e-14)
+    copy_layout = RegisterLayout((R, NBAR, S))
+    # A random coin-lab state has Fbar partly ready, outside ok and fail, so
+    # the premeasurement's residual term P_res (x) 1 carries weight.
+    lab_layout = RegisterLayout((R, FBAR, S, WBAR))
+    cases = (
+        (level_basis(R), NBAR, lambda state: record_copy(state, R, NBAR),
+         lambda: StateVector(copy_layout, np.kron(
+             np.kron(_random_ket(rng, 2), NBAR.ket("ready")), _random_ket(rng, 2)))),
+        (coin_lab_basis(), WBAR, lambda state: premeasure(state, coin_lab_basis(), WBAR),
+         lambda: StateVector(lab_layout, np.kron(
+             np.kron(_random_ket(rng, 6), _random_ket(rng, 2)), WBAR.ket("ready")))),
+    )
+    for basis, memory, write, draw in cases:
+        u = _premeasure_unitary_matrix(basis, memory)
+        np.testing.assert_allclose(u.conj().T @ u, np.eye(u.shape[0]), atol=1e-14)
+        for _ in range(20):
+            state = draw()
+            outside = 1.0 - sum(outcome_probability(state, basis, label)
+                                for label in basis.labels())
+            assert (outside > 0.05) == (basis.residual_dimension > 0)
+            written = write(state)
+            oracle = apply_unitary(state, basis.target_names + (memory.name,), u)
+            np.testing.assert_allclose(written.amplitudes, oracle.amplitudes, atol=1e-14)
+            assert abs(written.norm - 1.0) < 1e-12
 
 
 def test_record_copy_commutes_with_source_measurement():

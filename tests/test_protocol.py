@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -110,6 +113,25 @@ def test_state_after_preparation_with_both_notebooks():
         assert amp.real == pytest.approx(one_over_sqrt3, abs=1e-12)
     lab = {b.label: b.probability for b in branch_all(state, coin_lab_basis())}
     assert lab["ok"] == pytest.approx(0.5, abs=1e-12)
+
+
+# Every nonzero amplitude of the 24 prepared states as float.hex: the
+# records that premeasure writes at t=0..1 must keep each bit.
+PREPARED_STATE_BITS = json.loads(
+    (Path(__file__).parent / "data" / "prepared_state_bits.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "row", PREPARED_STATE_BITS,
+    ids=lambda row: "announce={announce_wbar}-notebooks={notebooks}-cheat={cheat}-"
+                    "intrusion={intrusion}".format(**row),
+)
+def test_prepared_state_keeps_every_bit(row):
+    state = state_after_preparation(ProtocolVariant(
+        announce_wbar=row["announce_wbar"], notebooks=frozenset(row["notebooks"]),
+        cheat=row["cheat"], intrusion=row["intrusion"]))
+    assert [[list(labels), amp.real.hex(), amp.imag.hex()]
+            for labels, amp in state.nonzero_terms()] == row["terms"]
 
 
 def test_t2_collapse_and_memory_record():
