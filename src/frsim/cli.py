@@ -6,9 +6,12 @@ the full flag set including the seed; a wall-clock timestamp is only added
 on explicit request (``--timestamp``) since it would break byte-for-byte
 reproducibility.
 
-Exit codes: 0 success, 2 usage error (including a value the library
-rejects), 3 inconsistent transcript (zero-probability conditioning), 4
-internal invariant violation.
+Exit codes: 0 success, 2 usage error, 3 inconsistent transcript
+(zero-probability conditioning), 4 internal invariant violation.  Argparse
+reports grammar errors (an unknown flag, a bad choice) itself.  A usage error
+found after parsing, such as a value the library rejects, prints exactly one
+``frsim: error:`` line: handlers raise, and :func:`main` alone maps the
+exception to its exit code.
 """
 
 from __future__ import annotations
@@ -62,10 +65,6 @@ class ReportDocument:
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "ReportDocument":
-        return cls(**json.loads(text))
-
 
 def _fraction(p: float) -> str | None:
     frac = Fraction(p).limit_denominator(24)
@@ -110,45 +109,40 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
                         help="include a wall-clock timestamp (breaks reproducibility)")
 
 
-def _variant_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> ProtocolVariant:
-    notebooks = frozenset(_NOTEBOOKS[args.notebooks])
-    if args.cheat and "Fbar" not in notebooks:
-        parser.error("--cheat requires --notebooks fbar or --notebooks both")
+def _variant_from_args(args: argparse.Namespace) -> ProtocolVariant:
     return ProtocolVariant(
         announce_wbar=(args.announce == "on"),
-        notebooks=notebooks,
+        notebooks=frozenset(_NOTEBOOKS[args.notebooks]),
         cheat=args.cheat,
         intrusion=args.intrusion,
     )
 
 
-def _given_from_flag(parser: argparse.ArgumentParser, text: str | None) -> Given:
+def _given_from_flag(text: str | None) -> Given:
+    """Parse ``system=label,...``; :class:`Given` checks each label."""
     if not text:
         return Given()
     values: dict[str, str] = {}
     for item in text.split(","):
         if "=" not in item:
-            parser.error(f"--given items must look like system=label, got {item!r}")
+            raise ValueError(f"--given items must look like system=label, got {item!r}")
         key, label = item.split("=", 1)
         key = key.strip().lower()
         label = label.strip()
         if key not in GIVEN_LABELS:
-            parser.error(f"--given key must be one of {sorted(GIVEN_LABELS)}, got {key!r}")
+            raise ValueError(f"--given key must be one of {sorted(GIVEN_LABELS)}, got {key!r}")
         if key in values:
-            parser.error(f"--given key {key!r} is repeated")
+            raise ValueError(f"--given key {key!r} is repeated")
         values[key] = label
-    try:
-        return Given(**values)
-    except ValueError as exc:
-        parser.error(f"--given {exc}")
+    return Given(**values)
 
 
 def _key_dict(key: tuple[str | None, str | None, str | None]) -> dict:
     return {"wbar": key[0], "w": key[1], "intrusion": key[2]}
 
 
-def cmd_branches(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Report:
-    variant = _variant_from_args(parser, args)
+def cmd_branches(args: argparse.Namespace) -> Report:
+    variant = _variant_from_args(args)
     joint = enumerate_exact(variant)
     rows = []
     for key in sorted(joint.entries, key=str):
@@ -172,8 +166,8 @@ def cmd_branches(parser: argparse.ArgumentParser, args: argparse.Namespace) -> R
     return variant, results
 
 
-def cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Report:
-    variant = _variant_from_args(parser, args)
+def cmd_run(args: argparse.Namespace) -> Report:
+    variant = _variant_from_args(args)
     if args.until_halt:
         if args.rounds is not None:
             raise ValueError("--rounds does not apply to --until-halt runs; cap them with --max-rounds")
@@ -197,9 +191,7 @@ def cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Report
         if value is not None:
             raise ValueError(f"{flag} applies only to --until-halt runs")
     if args.rounds is None:
-        parser.error("--rounds is required (or use --until-halt)")
-    if args.rounds < 1:
-        parser.error("--rounds must be at least 1")
+        raise ValueError("--rounds is required (or use --until-halt)")
     config = ProtocolConfig(variant=variant, seed=args.seed)
     table = monte_carlo(config, args.rounds)
     exact = enumerate_exact(variant)
@@ -247,15 +239,15 @@ def _agent_entry(agent: str, args_time: int, given: Given, variant: ProtocolVari
     }
 
 
-def cmd_perspectives(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Report:
-    variant = _variant_from_args(parser, args)
-    given = _given_from_flag(parser, args.given)
+def cmd_perspectives(args: argparse.Namespace) -> Report:
+    variant = _variant_from_args(args)
+    given = _given_from_flag(args.given)
     agents = list(AGENTS) if args.agent == "all" else [_AGENT_FLAGS[args.agent]]
     entries: dict[str, dict] = {}
     for agent in agents:
         entry = _agent_entry(agent, args.t, given, variant)
         if args.agent != "all" and "undetermined" in entry:
-            parser.error(entry["undetermined"])
+            raise ValueError(entry["undetermined"])
         entries[agent] = entry
     return variant, {
         "time": args.t,
@@ -264,9 +256,7 @@ def cmd_perspectives(parser: argparse.ArgumentParser, args: argparse.Namespace) 
     }
 
 
-def cmd_detect(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Report:
-    if args.rounds < 1:
-        parser.error("--rounds must be at least 1")
+def cmd_detect(args: argparse.Namespace) -> Report:
     notebooks = frozenset({"Fbar"}) if args.cheat else frozenset()
     variant = ProtocolVariant(
         announce_wbar=False,
@@ -363,9 +353,7 @@ def render_text(doc: ReportDocument) -> str:
                 f"{row['wbar'] or '-':6} {row['w'] or '-':6} "
                 f"{row['intrusion'] or '-':9}  {_format_probability(row['probability'])}"
             )
-        for name, entry in results["marginals"].items():
-            lines.append(f"P({name}) = {_format_probability(entry['probability'])}")
-        for name, entry in results["conditionals"].items():
+        for name, entry in {**results["marginals"], **results["conditionals"]}.items():
             lines.append(f"P({name}) = {_format_probability(entry['probability'])}")
         if "halt" in results:
             lines.append(f"P(halt per round) = {_format_probability(results['halt']['probability'])}")
@@ -408,27 +396,21 @@ def render_text(doc: ReportDocument) -> str:
                 shown = "  ".join(f"{label}={p:.9g}" for label, p in probs.items())
                 lines.append(f"  predict {name}: {shown}")
     elif doc.command == "detect":
-        for key in (
-            "rounds", "ok_rounds", "up_count", "observed_up_fraction",
-            "predicted_up_fraction_no_record", "threshold", "confidence",
-            "min_ok_rounds", "decision",
-        ):
-            lines.append(f"{key}: {results[key]}")
+        lines.extend(f"{key}: {value}" for key, value in results.items())
     return "\n".join(lines) + "\n"
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        variant, results = _HANDLERS[args.command](parser, args)
+        variant, results = _HANDLERS[args.command](args)
     except InconsistentOutcomeError as exc:
         print(f"inconsistent transcript: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
     except (ResidualError, BasisError) as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except ValueError as exc:  # a value the library rejects is a usage error
+    except (ValueError, MemoryError) as exc:  # a rejected value, or a count too large to hold
         print(f"frsim: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     doc = ReportDocument(

@@ -166,17 +166,22 @@ def _components(vectors: np.ndarray, mat: np.ndarray) -> tuple[np.ndarray, np.nd
     return coeffs, vectors.T @ coeffs
 
 
+def _check_in_layout(state: StateVector, systems: Sequence[SystemId], role: str) -> None:
+    """Raise :class:`LayoutError` unless each system is in the state's layout
+    under its name, with the same levels."""
+    for system in systems:
+        if system.name not in state.layout:
+            raise LayoutError(f"{role} {system.name!r} not in state layout")
+        if state.layout.system(system.name) != system:
+            raise LayoutError(f"system {system.name!r} differs from the {role}")
+
+
 def _project(
     state: StateVector, basis: MeasurementBasis, outcomes: Sequence[SubspaceOutcome]
 ) -> tuple[np.ndarray, list[int], list[tuple[float, np.ndarray]]]:
     """The state as a (target, rest) matrix, the axis order that restores it,
     and each given outcome's Born probability and unnormalized projection."""
-    layout = state.layout
-    for system in basis.targets:
-        if system.name not in layout:
-            raise LayoutError(f"basis target {system.name!r} not in state layout")
-        if layout.system(system.name) != system:
-            raise LayoutError(f"system {system.name!r} differs from the basis target")
+    _check_in_layout(state, basis.targets, "basis target")
     mat, perm = _moved_matrix(state, basis.target_names)
     projections = []
     for outcome in outcomes:
@@ -295,9 +300,8 @@ def premeasure(
     must hold a level named after every outcome label and must start in its
     :data:`READY` level on all populated amplitudes.
     """
-    layout = state.layout
-    if memory.name not in layout:
-        raise LayoutError(f"memory system {memory.name!r} not in state layout")
+    _check_in_layout(state, basis.targets, "basis target")
+    _check_in_layout(state, (memory,), "memory system")
     if memory.name in basis.target_names:
         raise LayoutError("memory system cannot be part of the measured targets")
     for outcome in basis.outcomes:
@@ -329,7 +333,7 @@ def premeasure(
         result += projected[:, levels]
     result += residual
 
-    return StateVector(layout, _restore(result.reshape(mat.shape), layout, perm))
+    return StateVector(state.layout, _restore(result.reshape(mat.shape), state.layout, perm))
 
 
 def record_copy(state: StateVector, source: SystemId, target: SystemId) -> StateVector:

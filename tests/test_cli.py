@@ -86,20 +86,19 @@ def test_branches_golden_document(capsys):
           "--seed", "1"), "run_until_halt_intrusion_golden.json"),
         (("run", "--until-halt", "--notebooks", "both", "--repeats", "500", "--max-rounds", "6",
           "--seed", "9"), "run_until_halt_both_max6_golden.json"),
+        (("detect", "--cheat", "--rounds", "10000", "--seed", "3", "--format", "text"),
+         "detect_cheat_golden.txt"),
+        (("detect", "--rounds", "10", "--seed", "3", "--format", "text"),
+         "detect_inconclusive_golden.txt"),
     ),
     ids=("run-rounds", "run-until-halt", "perspectives", "detect", "branches-intrusion-text",
-         "perspectives-t3-both", "run-until-halt-intrusion", "run-until-halt-both-max6"),
+         "perspectives-t3-both", "run-until-halt-intrusion", "run-until-halt-both-max6",
+         "detect-cheat-text", "detect-inconclusive-text"),
 )
 def test_golden_document(capsys, argv, golden):
     code, out, _ = run_cli(capsys, *argv)
     assert code == EXIT_OK
     assert out == (DATA / golden).read_text()
-
-
-def test_cheat_without_coin_notebook_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["branches", "--notebooks", "none", "--cheat"])
-    assert err.value.code == 2
 
 
 # run ----------------------------------------------------------------------------
@@ -149,12 +148,6 @@ def test_run_until_halt_samples_nothing_when_no_round_can_halt(capsys, monkeypat
     assert results["exhausted_runs"] == 2000 and results["halted_runs"] == 0
 
 
-def test_run_requires_rounds(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["run", "--seed", "1"])
-    assert err.value.code == 2
-
-
 @pytest.mark.parametrize(
     "argv",
     (
@@ -169,17 +162,39 @@ def test_run_requires_rounds(capsys):
         ("run", "--until-halt", "--rounds", "5"),
         ("run", "--rounds", "5", "--repeats", "9"),
         ("run", "--rounds", "5", "--max-rounds", "6"),
+        ("branches", "--notebooks", "none", "--cheat"),
+        ("run", "--seed", "1"),
+        ("run", "--rounds", "0"),
+        ("detect", "--rounds", "0"),
+        ("perspectives", "--t", "1", "--agent", "f"),
+        ("perspectives", "--t", "2", "--given", "wbar=sideways"),
+        ("perspectives", "--t", "2", "--given", "wbar=ok,wbar=fail"),
+        ("perspectives", "--t", "2", "--given", "zz=ok"),
     ),
     ids=("negative-seed", "zero-max-rounds", "zero-min-ok", "confidence-above-one",
          "run-rounds-beyond-2-64", "detect-rounds-beyond-2-64", "out-missing-dir", "out-is-dir",
          "rounds-with-until-halt", "repeats-without-until-halt",
-         "max-rounds-without-until-halt"),
+         "max-rounds-without-until-halt", "cheat-without-coin-notebook", "run-without-rounds",
+         "run-zero-rounds", "detect-zero-rounds", "single-agent-missing-outcome",
+         "given-bad-label", "given-repeated-key", "given-unknown-key"),
 )
 def test_values_the_library_rejects_are_usage_errors(capsys, argv):
-    code, out, err = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, *argv)  # main returns; it raises no SystemExit
     assert code == EXIT_USAGE
     assert out == ""
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith("frsim: error: ")
+
+
+def test_repeat_count_too_large_to_hold_is_usage_error(capsys, monkeypatch):
+    def out_of_memory(config, repeats):
+        raise MemoryError(f"Unable to allocate an array for {repeats} runs")
+
+    monkeypatch.setattr(frsim.cli, "rounds_to_halt", out_of_memory)
+    code, out, err = run_cli(capsys, "run", "--until-halt", "--repeats", str(2**40), "--seed", "1")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"frsim: error: Unable to allocate an array for {2**40} runs\n"
 
 
 # perspectives --------------------------------------------------------------------
@@ -219,12 +234,6 @@ def test_perspectives_limit_marker_is_not_an_error(capsys):
     assert "limit" in doc["results"]["agents"]["Fbar"]
 
 
-def test_perspectives_single_agent_missing_outcome_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["perspectives", "--t", "1", "--agent", "f"])
-    assert err.value.code == 2
-
-
 def test_perspectives_inconsistent_transcript_exits_3(capsys):
     for argv in (
         ("perspectives", "--t", "2", "--given", "wbar=ok,s=down"),
@@ -236,13 +245,6 @@ def test_perspectives_inconsistent_transcript_exits_3(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_INCONSISTENT, argv
         assert "inconsistent" in err
-
-
-def test_perspectives_bad_given_is_usage_error(capsys):
-    for given in ("wbar=sideways", "wbar=ok,wbar=fail"):
-        with pytest.raises(SystemExit) as err:
-            main(["perspectives", "--t", "2", "--given", given])
-        assert err.value.code == 2, given
 
 
 # detect ---------------------------------------------------------------------------
@@ -277,7 +279,7 @@ def test_detect_too_few_rounds_is_inconclusive(capsys):
 
 def test_document_round_trip(capsys):
     _, out, _ = run_cli(capsys, "branches", "--notebooks", "both")
-    doc = ReportDocument.from_json(out)
+    doc = ReportDocument(**json.loads(out))
     assert doc.to_json() == out
 
 
@@ -306,7 +308,7 @@ def test_text_format_renders_fractions(capsys):
 
 
 def test_internal_invariant_violation_exits_4(capsys, monkeypatch):
-    def boom(parser, args):
+    def boom(args):
         raise ResidualError("forced for the exit-code contract")
 
     monkeypatch.setitem(frsim.cli._HANDLERS, "branches", boom)
@@ -381,8 +383,12 @@ def test_every_argv_of_the_grammar_exits_with_a_documented_code(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
-        except SystemExit as exc:
+        except SystemExit as exc:  # argparse's own grammar errors
             code = exc.code
+        else:
+            if code == EXIT_USAGE:  # found after parsing: one line from main
+                assert len(err.getvalue().splitlines()) == 1, (argv, err.getvalue())
+                assert err.getvalue().startswith("frsim: error:"), (argv, err.getvalue())
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_INCONSISTENT, EXIT_INTERNAL), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
     if code == EXIT_OK and "text" not in argv:

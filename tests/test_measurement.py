@@ -32,6 +32,7 @@ from frsim.systems import (
     spin_lab_basis,
 )
 from frsim.tensor import (
+    LayoutError,
     RegisterLayout,
     StateVector,
     SystemId,
@@ -351,6 +352,27 @@ def test_premeasure_rejects_written_memory():
     state = reference_by_tag("external_t2_secret").state
     with pytest.raises(ValueError, match="ready"):
         premeasure(state, coin_lab_basis(), WBAR)
+
+
+@pytest.mark.parametrize(
+    "coin",
+    (S, SystemId("R", ("t", "h", "x"))),
+    ids=("target-missing", "target-with-other-levels"),
+)
+def test_premeasure_checks_its_targets_like_condition_on(coin):
+    state = product_state(RegisterLayout((coin, NBAR)),
+                          {coin.name: coin.levels[0], "Nbar": "ready"})
+    with pytest.raises(LayoutError):
+        condition_on(state, level_basis(R), "t")
+    with pytest.raises(LayoutError):
+        premeasure(state, level_basis(R), NBAR)
+
+
+def test_premeasure_checks_its_memory_like_its_targets():
+    state = product_state(RegisterLayout((R, NBAR)), {"R": "t", "Nbar": "ready"})
+    for memory in (N, SystemId("Nbar", ("ready", "t", "h", "x"))):
+        with pytest.raises(LayoutError):
+            premeasure(state, level_basis(R), memory)
 
 
 def test_outcome_probability_matches_branch_all():
