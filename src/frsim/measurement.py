@@ -20,18 +20,12 @@ projection; :func:`record_copy` premeasures the source's :func:`level_basis`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property, lru_cache
 from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .tensor import (
-    LayoutError,
-    StateVector,
-    SystemId,
-    _moved_matrix,
-    _restore,
-)
+from .tensor import LayoutError, StateVector, SystemId, TransposePlan, transpose_plan
 
 ORTHO_ATOL = 1e-12
 ZERO_PROBABILITY_ATOL = 1e-12
@@ -99,7 +93,7 @@ class MeasurementBasis:
                 )
         validate_basis(self)
 
-    @property
+    @cached_property
     def target_names(self) -> tuple[str, ...]:
         return tuple(s.name for s in self.targets)
 
@@ -176,45 +170,55 @@ def _check_in_layout(state: StateVector, systems: Sequence[SystemId], role: str)
             raise LayoutError(f"system {system.name!r} differs from the {role}")
 
 
-def _project(
-    state: StateVector, basis: MeasurementBasis, outcomes: Sequence[SubspaceOutcome]
-) -> tuple[np.ndarray, list[int], list[tuple[float, np.ndarray]]]:
-    """The state as a (target, rest) matrix, the axis order that restores it,
-    and each given outcome's Born probability and unnormalized projection."""
+def _moved(state: StateVector, basis: MeasurementBasis) -> tuple[TransposePlan, np.ndarray]:
+    """The shared plan that moves the basis targets to the front, and the
+    state as its (target, rest) matrix."""
     _check_in_layout(state, basis.targets, "basis target")
-    mat, perm = _moved_matrix(state, basis.target_names)
-    projections = []
-    for outcome in outcomes:
-        coeffs, projected = _components(outcome.vectors, mat)
-        projections.append((float(np.sum(np.abs(coeffs) ** 2)), projected))
-    return mat, perm, projections
+    plan = transpose_plan(state.layout, basis.target_names)
+    return plan, plan.matrix(state)
+
+
+def _weight(amplitudes: np.ndarray) -> float:
+    """Sum of squared magnitudes: a Born probability from the coefficients on
+    an outcome's kets.  ``np.add.reduce`` over all axes is the reduction
+    ``np.sum`` runs, without its dispatch."""
+    return float(np.add.reduce(np.abs(amplitudes) ** 2, axis=None))
+
+
+def _probabilities(
+    state: StateVector, basis: MeasurementBasis, outcomes: Sequence[SubspaceOutcome]
+) -> list[float]:
+    """Each given outcome's Born probability, without forming its projection."""
+    _, mat = _moved(state, basis)
+    return [_weight(outcome.vectors.conj() @ mat) for outcome in outcomes]
 
 
 def _project_all(
     state: StateVector, basis: MeasurementBasis
-) -> tuple[list[int], list[tuple[float, np.ndarray]]]:
-    """:func:`_project` on every outcome, raising :class:`ResidualError` when
-    at least :data:`RESIDUAL_TOL` of the probability lies outside them."""
-    mat, perm, projections = _project(state, basis, basis.outcomes)
-    projected_total = np.zeros_like(mat)
-    for _, projected in projections:
-        projected_total += projected
-    residual_probability = float(np.sum(np.abs(mat - projected_total) ** 2))
+) -> tuple[TransposePlan, list[tuple[float, np.ndarray]]]:
+    """The plan that restores the state, and every outcome's Born probability
+    and unnormalized projection; raises :class:`ResidualError` when at least
+    :data:`RESIDUAL_TOL` of the probability lies outside the outcomes."""
+    plan, mat = _moved(state, basis)
+    projections = []
+    for outcome in basis.outcomes:
+        coeffs, projected = _components(outcome.vectors, mat)
+        projections.append((_weight(coeffs), projected))
+    residual_probability = _weight(mat - sum(projected for _, projected in projections))
     if residual_probability >= RESIDUAL_TOL:
         raise ResidualError(
             f"residual outcome on {basis.target_names} has probability "
             f"{residual_probability:.3e} under a forbid policy"
         )
-    return perm, projections
+    return plan, projections
 
 
 def _post_state(
-    state: StateVector, perm: list[int], probability: float, projected: np.ndarray
+    state: StateVector, plan: TransposePlan, probability: float, projected: np.ndarray
 ) -> StateVector:
     if probability <= ZERO_PROBABILITY_ATOL:
         return state  # placeholder, never a physical branch
-    layout = state.layout
-    return StateVector(layout, _restore(projected / np.sqrt(probability), layout, perm))
+    return StateVector(state.layout, plan.restore(projected / np.sqrt(probability)))
 
 
 def branch_all(state: StateVector, basis: MeasurementBasis) -> list[Branch]:
@@ -225,8 +229,8 @@ def branch_all(state: StateVector, basis: MeasurementBasis) -> list[Branch]:
     declared outcomes raises :class:`ResidualError` from
     :data:`RESIDUAL_TOL` on.
     """
-    perm, projections = _project_all(state, basis)
-    return [Branch(outcome.label, p, _post_state(state, perm, p, projected))
+    plan, projections = _project_all(state, basis)
+    return [Branch(outcome.label, p, _post_state(state, plan, p, projected))
             for outcome, (p, projected) in zip(basis.outcomes, projections)]
 
 
@@ -260,9 +264,9 @@ def sample(
     are reproducible from the generator state alone.  Only the drawn
     outcome's post-measurement state is built.
     """
-    perm, projections = _project_all(state, basis)
+    plan, projections = _project_all(state, basis)
     index = pick_index([p for p, _ in projections], float(rng.random()))
-    return basis.outcomes[index].label, _post_state(state, perm, *projections[index])
+    return basis.outcomes[index].label, _post_state(state, plan, *projections[index])
 
 
 def condition_on(state: StateVector, basis: MeasurementBasis, label: str) -> StateVector:
@@ -272,19 +276,21 @@ def condition_on(state: StateVector, basis: MeasurementBasis, label: str) -> Sta
     (near-)zero probability, which signals information inconsistent with the
     state rather than a numerical accident.
     """
-    _, perm, [(probability, projected)] = _project(state, basis, [basis.outcome(label)])
+    vectors = basis.outcome(label).vectors
+    plan, mat = _moved(state, basis)
+    coeffs, projected = _components(vectors, mat)
+    probability = _weight(coeffs)
     if probability <= ZERO_PROBABILITY_ATOL:
         raise InconsistentOutcomeError(
             f"outcome {label!r} on {basis.target_names} has probability "
             f"{probability:.3e}; conditioning on it is inconsistent"
         )
-    return _post_state(state, perm, probability, projected)
+    return _post_state(state, plan, probability, projected)
 
 
 def outcome_probability(state: StateVector, basis: MeasurementBasis, label: str) -> float:
     """Born probability of one labeled outcome, without collapsing."""
-    _, _, [(probability, _)] = _project(state, basis, [basis.outcome(label)])
-    return probability
+    return _probabilities(state, basis, [basis.outcome(label)])[0]
 
 
 def premeasure(
@@ -304,17 +310,13 @@ def premeasure(
     _check_in_layout(state, (memory,), "memory system")
     if memory.name in basis.target_names:
         raise LayoutError("memory system cannot be part of the measured targets")
-    for outcome in basis.outcomes:
-        if outcome.label not in memory.levels:
-            raise BasisError(
-                f"memory {memory.name!r} has no level for outcome {outcome.label!r}"
-            )
+    off_ready_levels, swaps = _record_swaps(memory, basis.labels())
 
-    mat, perm = _moved_matrix(state, basis.target_names + (memory.name,))
+    plan = transpose_plan(state.layout, basis.target_names + (memory.name,))
+    mat = plan.matrix(state)
     cube = mat.reshape(-1, memory.dimension, mat.shape[1])  # (target, memory, rest)
 
-    ready = memory.level_index(READY)
-    off_ready = float(np.sum(np.abs(np.delete(cube, ready, axis=1)) ** 2))
+    off_ready = _weight(cube[:, off_ready_levels])
     if off_ready > ZERO_PROBABILITY_ATOL:
         raise ValueError(
             f"memory {memory.name!r} is not in its ready state "
@@ -324,16 +326,36 @@ def premeasure(
     targets = mat.reshape(cube.shape[0], -1)  # (target, memory x rest)
     residual = cube.copy()
     result = np.zeros_like(cube)
-    for outcome in basis.outcomes:
+    for outcome, levels in zip(basis.outcomes, swaps):
         projected = _components(outcome.vectors, targets)[1].reshape(cube.shape)
         residual -= projected
-        levels = list(range(memory.dimension))  # SWAP(ready, outcome) as an index
-        written = memory.level_index(outcome.label)
-        levels[ready], levels[written] = written, ready
         result += projected[:, levels]
     result += residual
 
-    return StateVector(state.layout, _restore(result.reshape(mat.shape), state.layout, perm))
+    return StateVector(state.layout, plan.restore(result.reshape(mat.shape)))
+
+
+@lru_cache(maxsize=256)
+def _record_swaps(
+    memory: SystemId, labels: tuple[str, ...]
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """What writing each outcome label into the memory reads, built once per
+    memory and labels: the memory's levels other than :data:`READY`, and per
+    label the index array that swaps its level with the ready one."""
+    for label in labels:
+        if label not in memory.levels:
+            raise BasisError(f"memory {memory.name!r} has no level for outcome {label!r}")
+    ready = memory.level_index(READY)
+    off_ready = np.array([i for i in range(memory.dimension) if i != ready])
+    swaps = []
+    for label in labels:
+        levels = np.arange(memory.dimension)  # SWAP(ready, outcome) as an index
+        written = memory.level_index(label)
+        levels[ready], levels[written] = written, ready
+        swaps.append(levels)
+    for index in (off_ready, *swaps):
+        index.setflags(write=False)
+    return off_ready, tuple(swaps)
 
 
 def record_copy(state: StateVector, source: SystemId, target: SystemId) -> StateVector:

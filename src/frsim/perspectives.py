@@ -27,11 +27,13 @@ copy step, while the external observer and the true dynamics include it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from types import MappingProxyType
 
 from .measurement import (
     InconsistentOutcomeError,
     MeasurementBasis,
+    _probabilities,
     condition_on,
     outcome_probability,
 )
@@ -247,13 +249,15 @@ def standard_predictions(model: AgentModel) -> dict[str, dict[str, float]]:
     occupancies.  Only measurements whose targets lie inside the agent's
     layout appear, so the coin friend gets no coin-lab prediction.
     """
-    names = set(model.layout.names)
+    return {name: dict(zip(basis.labels(), _probabilities(model.state, basis, basis.outcomes)))
+            for name, basis in _standard_bases(model.layout)}
+
+
+@lru_cache(maxsize=64)
+def _standard_bases(layout: RegisterLayout) -> tuple[tuple[str, MeasurementBasis], ...]:
+    """The standard measurements inside the layout, under their prediction
+    names; built once per layout."""
     bases = [coin_basis(), spin_basis(), coin_lab_basis(), spin_lab_basis()]
     bases += [level_basis(BY_NAME[name]) for name in ("Fbar", "F", "Nbar", "N", "Wbar", "W")]
-    out: dict[str, dict[str, float]] = {}
-    for basis in bases:
-        if set(basis.target_names) <= names:
-            out[basis_name(basis.target_names)] = {
-                lab: outcome_probability(model.state, basis, lab) for lab in basis.labels()
-            }
-    return out
+    return tuple((basis_name(basis.target_names), basis) for basis in bases
+                 if all(name in layout for name in basis.target_names))

@@ -205,11 +205,19 @@ def _words(n: int) -> list[int]:
 
 
 def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
-    """High 64 bits of ``a * b`` for uint64 ``a``, from 32-bit limbs."""
+    """High 64 bits of ``a * b`` for uint64 ``a``, from 32-bit limbs.  The
+    partial sums accumulate in place, so fewer block-sized arrays are alive
+    at once; uint64 sums are the same words in any order."""
     a0, a1, b0, b1 = a & _MASK32, a >> 32, b & _MASK32, b >> 32
-    p00, p01, p10, p11 = a0 * b0, a0 * b1, a1 * b0, a1 * b1
-    middle = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
-    return p11 + (p01 >> 32) + (p10 >> 32) + (middle >> 32)
+    p01, p10 = a0 * b1, a1 * b0
+    middle = a0 * b0 >> 32
+    middle += p01 & _MASK32
+    middle += p10 & _MASK32
+    high = a1 * b1
+    high += p01 >> 32
+    high += p10 >> 32
+    high += middle >> 32
+    return high
 
 
 def _add128(hi, lo, add_hi, add_lo):
@@ -226,7 +234,25 @@ def _lcg_step(hi, lo, inc_hi, inc_lo):
 
 def _block_uniforms(entropy: list, depth: int) -> np.ndarray:
     """``default_rng(SeedSequence(entropy)).random(depth)`` for every round at
-    once; one entropy word is a uint32 array over the rounds."""
+    once; one entropy word is a uint32 array over the rounds.
+
+    The pool, the seed words and each output's temporaries are dropped as
+    soon as they are used, so a block of 4096 rounds peaks near 0.5 MiB.  A
+    block that passes the heap's trim threshold makes the heap grow and
+    shrink on every block, at a page-fault cost that depends on what the
+    process ran before.
+    """
+    hi, lo, inc_hi, inc_lo = _pcg_seed(_seed_pool(entropy))
+    hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)  # the last step of PCG64 seeding
+    out = np.empty((len(lo), depth))
+    for column in range(depth):
+        hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
+        out[:, column] = _xsl_rr_double(hi, lo)
+    return out
+
+
+def _seed_pool(entropy: list) -> list:
+    """SeedSequence's entropy pool after mixing in ``entropy``."""
     constants = _hash_constants(_INIT_A, _MULT_A)
     pool = [_hash(entropy[i] if i < len(entropy) else 0, constants)
             for i in range(_POOL_SIZE)]
@@ -237,20 +263,29 @@ def _block_uniforms(entropy: list, depth: int) -> np.ndarray:
     for word in entropy[_POOL_SIZE:]:
         for dst in range(_POOL_SIZE):
             pool[dst] = _mix(pool[dst], _hash(word, constants))
-    # generate_state(4, uint64): eight words, paired little-endian.
+    return pool
+
+
+def _pcg_seed(pool: list) -> tuple[np.ndarray, ...]:
+    """PCG64's (state_hi, state_lo, inc_hi, inc_lo) before the last step of
+    its seeding: inc = 2 * seq + 1; state = inc, += seed.  Seed and seq are
+    ``generate_state(4, uint64)``: eight words, paired little-endian, and
+    built a pair at a time."""
     constants = _hash_constants(_INIT_B, _MULT_B)
-    words = [_hash(pool[i % _POOL_SIZE], constants).astype(np.uint64) for i in range(8)]
-    seed_hi, seed_lo, seq_hi, seq_lo = (words[i] | words[i + 1] << 32 for i in range(0, 8, 2))
-    # PCG64 seeding: inc = 2 * seq + 1; state = inc, += seed, one step.
+
+    def word(i: int) -> np.ndarray:
+        return _hash(pool[i % _POOL_SIZE], constants).astype(np.uint64)
+
+    seed_hi, seed_lo, seq_hi, seq_lo = (word(i) | word(i + 1) << 32 for i in range(0, 8, 2))
     inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
-    hi, lo = _lcg_step(*_add128(inc_hi, inc_lo, seed_hi, seed_lo), inc_hi, inc_lo)
-    out = np.empty((len(lo), depth))
-    for column in range(depth):
-        hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
-        x, rot = hi ^ lo, hi >> 58  # XSL-RR output
-        x = x >> rot | x << (64 - rot & 63)
-        out[:, column] = (x >> 11) * 2.0**-53
-    return out
+    return (*_add128(inc_hi, inc_lo, seed_hi, seed_lo), inc_hi, inc_lo)
+
+
+def _xsl_rr_double(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """PCG64's XSL-RR output of each state, as ``random()`` turns it into a double."""
+    x, rot = hi ^ lo, hi >> 58
+    x = x >> rot | x << (64 - rot & 63)
+    return (x >> 11) * 2.0**-53
 
 
 def _word_runs(values: np.ndarray):
@@ -360,8 +395,10 @@ class Step:
         return state
 
 
+@lru_cache(maxsize=None)
 def schedule(variant: ProtocolVariant) -> tuple[Step, ...]:
-    """The variant's round as one tuple of steps in time order."""
+    """The variant's round as one tuple of steps in time order, built once
+    per variant and shared: steps are immutable."""
 
     def measured(time: int, basis: MeasurementBasis, memory: SystemId, outcome=None, **flags):
         return Step(time, basis.target_names, basis, memory, outcome, **flags)
@@ -385,9 +422,11 @@ def _at(variant: ProtocolVariant, *times: int) -> tuple[Step, ...]:
     return tuple(step for step in schedule(variant) if step.time in times)
 
 
+@lru_cache(maxsize=64)  # the 24 variants' agents use 20 layouts
 def fresh_state(layout: RegisterLayout) -> StateVector:
     """Coin in ``sqrt(2/3)|t> + sqrt(1/3)|h>``, spin resting in ``down`` until
-    prepared, every memory and notebook ready."""
+    prepared, every memory and notebook ready.  Built once per layout and
+    shared: states are immutable."""
     factors: dict[str, object] = {"R": _COIN_SUPERPOSITION, "S": "down"}
     for name in layout.names:
         factors.setdefault(name, READY)

@@ -51,8 +51,16 @@ LAB_NAMES: dict[tuple[str, ...], str] = {COIN_LAB: "coin_lab", SPIN_LAB: "spin_l
 
 
 def canonical_layout(names: Iterable[str]) -> RegisterLayout:
-    """Layout over the given systems, ordered canonically."""
-    wanted = set(names)
+    """Layout over the given systems, ordered canonically.
+
+    Every call with the same set of names returns the same instance, so what
+    the layout builds once (its axis map and hash) is built once per set.
+    """
+    return _canonical_layout(frozenset(names))
+
+
+@cache
+def _canonical_layout(wanted: frozenset[str]) -> RegisterLayout:
     unknown = wanted - set(BY_NAME)
     if unknown:
         raise KeyError(f"unknown system names: {sorted(unknown)}")

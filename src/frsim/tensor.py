@@ -6,14 +6,21 @@ row-major over the declared system order, so the amplitude of the basis
 state ``|a>|b>|c>`` for a three-system layout sits at index
 ``(a * dim_b + b) * dim_c + c``.
 
+Work that depends only on a layout and some of its system names is done
+once: a layout keeps its name-to-axis map and its hash, and
+:func:`transpose_plan` builds one :class:`TransposePlan` per (layout, target
+names), shared by every equal layout.
+
 All values are immutable after construction and all operations are pure
-functions, so states can be shared freely between threads.
+functions, so states can be shared freely between threads.  The layouts,
+plans and other values built once per layout and then shared are immutable
+too; two threads that build the same one at once build equal values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -83,17 +90,32 @@ class RegisterLayout:
     def names(self) -> tuple[str, ...]:
         return tuple(s.name for s in self.systems)
 
+    @cached_property
+    def _axes(self) -> dict[str, int]:
+        return {name: i for i, name in enumerate(self.names)}
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self.systems)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # A copy rebuilds what is cached: string hashes differ between processes.
+        return RegisterLayout, (self.systems,)
+
     def axis(self, name: str) -> int:
-        for i, s in enumerate(self.systems):
-            if s.name == name:
-                return i
-        raise KeyError(f"layout has no system named {name!r}")
+        try:
+            return self._axes[name]
+        except KeyError:
+            raise KeyError(f"layout has no system named {name!r}") from None
 
     def system(self, name: str) -> SystemId:
         return self.systems[self.axis(name)]
 
     def __contains__(self, name: object) -> bool:
-        return any(s.name == name for s in self.systems)
+        return isinstance(name, str) and name in self._axes
 
     def basis_label(self, index: int) -> tuple[str, ...]:
         """Level labels of the product basis state at a flat amplitude index."""
@@ -215,23 +237,44 @@ def equal_up_to_global_phase(a: StateVector, b: StateVector, tol: float = 1e-10)
     return bool(abs(inner(a, b)) >= 1.0 - tol)
 
 
-def _moved_matrix(state: StateVector, target_names: Sequence[str]) -> tuple[np.ndarray, list[int]]:
-    """Amplitudes as a (target_dim, rest_dim) matrix with target axes leading."""
-    layout = state.layout
+@dataclass(frozen=True, eq=False)
+class TransposePlan:
+    """How a layout's amplitudes turn into a (target, rest) matrix and back.
+
+    ``perm`` lists the target axes, then the others in layout order;
+    :meth:`matrix` moves the targets to the front and :meth:`restore` undoes
+    it.  Built by :func:`transpose_plan`, once per layout and target names.
+    """
+
+    dims: tuple[int, ...]
+    perm: tuple[int, ...]
+    target_dimension: int
+    moved_dims: tuple[int, ...]
+    inverse: tuple[int, ...]
+
+    def matrix(self, state: StateVector) -> np.ndarray:
+        """The amplitudes as a (target_dim, rest_dim) matrix with target axes leading."""
+        moved = state.amplitudes.reshape(self.dims).transpose(self.perm)
+        return moved.reshape(self.target_dimension, -1)
+
+    def restore(self, matrix: np.ndarray) -> np.ndarray:
+        """Flat amplitudes in layout order from a matrix shaped like :meth:`matrix`'s."""
+        return matrix.reshape(self.moved_dims).transpose(self.inverse).reshape(-1)
+
+
+@lru_cache(maxsize=4096)  # the package uses a few hundred; callers may build many layouts
+def transpose_plan(layout: RegisterLayout, target_names: tuple[str, ...]) -> TransposePlan:
+    """The shared plan for moving ``target_names``, in that order, to the front."""
     axes = [layout.axis(name) for name in target_names]
-    rest = [i for i in range(len(layout.systems)) if i not in axes]
-    perm = axes + rest
+    perm = tuple(axes + [i for i in range(len(layout.systems)) if i not in axes])
     dims = layout.dims
-    d_t = int(np.prod([dims[i] for i in axes])) if axes else 1
-    mat = state.tensor().transpose(perm).reshape(d_t, -1)
-    return mat, perm
-
-
-def _restore(matrix: np.ndarray, layout: RegisterLayout, perm: list[int]) -> np.ndarray:
-    dims = layout.dims
-    shaped = matrix.reshape([dims[i] for i in perm])
-    inv = np.argsort(perm)
-    return shaped.transpose(inv).reshape(-1)
+    return TransposePlan(
+        dims=dims,
+        perm=perm,
+        target_dimension=int(np.prod([dims[i] for i in axes])) if axes else 1,
+        moved_dims=tuple(dims[i] for i in perm),
+        inverse=tuple(int(i) for i in np.argsort(perm)),
+    )
 
 
 def apply_unitary(
@@ -244,12 +287,11 @@ def apply_unitary(
     The matrix is indexed row-major over ``target_names`` in the given order;
     all other systems are untouched.
     """
-    layout = state.layout
-    mat, perm = _moved_matrix(state, target_names)
+    plan = transpose_plan(state.layout, tuple(target_names))
+    mat = plan.matrix(state)
     u = np.asarray(matrix, dtype=np.complex128)
     if u.shape != (mat.shape[0], mat.shape[0]):
         raise LayoutError(
             f"unitary shape {u.shape} does not match target dimension {mat.shape[0]}"
         )
-    amps = _restore(u @ mat, layout, perm)
-    return StateVector(layout, amps)
+    return StateVector(state.layout, plan.restore(u @ mat))

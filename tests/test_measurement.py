@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frsim.measurement import (
     BasisError,
@@ -40,6 +44,7 @@ from frsim.tensor import (
     equal_up_to_global_phase,
     inner,
     product_state,
+    transpose_plan,
 )
 
 SQ2 = np.sqrt(2.0)
@@ -379,3 +384,76 @@ def test_outcome_probability_matches_branch_all():
     state = reference_by_tag("coin_observer_t1").state
     p = outcome_probability(state, coin_lab_basis(), "ok")
     assert p == pytest.approx(1.0 / 6.0, abs=1e-12)
+
+
+# Transpose plans on any layout ------------------------------------------------
+
+def _embed(layout, names, op):
+    """``op`` on the named systems (row-major in that order) as a matrix on the
+    whole layout: ``op (x) 1`` by np.kron, with each basis state's digits
+    moved by hand from layout order to (names, rest) order."""
+    dims = {system.name: system.dimension for system in layout.systems}
+    order = list(names) + [system.name for system in layout.systems if system.name not in names]
+    moved = np.kron(op, np.eye(layout.total_dimension // len(op)))
+    perm = np.zeros_like(moved)
+    for flat, digits in enumerate(itertools.product(*(range(d) for d in dims.values()))):
+        by_name = dict(zip(dims, digits))
+        perm[np.ravel_multi_index([by_name[n] for n in order], [dims[n] for n in order]), flat] = 1
+    return perm.T @ moved @ perm
+
+
+@st.composite
+def _layouts_with_targets(draw):
+    """1-3 systems of 2 or 3 levels plus a memory with levels ready, o0, o1,
+    in random order; targets are 1-2 of the non-memory systems in any order."""
+    dims = draw(st.lists(st.integers(2, 3), min_size=1, max_size=3))
+    systems = [SystemId(f"q{i}", tuple(f"x{k}" for k in range(d))) for i, d in enumerate(dims)]
+    memory = SystemId("M", ("ready", "o0", "o1"))
+    layout = tuple(draw(st.permutations(systems + [memory])))
+    targets = tuple(draw(st.permutations(systems))[:draw(st.integers(1, min(2, len(dims))))])
+    return layout, targets, memory
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_layouts_with_targets(), seed=st.integers(0, 2**32 - 1))
+def test_plans_on_any_layout_match_explicit_matrices(case, seed):
+    systems, targets, memory = case
+    layout = RegisterLayout(systems)
+    names = tuple(system.name for system in targets)
+    rng = np.random.default_rng(seed)
+
+    def random_matrix(d):
+        return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+    def random_state(amps):
+        return StateVector(layout, amps / np.linalg.norm(amps))
+
+    d_t = int(np.prod([system.dimension for system in targets]))
+    unitary, _ = np.linalg.qr(random_matrix(d_t))
+    # o0 spans one ket and o1 the next; the rest of the target space is residual.
+    basis = MeasurementBasis(targets=targets, outcomes=(
+        SubspaceOutcome("o0", unitary[:, 0]), SubspaceOutcome("o1", unitary[:, 1:2].T)))
+    state = random_state(rng.normal(size=layout.total_dimension)
+                         + 1j * rng.normal(size=layout.total_dimension))
+
+    applied = apply_unitary(state, names, unitary)
+    np.testing.assert_allclose(applied.amplitudes,
+                               _embed(layout, names, unitary) @ state.amplitudes, atol=1e-12)
+
+    vectors = basis.outcome("o0").vectors
+    projected = _embed(layout, names, vectors.T @ vectors.conj()) @ state.amplitudes
+    np.testing.assert_allclose(condition_on(state, basis, "o0").amplitudes,
+                               projected / np.linalg.norm(projected), atol=1e-12)
+
+    ready = np.array([labels[layout.axis("M")] == "ready"
+                      for labels in map(layout.basis_label, range(layout.total_dimension))])
+    ready_state = random_state(np.where(ready, state.amplitudes, 0))
+    written = premeasure(ready_state, basis, memory)
+    u = _embed(layout, names + ("M",), _premeasure_unitary_matrix(basis, memory))
+    np.testing.assert_allclose(written.amplitudes, u @ ready_state.amplitudes, atol=1e-12)
+
+    twin = RegisterLayout(tuple(SystemId(s.name, s.levels) for s in systems))
+    assert twin == layout and hash(twin) == hash(layout)
+    assert transpose_plan(twin, names) is transpose_plan(layout, names)
+    with pytest.raises(KeyError, match="layout has no system named 'absent'"):
+        layout.axis("absent")

@@ -1,4 +1,7 @@
+import hashlib
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 
@@ -403,3 +406,52 @@ def test_own_outcome_enters_log_like_an_announcement():
     assert ("own", "coin_lab", "ok") in model.log
     heard = agent_model_at("C", 2, Given(wbar="ok"), ORIGINAL)
     assert ("heard", "Wbar", "ok") in heard.log
+
+
+# Every bit of every agent model ------------------------------------------------
+
+AGENT_MODEL_DIGEST = json.loads(
+    (Path(__file__).parent / "data" / "agent_model_digest.json").read_text())
+
+
+def _known_fields(agent, time, variant):
+    """The Given fields the agent holds at ``time``, each with the labels it
+    can take: its own outcomes and, in the announcing protocol, the heard ones.
+    The intrusion reading is the agent's to use, so it may also be left out."""
+    fields = {}
+    for step in schedule(variant):
+        if step.outcome is None or step.time > time:
+            continue
+        own = step.memory.name == agent
+        if own or (step.announced and variant.announce_wbar):
+            labels = GIVEN_LABELS[step.outcome]
+            fields[step.outcome] = labels + (None,) if own and step.after is not None else labels
+    return fields
+
+
+def test_agent_models_keep_every_bit():
+    # Every agent, t = 0..3 and Given the agent can hold, over all 24
+    # variants; inputs the fold rejects are skipped.  The amplitudes and the
+    # standard predictions go into one SHA-256 as float.hex, next to the
+    # input they belong to.
+    digest = hashlib.sha256()
+    models = 0
+    for variant in ALL_VARIANTS:
+        name = (variant.announce_wbar, sorted(variant.notebooks), variant.cheat, variant.intrusion)
+        for agent, time in itertools.product(AGENTS, range(4)):
+            fields = _known_fields(agent, time, variant)
+            for labels in itertools.product(*fields.values()):
+                given = dict(zip(fields, labels))
+                try:
+                    model = agent_model_at(agent, time, Given(**given), variant)
+                except (PerspectiveLimit, InconsistentOutcomeError, ValueError):
+                    continue
+                models += 1
+                digest.update(repr((name, agent, time, sorted(given.items()))).encode())
+                for terms, amp in model.state.nonzero_terms():
+                    digest.update(repr((terms, amp.real.hex(), amp.imag.hex())).encode())
+                for basis, dist in standard_predictions(model).items():
+                    digest.update(repr([(basis, label, p.hex()) for label, p in dist.items()]).encode())
+    assert (models, digest.hexdigest()) == (
+        AGENT_MODEL_DIGEST["models"], AGENT_MODEL_DIGEST["sha256"])
+

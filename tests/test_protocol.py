@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frsim.analysis import HALT_WINDOW, ROUND_CHUNK
 from frsim.measurement import branch_all, condition_on
 from frsim.protocol import (
     ProtocolConfig,
@@ -258,6 +260,34 @@ def test_stream_uniforms_across_the_two_word_boundary():
     expected = np.array([_uniforms_by_round(seed, (int(r),), start, stop, 3) for r in streams])
     np.testing.assert_array_equal(stream_uniforms(seed, streams, start, stop, 3), expected)
     np.testing.assert_array_equal(stream_uniforms(seed, streams[:2], 5, 5, 3).shape, (2, 0, 3))
+
+
+def _peak_bytes(draw) -> int:
+    """Peak traced memory (numpy buffers included) while ``draw()`` runs."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        draw()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def test_a_block_of_uniforms_stays_small_in_memory():
+    # monte_carlo draws ROUND_CHUNK rounds per block, rounds_to_halt as many
+    # (run, round) pairs.  A block that passes the heap's trim threshold
+    # makes the heap grow and shrink on every block, at a page-fault cost
+    # that depends on what the process ran before; 0.5 MiB mostly stays below.
+    depth = compiled_round(ProtocolVariant()).depth
+    runs = np.arange(ROUND_CHUNK // HALT_WINDOW, dtype=np.uint64)
+    round_uniforms(7, (), 0, 4, depth)  # first-call set-up outside the measurement
+    assert _peak_bytes(lambda: round_uniforms(7, (3,), ROUND_CHUNK, 2 * ROUND_CHUNK, depth)) \
+        < 768 * 1024
+    assert _peak_bytes(lambda: stream_uniforms(7, runs, 8, 8 + HALT_WINDOW, depth)) < 768 * 1024
 
 
 def test_round_uniforms_rejects_what_seed_sequence_rejects():

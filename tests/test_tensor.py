@@ -1,8 +1,15 @@
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import frsim
 from frsim.systems import FBAR, R, S, coin_lab_basis
 from frsim.tensor import (
     LayoutError,
@@ -81,6 +88,22 @@ def test_reorder_rejects_non_permutation():
     state = product_state(RegisterLayout((R, S)), {"R": "t", "S": "up"})
     with pytest.raises(LayoutError):
         reorder(state, RegisterLayout((R, FBAR)))
+
+
+def test_pickled_layout_hashes_like_a_fresh_one_in_another_process():
+    # A layout caches its hash, and string hashes differ between processes,
+    # so an unpickled layout must hash like one built where it is loaded.
+    layout = RegisterLayout((R, S))
+    hash(layout)
+    check = ("import pickle, sys\n"
+             "from frsim.systems import R, S\n"
+             "from frsim.tensor import RegisterLayout\n"
+             "copy = pickle.loads(sys.stdin.buffer.read())\n"
+             "assert copy == RegisterLayout((R, S)) and hash(copy) == hash(RegisterLayout((R, S)))\n")
+    src = str(Path(frsim.__file__).parents[1])
+    env = {**os.environ, "PYTHONHASHSEED": "0", "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", check], input=pickle.dumps(layout), env=env,
+                   check=True)
 
 
 def test_inner_orthogonal_basis_states():
