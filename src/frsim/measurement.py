@@ -15,6 +15,10 @@ Measurement comes in four flavours:
 
 The four flavours and :func:`outcome_probability` share one Born
 projection; :func:`record_copy` premeasures the source's :func:`level_basis`.
+Each reads the state through :func:`~frsim.tensor.transpose_plan` for the
+basis targets (and the memory), which checks once per layout and targets
+that they are distinct systems of the state's layout, and raises
+:class:`~frsim.tensor.LayoutError` if not.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .tensor import LayoutError, StateVector, SystemId, TransposePlan, transpose_plan
+from .tensor import StateVector, SystemId, TransposePlan, transpose_plan
 
 ORTHO_ATOL = 1e-12
 ZERO_PROBABILITY_ATOL = 1e-12
@@ -160,21 +164,10 @@ def _components(vectors: np.ndarray, mat: np.ndarray) -> tuple[np.ndarray, np.nd
     return coeffs, vectors.T @ coeffs
 
 
-def _check_in_layout(state: StateVector, systems: Sequence[SystemId], role: str) -> None:
-    """Raise :class:`LayoutError` unless each system is in the state's layout
-    under its name, with the same levels."""
-    for system in systems:
-        if system.name not in state.layout:
-            raise LayoutError(f"{role} {system.name!r} not in state layout")
-        if state.layout.system(system.name) != system:
-            raise LayoutError(f"system {system.name!r} differs from the {role}")
-
-
 def _moved(state: StateVector, basis: MeasurementBasis) -> tuple[TransposePlan, np.ndarray]:
     """The shared plan that moves the basis targets to the front, and the
     state as its (target, rest) matrix."""
-    _check_in_layout(state, basis.targets, "basis target")
-    plan = transpose_plan(state.layout, basis.target_names)
+    plan = transpose_plan(state.layout, basis.targets)
     return plan, plan.matrix(state)
 
 
@@ -306,13 +299,8 @@ def premeasure(
     must hold a level named after every outcome label and must start in its
     :data:`READY` level on all populated amplitudes.
     """
-    _check_in_layout(state, basis.targets, "basis target")
-    _check_in_layout(state, (memory,), "memory system")
-    if memory.name in basis.target_names:
-        raise LayoutError("memory system cannot be part of the measured targets")
+    plan = transpose_plan(state.layout, basis.targets + (memory,))
     off_ready_levels, swaps = _record_swaps(memory, basis.labels())
-
-    plan = transpose_plan(state.layout, basis.target_names + (memory.name,))
     mat = plan.matrix(state)
     cube = mat.reshape(-1, memory.dimension, mat.shape[1])  # (target, memory, rest)
 

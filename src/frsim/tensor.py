@@ -6,10 +6,12 @@ row-major over the declared system order, so the amplitude of the basis
 state ``|a>|b>|c>`` for a three-system layout sits at index
 ``(a * dim_b + b) * dim_c + c``.
 
-Work that depends only on a layout and some of its system names is done
-once: a layout keeps its name-to-axis map and its hash, and
-:func:`transpose_plan` builds one :class:`TransposePlan` per (layout, target
-names), shared by every equal layout.
+Work that depends only on a layout and some of its systems is done once: a
+layout keeps its name-to-axis map and its hash, and :func:`transpose_plan`
+builds one :class:`TransposePlan` per (layout, target systems), shared by
+every equal layout.  Building the plan is also where the targets are checked
+against the layout, so every axis permutation in the package, and its check,
+is made there once per key.
 
 All values are immutable after construction and all operations are pure
 functions, so states can be shared freely between threads.  The layouts,
@@ -40,6 +42,7 @@ class SystemId:
     levels: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "levels", tuple(self.levels))
         if not self.name:
             raise ValueError("system name must be non-empty")
         if len(self.levels) < 2:
@@ -147,10 +150,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def tensor(self) -> np.ndarray:
-        """Amplitudes reshaped to one axis per system (read-only view)."""
-        return self.amplitudes.reshape(self.layout.dims)
-
     def nonzero_terms(self) -> list[tuple[tuple[str, ...], complex]]:
         """(basis labels, amplitude) pairs with magnitude above 1e-12."""
         out = []
@@ -201,19 +200,11 @@ def reorder(state: StateVector, target: RegisterLayout) -> StateVector:
 
     ``target`` must contain exactly the systems of the state's layout.
     """
-    source = state.layout
-    if sorted(source.names) != sorted(target.names):
+    if len(target.systems) != len(state.layout.systems):
         raise LayoutError(
-            f"target layout {target.names} is not a permutation of {source.names}"
+            f"target layout {target.names} is not a permutation of {state.layout.names}"
         )
-    for name in source.names:
-        if source.system(name) != target.system(name):
-            raise LayoutError(f"system {name!r} differs between source and target layout")
-    if target.names == source.names:
-        return state
-    perm = [source.axis(name) for name in target.names]
-    amps = state.tensor().transpose(perm).reshape(-1)
-    return StateVector(target, amps)
+    return StateVector(target, transpose_plan(state.layout, target.systems).matrix(state))
 
 
 def inner(a: StateVector, b: StateVector) -> complex:
@@ -243,7 +234,7 @@ class TransposePlan:
 
     ``perm`` lists the target axes, then the others in layout order;
     :meth:`matrix` moves the targets to the front and :meth:`restore` undoes
-    it.  Built by :func:`transpose_plan`, once per layout and target names.
+    it.  Built by :func:`transpose_plan`, once per layout and target systems.
     """
 
     dims: tuple[int, ...]
@@ -263,9 +254,22 @@ class TransposePlan:
 
 
 @lru_cache(maxsize=4096)  # the package uses a few hundred; callers may build many layouts
-def transpose_plan(layout: RegisterLayout, target_names: tuple[str, ...]) -> TransposePlan:
-    """The shared plan for moving ``target_names``, in that order, to the front."""
-    axes = [layout.axis(name) for name in target_names]
+def transpose_plan(layout: RegisterLayout, targets: tuple[SystemId, ...]) -> TransposePlan:
+    """The shared plan for moving ``targets``, in that order, to the front.
+
+    Raises :class:`LayoutError` unless each target is the layout's system of
+    that name, levels included, and appears once.
+    """
+    axes = []
+    for system in targets:
+        if system.name not in layout:
+            raise LayoutError(f"system {system.name!r} not in layout {layout.names}")
+        axis = layout.axis(system.name)
+        if layout.systems[axis] != system:
+            raise LayoutError(f"system {system.name!r} differs from the layout's")
+        if axis in axes:
+            raise LayoutError(f"system {system.name!r} is targeted twice")
+        axes.append(axis)
     perm = tuple(axes + [i for i in range(len(layout.systems)) if i not in axes])
     dims = layout.dims
     return TransposePlan(
@@ -287,7 +291,7 @@ def apply_unitary(
     The matrix is indexed row-major over ``target_names`` in the given order;
     all other systems are untouched.
     """
-    plan = transpose_plan(state.layout, tuple(target_names))
+    plan = transpose_plan(state.layout, tuple(map(state.layout.system, target_names)))
     mat = plan.matrix(state)
     u = np.asarray(matrix, dtype=np.complex128)
     if u.shape != (mat.shape[0], mat.shape[0]):

@@ -375,7 +375,7 @@ def test_premeasure_checks_its_targets_like_condition_on(coin):
 
 def test_premeasure_checks_its_memory_like_its_targets():
     state = product_state(RegisterLayout((R, NBAR)), {"R": "t", "Nbar": "ready"})
-    for memory in (N, SystemId("Nbar", ("ready", "t", "h", "x"))):
+    for memory in (N, SystemId("Nbar", ("ready", "t", "h", "x")), R):
         with pytest.raises(LayoutError):
             premeasure(state, level_basis(R), memory)
 
@@ -454,6 +454,6 @@ def test_plans_on_any_layout_match_explicit_matrices(case, seed):
 
     twin = RegisterLayout(tuple(SystemId(s.name, s.levels) for s in systems))
     assert twin == layout and hash(twin) == hash(layout)
-    assert transpose_plan(twin, names) is transpose_plan(layout, names)
+    assert transpose_plan(twin, targets) is transpose_plan(layout, targets)
     with pytest.raises(KeyError, match="layout has no system named 'absent'"):
         layout.axis("absent")

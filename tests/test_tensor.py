@@ -86,8 +86,9 @@ def test_reorder_identity():
 
 def test_reorder_rejects_non_permutation():
     state = product_state(RegisterLayout((R, S)), {"R": "t", "S": "up"})
-    with pytest.raises(LayoutError):
-        reorder(state, RegisterLayout((R, FBAR)))
+    for target in ((R, FBAR), (R, SystemId("S", ("up", "down", "x")))):
+        with pytest.raises(LayoutError):
+            reorder(state, RegisterLayout(target))
 
 
 def test_pickled_layout_hashes_like_a_fresh_one_in_another_process():
@@ -150,6 +151,20 @@ def test_apply_unitary_shape_check():
     state = product_state(RegisterLayout((R, S)), {"R": "t", "S": "up"})
     with pytest.raises(LayoutError):
         apply_unitary(state, ("R",), np.eye(3))
+
+
+def test_apply_unitary_rejects_a_repeated_target():
+    state = product_state(RegisterLayout((R, S)), {"R": "t", "S": "up"})
+    with pytest.raises(LayoutError):
+        apply_unitary(state, ("R", "R"), np.eye(4))
+
+
+def test_system_levels_given_as_a_list_are_kept_as_a_tuple():
+    system = SystemId("X", ["a", "b"])
+    assert system.levels == ("a", "b") and hash(system) == hash(SystemId("X", ("a", "b")))
+    state = product_state(RegisterLayout((system, R)), {"X": "a", "R": "t"})
+    flipped = apply_unitary(state, ("X",), np.array([[0, 1], [1, 0]]))
+    assert flipped.nonzero_terms() == [(("b", "t"), 1 + 0j)]
 
 
 # Randomized properties ------------------------------------------------------
