@@ -23,6 +23,7 @@ from .protocol import (
     ProtocolConfig,
     ProtocolVariant,
     compiled_round,
+    round_uniforms,
     stream_uniforms,
 )
 
@@ -58,17 +59,17 @@ class JointDistribution:
         return self.entries.get(key, 0.0)
 
     def marginal_wbar(self, label: str) -> float:
-        return sum(p for key, p in self.entries.items() if key[0] == label)
+        return sum(p for key, p in self.entries.items() if key.wbar == label)
 
     def joint_wbar_w(self, wbar: str, w: str) -> float:
-        return sum(p for key, p in self.entries.items() if key[0] == wbar and key[1] == w)
+        return sum(p for key, p in self.entries.items() if key.wbar == wbar and key.w == w)
 
     def conditional_w(self, w: str, given_wbar: str) -> float:
         return self.joint_wbar_w(given_wbar, w) / self.marginal_wbar(given_wbar)
 
     def conditional_intrusion(self, outcome: str) -> float:
         """Probability of the direct spin reading that follows a ``wbar`` ok."""
-        joint = sum(p for key, p in self.entries.items() if key[0] == "ok" and key[2] == outcome)
+        joint = sum(p for key, p in self.entries.items() if key.intrusion == outcome)
         return joint / self.marginal_wbar("ok")
 
 
@@ -121,27 +122,25 @@ def enumerate_exact(variant: ProtocolVariant) -> JointDistribution:
     return JointDistribution(dict(compiled_round(variant).joint))
 
 
-def monte_carlo(
-    config: ProtocolConfig,
-    rounds: int,
-    stream: tuple[int, ...] = (),
-) -> FrequencyTable:
+def monte_carlo(config: ProtocolConfig, rounds: int) -> FrequencyTable:
     """Frequencies over ``rounds`` independent rounds (no halting).
 
-    Round ``k`` uses the substream keyed by ``(seed, *stream, k)``, so the
-    table is deterministic per seed and rounds can be partitioned across
-    workers without changing the result.  Rounds are sampled in blocks of
-    ``ROUND_CHUNK`` (:meth:`RoundSampler.leaf_counts`), with the same
-    uniforms and the same outcomes as one ``draw`` per round.  Round indices
-    stop below 2**64, so more rounds are rejected before any is sampled.
+    Round ``k`` uses the substream keyed by ``(seed, k)``, so the table is
+    deterministic per seed and rounds can be partitioned across workers
+    without changing the result.  Rounds are sampled in blocks of
+    ``ROUND_CHUNK`` (:func:`round_uniforms`, :meth:`RoundSampler.walk`), with
+    the same uniforms and the same outcomes as one ``draw`` per round.  Round
+    indices stop below 2**64, so more rounds are rejected before any is
+    sampled.
     """
     if not 1 <= rounds <= 2**64:
         raise ValueError(f"rounds must lie in [1, 2**64], got {rounds}")
     sampler = compiled_round(config.variant)
-    leaf_counts = sum(
-        sampler.leaf_counts(config.seed, stream, start, min(start + ROUND_CHUNK, rounds))
-        for start in range(0, rounds, ROUND_CHUNK)
-    )
+    leaf_counts = np.zeros(len(sampler.leaves), dtype=np.int64)
+    for start in range(0, rounds, ROUND_CHUNK):
+        stop = min(start + ROUND_CHUNK, rounds)
+        leaves = sampler.walk(round_uniforms(config.seed, (), start, stop, sampler.depth))
+        leaf_counts += np.bincount(leaves, minlength=len(sampler.leaves))
     counts = {key: int(n) for key, n in zip(sampler.leaves, leaf_counts) if n}
     return FrequencyTable(counts=counts, total=rounds)
 
@@ -160,7 +159,7 @@ def rounds_to_halt(config: ProtocolConfig, repeats: int) -> np.ndarray:
         raise ValueError(f"repeats must be at least 1, got {repeats}")
     sampler = compiled_round(config.variant)
     lengths = np.zeros(repeats, dtype=np.int64)
-    if not sampler.halting.any():  # an intrusion round ends before W measures
+    if not sampler.halting.any():  # W's step is skipped after an intrusion ok
         return lengths
     going = np.arange(repeats, dtype=np.uint64)
     rows = ROUND_CHUNK // HALT_WINDOW  # runs per kernel call
@@ -265,8 +264,9 @@ def detect_records(
     if min_ok_rounds < 1:
         raise ValueError(f"min_ok_rounds must be at least 1, got {min_ok_rounds}")
     table = monte_carlo(config, rounds)
-    # Post-selected ok rounds, by the intrusion's direct spin reading.
-    spins = {key[2]: n for key, n in table.counts.items() if key[0] == "ok" and key[2]}
+    # Post-selected ok rounds, by the intrusion's direct spin reading: only an
+    # ok leads to the intrusion.
+    spins = {key.intrusion: n for key, n in table.counts.items() if key.intrusion}
     ok_rounds, up_count = sum(spins.values()), spins.get("up", 0)
     if ok_rounds < min_ok_rounds:
         fraction, bound, decision = None, None, "inconclusive"

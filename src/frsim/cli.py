@@ -137,18 +137,11 @@ def _given_from_flag(text: str | None) -> Given:
     return Given(**values)
 
 
-def _key_dict(key: tuple[str | None, str | None, str | None]) -> dict:
-    return {"wbar": key[0], "w": key[1], "intrusion": key[2]}
-
-
 def cmd_branches(args: argparse.Namespace) -> Report:
     variant = _variant_from_args(args)
     joint = enumerate_exact(variant)
-    rows = []
-    for key in sorted(joint.entries, key=str):
-        row = _key_dict(key)
-        row.update(_prob_entry(joint.entries[key]))
-        rows.append(row)
+    rows = [{**key._asdict(), **_prob_entry(joint.entries[key])}
+            for key in sorted(joint.entries, key=str)]
     results: dict = {"joint": rows}
     marginals = {
         "wbar_ok": _prob_entry(joint.marginal_wbar("ok")),
@@ -159,7 +152,7 @@ def cmd_branches(args: argparse.Namespace) -> Report:
     if not variant.intrusion:
         conditionals["w_ok_given_wbar_ok"] = _prob_entry(joint.conditional_w("ok", "ok"))
         conditionals["w_ok_given_wbar_fail"] = _prob_entry(joint.conditional_w("ok", "fail"))
-        results["halt"] = _prob_entry(joint.joint_wbar_w("ok", "ok"))
+        results["halt"] = _prob_entry(sum(p for key, p in joint.entries.items() if key.halts))
     else:
         conditionals["up_given_wbar_ok"] = _prob_entry(joint.conditional_intrusion("up"))
     results["conditionals"] = conditionals
@@ -198,16 +191,14 @@ def cmd_run(args: argparse.Namespace) -> Report:
     scores = z_scores(table, exact)
     rows = []
     for key in sorted(set(table.counts) | set(exact.entries), key=str):
-        row = _key_dict(key)
-        row.update(
-            {
-                "count": table.counts.get(key, 0),
-                "frequency": table.frequency(key),
-                "std_error": table.std_error(key),
-                "exact": exact.probability(key),
-                "z": scores[key],
-            }
-        )
+        row = {
+            **key._asdict(),
+            "count": table.counts.get(key, 0),
+            "frequency": table.frequency(key),
+            "std_error": table.std_error(key),
+            "exact": exact.probability(key),
+            "z": scores[key],
+        }
         frac = _fraction(exact.probability(key))
         if frac is not None:
             row["exact_fraction"] = frac

@@ -2,8 +2,11 @@
 
 A measurement basis assigns outcome labels to orthonormal subspaces of the
 joint space of some target systems.  The basis need not be complete, but
-probability landing outside the declared subspaces (the residual) is an
-error from :data:`RESIDUAL_TOL` on, for every basis.
+:func:`branch_all` and :func:`sample` (and so the compiled branch tree)
+raise when the probability outside it (the residual) reaches
+:data:`RESIDUAL_TOL`.  :func:`condition_on` and :func:`outcome_probability`
+read only the outcome asked for, and :func:`premeasure` leaves the residual
+part of the state as it is.
 
 Measurement comes in four flavours:
 

@@ -141,14 +141,15 @@ def agent_model_at(
     """The agent's description after the steps completed at ``time``.
 
     Folds the agent's view over the protocol schedule, over the steps the
-    round reaches: like the true dynamics, the fold ends with the intrusion
-    once ``Given`` has the ``wbar=ok`` that triggers it.  Raises
+    round reaches: like the true dynamics, the fold skips each step that the
+    outcomes in ``Given`` rule out (:meth:`~frsim.protocol.Step.skipped`), so
+    a given ``wbar=ok`` leads to the intrusion and not to W's step.  Raises
     :class:`PerspectiveLimit` when a reached step measures a lab containing
     the agent, :class:`InconsistentOutcomeError` when ``Given`` holds an
-    outcome of a step the round does not reach (after the end of the round,
-    ruled out by a given earlier outcome, or absent from the variant), and
-    :class:`ValueError` when the transcript prefix does not pin an outcome
-    the agent would know at that time.
+    outcome of a step the round does not reach (ruled out by a given earlier
+    outcome, or absent from the variant), and :class:`ValueError` when the
+    transcript prefix does not pin an outcome the agent would know at that
+    time.
     """
     if time not in (0, 1, 2, 3):
         raise ValueError(f"time must be one of 0..3, got {time}")
@@ -162,19 +163,19 @@ def agent_model_at(
                 f"{field}={labels[field]} cannot be given")
     reached = []
     for step in round_steps:
-        if reached and reached[-1].after is not None:  # the intrusion ended the round
-            if step.outcome is not None and labels[step.outcome] is not None:
-                field, label = reached[-1].after
-                raise InconsistentOutcomeError(
-                    f"the intrusion after {field}={label} ends the round at "
-                    f"t={reached[-1].time}, so no {step.outcome} outcome follows")
-        elif not step.skipped(labels):
+        if not step.skipped(labels):
             reached.append(step)
-        elif labels[step.after[0]] is not None and labels[step.outcome] is not None:
+        elif labels.get(step.outcome) is not None:
+            if step.unless is not None and labels[step.unless[0]] == step.unless[1]:
+                field, label = step.unless
+                raise InconsistentOutcomeError(
+                    f"the {step.outcome} step is skipped once {field}={label}, so "
+                    f"no {step.outcome} outcome follows")
             field, label = step.after
-            raise InconsistentOutcomeError(
-                f"the {step.outcome} step happens only after {field}={label}, so "
-                f"{field}={labels[field]} leaves no {step.outcome} outcome")
+            if labels[field] is not None:
+                raise InconsistentOutcomeError(
+                    f"the {step.outcome} step happens only after {field}={label}, so "
+                    f"{field}={labels[field]} leaves no {step.outcome} outcome")
     steps = [step for step in reached if step.time <= time]
     for step in steps:
         if step.basis is not None and agent in step.targets:

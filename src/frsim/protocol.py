@@ -8,10 +8,13 @@ in time order:
 * t=1  the spin is measured by its friend (+ notebook copy);
 * t=2  the coin-lab superobserver measures the coin lab in the ok/fail basis
        (sampled collapse recorded into its memory); in the intrusion variant
-       an ``ok`` is followed by a direct spin measurement that ends the round;
-* t=3  the spin-lab superobserver does the same for the spin lab.
+       an ``ok`` is followed by a direct spin measurement;
+* t=3  the spin-lab superobserver does the same for the spin lab, unless
+       an intrusion came first.
 
-The round halts the experiment when both superobservers record ``ok``.
+Each step carries the condition that skips it (:meth:`Step.skipped`), which
+every walker of the schedule reads.  The round halts the experiment when
+both superobservers record ``ok`` (:attr:`OutcomeKey.halts`).
 
 The true dynamics fold over the schedule: :func:`run_round` samples it on
 the state (the reference path), and :func:`compiled_round` expands every
@@ -31,11 +34,13 @@ tree with them, so block sampling reproduces the per-round path bit for bit.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, product
 from math import sqrt
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,9 +71,18 @@ from .tensor import RegisterLayout, StateVector, SystemId, apply_unitary, produc
 
 FRIENDS_WITH_NOTEBOOKS = ("Fbar", "F")
 
-# (coin-lab outcome, spin-lab outcome, intrusion outcome); entries are None
-# where the round did not produce that outcome.
-OutcomeKey = tuple[str | None, str | None, str | None]
+
+class OutcomeKey(NamedTuple):
+    """A round's sampled outcomes, named as the steps that write them; None if not reached."""
+
+    wbar: str | None
+    w: str | None
+    intrusion: str | None
+
+    @property
+    def halts(self) -> bool:
+        """Whether a round with these outcomes halts the experiment: both labs ok."""
+        return self.wbar == "ok" and self.w == "ok"
 
 
 @dataclass(frozen=True)
@@ -138,22 +152,31 @@ class RoundTranscript:
     halted: bool
 
     def key(self) -> OutcomeKey:
-        return (self.wbar_outcome, self.w_outcome, self.intrusion_outcome)
+        return OutcomeKey(self.wbar_outcome, self.w_outcome, self.intrusion_outcome)
 
 
 @dataclass(frozen=True)
 class RunReport:
-    """Transcripts and empirical statistics of a repeated-round run."""
+    """The transcripts of a repeated-round run; its statistics are read off them."""
 
     config: ProtocolConfig
     transcripts: tuple[RoundTranscript, ...]
-    halted: bool
-    halting_round: int | None
-    outcome_counts: dict[OutcomeKey, int]
 
     @property
     def rounds_executed(self) -> int:
         return len(self.transcripts)
+
+    @property
+    def halted(self) -> bool:
+        return bool(self.transcripts) and self.transcripts[-1].halted
+
+    @property
+    def halting_round(self) -> int | None:
+        return self.transcripts[-1].round_index if self.halted else None
+
+    @property
+    def outcome_counts(self) -> dict[OutcomeKey, int]:
+        return Counter(transcript.key() for transcript in self.transcripts)
 
 
 def round_rng(seed: int, *key: int) -> np.random.Generator:
@@ -363,8 +386,10 @@ class Step:
     dynamics; an ``announced`` one is heard by every agent of the announcing
     protocol.  The spin preparation applies ``unitary`` to ``targets``
     instead.  The intrusion has ``after=(field, label)``: it happens only
-    when that earlier outcome has that label, reads ``basis`` directly (its
-    ``memory`` only names whose reading it is), and ends the round.
+    when that earlier outcome has that label, and reads ``basis`` directly
+    (its ``memory`` only names whose reading it is).  A step with
+    ``unless=(field, label)`` is skipped once that outcome is known to have
+    that label.
     """
 
     time: int
@@ -375,11 +400,13 @@ class Step:
     sampled: bool = False
     announced: bool = False
     after: tuple[str, str] | None = None
+    unless: tuple[str, str] | None = None
     unitary: np.ndarray | None = None
 
     def skipped(self, outcomes: dict[str, str]) -> bool:
         """Whether the earlier outcomes rule this step out of the round."""
-        return self.after is not None and outcomes.get(self.after[0]) != self.after[1]
+        return (self.after is not None and outcomes.get(self.after[0]) != self.after[1]) or (
+            self.unless is not None and outcomes.get(self.unless[0]) == self.unless[1])
 
     @property
     def readout(self) -> MeasurementBasis:
@@ -414,7 +441,8 @@ def schedule(variant: ProtocolVariant) -> tuple[Step, ...]:
     if variant.intrusion:
         steps.append(measured(2, spin_basis(), WBAR, "intrusion", sampled=True,
                               after=("wbar", "ok")))
-    steps.append(measured(3, spin_lab_basis(), W, "w", sampled=True, announced=True))
+    steps.append(measured(3, spin_lab_basis(), W, "w", sampled=True, announced=True,
+                          unless=("wbar", "ok") if variant.intrusion else None))
     return tuple(steps)
 
 
@@ -449,23 +477,16 @@ def _fold(
         state = step.evolve(state)
         if step.sampled:
             outcomes[step.outcome], state = sample(state, step.readout, rng)
-            if step.after is not None:
-                break
     return state, outcomes
 
 
 def _key(outcomes: dict[str, str]) -> OutcomeKey:
-    return (outcomes.get("wbar"), outcomes.get("w"), outcomes.get("intrusion"))
+    return OutcomeKey(*map(outcomes.get, OutcomeKey._fields))
 
 
 def state_after_preparation(variant: ProtocolVariant) -> StateVector:
     """Deterministic state after t=1, before any sampled measurement."""
     return _fold(initial_state(variant), _at(variant, 0, 1))[0]
-
-
-def _halts(key: OutcomeKey) -> bool:
-    """Whether a round with these outcomes halts the experiment: both labs ok."""
-    return key[0] == "ok" and key[1] == "ok"
 
 
 def _transcript(variant: ProtocolVariant, round_index: int, key: OutcomeKey) -> RoundTranscript:
@@ -481,7 +502,7 @@ def _transcript(variant: ProtocolVariant, round_index: int, key: OutcomeKey) -> 
         w_outcome=w,
         intrusion_outcome=intrusion,
         announcements=tuple(announcements),
-        halted=_halts(key),
+        halted=key.halts,
     )
 
 
@@ -540,10 +561,9 @@ def _branch_tree(
             continue
         state = step.evolve(state)
         if step.sampled:
-            rest = () if step.after is not None else steps[i + 1:]
             branches = [b for b in branch_all(state, step.readout) if b.probability > 0.0]
             children = tuple(
-                _branch_tree(b.post_state, rest, {**outcomes, step.outcome: b.label},
+                _branch_tree(b.post_state, steps[i + 1:], {**outcomes, step.outcome: b.label},
                              probability * b.probability, nodes, leaves)
                 for b in branches
             )
@@ -576,7 +596,7 @@ class RoundSampler:
         self._nodes = tuple(nodes)
         self.joint = MappingProxyType(joint)  # shared through the cache: read-only
         self.leaves = tuple(joint)
-        self.halting = np.array([_halts(key) for key in self.leaves])
+        self.halting = np.array([key.halts for key in self.leaves])
         self.depth = 1 + max(node.level for node in nodes)
 
     def draw(self, rng: np.random.Generator, round_index: int = 0) -> RoundTranscript:
@@ -598,13 +618,6 @@ class RoundSampler:
             ref[at] = np.take(node.children, picked)
         return ~ref
 
-    def leaf_counts(self, seed: int, key: tuple[int, ...], start: int, stop: int) -> np.ndarray:
-        """How often each leaf ends rounds ``start..stop-1`` of the substreams
-        ``(seed, *key, k)``: the counts of ``draw(round_rng(seed, *key, k))``
-        over those ``k``, computed a block at a time."""
-        leaves = self.walk(round_uniforms(seed, key, start, stop, self.depth))
-        return np.bincount(leaves, minlength=len(self.leaves))
-
 
 @lru_cache(maxsize=None)
 def compiled_round(variant: ProtocolVariant) -> RoundSampler:
@@ -620,22 +633,8 @@ def run_until_halt(config: ProtocolConfig, stream: tuple[int, ...] = ()) -> RunR
     """
     sampler = compiled_round(config.variant)
     transcripts: list[RoundTranscript] = []
-    counts: dict[OutcomeKey, int] = {}
-    halted = False
-    halting_round = None
     for k in range(config.max_rounds):
-        transcript = sampler.draw(round_rng(config.seed, *stream, k), k)
-        transcripts.append(transcript)
-        key = transcript.key()
-        counts[key] = counts.get(key, 0) + 1
-        if transcript.halted:
-            halted = True
-            halting_round = k
+        transcripts.append(sampler.draw(round_rng(config.seed, *stream, k), k))
+        if transcripts[-1].halted:
             break
-    return RunReport(
-        config=config,
-        transcripts=tuple(transcripts),
-        halted=halted,
-        halting_round=halting_round,
-        outcome_counts=counts,
-    )
+    return RunReport(config, tuple(transcripts))

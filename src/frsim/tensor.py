@@ -291,7 +291,11 @@ def apply_unitary(
     The matrix is indexed row-major over ``target_names`` in the given order;
     all other systems are untouched.
     """
-    plan = transpose_plan(state.layout, tuple(map(state.layout.system, target_names)))
+    try:
+        targets = tuple(map(state.layout.system, target_names))
+    except KeyError as exc:  # a missing target, as in every measurement
+        raise LayoutError(*exc.args) from None
+    plan = transpose_plan(state.layout, targets)
     mat = plan.matrix(state)
     u = np.asarray(matrix, dtype=np.complex128)
     if u.shape != (mat.shape[0], mat.shape[0]):

@@ -47,15 +47,9 @@ from frsim.systems import (
     spin_lab_basis,
 )
 from frsim.tensor import RegisterLayout, equal_up_to_global_phase, product_state
+from variants import ALL_NOTEBOOK_SETS
 
 EXACT_ATOL = 1e-10
-
-ALL_NOTEBOOK_SETS = (
-    frozenset(),
-    frozenset({"Fbar"}),
-    frozenset({"F"}),
-    frozenset({"Fbar", "F"}),
-)
 
 DYNAMICS_VARIANTS = tuple(
     ProtocolVariant(announce_wbar=False, notebooks=notebooks, intrusion=intrusion)

@@ -28,15 +28,9 @@ from frsim.protocol import (
     round_rng,
     run_until_halt,
 )
+from variants import ALL_NOTEBOOK_SETS, ALL_VARIANTS, variant_id
 
 EXACT_ATOL = 1e-10
-
-ALL_NOTEBOOK_SETS = (
-    frozenset(),
-    frozenset({"Fbar"}),
-    frozenset({"F"}),
-    frozenset({"Fbar", "F"}),
-)
 
 
 def variant(notebooks=frozenset(), announce=False, intrusion=False, cheat=False):
@@ -164,13 +158,13 @@ def test_monte_carlo_is_deterministic_per_seed():
 def test_monte_carlo_blocks_match_one_draw_per_round(rounds):
     # A single round; one short of, exactly, and one over a ROUND_CHUNK block; several blocks.
     variant = ProtocolVariant(notebooks=frozenset({"Fbar", "F"}), intrusion=True)
-    seed, stream = 2**32 + 5, (3,)
+    seed = 2**32 + 5
     sampler = compiled_round(variant)
     expected: dict = {}
     for k in range(rounds):
-        key = sampler.draw(round_rng(seed, *stream, k), k).key()
+        key = sampler.draw(round_rng(seed, k), k).key()
         expected[key] = expected.get(key, 0) + 1
-    table = monte_carlo(ProtocolConfig(variant=variant, seed=seed), rounds, stream)
+    table = monte_carlo(ProtocolConfig(variant=variant, seed=seed), rounds)
     assert table.counts == expected and table.total == rounds
 
 
@@ -185,22 +179,7 @@ def test_monte_carlo_rejects_rounds_beyond_the_round_indices():
 
 # rounds_to_halt -----------------------------------------------------------------
 
-ALL_VARIANTS = tuple(
-    variant(notebooks, announce=announce, intrusion=intrusion, cheat=cheat)
-    for notebooks in ALL_NOTEBOOK_SETS
-    for announce in (False, True)
-    for intrusion in (False, True)
-    for cheat in (False, True)
-    if not cheat or "Fbar" in notebooks
-)
-
-
-def _variant_id(v):
-    flags = ("announce" if v.announce_wbar else "secret", "+".join(sorted(v.notebooks)) or "none")
-    return "-".join(flags + ("cheat",) * v.cheat + ("intrusion",) * v.intrusion)
-
-
-@pytest.mark.parametrize("v", ALL_VARIANTS, ids=_variant_id)
+@pytest.mark.parametrize("v", ALL_VARIANTS, ids=variant_id)
 @settings(max_examples=5, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1) | st.integers(2**32, 2**64),

@@ -19,22 +19,16 @@ from frsim.perspectives import (
     known_system_names,
     standard_predictions,
 )
-from frsim.protocol import ProtocolVariant, schedule
+from frsim.protocol import ProtocolVariant, compiled_round, schedule
 from frsim.reference import load_reference_states, reference_by_tag
 from frsim.systems import N, NBAR, WBAR, coin_lab_basis, record_basis, spin_basis, spin_lab_basis
 from frsim.tensor import equal_up_to_global_phase, inner
+from variants import ALL_NOTEBOOK_SETS, ALL_VARIANTS, variant_id
 
 EXACT_ATOL = 1e-10
 
 MODIFIED = ProtocolVariant(announce_wbar=False)
 ORIGINAL = ProtocolVariant(announce_wbar=True)
-
-ALL_NOTEBOOK_SETS = (
-    frozenset(),
-    frozenset({"Fbar"}),
-    frozenset({"F"}),
-    frozenset({"Fbar", "F"}),
-)
 
 REFERENCES = load_reference_states()
 
@@ -100,14 +94,14 @@ def test_modified_protocol_needs_no_heard_outcomes():
     assert equal_up_to_global_phase(state, expected, tol=1e-10)
 
 
-def test_intrusion_after_ok_ends_the_round_in_the_agent_fold():
+def test_intrusion_after_ok_skips_w_in_the_agent_fold():
     for announce in (False, True):
         variant = ProtocolVariant(announce_wbar=announce, intrusion=True)
         at_t2 = agent_model_at("C", 2, Given(wbar="ok"), variant)
         at_t3 = agent_model_at("C", 3, Given(wbar="ok"), variant)
         assert at_t3.log == at_t2.log
         assert equal_up_to_global_phase(at_t3.state, at_t2.state, tol=1e-12)
-        with pytest.raises(InconsistentOutcomeError):
+        with pytest.raises(InconsistentOutcomeError, match="skipped once wbar=ok"):
             agent_model_at("C", 3, Given(wbar="ok", w="fail"), variant)
 
 
@@ -263,12 +257,9 @@ def test_coin_friend_has_no_lab_prediction():
 def _variants_with_full_models(notebooks):
     """Each valid variant with these notebooks, with the agents whose models
     hold every physical record: the three observers, or under cheat only C."""
-    for announce, cheat, intrusion in itertools.product((False, True), repeat=3):
-        if cheat and "Fbar" not in notebooks:
-            continue
-        variant = ProtocolVariant(announce_wbar=announce, notebooks=notebooks, cheat=cheat,
-                                  intrusion=intrusion)
-        yield variant, ("C",) if cheat else ("Wbar", "W", "C")
+    for variant in ALL_VARIANTS:
+        if variant.notebooks == notebooks:
+            yield variant, ("C",) if variant.cheat else ("Wbar", "W", "C")
 
 
 @pytest.mark.parametrize("notebooks", ALL_NOTEBOOK_SETS)
@@ -291,7 +282,7 @@ def test_agents_match_exact_conditional_after_measurement(notebooks, wbar):
             if agent != "Wbar" and not variant.announce_wbar:
                 model = apply_announcement(model, "Wbar", wbar)  # learn the secret outcome
             if variant.intrusion and wbar == "ok":
-                # An ok ends the round with the intrusion's direct spin reading.
+                # After an ok, the intrusion's direct spin reading replaces W's step.
                 p = outcome_probability(model.state, spin_basis(), "up")
                 expected = exact.conditional_intrusion("up")
             else:
@@ -300,20 +291,14 @@ def test_agents_match_exact_conditional_after_measurement(notebooks, wbar):
             assert p == pytest.approx(expected, abs=EXACT_ATOL), (variant, agent)
 
 
-ALL_VARIANTS = tuple(
-    variant for notebooks in ALL_NOTEBOOK_SETS
-    for variant, _ in _variants_with_full_models(notebooks)
-)
-
 # The standard prediction that reads each sampled outcome.
 _PREDICTION_OF = {"wbar": "coin_lab", "w": "spin_lab", "intrusion": "S"}
-_KEY_FIELDS = ("wbar", "w", "intrusion")
 
 
 def _heard_transcripts(variant):
     """Every (time, announced outcomes) C can stand at from t=1 on: nothing
-    heard before t=2, wbar from t=2, and w from t=3 unless the intrusion
-    after an ok ended the round."""
+    heard before t=2, wbar from t=2, and w from t=3 unless an ok led to the
+    intrusion, which skips W's step."""
     yield 1, {}
     for wbar in GIVEN_LABELS["wbar"]:
         yield 2, {"wbar": wbar}
@@ -326,19 +311,15 @@ def _heard_transcripts(variant):
 
 def _exact_conditional(exact, heard, field, label):
     """P(field = label | heard) from the exact joint over outcome keys."""
-    def outcome(key, name):
-        return key[_KEY_FIELDS.index(name)]
-
     entries = {key: p for key, p in exact.entries.items()
-               if all(outcome(key, f) == value for f, value in heard.items())}
+               if all(getattr(key, f) == value for f, value in heard.items())}
     given = sum(entries.values())
-    joint = sum(p for key, p in entries.items() if outcome(key, field) == label)
+    joint = sum(p for key, p in entries.items() if getattr(key, field) == label)
     assert given > EXACT_ATOL, heard  # every announced transcript can happen
     return joint / given
 
 
-@pytest.mark.parametrize("variant", ALL_VARIANTS,
-                         ids=lambda v: f"{v.announce_wbar}-{sorted(v.notebooks)}-{v.cheat}-{v.intrusion}")
+@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=variant_id)
 def test_external_observer_predicts_the_exact_conditionals(variant):
     # C hears every announcement; where the protocol keeps them secret it is
     # told them afterwards.  Each outcome the round is certain to produce
@@ -361,6 +342,23 @@ def test_external_observer_predicts_the_exact_conditionals(variant):
                 expected = _exact_conditional(exact, heard, field, label)
                 assert predictions[_PREDICTION_OF[field]][label] == pytest.approx(
                     expected, abs=EXACT_ATOL), (time, heard, field, label)
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=variant_id)
+def test_agent_fold_reaches_the_steps_the_dynamics_reach(variant):
+    # Each leaf of the compiled tree fills the outcomes of the sampled steps
+    # the true dynamics reached.  Given those outcomes, C's fold at t=3 must
+    # reach the same steps: it accepts every filled outcome, and rejects any
+    # label for a sampled step the leaf leaves empty as a step not reached.
+    sampled = {step.outcome for step in schedule(variant) if step.sampled}
+    for key in compiled_round(variant).leaves:
+        filled = {field: label for field, label in key._asdict().items() if label is not None}
+        assert filled.keys() <= sampled, key
+        agent_model_at("C", 3, Given(**filled), variant)
+        for field in sampled - filled.keys():
+            for label in GIVEN_LABELS[field]:
+                with pytest.raises(InconsistentOutcomeError, match=f"no {field} outcome"):
+                    agent_model_at("C", 3, Given(**filled, **{field: label}), variant)
 
 
 # Cheat mode ---------------------------------------------------------------------

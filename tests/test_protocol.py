@@ -27,25 +27,10 @@ from frsim.protocol import (
 from frsim.reference import reference_by_tag
 from frsim.systems import coin_basis, coin_lab_basis, spin_basis
 from frsim.tensor import equal_up_to_global_phase
+from variants import ALL_NOTEBOOK_SETS, ALL_VARIANTS
 
 NONE = ProtocolVariant(announce_wbar=False)
 BOTH = ProtocolVariant(announce_wbar=False, notebooks=frozenset({"Fbar", "F"}))
-
-ALL_NOTEBOOK_SETS = (
-    frozenset(),
-    frozenset({"Fbar"}),
-    frozenset({"F"}),
-    frozenset({"Fbar", "F"}),
-)
-
-ALL_VARIANTS = tuple(
-    ProtocolVariant(announce_wbar=announce, notebooks=notebooks, cheat=cheat, intrusion=intrusion)
-    for announce in (True, False)
-    for notebooks in ALL_NOTEBOOK_SETS
-    for cheat in (False, True)
-    for intrusion in (False, True)
-    if not cheat or "Fbar" in notebooks
-)
 
 
 def test_variant_validation():
@@ -241,7 +226,8 @@ def test_block_sampling_matches_the_per_round_path(variant, seed, stream, start,
         transcript = sampler.draw(round_rng(seed, *stream, k), k)
         assert transcript == run_round(variant, round_rng(seed, *stream, k), k)
         counts[sampler.leaves.index(transcript.key())] += 1
-    np.testing.assert_array_equal(sampler.leaf_counts(seed, stream, start, stop), counts)
+    np.testing.assert_array_equal(
+        np.bincount(sampler.walk(uniforms), minlength=len(sampler.leaves)), counts)
 
 
 def test_round_uniforms_across_the_two_word_boundary():

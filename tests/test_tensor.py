@@ -159,6 +159,13 @@ def test_apply_unitary_rejects_a_repeated_target():
         apply_unitary(state, ("R", "R"), np.eye(4))
 
 
+def test_apply_unitary_rejects_a_target_missing_from_the_layout():
+    # Like every measurement, so the CLI maps it as a rejected value.
+    state = product_state(RegisterLayout((R, S)), {"R": "t", "S": "up"})
+    with pytest.raises(LayoutError, match="no system named 'X'"):
+        apply_unitary(state, ("X",), np.eye(2))
+
+
 def test_system_levels_given_as_a_list_are_kept_as_a_tuple():
     system = SystemId("X", ["a", "b"])
     assert system.levels == ("a", "b") and hash(system) == hash(SystemId("X", ("a", "b")))
