@@ -47,7 +47,6 @@ from .protocol import (
     ProtocolVariant,
     RoundTranscript,
     RunReport,
-    initial_state,
     round_rng,
     run_round,
     run_until_halt,
@@ -75,7 +74,7 @@ __all__ = [
     "CertaintyVerdict", "Given", "PerspectiveLimit", "agent_model_at",
     "apply_announcement", "certainty_query", "known_system_names",
     "standard_predictions", "ProtocolConfig", "ProtocolVariant", "RoundTranscript",
-    "RunReport", "initial_state", "round_rng", "run_round", "run_until_halt",
+    "RunReport", "round_rng", "run_round", "run_until_halt",
     "state_after_preparation", "ReferenceState", "load_reference_states",
     "reference_by_tag", "LayoutError", "RegisterLayout", "StateVector", "SystemId",
     "apply_unitary", "equal_up_to_global_phase", "inner", "product_state", "reorder",

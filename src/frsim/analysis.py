@@ -23,8 +23,7 @@ from .protocol import (
     ProtocolConfig,
     ProtocolVariant,
     compiled_round,
-    round_uniforms,
-    stream_uniforms,
+    grid_uniforms,
 )
 
 PROBABILITY_ATOL = 1e-10
@@ -128,18 +127,18 @@ def monte_carlo(config: ProtocolConfig, rounds: int) -> FrequencyTable:
     Round ``k`` uses the substream keyed by ``(seed, k)``, so the table is
     deterministic per seed and rounds can be partitioned across workers
     without changing the result.  Rounds are sampled in blocks of
-    ``ROUND_CHUNK`` (:func:`round_uniforms`, :meth:`RoundSampler.walk`), with
-    the same uniforms and the same outcomes as one ``draw`` per round.  Round
-    indices stop below 2**64, so more rounds are rejected before any is
-    sampled.
+    ``ROUND_CHUNK``: a one-axis grid of round indices
+    (:func:`grid_uniforms`, :meth:`RoundSampler.walk`), with the same
+    uniforms and the same outcomes as one ``draw`` per round.  Round indices
+    stop below 2**64, so more rounds are rejected before any is sampled.
     """
     if not 1 <= rounds <= 2**64:
         raise ValueError(f"rounds must lie in [1, 2**64], got {rounds}")
     sampler = compiled_round(config.variant)
     leaf_counts = np.zeros(len(sampler.leaves), dtype=np.int64)
     for start in range(0, rounds, ROUND_CHUNK):
-        stop = min(start + ROUND_CHUNK, rounds)
-        leaves = sampler.walk(round_uniforms(config.seed, (), start, stop, sampler.depth))
+        block = np.arange(start, min(start + ROUND_CHUNK, rounds), dtype=np.uint64)
+        leaves = sampler.walk(grid_uniforms(config.seed, (block,), sampler.depth))
         leaf_counts += np.bincount(leaves, minlength=len(sampler.leaves))
     counts = {key: int(n) for key, n in zip(sampler.leaves, leaf_counts) if n}
     return FrequencyTable(counts=counts, total=rounds)
@@ -152,8 +151,9 @@ def rounds_to_halt(config: ProtocolConfig, repeats: int) -> np.ndarray:
     Entry ``r`` is ``run_until_halt(config, stream=(r,)).rounds_executed``
     when that run halts: round ``k`` of run ``r`` uses the substream keyed by
     ``(seed, r, k)``.  Every run still going is sampled ``HALT_WINDOW`` rounds
-    at a time (:func:`stream_uniforms`, :meth:`RoundSampler.walk`); a run's
-    first halting leaf in the window ends it.
+    at a time, as a two-axis grid of (run, round) keys (:func:`grid_uniforms`,
+    :meth:`RoundSampler.walk`); a run's first halting leaf in the window ends
+    it.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")
@@ -164,13 +164,12 @@ def rounds_to_halt(config: ProtocolConfig, repeats: int) -> np.ndarray:
     going = np.arange(repeats, dtype=np.uint64)
     rows = ROUND_CHUNK // HALT_WINDOW  # runs per kernel call
     for start in range(0, config.max_rounds, HALT_WINDOW):
-        stop = min(start + HALT_WINDOW, config.max_rounds)
+        window = np.arange(start, min(start + HALT_WINDOW, config.max_rounds), dtype=np.uint64)
         still = []
         for first in range(0, len(going), rows):
             runs = going[first:first + rows]
-            uniforms = stream_uniforms(config.seed, runs, start, stop, sampler.depth)
-            halts = sampler.halting[sampler.walk(uniforms.reshape(-1, sampler.depth))]
-            halts = halts.reshape(len(runs), stop - start)
+            halts = sampler.halting[
+                sampler.walk(grid_uniforms(config.seed, (runs, window), sampler.depth))]
             halted = halts.any(axis=1)
             lengths[runs[halted]] = start + 1 + halts[halted].argmax(axis=1)
             still.append(runs[~halted])

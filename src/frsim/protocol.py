@@ -26,10 +26,11 @@ Randomness contract: one master seed; round ``k`` draws from an independent
 substream derived from ``(seed, k)`` (``(seed, *stream, k)`` with a stream
 key), numpy's ``default_rng(SeedSequence(...))``; each sampled measurement
 consumes exactly one uniform variate.  Rounds are therefore reproducible and
-safe to execute in parallel.  :func:`round_uniforms` computes the same
-uniforms for a whole block of rounds at once (:func:`stream_uniforms` for
-the same rounds of many streams) and :meth:`RoundSampler.walk` walks the
-tree with them, so block sampling reproduces the per-round path bit for bit.
+safe to execute in parallel.  :func:`grid_uniforms` computes the same
+uniforms for a whole grid of substream keys at once (a block of rounds, or
+the same window of rounds of many streams) and :meth:`RoundSampler.walk`
+walks the tree with them in the grid's shape, so block sampling reproduces
+the per-round path bit for bit.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ import numpy as np
 
 from .measurement import (
     READY,
-    ZERO_PROBABILITY_ATOL,
     MeasurementBasis,
     branch_all,
     pick_index,
@@ -91,8 +91,10 @@ class ProtocolVariant:
 
     ``announce_wbar`` toggles the original protocol (the coin-lab
     superobserver announces at t=2, and agents condition on heard
-    announcements) versus the modified one where that outcome stays secret
-    and no announcement-based updates occur.  ``notebooks`` lists the friends
+    announcements) versus the modified one where that outcome stays secret.
+    The spin-lab superobserver still announces at t=3 in the modified
+    protocol, but no agent updates on hearsay there: announcements condition
+    agents only in the original one.  ``notebooks`` lists the friends
     who keep a written record.  ``cheat`` marks the coin friend's notebook as
     secret: it still exists physically but other agents do not model it.
     ``intrusion`` makes the coin-lab superobserver measure the spin directly
@@ -142,7 +144,12 @@ class ProtocolConfig:
 
 @dataclass(frozen=True)
 class RoundTranscript:
-    """Sampled outcomes and announcements of one protocol round."""
+    """Sampled outcomes and announcements of one protocol round.
+
+    ``announcements`` holds ``(time, announcer, label)``: Wbar's at t=2 in the
+    original protocol, and W's at t=3 whenever that step is reached.  W still
+    announces in the modified protocol, but no agent updates on hearsay.
+    """
 
     round_index: int
     wbar_outcome: str | None
@@ -220,7 +227,7 @@ def _words(n: int) -> list[int]:
     """``n`` as SeedSequence reads it: little-endian 32-bit words, one for 0."""
     n = int(n)
     if n < 0:
-        raise ValueError(f"seed and stream entries must be non-negative, got {n}")
+        raise ValueError(f"seed must be non-negative, got {n}")
     words = [n & _MASK32]
     while n := n >> 32:
         words.append(n & _MASK32)
@@ -257,7 +264,9 @@ def _lcg_step(hi, lo, inc_hi, inc_lo):
 
 def _block_uniforms(entropy: list, depth: int) -> np.ndarray:
     """``default_rng(SeedSequence(entropy)).random(depth)`` for every round at
-    once; one entropy word is a uint32 array over the rounds.
+    once.  An entropy word is a Python int or a uint32 array; the arrays
+    broadcast together to the shape of the block, and the last axis of the
+    result holds each round's uniforms.
 
     The pool, the seed words and each output's temporaries are dropped as
     soon as they are used, so a block of 4096 rounds peaks near 0.5 MiB.  A
@@ -267,10 +276,10 @@ def _block_uniforms(entropy: list, depth: int) -> np.ndarray:
     """
     hi, lo, inc_hi, inc_lo = _pcg_seed(_seed_pool(entropy))
     hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)  # the last step of PCG64 seeding
-    out = np.empty((len(lo), depth))
+    out = np.empty(lo.shape + (depth,))
     for column in range(depth):
         hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
-        out[:, column] = _xsl_rr_double(hi, lo)
+        out[..., column] = _xsl_rr_double(hi, lo)
     return out
 
 
@@ -311,57 +320,45 @@ def _xsl_rr_double(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return (x >> 11) * 2.0**-53
 
 
+def _axis(values) -> np.ndarray:
+    """One axis of a grid as ascending uint64 indices, each in [0, 2**64)."""
+    values = np.asarray(values)
+    if (values[1:] < values[:-1]).any():
+        raise ValueError("grid indices must ascend along each axis")
+    if values.size and not 0 <= values[0] <= values[-1] < 2**64:
+        raise ValueError(f"grid indices must lie in [0, 2**64), got {values[0]}..{values[-1]}")
+    return values.astype(np.uint64, copy=False)
+
+
 def _word_runs(values: np.ndarray):
     """Ascending uint64 ``values`` as SeedSequence reads each one: one 32-bit
-    word below 2**32, two above.  Yields each run of equal word count as its
-    slice and its words, low word first."""
+    word below 2**32, two from there on.  Yields each run of equal word
+    count as its slice and its words, low word first."""
     cut = int(np.searchsorted(values, np.uint64(2**32)))
     for run, width in ((slice(0, cut), 1), (slice(cut, len(values)), 2)):
         if run.start < run.stop:
             part = values[run]
-            yield run, [(part >> 32 * j & _MASK32).astype(np.uint32) for j in range(width)]
+            yield run, [(part >> 32 * j).astype(np.uint32) for j in range(width)]  # low 32 bits
 
 
-def _check_rounds(start: int, stop: int) -> None:
-    if not 0 <= start <= stop <= 2**64:
-        raise ValueError(f"rounds must satisfy 0 <= start <= stop <= 2**64, got {start}, {stop}")
+def grid_uniforms(seed: int, axes, depth: int) -> np.ndarray:
+    """The first ``depth`` uniforms of every round of a grid of substream keys.
 
-
-def round_uniforms(seed: int, key: tuple[int, ...], start: int, stop: int,
-                   depth: int) -> np.ndarray:
-    """The first ``depth`` uniforms of rounds ``start..stop-1``, one row each.
-
-    Row ``i`` equals ``round_rng(seed, *key, start + i).random(depth)`` bit
-    for bit: numpy's SeedSequence mixing, PCG64 seeding and output are
-    computed in vectorised uint32/uint64 arithmetic.  Round indices stop
-    below 2**64.
+    ``out[i, j, ...]`` equals
+    ``round_rng(seed, axes[0][i], axes[1][j], ...).random(depth)`` bit for
+    bit: numpy's SeedSequence mixing, PCG64 seeding and output are computed
+    in vectorised uint32/uint64 arithmetic.  Each axis ascends and holds
+    integers in [0, 2**64).  The kernel runs once per combination of word
+    counts along the axes.
     """
-    _check_rounds(start, stop)
-    prefix = _words(seed) + [word for k in key for word in _words(k)]
-    out = np.empty((stop - start, depth))
-    for run, words in _word_runs(np.arange(start, stop, dtype=np.uint64)):
-        out[run] = _block_uniforms(prefix + words, depth)
-    return out
-
-
-def stream_uniforms(seed: int, streams: np.ndarray, start: int, stop: int,
-                    depth: int) -> np.ndarray:
-    """:func:`round_uniforms` of rounds ``start..stop-1`` for many streams at once.
-
-    ``out[i, j]`` equals ``round_rng(seed, streams[i], start + j).random(depth)``
-    bit for bit, from one ``_block_uniforms`` call over the (stream, round)
-    grid (one per word count where streams or rounds cross 2**32).
-    ``streams`` ascend and, like the rounds, stay below 2**64.
-    """
-    _check_rounds(start, stop)
-    streams = np.asarray(streams, dtype=np.uint64)
-    out = np.empty((len(streams), stop - start, depth))
-    for (rows, stream_words), (columns, round_words) in product(
-            _word_runs(streams), _word_runs(np.arange(start, stop, dtype=np.uint64))):
-        n, m = len(stream_words[0]), len(round_words[0])
-        entropy = (_words(seed) + [np.repeat(word, m) for word in stream_words]
-                   + [np.tile(word, n) for word in round_words])
-        out[rows, columns] = _block_uniforms(entropy, depth).reshape(n, m, depth)
+    axes = [_axis(values) for values in axes]
+    out = np.empty(tuple(map(len, axes)) + (depth,))
+    for runs in product(*map(_word_runs, axes)):
+        at, words = zip(*runs)
+        # Each word varies along its own axis and broadcasts along the others.
+        entropy = _words(seed) + [word.reshape((-1,) + (1,) * (len(words) - 1 - axis))
+                                  for axis, axis_words in enumerate(words) for word in axis_words]
+        out[at] = _block_uniforms(entropy, depth)
     return out
 
 
@@ -461,11 +458,6 @@ def fresh_state(layout: RegisterLayout) -> StateVector:
     return product_state(layout, factors)
 
 
-def initial_state(variant: ProtocolVariant) -> StateVector:
-    """Fresh-round state over the variant's systems (see :func:`fresh_state`)."""
-    return fresh_state(variant.layout())
-
-
 def _fold(
     state: StateVector, steps: tuple[Step, ...], rng: np.random.Generator | None = None
 ) -> tuple[StateVector, dict[str, str]]:
@@ -486,7 +478,7 @@ def _key(outcomes: dict[str, str]) -> OutcomeKey:
 
 def state_after_preparation(variant: ProtocolVariant) -> StateVector:
     """Deterministic state after t=1, before any sampled measurement."""
-    return _fold(initial_state(variant), _at(variant, 0, 1))[0]
+    return _fold(fresh_state(variant.layout()), _at(variant, 0, 1))[0]
 
 
 def _transcript(variant: ProtocolVariant, round_index: int, key: OutcomeKey) -> RoundTranscript:
@@ -537,8 +529,7 @@ class _Node:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "cumulative", np.array(list(accumulate(self.probabilities))))
-        object.__setattr__(self, "fallback", max(
-            i for i, p in enumerate(self.probabilities) if p > ZERO_PROBABILITY_ATOL))
+        object.__setattr__(self, "fallback", pick_index(self.probabilities, float("inf")))
 
 
 def _branch_tree(
@@ -583,7 +574,7 @@ class RoundSampler:
     the leaves that halt the experiment.  ``draw`` consumes
     uniforms in the same order and against the same cumulative sums as
     :func:`run_round`, so both paths give identical transcripts for
-    identical generator states; ``walk`` does the same for a matrix of
+    identical generator states; ``walk`` does the same for a whole grid of
     uniforms at once.
     """
 
@@ -607,16 +598,18 @@ class RoundSampler:
         return _transcript(self.variant, round_index, self.leaves[~ref])
 
     def walk(self, uniforms: np.ndarray) -> np.ndarray:
-        """The leaf each row of ``uniforms`` ends at, as an index into
-        ``leaves``: row ``i`` read as the uniforms one ``draw`` consumes."""
-        ref = np.full(len(uniforms), self._root)
+        """The leaf each round of ``uniforms`` ends at, as an index into
+        ``leaves``.  The last axis holds the uniforms one ``draw`` consumes,
+        so the result has the shape of the axes before it."""
+        rounds = uniforms.reshape(-1, uniforms.shape[-1])
+        ref = np.full(len(rounds), self._root)
         for index in range(self._root, -1, -1):  # parents before children
             node = self._nodes[index]
             at = np.flatnonzero(ref == index)
-            picked = np.searchsorted(node.cumulative, uniforms[at, node.level], side="right")
+            picked = np.searchsorted(node.cumulative, rounds[at, node.level], side="right")
             picked[picked == len(node.cumulative)] = node.fallback
             ref[at] = np.take(node.children, picked)
-        return ~ref
+        return ~ref.reshape(uniforms.shape[:-1])
 
 
 @lru_cache(maxsize=None)

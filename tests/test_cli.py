@@ -139,7 +139,7 @@ def test_run_until_halt_samples_nothing_when_no_round_can_halt(capsys, monkeypat
     def refuse(*args):
         raise AssertionError("an intrusion round cannot halt; nothing should be sampled")
 
-    monkeypatch.setattr(frsim.analysis, "stream_uniforms", refuse)
+    monkeypatch.setattr(frsim.analysis, "grid_uniforms", refuse)
     code, out, _ = run_cli(
         capsys, "run", "--until-halt", "--intrusion", "--repeats", "2000", "--seed", "1"
     )

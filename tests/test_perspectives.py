@@ -19,7 +19,7 @@ from frsim.perspectives import (
     known_system_names,
     standard_predictions,
 )
-from frsim.protocol import ProtocolVariant, compiled_round, schedule
+from frsim.protocol import ProtocolVariant, _transcript, compiled_round, schedule
 from frsim.reference import load_reference_states, reference_by_tag
 from frsim.systems import N, NBAR, WBAR, coin_lab_basis, record_basis, spin_basis, spin_lab_basis
 from frsim.tensor import equal_up_to_global_phase, inner
@@ -359,6 +359,25 @@ def test_agent_fold_reaches_the_steps_the_dynamics_reach(variant):
             for label in GIVEN_LABELS[field]:
                 with pytest.raises(InconsistentOutcomeError, match=f"no {field} outcome"):
                     agent_model_at("C", 3, Given(**filled, **{field: label}), variant)
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=variant_id)
+def test_transcript_lists_what_the_announcing_protocol_hears(variant):
+    # In the announcing protocol C's fold at t=3 hears exactly the
+    # announcements a round's transcript lists, in order.  In the secret one
+    # C hears nothing, while the transcript still lists W's t=3 announcement:
+    # W still announces there, but no agent updates on hearsay.
+    for key in compiled_round(variant).leaves:
+        filled = {field: label for field, label in key._asdict().items() if label is not None}
+        log = agent_model_at("C", 3, Given(**filled), variant).log
+        heard = [(announcer, label) for kind, announcer, label in log if kind == "heard"]
+        listed = [(announcer, label)
+                  for _, announcer, label in _transcript(variant, 0, key).announcements]
+        if variant.announce_wbar:
+            assert listed == heard, key
+        else:
+            assert heard == [], key
+            assert listed == ([] if key.w is None else [("W", key.w)]), key
 
 
 # Cheat mode ---------------------------------------------------------------------

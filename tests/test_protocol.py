@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -16,13 +17,12 @@ from frsim.protocol import (
     _at,
     _fold,
     compiled_round,
-    initial_state,
+    fresh_state,
+    grid_uniforms,
     round_rng,
-    round_uniforms,
     run_round,
     run_until_halt,
     state_after_preparation,
-    stream_uniforms,
 )
 from frsim.reference import reference_by_tag
 from frsim.systems import coin_basis, coin_lab_basis, spin_basis
@@ -51,7 +51,7 @@ def test_config_validation():
 def test_initial_state_layouts():
     assert NONE.system_names() == ("R", "Fbar", "S", "F", "Wbar", "W")
     assert BOTH.system_names() == ("Nbar", "R", "Fbar", "N", "S", "F", "Wbar", "W")
-    state = initial_state(NONE)
+    state = fresh_state(NONE.layout())
     terms = dict(state.nonzero_terms())
     assert terms[("t", "ready", "down", "ready", "ready", "ready")] == pytest.approx(
         np.sqrt(2.0 / 3.0)
@@ -60,7 +60,7 @@ def test_initial_state_layouts():
         np.sqrt(1.0 / 3.0)
     )
     assert abs(state.norm - 1.0) < 1e-12
-    both = initial_state(BOTH)
+    both = fresh_state(BOTH.layout())
     assert abs(both.norm - 1.0) < 1e-12
     for labels, _ in both.nonzero_terms():
         by_name = dict(zip(both.layout.names, labels))
@@ -68,7 +68,7 @@ def test_initial_state_layouts():
 
 
 def test_t0_head_branch_prepares_spin_down():
-    state, _ = _fold(initial_state(NONE), _at(NONE, 0))
+    state, _ = _fold(fresh_state(NONE.layout()), _at(NONE, 0))
     head = condition_on(state, coin_basis(), "h")
     spin = {b.label: b.probability for b in branch_all(head, spin_basis())}
     assert spin["down"] == pytest.approx(1.0, abs=1e-12)
@@ -76,7 +76,7 @@ def test_t0_head_branch_prepares_spin_down():
 
 def test_t0_correlates_coin_friend_and_notebook():
     variant = ProtocolVariant(announce_wbar=False, notebooks=frozenset({"Fbar"}))
-    state, _ = _fold(initial_state(variant), _at(variant, 0))
+    state, _ = _fold(fresh_state(variant.layout()), _at(variant, 0))
     for labels, _ in state.nonzero_terms():
         by_name = dict(zip(state.layout.names, labels))
         assert by_name["Nbar"] == by_name["R"] == by_name["Fbar"]
@@ -203,49 +203,45 @@ def test_sampler_matches_reference_path(notebooks, intrusion):
         assert reference == fast
 
 
-def _uniforms_by_round(seed, stream, start, stop, depth):
-    return np.array([round_rng(seed, *stream, k).random(depth) for k in range(start, stop)])
+def _uniforms_by_round(seed, axes, depth):
+    """``round_rng(seed, *index).random(depth)`` for every index of the grid, in grid order."""
+    return np.array([round_rng(seed, *index).random(depth) for index in product(*axes)])
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     variant=st.sampled_from(ALL_VARIANTS),
     seed=st.integers(0, 2**40 - 1),
-    stream=st.lists(st.integers(0, 2**40 - 1), max_size=2).map(tuple),
+    streams=st.lists(st.lists(st.integers(0, 2**40 - 1), min_size=2, max_size=3).map(sorted),
+                     max_size=2),
     start=st.integers(0, 2**33 - 1),
     rounds=st.integers(1, 6),
 )
-def test_block_sampling_matches_the_per_round_path(variant, seed, stream, start, rounds):
+def test_block_sampling_matches_the_per_round_path(variant, seed, streams, start, rounds):
+    # A grid of one to three axes: up to two stream axes, then the rounds.
     sampler = compiled_round(variant)
-    stop = start + rounds
-    uniforms = round_uniforms(seed, stream, start, stop, sampler.depth)
+    axes = (*streams, range(start, start + rounds))
+    uniforms = grid_uniforms(seed, axes, sampler.depth)
+    assert uniforms.shape == tuple(map(len, axes)) + (sampler.depth,)
     np.testing.assert_array_equal(
-        uniforms, _uniforms_by_round(seed, stream, start, stop, sampler.depth))
-    counts = np.zeros(len(sampler.leaves), dtype=np.int64)
-    for k in range(start, stop):
-        transcript = sampler.draw(round_rng(seed, *stream, k), k)
-        assert transcript == run_round(variant, round_rng(seed, *stream, k), k)
-        counts[sampler.leaves.index(transcript.key())] += 1
-    np.testing.assert_array_equal(
-        np.bincount(sampler.walk(uniforms), minlength=len(sampler.leaves)), counts)
+        uniforms.reshape(-1, sampler.depth), _uniforms_by_round(seed, axes, sampler.depth))
+    leaves = []
+    for index in product(*axes):
+        transcript = sampler.draw(round_rng(seed, *index), index[-1])
+        assert transcript == run_round(variant, round_rng(seed, *index), index[-1])
+        leaves.append(sampler.leaves.index(transcript.key()))
+    np.testing.assert_array_equal(sampler.walk(uniforms), np.reshape(leaves, uniforms.shape[:-1]))
 
 
-def test_round_uniforms_across_the_two_word_boundary():
-    # SeedSequence reads k as one 32-bit word below 2**32 and as two above.
-    start, stop = 2**32 - 3, 2**32 + 3
-    np.testing.assert_array_equal(
-        round_uniforms(2**35 + 1, (9,), start, stop, 3),
-        _uniforms_by_round(2**35 + 1, (9,), start, stop, 3))
-
-
-def test_stream_uniforms_across_the_two_word_boundary():
-    # A window of rounds, and the streams, each cross 2**32 and so the
-    # change from one SeedSequence word to two.
-    seed, start, stop = 2**35 + 1, 2**32 - 3, 2**32 + 3
-    streams = np.array([0, 9, 2**32 - 1, 2**32, 2**40 + 3], dtype=np.uint64)
-    expected = np.array([_uniforms_by_round(seed, (int(r),), start, stop, 3) for r in streams])
-    np.testing.assert_array_equal(stream_uniforms(seed, streams, start, stop, 3), expected)
-    np.testing.assert_array_equal(stream_uniforms(seed, streams[:2], 5, 5, 3).shape, (2, 0, 3))
+@pytest.mark.parametrize("streams", ((), ([0, 9, 2**32 - 1, 2**32, 2**40 + 3],)),
+                         ids=("rounds", "streams-by-rounds"))
+def test_grid_uniforms_across_the_two_word_boundary(streams):
+    # SeedSequence reads an index as one 32-bit word below 2**32 and as two
+    # from there on.  The rounds, and the streams, each cross that boundary.
+    seed, axes = 2**35 + 1, (*streams, range(2**32 - 3, 2**32 + 3))
+    uniforms = grid_uniforms(seed, axes, 3)
+    assert uniforms.shape == tuple(map(len, axes)) + (3,)
+    np.testing.assert_array_equal(uniforms.reshape(-1, 3), _uniforms_by_round(seed, axes, 3))
 
 
 def _peak_bytes(draw) -> int:
@@ -269,19 +265,27 @@ def test_a_block_of_uniforms_stays_small_in_memory():
     # makes the heap grow and shrink on every block, at a page-fault cost
     # that depends on what the process ran before; 0.5 MiB mostly stays below.
     depth = compiled_round(ProtocolVariant()).depth
+    block = np.arange(ROUND_CHUNK, 2 * ROUND_CHUNK, dtype=np.uint64)
     runs = np.arange(ROUND_CHUNK // HALT_WINDOW, dtype=np.uint64)
-    round_uniforms(7, (), 0, 4, depth)  # first-call set-up outside the measurement
-    assert _peak_bytes(lambda: round_uniforms(7, (3,), ROUND_CHUNK, 2 * ROUND_CHUNK, depth)) \
-        < 768 * 1024
-    assert _peak_bytes(lambda: stream_uniforms(7, runs, 8, 8 + HALT_WINDOW, depth)) < 768 * 1024
+    window = np.arange(8, 8 + HALT_WINDOW, dtype=np.uint64)
+    grid_uniforms(7, (block[:4],), depth)  # first-call set-up outside the measurement
+    assert _peak_bytes(lambda: grid_uniforms(7, (block,), depth)) < 768 * 1024
+    assert _peak_bytes(lambda: grid_uniforms(7, (runs, window), depth)) < 768 * 1024
 
 
-def test_round_uniforms_rejects_what_seed_sequence_rejects():
+def test_grid_uniforms_rejects_indices_outside_two_words():
+    # round_rng rejects a negative index; the grid reads each index as at
+    # most two SeedSequence words, so it rejects 2**64 and above as well.
+    for entry in (-1, 2**64):
+        for axes in ((sorted((0, entry)),), ([entry], [0, 1])):
+            with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+                grid_uniforms(1, axes, 2)
+    with pytest.raises(ValueError, match="ascend"):
+        grid_uniforms(1, ([0, 1], [2**32, 3]), 2)
     with pytest.raises(ValueError, match="non-negative"):
-        round_uniforms(1, (-1,), 0, 4, 2)
-    with pytest.raises(ValueError, match="start <= stop"):
-        round_uniforms(1, (), 5, 4, 2)
-    assert round_uniforms(1, (), 4, 4, 2).shape == (0, 2)
+        grid_uniforms(-1, ([0],), 2)
+    assert grid_uniforms(1, ([],), 2).shape == (0, 2)
+    assert grid_uniforms(1, ([0, 9], range(5, 5)), 3).shape == (2, 0, 3)
 
 
 def test_run_until_halt_determinism_and_halting():
