@@ -37,7 +37,7 @@ from .measurement import (
     condition_on,
     outcome_probability,
 )
-from .protocol import ProtocolVariant, fresh_state, schedule
+from .protocol import ProtocolVariant, Step, prefix_state, schedule
 from .systems import (
     BY_NAME,
     basis_name,
@@ -143,7 +143,13 @@ def agent_model_at(
     Folds the agent's view over the protocol schedule, over the steps the
     round reaches: like the true dynamics, the fold skips each step that the
     outcomes in ``Given`` rule out (:meth:`~frsim.protocol.Step.skipped`), so
-    a given ``wbar=ok`` leads to the intrusion and not to W's step.  Raises
+    a given ``wbar=ok`` leads to the intrusion and not to W's step.  The
+    steps the agent applies unitarily before its first own or heard outcome
+    are a record-free prefix: the fold starts from the shared
+    :func:`~frsim.protocol.prefix_state` of those steps and folds only the
+    rest, with the same operations in the same order.  The prefix reads no
+    outcome, so no error arises in it: what the cache holds changes no
+    error.  Raises
     :class:`PerspectiveLimit` when a reached step measures a lab containing
     the agent, :class:`InconsistentOutcomeError` when ``Given`` holds an
     outcome of a step the round does not reach (ruled out by a given earlier
@@ -185,11 +191,25 @@ def agent_model_at(
             )
 
     layout = canonical_layout(known_system_names(agent, variant))
-    state = fresh_state(layout)
+
+    def own(step: Step) -> bool:
+        return step.memory is not None and step.memory.name == agent
+
+    def heard(step: Step) -> bool:
+        return step.announced and variant.announce_wbar
+
+    # The steps the model takes part in: the agent's own outcomes, and the
+    # steps it applies unitarily (the spin preparation, and premeasurements
+    # into a memory it models).  Up to its first own or heard outcome, the
+    # model is a shared prefix.
+    modelled = [step for step in steps if own(step) or step.unitary is not None
+                or (step.memory.name in layout and step.after is None)]
+    split = next((i for i, step in enumerate(modelled) if own(step) or heard(step)),
+                 len(modelled))
+    state = prefix_state(layout, tuple(modelled[:split]))
     log: list[tuple[str, str, str]] = []
-    for step in steps:
-        memory = step.memory.name if step.memory is not None else None
-        if memory == agent:
+    for step in modelled[split:]:
+        if own(step):
             label = getattr(given, step.outcome)
             if label is None:
                 # The intrusion reading is the agent's to use, not to require.
@@ -199,16 +219,16 @@ def agent_model_at(
                                  f"is required at t>={step.time}")
             state = condition_on(state, step.basis, label)
             log.append(("own", basis_name(step.targets), label))
-        elif step.unitary is not None or (memory in layout and step.after is None):
+        else:
             state = step.evolve(state)
-            if step.announced and variant.announce_wbar:
+            if heard(step):
                 label = getattr(given, step.outcome)
                 if label is None:
                     lab = basis_name(step.targets).replace("_", "-")
                     raise ValueError(f"the announced {lab} outcome ({step.outcome}) is "
                                      f"required at t>={step.time} in the announcing protocol")
                 state = condition_on(state, record_basis(step.memory), label)
-                log.append(("heard", memory, label))
+                log.append(("heard", step.memory.name, label))
 
     return AgentModel(agent=agent, layout=layout, state=state, log=tuple(log))
 

@@ -20,7 +20,10 @@ The true dynamics fold over the schedule: :func:`run_round` samples it on
 the state (the reference path), and :func:`compiled_round` expands every
 branch once into the one tree of labels and Born probabilities that
 sampling and exact enumeration read.  Agents fold over it in
-:mod:`frsim.perspectives`.
+:mod:`frsim.perspectives`.  Until a fold samples or conditions on an
+outcome it is a run of unitary steps on a fresh state; :func:`prefix_state`
+builds each such record-free prefix once per (layout, steps), and the true
+dynamics and every agent share it.
 
 Randomness contract: one master seed; round ``k`` draws from an independent
 substream derived from ``(seed, k)`` (``(seed, *stream, k)`` with a stream
@@ -419,27 +422,36 @@ class Step:
         return state
 
 
+# The spin preparation, and every measurement step through one cache: equal
+# steps of different variants are then the same object, so a run of steps,
+# hashed by identity, names what the steps do (:func:`prefix_state`).  All
+# 24 variants together have eight distinct measurement steps.
+_SPIN_PREPARATION = Step(0, ("R", "S"), unitary=_PREPARE_SPIN)
+
+
+@lru_cache(maxsize=None)
+def _measured(time: int, basis: MeasurementBasis, memory: SystemId, outcome=None, **flags) -> Step:
+    return Step(time, basis.target_names, basis, memory, outcome, **flags)
+
+
 @lru_cache(maxsize=None)
 def schedule(variant: ProtocolVariant) -> tuple[Step, ...]:
     """The variant's round as one tuple of steps in time order, built once
-    per variant and shared: steps are immutable."""
-
-    def measured(time: int, basis: MeasurementBasis, memory: SystemId, outcome=None, **flags):
-        return Step(time, basis.target_names, basis, memory, outcome, **flags)
-
-    steps = [measured(0, coin_basis(), FBAR, "r")]
+    per variant and shared: steps are immutable, and equal steps of different
+    variants are the same object."""
+    steps = [_measured(0, coin_basis(), FBAR, "r")]
     if "Fbar" in variant.notebooks:
-        steps.append(measured(0, coin_basis(), NBAR))
-    steps.append(Step(0, ("R", "S"), unitary=_PREPARE_SPIN))
-    steps.append(measured(1, spin_basis(), F, "s"))
+        steps.append(_measured(0, coin_basis(), NBAR))
+    steps.append(_SPIN_PREPARATION)
+    steps.append(_measured(1, spin_basis(), F, "s"))
     if "F" in variant.notebooks:
-        steps.append(measured(1, spin_basis(), N))
-    steps.append(measured(2, coin_lab_basis(), WBAR, "wbar", sampled=True, announced=True))
+        steps.append(_measured(1, spin_basis(), N))
+    steps.append(_measured(2, coin_lab_basis(), WBAR, "wbar", sampled=True, announced=True))
     if variant.intrusion:
-        steps.append(measured(2, spin_basis(), WBAR, "intrusion", sampled=True,
-                              after=("wbar", "ok")))
-    steps.append(measured(3, spin_lab_basis(), W, "w", sampled=True, announced=True,
-                          unless=("wbar", "ok") if variant.intrusion else None))
+        steps.append(_measured(2, spin_basis(), WBAR, "intrusion", sampled=True,
+                               after=("wbar", "ok")))
+    steps.append(_measured(3, spin_lab_basis(), W, "w", sampled=True, announced=True,
+                           unless=("wbar", "ok") if variant.intrusion else None))
     return tuple(steps)
 
 
@@ -456,6 +468,19 @@ def fresh_state(layout: RegisterLayout) -> StateVector:
     for name in layout.names:
         factors.setdefault(name, READY)
     return product_state(layout, factors)
+
+
+@lru_cache(maxsize=64)  # every agent model and prepared state of the 24 variants use 48
+def prefix_state(layout: RegisterLayout, steps: tuple[Step, ...]) -> StateVector:
+    """``fresh_state(layout)`` evolved by the unitary part of each step in
+    turn: a record-free prefix of a round, which no sampled or known outcome
+    has touched yet.  Built once per (layout, steps) and shared by the true
+    dynamics and every agent; :func:`schedule` makes equal steps one object,
+    so equal prefixes of different variants are one entry."""
+    state = fresh_state(layout)
+    for step in steps:
+        state = step.evolve(state)
+    return state
 
 
 def _fold(
@@ -477,8 +502,9 @@ def _key(outcomes: dict[str, str]) -> OutcomeKey:
 
 
 def state_after_preparation(variant: ProtocolVariant) -> StateVector:
-    """Deterministic state after t=1, before any sampled measurement."""
-    return _fold(fresh_state(variant.layout()), _at(variant, 0, 1))[0]
+    """Deterministic state after t=1, before any sampled measurement: the
+    shared :func:`prefix_state` of the variant's t=0,1 steps."""
+    return prefix_state(variant.layout(), _at(variant, 0, 1))
 
 
 def _transcript(variant: ProtocolVariant, round_index: int, key: OutcomeKey) -> RoundTranscript:
@@ -503,7 +529,10 @@ def run_round(
     rng: np.random.Generator,
     round_index: int = 0,
 ) -> RoundTranscript:
-    """Execute one full round on a fresh set of systems (reference path)."""
+    """Execute one full round on a fresh set of systems (reference path).
+
+    The round starts from the shared :func:`state_after_preparation`, so
+    only the sampled t=2,3 steps fold per round."""
     _, outcomes = _fold(state_after_preparation(variant), _at(variant, 2, 3), rng)
     return _transcript(variant, round_index, _key(outcomes))
 

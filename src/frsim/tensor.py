@@ -14,9 +14,13 @@ against the layout, so every axis permutation in the package, and its check,
 is made there once per key.
 
 All values are immutable after construction and all operations are pure
-functions, so states can be shared freely between threads.  The layouts,
-plans and other values built once per layout and then shared are immutable
-too; two threads that build the same one at once build equal values.
+functions, so states can be shared freely between threads and callers: a
+state copies the amplitudes it is built from and makes its copy read-only.
+That is what lets :mod:`frsim.protocol` hand one cached state, such as a
+round's record-free prefix, to the true dynamics and to every agent.  The
+layouts, plans and other values built once per layout and then shared are
+immutable too; two threads that build the same one at once build equal
+values.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import frsim.analysis
@@ -378,6 +378,9 @@ def _argv(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(argv=_argv())
+# A non-finite confidence must exit 2 in every run, not only when drawn.
+@example(argv=["detect", "--cheat", "--rounds", "10000", "--seed", "3", "--confidence", "nan"])
+@example(argv=["detect", "--cheat", "--rounds", "10000", "--seed", "3", "--confidence", "inf"])
 def test_every_argv_of_the_grammar_exits_with_a_documented_code(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

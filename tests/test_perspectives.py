@@ -3,6 +3,7 @@ import itertools
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from frsim.analysis import enumerate_exact
@@ -19,10 +20,18 @@ from frsim.perspectives import (
     known_system_names,
     standard_predictions,
 )
-from frsim.protocol import ProtocolVariant, _transcript, compiled_round, schedule
+from frsim.protocol import (
+    ProtocolVariant,
+    _transcript,
+    compiled_round,
+    fresh_state,
+    prefix_state,
+    schedule,
+    state_after_preparation,
+)
 from frsim.reference import load_reference_states, reference_by_tag
 from frsim.systems import N, NBAR, WBAR, coin_lab_basis, record_basis, spin_basis, spin_lab_basis
-from frsim.tensor import equal_up_to_global_phase, inner
+from frsim.tensor import StateVector, equal_up_to_global_phase, inner
 from variants import ALL_NOTEBOOK_SETS, ALL_VARIANTS, variant_id
 
 EXACT_ATOL = 1e-10
@@ -446,29 +455,98 @@ def _known_fields(agent, time, variant):
     return fields
 
 
-def test_agent_models_keep_every_bit():
-    # Every agent, t = 0..3 and Given the agent can hold, over all 24
-    # variants; inputs the fold rejects are skipped.  The amplitudes and the
-    # standard predictions go into one SHA-256 as float.hex, next to the
-    # input they belong to.
-    digest = hashlib.sha256()
-    models = 0
+def _sweep_inputs():
+    """Every agent, t = 0..3 and Given the agent can hold, over all 24 variants."""
     for variant in ALL_VARIANTS:
-        name = (variant.announce_wbar, sorted(variant.notebooks), variant.cheat, variant.intrusion)
         for agent, time in itertools.product(AGENTS, range(4)):
             fields = _known_fields(agent, time, variant)
             for labels in itertools.product(*fields.values()):
-                given = dict(zip(fields, labels))
-                try:
-                    model = agent_model_at(agent, time, Given(**given), variant)
-                except (PerspectiveLimit, InconsistentOutcomeError, ValueError):
-                    continue
-                models += 1
-                digest.update(repr((name, agent, time, sorted(given.items()))).encode())
-                for terms, amp in model.state.nonzero_terms():
-                    digest.update(repr((terms, amp.real.hex(), amp.imag.hex())).encode())
-                for basis, dist in standard_predictions(model).items():
-                    digest.update(repr([(basis, label, p.hex()) for label, p in dist.items()]).encode())
+                yield agent, time, dict(zip(fields, labels)), variant
+
+
+def test_agent_models_keep_every_bit():
+    # Inputs the fold rejects are skipped.  The amplitudes and the standard
+    # predictions go into one SHA-256 as float.hex, next to the input they
+    # belong to.
+    digest = hashlib.sha256()
+    models = 0
+    for agent, time, given, variant in _sweep_inputs():
+        try:
+            model = agent_model_at(agent, time, Given(**given), variant)
+        except (PerspectiveLimit, InconsistentOutcomeError, ValueError):
+            continue
+        models += 1
+        name = (variant.announce_wbar, sorted(variant.notebooks), variant.cheat, variant.intrusion)
+        digest.update(repr((name, agent, time, sorted(given.items()))).encode())
+        for terms, amp in model.state.nonzero_terms():
+            digest.update(repr((terms, amp.real.hex(), amp.imag.hex())).encode())
+        for basis, dist in standard_predictions(model).items():
+            digest.update(repr([(basis, label, p.hex()) for label, p in dist.items()]).encode())
     assert (models, digest.hexdigest()) == (
         AGENT_MODEL_DIGEST["models"], AGENT_MODEL_DIGEST["sha256"])
 
+
+# Shared record-free prefixes ----------------------------------------------------
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=variant_id)
+def test_external_observer_before_any_record_is_the_prepared_state(variant):
+    # C applies every t=0,1 step, the secret notebook's copy included; each
+    # side builds its prefix itself.
+    prefix_state.cache_clear()
+    model = agent_model_at("C", 1, Given(), variant)
+    prefix_state.cache_clear()
+    prepared = state_after_preparation(variant)
+    assert model.layout.names == prepared.layout.names == variant.system_names()
+    assert np.array_equal(model.state.amplitudes, prepared.amplitudes)
+
+
+def test_shared_states_cannot_be_written():
+    variant = ProtocolVariant(notebooks=frozenset({"Fbar", "F"}), cheat=True)
+    layout = variant.layout()
+    shared = (fresh_state(layout), state_after_preparation(variant),
+              agent_model_at("W", 1, Given(), variant).state)
+    for state in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            state.amplitudes[0] = 0.0
+    amplitudes = np.array(fresh_state(layout).amplitudes)
+    state = StateVector(layout, amplitudes)
+    amplitudes[:] = 0.0
+    assert np.array_equal(state.amplitudes, fresh_state(layout).amplitudes)
+
+
+def _fold_result(agent, time, given, variant):
+    """What ``agent_model_at`` gives: the model's bits, or the error's type and message."""
+    try:
+        model = agent_model_at(agent, time, Given(**given), variant)
+    except (PerspectiveLimit, InconsistentOutcomeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return model.layout.names, model.state.amplitudes.tobytes(), model.log
+
+
+# One input for each way the fold fails; the sweep reaches only the first two.
+_FAILING_INPUTS = (
+    ("Fbar", 2, {"r": "t", "wbar": "ok"}, MODIFIED),  # a self-measurement
+    ("F", 2, {"s": "down", "wbar": "ok"}, ORIGINAL),  # an announcement of zero probability
+    ("W", 3, {"wbar": "ok"}, MODIFIED),  # the own outcome is missing
+    ("C", 2, {}, ORIGINAL),  # the announced outcome is missing
+)
+
+
+def test_agent_models_and_their_errors_do_not_depend_on_the_prefix_cache():
+    inputs = list(_sweep_inputs()) + list(_FAILING_INPUTS)
+    prefix_state.cache_clear()
+    for variant in ALL_VARIANTS:
+        state_after_preparation(variant)
+    warm = [_fold_result(*args) for args in inputs]
+    info = prefix_state.cache_info()
+    assert info.misses == info.currsize <= info.maxsize  # nothing was evicted
+    assert [_fold_result(*args) for args in inputs] == warm
+    assert prefix_state.cache_info().misses == info.misses  # every prefix was a hit
+    cold = []
+    for args in inputs:
+        prefix_state.cache_clear()
+        cold.append(_fold_result(*args))
+    assert cold == warm
+    assert [result[0] for result in warm[-4:]] == [
+        PerspectiveLimit, InconsistentOutcomeError, ValueError, ValueError]
+    assert "own outcome" in warm[-2][1] and "announced" in warm[-1][1]
