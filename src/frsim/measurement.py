@@ -17,7 +17,9 @@ Measurement comes in four flavours:
   memory system unitarily, without collapsing anything.
 
 The four flavours and :func:`outcome_probability` share one Born
-projection; :func:`record_copy` premeasures the source's :func:`level_basis`.
+projection, and level occupancies (:func:`_occupancies`) are the same floats
+read as row sums of ``|psi|**2``; :func:`record_copy` premeasures the
+source's :func:`level_basis`.
 Each reads the state through :func:`~frsim.tensor.transpose_plan` for the
 basis targets (and the memory), which checks once per layout and targets
 that they are distinct systems of the state's layout, and raises
@@ -179,6 +181,14 @@ def _weight(amplitudes: np.ndarray) -> float:
     an outcome's kets.  ``np.add.reduce`` over all axes is the reduction
     ``np.sum`` runs, without its dispatch."""
     return float(np.add.reduce(np.abs(amplitudes) ** 2, axis=None))
+
+
+def _occupancies(weights: np.ndarray, plan: TransposePlan) -> list[float]:
+    """Each level's Born probability on one target from ``|psi|**2``: row sums
+    of a C-contiguous (levels, rest) copy, in :func:`_weight`'s summation order
+    (summing the strided view of a trailing target would change bits)."""
+    rows = np.ascontiguousarray(weights.reshape(plan.dims).transpose(plan.perm))
+    return np.add.reduce(rows.reshape(plan.target_dimension, -1), axis=1).tolist()
 
 
 def _probabilities(

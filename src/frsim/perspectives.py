@@ -33,6 +33,7 @@ from types import MappingProxyType
 from .measurement import (
     InconsistentOutcomeError,
     MeasurementBasis,
+    _occupancies,
     _probabilities,
     condition_on,
     outcome_probability,
@@ -49,7 +50,7 @@ from .systems import (
     spin_basis,
     spin_lab_basis,
 )
-from .tensor import RegisterLayout, StateVector
+from .tensor import RegisterLayout, StateVector, transpose_plan
 
 AGENTS = ("Fbar", "F", "Wbar", "W", "C")
 
@@ -206,7 +207,7 @@ def agent_model_at(
                 or (step.memory.name in layout and step.after is None)]
     split = next((i for i, step in enumerate(modelled) if own(step) or heard(step)),
                  len(modelled))
-    state = prefix_state(layout, tuple(modelled[:split]))
+    state = prefix_state(layout, tuple(step.unitary_part for step in modelled[:split]))
     log: list[tuple[str, str, str]] = []
     for step in modelled[split:]:
         if own(step):
@@ -266,12 +267,21 @@ def standard_predictions(model: AgentModel) -> dict[str, dict[str, float]]:
     """The agent's outcome probabilities for the standard measurements.
 
     Lab predictions use the ok/fail lab bases (valid before and after the
-    lab measurement); coin, spin, memories and notebooks report level
-    occupancies.  Only measurements whose targets lie inside the agent's
-    layout appear, so the coin friend gets no coin-lab prediction.
+    lab measurement), projected since they involve interference.  Coin, spin,
+    memories and notebooks report level occupancies, read off one ``|psi|**2``
+    per model as the very floats :func:`outcome_probability` gives.  Only
+    measurements whose targets lie inside the agent's layout appear, so the
+    coin friend gets no coin-lab prediction.
     """
-    return {name: dict(zip(basis.labels(), _probabilities(model.state, basis, basis.outcomes)))
-            for name, basis in _standard_bases(model.layout)}
+    weights = abs(model.state.amplitudes) ** 2  # the terms _weight sums
+    predictions = {}
+    for name, basis in _standard_bases(model.layout):
+        if len(basis.targets) == 1:
+            probabilities = _occupancies(weights, transpose_plan(model.layout, basis.targets))
+        else:
+            probabilities = _probabilities(model.state, basis, basis.outcomes)
+        predictions[name] = dict(zip(basis.labels(), probabilities))
+    return predictions
 
 
 @lru_cache(maxsize=64)

@@ -22,8 +22,8 @@ branch once into the one tree of labels and Born probabilities that
 sampling and exact enumeration read.  Agents fold over it in
 :mod:`frsim.perspectives`.  Until a fold samples or conditions on an
 outcome it is a run of unitary steps on a fresh state; :func:`prefix_state`
-builds each such record-free prefix once per (layout, steps), and the true
-dynamics and every agent share it.
+builds each such record-free prefix once per (layout, the steps' unitary
+parts), and the true dynamics and every agent share it.
 
 Randomness contract: one master seed; round ``k`` draws from an independent
 substream derived from ``(seed, k)`` (``(seed, *stream, k)`` with a stream
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate, product
 from math import sqrt
 from types import MappingProxyType
@@ -421,11 +421,19 @@ class Step:
             return premeasure(state, self.basis, self.memory)
         return state
 
+    @cached_property
+    def unitary_part(self) -> Step:
+        """The step reduced to what :meth:`evolve` reads: one object for all
+        steps that evolve a state alike, which keys :func:`prefix_state`."""
+        if self.unitary is not None:
+            return self
+        return _measured(self.time, self.basis, self.memory, after=self.after)
+
 
 # The spin preparation, and every measurement step through one cache: equal
-# steps of different variants are then the same object, so a run of steps,
-# hashed by identity, names what the steps do (:func:`prefix_state`).  All
-# 24 variants together have eight distinct measurement steps.
+# steps and equal unitary parts are then one object each, so a run of unitary
+# parts, hashed by identity, names what the steps do (:func:`prefix_state`).
+# The 24 variants have eight distinct measurement steps, seven unitary parts.
 _SPIN_PREPARATION = Step(0, ("R", "S"), unitary=_PREPARE_SPIN)
 
 
@@ -470,13 +478,14 @@ def fresh_state(layout: RegisterLayout) -> StateVector:
     return product_state(layout, factors)
 
 
-@lru_cache(maxsize=64)  # every agent model and prepared state of the 24 variants use 48
+@lru_cache(maxsize=64)  # every agent model and prepared state of the 24 variants use 44
 def prefix_state(layout: RegisterLayout, steps: tuple[Step, ...]) -> StateVector:
-    """``fresh_state(layout)`` evolved by the unitary part of each step in
-    turn: a record-free prefix of a round, which no sampled or known outcome
-    has touched yet.  Built once per (layout, steps) and shared by the true
-    dynamics and every agent; :func:`schedule` makes equal steps one object,
-    so equal prefixes of different variants are one entry."""
+    """``fresh_state(layout)`` evolved by each step in turn: a record-free
+    prefix of a round, which no sampled or known outcome has touched yet.
+    Built once per (layout, steps) and shared by the true dynamics and every
+    agent.  Callers pass each step's :attr:`~Step.unitary_part`, so steps
+    that evolve a state alike (W's step with and without its ``unless``) and
+    equal prefixes of different variants are one entry."""
     state = fresh_state(layout)
     for step in steps:
         state = step.evolve(state)
@@ -504,7 +513,7 @@ def _key(outcomes: dict[str, str]) -> OutcomeKey:
 def state_after_preparation(variant: ProtocolVariant) -> StateVector:
     """Deterministic state after t=1, before any sampled measurement: the
     shared :func:`prefix_state` of the variant's t=0,1 steps."""
-    return prefix_state(variant.layout(), _at(variant, 0, 1))
+    return prefix_state(variant.layout(), tuple(step.unitary_part for step in _at(variant, 0, 1)))
 
 
 def _transcript(variant: ProtocolVariant, round_index: int, key: OutcomeKey) -> RoundTranscript:

@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from frsim.analysis import enumerate_exact
-from frsim.measurement import InconsistentOutcomeError, condition_on, outcome_probability
+from frsim.measurement import (
+    InconsistentOutcomeError,
+    condition_on,
+    level_basis,
+    outcome_probability,
+)
 from frsim.perspectives import (
     AGENTS,
     GIVEN_LABELS,
@@ -30,7 +35,17 @@ from frsim.protocol import (
     state_after_preparation,
 )
 from frsim.reference import load_reference_states, reference_by_tag
-from frsim.systems import N, NBAR, WBAR, coin_lab_basis, record_basis, spin_basis, spin_lab_basis
+from frsim.systems import (
+    BY_NAME,
+    N,
+    NBAR,
+    WBAR,
+    coin_basis,
+    coin_lab_basis,
+    record_basis,
+    spin_basis,
+    spin_lab_basis,
+)
 from frsim.tensor import StateVector, equal_up_to_global_phase, inner
 from variants import ALL_NOTEBOOK_SETS, ALL_VARIANTS, variant_id
 
@@ -464,17 +479,22 @@ def _sweep_inputs():
                 yield agent, time, dict(zip(fields, labels)), variant
 
 
-def test_agent_models_keep_every_bit():
-    # Inputs the fold rejects are skipped.  The amplitudes and the standard
-    # predictions go into one SHA-256 as float.hex, next to the input they
-    # belong to.
-    digest = hashlib.sha256()
-    models = 0
+def _sweep_models():
+    """(input, model) for each sweep input the fold accepts; the rest are skipped."""
     for agent, time, given, variant in _sweep_inputs():
         try:
             model = agent_model_at(agent, time, Given(**given), variant)
         except (PerspectiveLimit, InconsistentOutcomeError, ValueError):
             continue
+        yield (agent, time, given, variant), model
+
+
+def test_agent_models_keep_every_bit():
+    # The amplitudes and the standard predictions go into one SHA-256 as
+    # float.hex, next to the input they belong to.
+    digest = hashlib.sha256()
+    models = 0
+    for (agent, time, given, variant), model in _sweep_models():
         models += 1
         name = (variant.announce_wbar, sorted(variant.notebooks), variant.cheat, variant.intrusion)
         digest.update(repr((name, agent, time, sorted(given.items()))).encode())
@@ -484,6 +504,50 @@ def test_agent_models_keep_every_bit():
             digest.update(repr([(basis, label, p.hex()) for label, p in dist.items()]).encode())
     assert (models, digest.hexdigest()) == (
         AGENT_MODEL_DIGEST["models"], AGENT_MODEL_DIGEST["sha256"])
+
+
+STANDARD_BASES = {"R": coin_basis(), "S": spin_basis(), "coin_lab": coin_lab_basis(),
+                  "spin_lab": spin_lab_basis()}
+STANDARD_BASES.update({name: level_basis(BY_NAME[name])
+                       for name in ("Fbar", "F", "Nbar", "N", "Wbar", "W")})
+
+
+def test_predictions_equal_the_born_projection_float_for_float():
+    # Level occupancies are read off |psi|**2 and lab outcomes projected; each
+    # must be the very float that projecting on the one outcome gives.
+    differing, models = [], 0
+    for inputs, model in _sweep_models():
+        models += 1
+        predictions = standard_predictions(model)
+        assert predictions.keys() == {
+            name for name, basis in STANDARD_BASES.items()
+            if all(target in model.layout for target in basis.target_names)}
+        for name, dist in predictions.items():
+            assert dist.keys() == set(STANDARD_BASES[name].labels())
+            for label, p in dist.items():
+                assert type(p) is float
+                born = outcome_probability(model.state, STANDARD_BASES[name], label)
+                if p != born:
+                    differing.append((inputs, name, label, p.hex(), born.hex()))
+    assert differing == []
+    assert models == AGENT_MODEL_DIGEST["models"]
+
+
+def test_level_predictions_match_a_plain_python_oracle():
+    # Sums |amp|**2 by each system's level label straight off the nonzero
+    # terms, so a wrong axis permutation cannot hide behind a shared plan.
+    for inputs, model in _sweep_models():
+        predictions = standard_predictions(model)
+        terms = model.state.nonzero_terms()
+        for axis, name in enumerate(model.layout.names):
+            oracle = dict.fromkeys(BY_NAME[name].levels, 0.0)
+            for labels, amp in terms:
+                oracle[labels[axis]] += abs(amp) ** 2
+            dist = predictions[name]
+            assert dist.keys() == oracle.keys()
+            for label, p in dist.items():
+                assert abs(p - oracle[label]) <= 1e-12, (inputs, name, label, p, oracle[label])
+            assert abs(sum(dist.values()) - 1.0) <= 1e-12, (inputs, name)
 
 
 # Shared record-free prefixes ----------------------------------------------------
@@ -539,7 +603,7 @@ def test_agent_models_and_their_errors_do_not_depend_on_the_prefix_cache():
         state_after_preparation(variant)
     warm = [_fold_result(*args) for args in inputs]
     info = prefix_state.cache_info()
-    assert info.misses == info.currsize <= info.maxsize  # nothing was evicted
+    assert info.misses == info.currsize == 44 <= info.maxsize  # nothing was evicted
     assert [_fold_result(*args) for args in inputs] == warm
     assert prefix_state.cache_info().misses == info.misses  # every prefix was a hit
     cold = []
