@@ -5,19 +5,16 @@ measurement of a lab containing itself would amount to a self-measurement,
 which the formalism cannot express; see :class:`PerspectiveLimit`).  The
 external observer ``C`` models all systems.
 
-An agent's description folds over the protocol schedule
-(:func:`frsim.protocol.schedule`), each step seen from where the agent stands:
+An agent's description folds over the steps a round reaches
+(:func:`frsim.protocol.reached_steps`), each step seen from where the agent
+stands:
 
 * the agent's own outcome conditions its model of the other systems,
 * every other step (friend premeasurements, notebook copies, the spin
   preparation, the superobservers' premeasurements) acts unitarily,
-* a heard announcement conditions the model on the announcer's memory.
-
-Announcement conditioning applies in the original protocol
-(``announce_wbar=True``), where outcomes are shared and agents accept
-record-backed updates.  In the modified protocol the coin-lab outcome stays
-secret and no agent revises its description on hearsay, so descriptions keep
-the full superposition over unannounced records.
+* a :attr:`~frsim.protocol.Step.heard` step then conditions the model on the
+  announcer's memory; where no step is heard, descriptions keep the full
+  superposition over the records.
 
 In cheat mode the coin friend's notebook exists physically but is unknown to
 the other participants: their models omit it, and their folds skip its
@@ -31,14 +28,13 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .measurement import (
-    InconsistentOutcomeError,
     MeasurementBasis,
     _occupancies,
     _probabilities,
     condition_on,
     outcome_probability,
 )
-from .protocol import ProtocolVariant, Step, prefix_state, schedule
+from .protocol import ProtocolVariant, Step, prefix_state, reached_steps, schedule
 from .systems import (
     BY_NAME,
     basis_name,
@@ -141,49 +137,25 @@ def agent_model_at(
 ) -> AgentModel:
     """The agent's description after the steps completed at ``time``.
 
-    Folds the agent's view over the protocol schedule, over the steps the
-    round reaches: like the true dynamics, the fold skips each step that the
-    outcomes in ``Given`` rule out (:meth:`~frsim.protocol.Step.skipped`), so
-    a given ``wbar=ok`` leads to the intrusion and not to W's step.  The
+    Folds the agent's view over the steps the round reaches
+    (:func:`~frsim.protocol.reached_steps`): like the true dynamics, the fold
+    skips each step that the outcomes in ``Given`` rule out, so a given
+    ``wbar=ok`` leads to the intrusion and not to W's step.  The
     steps the agent applies unitarily before its first own or heard outcome
     are a record-free prefix: the fold starts from the shared
     :func:`~frsim.protocol.prefix_state` of those steps and folds only the
     rest, with the same operations in the same order.  The prefix reads no
     outcome, so no error arises in it: what the cache holds changes no
-    error.  Raises
-    :class:`PerspectiveLimit` when a reached step measures a lab containing
-    the agent, :class:`InconsistentOutcomeError` when ``Given`` holds an
-    outcome of a step the round does not reach (ruled out by a given earlier
-    outcome, or absent from the variant), and :class:`ValueError` when the
-    transcript prefix does not pin an outcome the agent would know at that
-    time.
+    error.  Raises :class:`PerspectiveLimit` when a reached step measures a
+    lab containing the agent, :class:`~frsim.measurement.InconsistentOutcomeError`
+    when ``Given`` holds an outcome of a step the round does not reach, and
+    :class:`ValueError` when the transcript prefix does not pin an outcome
+    the agent would know at that time.
     """
     if time not in (0, 1, 2, 3):
         raise ValueError(f"time must be one of 0..3, got {time}")
     given = given or Given()
-    labels = vars(given)
-    round_steps = schedule(variant)
-    for field in labels.keys() - {step.outcome for step in round_steps}:
-        if labels[field] is not None:
-            raise InconsistentOutcomeError(
-                f"no step of this variant writes the {field} outcome, so "
-                f"{field}={labels[field]} cannot be given")
-    reached = []
-    for step in round_steps:
-        if not step.skipped(labels):
-            reached.append(step)
-        elif labels.get(step.outcome) is not None:
-            if step.unless is not None and labels[step.unless[0]] == step.unless[1]:
-                field, label = step.unless
-                raise InconsistentOutcomeError(
-                    f"the {step.outcome} step is skipped once {field}={label}, so "
-                    f"no {step.outcome} outcome follows")
-            field, label = step.after
-            if labels[field] is not None:
-                raise InconsistentOutcomeError(
-                    f"the {step.outcome} step happens only after {field}={label}, so "
-                    f"{field}={labels[field]} leaves no {step.outcome} outcome")
-    steps = [step for step in reached if step.time <= time]
+    steps = [step for step in reached_steps(variant, vars(given)) if step.time <= time]
     for step in steps:
         if step.basis is not None and agent in step.targets:
             raise PerspectiveLimit(
@@ -196,16 +168,13 @@ def agent_model_at(
     def own(step: Step) -> bool:
         return step.memory is not None and step.memory.name == agent
 
-    def heard(step: Step) -> bool:
-        return step.announced and variant.announce_wbar
-
     # The steps the model takes part in: the agent's own outcomes, and the
     # steps it applies unitarily (the spin preparation, and premeasurements
     # into a memory it models).  Up to its first own or heard outcome, the
     # model is a shared prefix.
     modelled = [step for step in steps if own(step) or step.unitary is not None
                 or (step.memory.name in layout and step.after is None)]
-    split = next((i for i, step in enumerate(modelled) if own(step) or heard(step)),
+    split = next((i for i, step in enumerate(modelled) if own(step) or step.heard),
                  len(modelled))
     state = prefix_state(layout, tuple(step.unitary_part for step in modelled[:split]))
     log: list[tuple[str, str, str]] = []
@@ -222,7 +191,7 @@ def agent_model_at(
             log.append(("own", basis_name(step.targets), label))
         else:
             state = step.evolve(state)
-            if heard(step):
+            if step.heard:
                 label = getattr(given, step.outcome)
                 if label is None:
                     lab = basis_name(step.targets).replace("_", "-")
@@ -239,7 +208,8 @@ def apply_announcement(model: AgentModel, announcer: str, label: str) -> AgentMo
 
     The announcer's memory must be part of the model's layout.  Announcing
     an outcome the model holds with zero probability raises
-    :class:`InconsistentOutcomeError`; it is never silently renormalized.
+    :class:`~frsim.measurement.InconsistentOutcomeError`; it is never
+    silently renormalized.
     """
     if announcer not in BY_NAME:
         raise ValueError(f"unknown announcer {announcer!r}")

@@ -50,6 +50,7 @@ import numpy as np
 
 from .measurement import (
     READY,
+    InconsistentOutcomeError,
     MeasurementBasis,
     branch_all,
     pick_index,
@@ -92,14 +93,12 @@ class OutcomeKey(NamedTuple):
 class ProtocolVariant:
     """Which optional features of the protocol are switched on.
 
-    ``announce_wbar`` toggles the original protocol (the coin-lab
-    superobserver announces at t=2, and agents condition on heard
-    announcements) versus the modified one where that outcome stays secret.
-    The spin-lab superobserver still announces at t=3 in the modified
-    protocol, but no agent updates on hearsay there: announcements condition
-    agents only in the original one.  ``notebooks`` lists the friends
-    who keep a written record.  ``cheat`` marks the coin friend's notebook as
-    secret: it still exists physically but other agents do not model it.
+    ``announce_wbar`` toggles the original protocol, where the lab outcomes
+    are announced and heard, versus the modified one, where the coin-lab
+    outcome stays secret; which steps announce and which are heard is read
+    off :func:`schedule`.  ``notebooks`` lists the friends who keep a
+    written record.  ``cheat`` marks the coin friend's notebook as secret:
+    it still exists physically but other agents do not model it.
     ``intrusion`` makes the coin-lab superobserver measure the spin directly
     after recording ``ok`` at t=2.
     """
@@ -118,13 +117,12 @@ class ProtocolVariant:
         if self.cheat and "Fbar" not in self.notebooks:
             raise ValueError("cheat mode requires the coin friend's notebook")
 
+    @lru_cache(maxsize=None)  # one entry per variant, like schedule's
     def system_names(self) -> tuple[str, ...]:
-        names = ["R", "Fbar", "S", "F", "Wbar", "W"]
-        if "Fbar" in self.notebooks:
-            names.append("Nbar")
-        if "F" in self.notebooks:
-            names.append("N")
-        return tuple(sys.name for sys in canonical_layout(names).systems)
+        """Every step's targets and memories, in canonical order."""
+        names = {name for step in schedule(self)
+                 for name in step.targets + ((step.memory.name,) if step.memory else ())}
+        return canonical_layout(names).names
 
     def layout(self):
         return canonical_layout(self.system_names())
@@ -149,9 +147,8 @@ class ProtocolConfig:
 class RoundTranscript:
     """Sampled outcomes and announcements of one protocol round.
 
-    ``announcements`` holds ``(time, announcer, label)``: Wbar's at t=2 in the
-    original protocol, and W's at t=3 whenever that step is reached.  W still
-    announces in the modified protocol, but no agent updates on hearsay.
+    ``announcements`` holds ``(time, announcer, label)`` for each
+    :attr:`~Step.announced` step the round reaches, in schedule order.
     """
 
     round_index: int
@@ -383,8 +380,9 @@ class Step:
     A measurement step writes the outcome of ``basis`` into ``memory`` by a
     unitary premeasurement; ``outcome`` names the ``Given`` field that
     holds it.  A ``sampled`` step then collapses on that record in the true
-    dynamics; an ``announced`` one is heard by every agent of the announcing
-    protocol.  The spin preparation applies ``unitary`` to ``targets``
+    dynamics.  An ``announced`` step's outcome is listed in the round's
+    transcript; a ``heard`` one conditions every agent's model on its
+    memory.  The spin preparation applies ``unitary`` to ``targets``
     instead.  The intrusion has ``after=(field, label)``: it happens only
     when that earlier outcome has that label, and reads ``basis`` directly
     (its ``memory`` only names whose reading it is).  A step with
@@ -399,6 +397,7 @@ class Step:
     outcome: str | None = None
     sampled: bool = False
     announced: bool = False
+    heard: bool = False
     after: tuple[str, str] | None = None
     unless: tuple[str, str] | None = None
     unitary: np.ndarray | None = None
@@ -433,7 +432,8 @@ class Step:
 # The spin preparation, and every measurement step through one cache: equal
 # steps and equal unitary parts are then one object each, so a run of unitary
 # parts, hashed by identity, names what the steps do (:func:`prefix_state`).
-# The 24 variants have eight distinct measurement steps, seven unitary parts.
+# The 24 variants have eleven distinct measurement steps (whether a lab step
+# is announced and heard makes it another step), and seven unitary parts.
 _SPIN_PREPARATION = Step(0, ("R", "S"), unitary=_PREPARE_SPIN)
 
 
@@ -454,13 +454,45 @@ def schedule(variant: ProtocolVariant) -> tuple[Step, ...]:
     steps.append(_measured(1, spin_basis(), F, "s"))
     if "F" in variant.notebooks:
         steps.append(_measured(1, spin_basis(), N))
-    steps.append(_measured(2, coin_lab_basis(), WBAR, "wbar", sampled=True, announced=True))
+    heard = variant.announce_wbar  # else Wbar's outcome stays secret, and W's is not heard
+    steps.append(_measured(2, coin_lab_basis(), WBAR, "wbar", sampled=True,
+                           announced=heard, heard=heard))
     if variant.intrusion:
         steps.append(_measured(2, spin_basis(), WBAR, "intrusion", sampled=True,
                                after=("wbar", "ok")))
     steps.append(_measured(3, spin_lab_basis(), W, "w", sampled=True, announced=True,
-                           unless=("wbar", "ok") if variant.intrusion else None))
+                           heard=heard, unless=("wbar", "ok") if variant.intrusion else None))
     return tuple(steps)
+
+
+def reached_steps(variant: ProtocolVariant, outcomes: dict[str, str | None]) -> tuple[Step, ...]:
+    """The steps a round with these partial outcomes reaches (those no
+    outcome rules out, :meth:`Step.skipped`), in time order.  Raises
+    :class:`InconsistentOutcomeError` when ``outcomes`` labels a step the
+    round does not reach: one ruled out by a given earlier outcome, or
+    absent from the variant."""
+    steps = schedule(variant)
+    for field in outcomes.keys() - {step.outcome for step in steps}:
+        if outcomes[field] is not None:
+            raise InconsistentOutcomeError(
+                f"no step of this variant writes the {field} outcome, so "
+                f"{field}={outcomes[field]} cannot be given")
+    reached = []
+    for step in steps:
+        if not step.skipped(outcomes):
+            reached.append(step)
+        elif outcomes.get(step.outcome) is not None:
+            if step.unless is not None:
+                field, label = step.unless
+                raise InconsistentOutcomeError(
+                    f"the {step.outcome} step is skipped once {field}={label}, so "
+                    f"no {step.outcome} outcome follows")
+            field, label = step.after
+            if outcomes.get(field) is not None:  # else the step may yet be reached
+                raise InconsistentOutcomeError(
+                    f"the {step.outcome} step happens only after {field}={label}, so "
+                    f"{field}={outcomes[field]} leaves no {step.outcome} outcome")
+    return tuple(reached)
 
 
 def _at(variant: ProtocolVariant, *times: int) -> tuple[Step, ...]:
@@ -516,21 +548,18 @@ def state_after_preparation(variant: ProtocolVariant) -> StateVector:
     return prefix_state(variant.layout(), tuple(step.unitary_part for step in _at(variant, 0, 1)))
 
 
+@lru_cache(maxsize=None)
+def _transcript_fields(variant: ProtocolVariant, key: OutcomeKey) -> tuple:
+    """A transcript's fields after the round index; an outcome the key leaves
+    empty was not reached, so its step announces nothing."""
+    announcements = tuple((step.time, step.memory.name, getattr(key, step.outcome))
+                          for step in schedule(variant)
+                          if step.announced and getattr(key, step.outcome) is not None)
+    return (*key, announcements, key.halts)
+
+
 def _transcript(variant: ProtocolVariant, round_index: int, key: OutcomeKey) -> RoundTranscript:
-    wbar, w, intrusion = key
-    announcements: list[tuple[int, str, str]] = []
-    if variant.announce_wbar:
-        announcements.append((2, "Wbar", wbar))
-    if w is not None:
-        announcements.append((3, "W", w))
-    return RoundTranscript(
-        round_index=round_index,
-        wbar_outcome=wbar,
-        w_outcome=w,
-        intrusion_outcome=intrusion,
-        announcements=tuple(announcements),
-        halted=key.halts,
-    )
+    return RoundTranscript(round_index, *_transcript_fields(variant, key))
 
 
 def run_round(

@@ -235,16 +235,23 @@ def test_perspectives_limit_marker_is_not_an_error(capsys):
 
 
 def test_perspectives_inconsistent_transcript_exits_3(capsys):
-    for argv in (
-        ("perspectives", "--t", "2", "--given", "wbar=ok,s=down"),
-        ("perspectives", "--t", "3", "--intrusion", "--given", "wbar=ok,w=fail"),
-        ("perspectives", "--t", "2", "--intrusion", "--agent", "wbar",
-         "--given", "wbar=fail,intrusion=up"),
-        ("perspectives", "--t", "2", "--agent", "wbar", "--given", "wbar=ok,intrusion=down"),
+    for argv, line in (
+        (("perspectives", "--t", "2", "--given", "wbar=ok,s=down"),
+         "outcome 'ok' on ('Wbar',) has probability 0.000e+00; "
+         "conditioning on it is inconsistent"),
+        (("perspectives", "--t", "3", "--intrusion", "--given", "wbar=ok,w=fail"),
+         "the w step is skipped once wbar=ok, so no w outcome follows"),
+        (("perspectives", "--t", "2", "--intrusion", "--agent", "wbar",
+          "--given", "wbar=fail,intrusion=up"),
+         "the intrusion step happens only after wbar=ok, so wbar=fail leaves no "
+         "intrusion outcome"),
+        (("perspectives", "--t", "2", "--agent", "wbar", "--given", "wbar=ok,intrusion=down"),
+         "no step of this variant writes the intrusion outcome, so intrusion=down "
+         "cannot be given"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_INCONSISTENT, argv
-        assert "inconsistent" in err
+        assert (out, err) == ("", f"inconsistent transcript: {line}\n"), argv
 
 
 # detect ---------------------------------------------------------------------------

@@ -350,7 +350,7 @@ def test_external_observer_predicts_the_exact_conditionals(variant):
     # next, or has produced, is then predicted with the exact conditional
     # probability, the direct spin reading after an intrusion ok included.
     exact = enumerate_exact(variant)
-    announcer = {step.outcome: step.memory.name for step in schedule(variant) if step.announced}
+    announcer = {step.outcome: step.memory.name for step in schedule(variant) if step.sampled}
     for time, heard in _heard_transcripts(variant):
         model = agent_model_at("C", time, Given(**heard), variant)
         if not variant.announce_wbar:
@@ -402,6 +402,39 @@ def test_transcript_lists_what_the_announcing_protocol_hears(variant):
         else:
             assert heard == [], key
             assert listed == ([] if key.w is None else [("W", key.w)]), key
+
+
+REACH_DIGEST = json.loads((Path(__file__).parent / "data" / "reach_digest.json").read_text())
+
+
+def _reach_lines():
+    """One canonical line per input of the reach rule: C at t=3 and Wbar at
+    t=2 under every combination of Given fields (each left out or set to one
+    of its labels) in every variant, with the fold's log or its error; then
+    the announcements of every leaf's transcript."""
+    choices = [(None,) + labels for labels in GIVEN_LABELS.values()]
+    for variant in ALL_VARIANTS:
+        name = variant_id(variant)
+        for agent, time in (("C", 3), ("Wbar", 2)):
+            for labels in itertools.product(*choices):
+                given = dict(zip(GIVEN_LABELS, labels))
+                try:
+                    result = agent_model_at(agent, time, Given(**given), variant).log
+                except (PerspectiveLimit, InconsistentOutcomeError, ValueError) as exc:
+                    result = (type(exc).__name__, str(exc))
+                yield repr((name, agent, time, sorted(given.items()), result))
+        for key in compiled_round(variant).leaves:
+            announcements = _transcript(variant, 0, key).announcements
+            yield repr((name, sorted(key._asdict().items()), announcements))
+
+
+def test_reach_rule_keeps_every_verdict_and_announcement():
+    # Which steps a transcript reaches decides each fold's log or error
+    # message, and which announcements a round lists; one SHA-256 pins both
+    # over every input.
+    lines = list(_reach_lines())
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == (REACH_DIGEST["lines"], REACH_DIGEST["sha256"])
 
 
 # Cheat mode ---------------------------------------------------------------------
