@@ -17,6 +17,7 @@ exception to its exit code.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -63,7 +64,9 @@ class ReportDocument:
     timestamps: dict | None = None
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2, allow_nan=False) + "\n"
+        """Dump the fields as they stand: they hold only dicts, lists and scalars,
+        so no deep copy is needed before ``json.dumps`` reads them."""
+        return json.dumps(vars(self), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _fraction(p: float) -> str | None:
@@ -265,7 +268,13 @@ def cmd_detect(args: argparse.Namespace) -> Report:
     return variant, asdict(report)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI grammar, built on the first call and shared by every later one.
+
+    :func:`main` parses with this one parser for the life of the process, so
+    callers must treat it as read-only.
+    """
     parser = argparse.ArgumentParser(
         prog="frsim",
         description="Two-lab extended Wigner's-friend protocol simulator.",

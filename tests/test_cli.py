@@ -332,6 +332,32 @@ def test_timestamp_flag_adds_timestamps(capsys):
     assert parse(plain)["timestamps"] is None
 
 
+# the shared grammar ------------------------------------------------------------------
+
+HELP = json.loads((DATA / "help_golden.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(HELP))
+def test_help_text_is_unchanged(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([*command.split()[1:], "--help"])
+    assert exc.value.code == EXIT_OK
+    assert capsys.readouterr().out == HELP[command]
+
+
+def test_shared_parser_leaks_nothing_between_calls(capsys):
+    assert build_parser() is build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["branches", "--notebooks", "all"])
+    assert exc.value.code == EXIT_USAGE
+    assert run_cli(capsys, "run", "--rounds", "0")[0] == EXIT_USAGE
+    argv = ("perspectives", "--t", "3", "--notebooks", "both", "--announce", "off")
+    assert run_cli(capsys, *argv) == (
+        EXIT_OK, (DATA / "perspectives_t3_both_golden.json").read_text(), "")
+    assert run_cli(capsys, "branches") == (EXIT_OK, GOLDEN.read_text(), "")
+
+
 # grammar-driven fuzz ----------------------------------------------------------------
 
 def _reject_constant(name):

@@ -497,7 +497,7 @@ def _known_fields(agent, time, variant):
         if step.outcome is None or step.time > time:
             continue
         own = step.memory.name == agent
-        if own or (step.announced and variant.announce_wbar):
+        if own or step.heard:
             labels = GIVEN_LABELS[step.outcome]
             fields[step.outcome] = labels + (None,) if own and step.after is not None else labels
     return fields
