@@ -141,16 +141,18 @@ def agent_model_at(
     (:func:`~frsim.protocol.reached_steps`): like the true dynamics, the fold
     skips each step that the outcomes in ``Given`` rule out, so a given
     ``wbar=ok`` leads to the intrusion and not to W's step.  The
-    steps the agent applies unitarily before its first own or heard outcome
-    are a record-free prefix: the fold starts from the shared
-    :func:`~frsim.protocol.prefix_state` of those steps and folds only the
-    rest, with the same operations in the same order.  The prefix reads no
-    outcome, so no error arises in it: what the cache holds changes no
-    error.  Raises :class:`PerspectiveLimit` when a reached step measures a
-    lab containing the agent, :class:`~frsim.measurement.InconsistentOutcomeError`
-    when ``Given`` holds an outcome of a step the round does not reach, and
-    :class:`ValueError` when the transcript prefix does not pin an outcome
-    the agent would know at that time.
+    steps the agent applies unitarily up to its first own or heard outcome
+    are a record-free prefix, which ends with the premeasurement of a heard
+    first record (an own outcome conditions without evolving): the fold
+    starts from the shared :func:`~frsim.protocol.prefix_state` of those
+    steps and folds only the rest, with the same operations in the same
+    order.  The prefix reads no outcome, so no error arises in it: what the
+    cache holds changes no error.  Raises :class:`PerspectiveLimit` when a
+    reached step measures a lab containing the agent,
+    :class:`~frsim.measurement.InconsistentOutcomeError` when ``Given`` holds
+    an outcome of a step the round does not reach, and :class:`ValueError`
+    when the transcript prefix does not pin an outcome the agent would know
+    at that time.
     """
     if time not in (0, 1, 2, 3):
         raise ValueError(f"time must be one of 0..3, got {time}")
@@ -171,14 +173,16 @@ def agent_model_at(
     # The steps the model takes part in: the agent's own outcomes, and the
     # steps it applies unitarily (the spin preparation, and premeasurements
     # into a memory it models).  Up to its first own or heard outcome, the
-    # model is a shared prefix.
+    # model is a shared prefix; it runs through a heard step's premeasurement,
+    # while an own outcome conditions without evolving.
     modelled = [step for step in steps if own(step) or step.unitary is not None
                 or (step.memory.name in layout and step.after is None)]
     split = next((i for i, step in enumerate(modelled) if own(step) or step.heard),
                  len(modelled))
-    state = prefix_state(layout, tuple(step.unitary_part for step in modelled[:split]))
+    evolved = split + (split < len(modelled) and not own(modelled[split]))
+    state = prefix_state(layout, tuple(step.unitary_part for step in modelled[:evolved]))
     log: list[tuple[str, str, str]] = []
-    for step in modelled[split:]:
+    for i, step in enumerate(modelled[split:], split):
         if own(step):
             label = getattr(given, step.outcome)
             if label is None:
@@ -190,7 +194,8 @@ def agent_model_at(
             state = condition_on(state, step.basis, label)
             log.append(("own", basis_name(step.targets), label))
         else:
-            state = step.evolve(state)
+            if i >= evolved:
+                state = step.evolve(state)
             if step.heard:
                 label = getattr(given, step.outcome)
                 if label is None:

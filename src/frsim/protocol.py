@@ -21,9 +21,11 @@ the state (the reference path), and :func:`compiled_round` expands every
 branch once into the one tree of labels and Born probabilities that
 sampling and exact enumeration read.  Agents fold over it in
 :mod:`frsim.perspectives`.  Until a fold samples or conditions on an
-outcome it is a run of unitary steps on a fresh state; :func:`prefix_state`
-builds each such record-free prefix once per (layout, the steps' unitary
-parts), and the true dynamics and every agent share it.
+outcome it is a run of unitary steps on a fresh state, ending with the
+premeasurement of the first record it reads; :func:`prefix_state` builds
+each such record-free prefix once per (layout, the steps' unitary parts),
+and the true dynamics and every agent share it.  Nothing after the first
+collapse or conditioning is cached.
 
 Randomness contract: one master seed; round ``k`` draws from an independent
 substream derived from ``(seed, k)`` (``(seed, *stream, k)`` with a stream
@@ -510,14 +512,17 @@ def fresh_state(layout: RegisterLayout) -> StateVector:
     return product_state(layout, factors)
 
 
-@lru_cache(maxsize=64)  # every agent model and prepared state of the 24 variants use 44
+@lru_cache(maxsize=64)  # every agent model, prepared state and round of the 24 variants use 44
 def prefix_state(layout: RegisterLayout, steps: tuple[Step, ...]) -> StateVector:
     """``fresh_state(layout)`` evolved by each step in turn: a record-free
     prefix of a round, which no sampled or known outcome has touched yet.
+    A fold's prefix ends with the premeasurement of the first record it
+    reads (:func:`run_round`, :func:`~frsim.perspectives.agent_model_at`).
     Built once per (layout, steps) and shared by the true dynamics and every
     agent.  Callers pass each step's :attr:`~Step.unitary_part`, so steps
     that evolve a state alike (W's step with and without its ``unless``) and
-    equal prefixes of different variants are one entry."""
+    equal prefixes of different variants are one entry: 44 for every agent
+    model, prepared state and reference round of the 24 variants."""
     state = fresh_state(layout)
     for step in steps:
         state = step.evolve(state)
@@ -525,14 +530,21 @@ def prefix_state(layout: RegisterLayout, steps: tuple[Step, ...]) -> StateVector
 
 
 def _fold(
-    state: StateVector, steps: tuple[Step, ...], rng: np.random.Generator | None = None
+    state: StateVector,
+    steps: tuple[Step, ...],
+    rng: np.random.Generator | None = None,
+    evolved: int = 0,
 ) -> tuple[StateVector, dict[str, str]]:
-    """The true dynamics of ``steps``: the final state and the sampled outcomes."""
+    """The true dynamics of ``steps``: the final state and the sampled
+    outcomes.  ``state`` already holds the unitary parts of the first
+    ``evolved`` steps (a shared prefix), so the fold samples those without
+    evolving them again."""
     outcomes: dict[str, str] = {}
-    for step in steps:
+    for i, step in enumerate(steps):
         if step.skipped(outcomes):
             continue
-        state = step.evolve(state)
+        if i >= evolved:
+            state = step.evolve(state)
         if step.sampled:
             outcomes[step.outcome], state = sample(state, step.readout, rng)
     return state, outcomes
@@ -569,9 +581,14 @@ def run_round(
 ) -> RoundTranscript:
     """Execute one full round on a fresh set of systems (reference path).
 
-    The round starts from the shared :func:`state_after_preparation`, so
-    only the sampled t=2,3 steps fold per round."""
-    _, outcomes = _fold(state_after_preparation(variant), _at(variant, 2, 3), rng)
+    The round starts from the shared :func:`prefix_state` that runs through
+    the premeasurement of its first sampled step, Wbar's lab step: the first
+    record the round reads.  So only that record's collapse and the rest of
+    t=2,3 fold per round."""
+    steps = schedule(variant)
+    evolved = 1 + next(i for i, step in enumerate(steps) if step.sampled)
+    state = prefix_state(variant.layout(), tuple(step.unitary_part for step in steps[:evolved]))
+    _, outcomes = _fold(state, steps, rng, evolved)
     return _transcript(variant, round_index, _key(outcomes))
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from frsim import perspectives, protocol
 from frsim.analysis import enumerate_exact
 from frsim.measurement import (
     InconsistentOutcomeError,
@@ -31,6 +32,8 @@ from frsim.protocol import (
     compiled_round,
     fresh_state,
     prefix_state,
+    round_rng,
+    run_round,
     schedule,
     state_after_preparation,
 )
@@ -611,6 +614,30 @@ def test_shared_states_cannot_be_written():
     assert np.array_equal(state.amplitudes, fresh_state(layout).amplitudes)
 
 
+def test_a_heard_first_fold_conditions_before_it_premeasures(monkeypatch):
+    # An agent whose first own or heard outcome is a heard one starts from the
+    # shared prefix through that step's premeasurement: with a warm cache its
+    # fold conditions on the heard record before it premeasures anything.
+    heard_first = [inputs for inputs, model in _sweep_models()
+                   if model.log and model.log[0][0] == "heard"]
+    events = []
+
+    def recorded(event, call):
+        def wrapper(*args):
+            events.append(event)
+            return call(*args)
+        return wrapper
+
+    monkeypatch.setattr(protocol, "premeasure", recorded("premeasure", protocol.premeasure))
+    monkeypatch.setattr(perspectives, "condition_on",
+                        recorded("condition", perspectives.condition_on))
+    for agent, time, given, variant in heard_first:
+        events.clear()
+        agent_model_at(agent, time, Given(**given), variant)
+        assert events[0] == "condition", (agent, time, given, variant_id(variant), events)
+    assert len(heard_first) == 120
+
+
 def _fold_result(agent, time, given, variant):
     """What ``agent_model_at`` gives: the model's bits, or the error's type and message."""
     try:
@@ -629,21 +656,36 @@ _FAILING_INPUTS = (
 )
 
 
+# Reference rounds of every variant at fixed seeds: (variant, seed, round index).
+_ROUND_INPUTS = tuple((variant, 13, k) for variant in ALL_VARIANTS for k in range(6))
+
+
+def _round_result(variant, seed, k):
+    return run_round(variant, round_rng(seed, k), k)
+
+
 def test_agent_models_and_their_errors_do_not_depend_on_the_prefix_cache():
+    # The reference rounds share the agents' prefixes too: they add no entry.
     inputs = list(_sweep_inputs()) + list(_FAILING_INPUTS)
     prefix_state.cache_clear()
     for variant in ALL_VARIANTS:
         state_after_preparation(variant)
     warm = [_fold_result(*args) for args in inputs]
+    warm_rounds = [_round_result(*args) for args in _ROUND_INPUTS]
     info = prefix_state.cache_info()
     assert info.misses == info.currsize == 44 <= info.maxsize  # nothing was evicted
     assert [_fold_result(*args) for args in inputs] == warm
+    assert [_round_result(*args) for args in _ROUND_INPUTS] == warm_rounds
     assert prefix_state.cache_info().misses == info.misses  # every prefix was a hit
-    cold = []
+    cold, cold_rounds = [], []
     for args in inputs:
         prefix_state.cache_clear()
         cold.append(_fold_result(*args))
+    for args in _ROUND_INPUTS:
+        prefix_state.cache_clear()
+        cold_rounds.append(_round_result(*args))
     assert cold == warm
+    assert cold_rounds == warm_rounds
     assert [result[0] for result in warm[-4:]] == [
         PerspectiveLimit, InconsistentOutcomeError, ValueError, ValueError]
     assert "own outcome" in warm[-2][1] and "announced" in warm[-1][1]

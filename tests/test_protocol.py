@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frsim import protocol
 from frsim.analysis import HALT_WINDOW, ROUND_CHUNK
 from frsim.measurement import branch_all, condition_on
 from frsim.protocol import (
@@ -27,7 +28,7 @@ from frsim.protocol import (
 from frsim.reference import reference_by_tag
 from frsim.systems import coin_basis, coin_lab_basis, spin_basis
 from frsim.tensor import equal_up_to_global_phase
-from variants import ALL_NOTEBOOK_SETS, ALL_VARIANTS
+from variants import ALL_NOTEBOOK_SETS, ALL_VARIANTS, variant_id
 
 NONE = ProtocolVariant(announce_wbar=False)
 BOTH = ProtocolVariant(announce_wbar=False, notebooks=frozenset({"Fbar", "F"}))
@@ -201,6 +202,29 @@ def test_sampler_matches_reference_path(notebooks, intrusion):
         reference = run_round(variant, round_rng(41, k), k)
         fast = sampler.draw(round_rng(41, k), k)
         assert reference == fast
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=variant_id)
+def test_a_round_premeasures_only_w_after_its_shared_prefix(variant, monkeypatch):
+    # The shared prefix runs through Wbar's premeasurement, the first record a
+    # round reads, so with a warm cache a round premeasures only W's lab, and
+    # only when its key reaches W's step.
+    run_round(variant, round_rng(43, 0), 0)
+    premeasure, memories = protocol.premeasure, []
+
+    def counted(state, basis, memory):
+        memories.append(memory.name)
+        return premeasure(state, basis, memory)
+
+    monkeypatch.setattr(protocol, "premeasure", counted)
+    reached = set()
+    for k in range(40):
+        memories.clear()
+        transcript = run_round(variant, round_rng(43, k), k)
+        reaches_w = transcript.w_outcome is not None
+        reached.add(reaches_w)
+        assert memories == ["W"] * reaches_w, (k, transcript)
+    assert reached == ({True, False} if variant.intrusion else {True})
 
 
 def _uniforms_by_round(seed, axes, depth):
