@@ -244,8 +244,8 @@ def pick_index(probabilities: Sequence[float], u: float) -> int:
     """Index of the branch containing ``u`` in the cumulative distribution.
 
     The cumulative sums are accumulated left to right in plain float
-    arithmetic; callers that cache probabilities and replay this function get
-    bit-identical choices to a direct :func:`sample` call.
+    arithmetic; the compiled tree (:class:`~frsim.protocol.RoundSampler`)
+    stores them and this fallback as a last interval, and picks alike.
     """
     cumulative = 0.0
     for i, p in enumerate(probabilities):

@@ -19,13 +19,14 @@ both superobservers record ``ok`` (:attr:`OutcomeKey.halts`).
 The true dynamics fold over the schedule: :func:`run_round` samples it on
 the state (the reference path), and :func:`compiled_round` expands every
 branch once into the one tree of labels and Born probabilities that
-sampling and exact enumeration read.  Agents fold over it in
-:mod:`frsim.perspectives`.  Until a fold samples or conditions on an
-outcome it is a run of unitary steps on a fresh state, ending with the
-premeasurement of the first record it reads; :func:`prefix_state` builds
-each such record-free prefix once per (layout, the steps' unitary parts),
-and the true dynamics and every agent share it.  Nothing after the first
-collapse or conditioning is cached.
+sampling and exact enumeration read; its walkers take the first branch whose
+running sum exceeds the uniform, the roundoff slack above the last sum being
+one more interval.  Agents fold over it in :mod:`frsim.perspectives`.  Until
+a fold samples or conditions on an outcome it is a run of unitary steps on a
+fresh state, ending with the premeasurement of the first record it reads;
+:func:`prefix_state` builds each such record-free prefix once per (layout,
+the steps' unitary parts), and the true dynamics and every agent share it.
+Nothing after the first collapse or conditioning is cached.
 
 Randomness contract: one master seed; round ``k`` draws from an independent
 substream derived from ``(seed, k)`` (``(seed, *stream, k)`` with a stream
@@ -40,8 +41,9 @@ the per-round path bit for bit.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, product
 from math import sqrt
@@ -596,24 +598,18 @@ def run_round(
 class _Node:
     """One sampled step of the tree: its branches of nonzero probability.
 
-    ``children[i]`` follows branch ``i``: a node index, or ``~j`` for the
-    ``j``-th leaf.  ``level`` counts the sampled steps before this one, so
-    it is the column of the round's uniforms this node reads.  A branch of
-    zero probability is left out: :func:`pick_index` never picks it, and
-    without it the cumulative sums and the fallback pick the same branches.
+    ``cumulative`` holds their running sums as :func:`pick_index` adds them,
+    and a uniform ``u`` takes ``children[bisect_right(cumulative, u)]``: a
+    node index, or ``~j`` for the ``j``-th leaf.  One extra, last child takes
+    the slack above the last sum: the branch :func:`pick_index` falls back to.
+    ``level`` counts the sampled steps before this one, so it is the column
+    of the round's uniforms this node reads.  A branch of zero probability
+    is left out: :func:`pick_index` never picks it.
     """
 
     level: int
-    probabilities: tuple[float, ...]
+    cumulative: np.ndarray
     children: tuple[int, ...]
-    # What pick_index computes, for a whole column of uniforms at once: its
-    # running sums, and the branch it takes in the roundoff slack at the top.
-    cumulative: np.ndarray = field(init=False)
-    fallback: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "cumulative", np.array(list(accumulate(self.probabilities))))
-        object.__setattr__(self, "fallback", pick_index(self.probabilities, float("inf")))
 
 
 def _branch_tree(
@@ -642,7 +638,9 @@ def _branch_tree(
                              probability * b.probability, nodes, leaves)
                 for b in branches
             )
-            nodes.append(_Node(len(outcomes), tuple(b.probability for b in branches), children))
+            probabilities = [b.probability for b in branches]
+            children += (children[pick_index(probabilities, float("inf"))],)  # above the sums
+            nodes.append(_Node(len(outcomes), np.array(list(accumulate(probabilities))), children))
             return len(nodes) - 1
     leaves[_key(outcomes)] = probability
     return ~(len(leaves) - 1)
@@ -655,11 +653,10 @@ class RoundSampler:
     the same operations as the reference path, and an outcome key at every
     leaf; no state.  ``joint`` maps each leaf to its (nonzero) probability,
     ``leaves`` lists the leaf keys in the same order, and ``halting`` marks
-    the leaves that halt the experiment.  ``draw`` consumes
-    uniforms in the same order and against the same cumulative sums as
-    :func:`run_round`, so both paths give identical transcripts for
-    identical generator states; ``walk`` does the same for a whole grid of
-    uniforms at once.
+    the leaves that halt the experiment.  ``draw`` consumes uniforms in the
+    same order as :func:`run_round` and takes the branches :func:`pick_index`
+    takes, so both paths give identical transcripts for identical generator
+    states; ``walk`` does the same for a whole grid of uniforms at once.
     """
 
     def __init__(self, variant: ProtocolVariant):
@@ -678,7 +675,7 @@ class RoundSampler:
         nodes, ref = self._nodes, self._root
         while ref >= 0:
             node = nodes[ref]
-            ref = node.children[pick_index(node.probabilities, float(rng.random()))]
+            ref = node.children[bisect_right(node.cumulative, rng.random())]
         return _transcript(self.variant, round_index, self.leaves[~ref])
 
     def walk(self, uniforms: np.ndarray) -> np.ndarray:
@@ -691,7 +688,6 @@ class RoundSampler:
             node = self._nodes[index]
             at = np.flatnonzero(ref == index)
             picked = np.searchsorted(node.cumulative, rounds[at, node.level], side="right")
-            picked[picked == len(node.cumulative)] = node.fallback
             ref[at] = np.take(node.children, picked)
         return ~ref.reshape(uniforms.shape[:-1])
 

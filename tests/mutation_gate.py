@@ -1,0 +1,126 @@
+"""Mutation gate: every listed mutant of the sampling code must be killed.
+
+Each mutant is an exact text patch ``(file, old, new, tests)``.  The script
+copies the checkout to a temporary directory, runs the tests of every mutant
+there once unpatched (they must pass), then for each mutant replaces the one
+occurrence of ``old`` in ``file`` with ``new``, runs its ``tests`` with
+pytest, and restores the file.  A mutant is killed when its tests fail.
+From the repository root, with the tier-1 test dependencies installed::
+
+    python3 tests/mutation_gate.py
+
+It prints one line per mutant and the total runtime, and exits 1 when a
+mutant survives, when a patch's ``old`` text does not occur exactly once in
+its file (so the list keeps up with the code), or when the unpatched tests
+fail.  A change to a patched line updates its patch here.  ``EQUIVALENT``
+lists mutants that give the same bits as the code; their patches must apply,
+but they are not run.  The file name keeps pytest from collecting it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+_EDGES = ("tests/test_protocol.py::test_draw_walk_and_the_reference_agree_on_the_branch_edges",)
+_SLACK = 'children += (children[pick_index(probabilities, float("inf"))],)'
+
+MUTANTS = (
+    Mutant("draw takes the branch whose running sum is >= u (bisect_left)",
+           "src/frsim/protocol.py", "from bisect import bisect_right\n",
+           "from bisect import bisect_left as bisect_right\n", _EDGES),
+    Mutant("walk takes the branch whose running sum is >= u (side='left')",
+           "src/frsim/protocol.py", 'side="right"', 'side="left"', _EDGES),
+    Mutant("the slack above the last running sum has no child",
+           "src/frsim/protocol.py", _SLACK, "pass", _EDGES),
+    Mutant("the slack above the last running sum takes the first branch",
+           "src/frsim/protocol.py", _SLACK, "children += (children[0],)", _EDGES),
+    Mutant("the halting round off by one",
+           "src/frsim/analysis.py", "= start + 1 + halts[halted]", "= start + halts[halted]",
+           ("tests/test_analysis.py::test_rounds_to_halt_across_kernel_calls",)),
+    Mutant("a dropped chunk offset: the two-word keys' uniforms land at the grid's start",
+           "src/frsim/protocol.py", "yield run, [", "yield slice(0, run.stop - run.start), [",
+           ("tests/test_protocol.py::test_grid_uniforms_across_the_two_word_boundary",)),
+    Mutant("key entries read as one 32-bit word",
+           "src/frsim/protocol.py", "cut = int(np.searchsorted(values, np.uint64(2**32)))",
+           "cut = len(values)",
+           ("tests/test_protocol.py::test_grid_uniforms_across_the_two_word_boundary",)),
+)
+
+# At every node of the 24 variants' trees, pick_index's fallback is the last
+# branch of nonzero probability, so this mutant gives the same tree.
+EQUIVALENT = (
+    Mutant("the slack above the last running sum takes the last branch",
+           "src/frsim/protocol.py", _SLACK, "children += (children[-1],)", ()),
+)
+
+
+def _pytest(checkout: Path, tests) -> int:
+    # pytest's own ``pythonpath`` setting puts the copy's src/ on the path;
+    # the caller's PYTHONPATH could point at the unpatched checkout.
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+        cwd=checkout, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    ).returncode
+
+
+def run_gate() -> bool:
+    """Print the verdict of every mutant; True when every one is killed."""
+    ok = True
+    with tempfile.TemporaryDirectory() as scratch:
+        checkout = Path(scratch) / "checkout"
+        shutil.copytree(ROOT, checkout, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".hypothesis"))
+        for mutant in MUTANTS + EQUIVALENT:
+            found = (checkout / mutant.file).read_text().count(mutant.old)
+            if found != 1:
+                print(f"NO PATCH  {mutant.name}: {mutant.old!r} occurs {found} times "
+                      f"in {mutant.file}")
+                ok = False
+        if not ok:
+            return False
+        tests = tuple(dict.fromkeys(test for mutant in MUTANTS for test in mutant.tests))
+        if _pytest(checkout, tests) != 0:
+            print("FAILED    the mutants' tests fail on the unpatched checkout")
+            return False
+        for mutant in MUTANTS:
+            path = checkout / mutant.file
+            source = path.read_text()
+            path.write_text(source.replace(mutant.old, mutant.new))
+            start = time.perf_counter()
+            try:
+                code = _pytest(checkout, mutant.tests)
+            finally:
+                path.write_text(source)
+            verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR {code}")
+            print(f"{verdict:<9} {mutant.name} ({time.perf_counter() - start:.1f} s)")
+            ok &= code == 1
+        for mutant in EQUIVALENT:
+            print(f"{'equiv.':<9} {mutant.name} (not run)")
+    return ok
+
+
+if __name__ == "__main__":
+    start = time.perf_counter()
+    ok = run_gate()
+    print(f"{len(MUTANTS)} mutants, {'all killed' if ok else 'GATE FAILED'}, "
+          f"in {time.perf_counter() - start:.1f} s")
+    sys.exit(0 if ok else 1)

@@ -204,6 +204,49 @@ def test_sampler_matches_reference_path(notebooks, intrusion):
         assert reference == fast
 
 
+class _Scripted:
+    """A stand-in generator whose ``random()`` returns the given uniforms in order."""
+
+    def __init__(self, uniforms):
+        self.random = iter(uniforms).__next__
+
+
+def _node_paths(sampler):
+    """Each node index of the tree, with the uniforms that lead to it from the
+    root: the middle of the taken branch's interval at every ancestor."""
+    stack = [(sampler._root, ())]
+    while stack:
+        index, row = stack.pop()
+        yield index, row
+        node = sampler._nodes[index]
+        for low, high, child in zip((0.0, *node.cumulative), node.cumulative, node.children):
+            if child >= 0:
+                stack.append((child, (*row, float(low + high) / 2)))
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=variant_id)
+def test_draw_walk_and_the_reference_agree_on_the_branch_edges(variant):
+    # At every node, uniforms on each running sum, one ulp below it, and in
+    # the roundoff slack above the last sum: draw, walk and run_round (whose
+    # pick_index reads the unpruned probabilities) must end at the same leaf.
+    sampler = compiled_round(variant)
+    rows, reached = [], set()
+    for index, path in _node_paths(sampler):
+        node = sampler._nodes[index]
+        edges = {0.0, np.nextafter(1.0, 0.0), node.cumulative[-1]}
+        edges.update(node.cumulative)
+        edges.update(np.nextafter(total, 0.0) for total in node.cumulative)
+        assert max(edges) >= node.cumulative[-1]
+        rows += [(*path, float(u)) + (0.5,) * (sampler.depth - len(path) - 1) for u in edges]
+        reached.add(index)
+    assert reached == set(range(len(sampler._nodes)))
+    walked = sampler.walk(np.array(rows))
+    for k, (row, leaf) in enumerate(zip(rows, walked)):
+        drawn = sampler.draw(_Scripted(row), k)
+        assert drawn == run_round(variant, _Scripted(row), k), row
+        assert sampler.leaves[leaf] == drawn.key(), row
+
+
 @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=variant_id)
 def test_a_round_premeasures_only_w_after_its_shared_prefix(variant, monkeypatch):
     # The shared prefix runs through Wbar's premeasurement, the first record a
