@@ -33,10 +33,12 @@ PROBABILITY_ATOL = 1e-10
 # however many rounds or runs are asked for.
 ROUND_CHUNK = 4096
 
-# rounds_to_halt samples this many rounds of every run still going at once.
-# A run halts within a window with probability 1 - (11/12)**8 = 0.50 or more;
-# for 2000 runs a window of 16 rounds costs about a quarter more, one of 64
-# three times as much.
+# rounds_to_halt's first window of rounds.  A run halts within it with
+# probability 1 - (11/12)**8 = 0.50 or more.  Each window doubles while the
+# runs still going fill at most ROUND_CHUNK pairs: a kernel call of 16 pairs
+# costs about 0.17 ms and one of 4096 about 0.43 ms (2 cores), so fewer and
+# fuller calls win.  `frsim run --until-halt --repeats 2000 --seed 7` makes
+# 10 calls, where fixed windows of 8 rounds made 16.
 HALT_WINDOW = 8
 
 
@@ -150,10 +152,13 @@ def rounds_to_halt(config: ProtocolConfig, repeats: int) -> np.ndarray:
 
     Entry ``r`` is ``run_until_halt(config, stream=(r,)).rounds_executed``
     when that run halts: round ``k`` of run ``r`` uses the substream keyed by
-    ``(seed, r, k)``.  Every run still going is sampled ``HALT_WINDOW`` rounds
+    ``(seed, r, k)``.  Every run still going is sampled a window of rounds
     at a time, as a two-axis grid of (run, round) keys (:func:`grid_uniforms`,
     :meth:`RoundSampler.walk`); a run's first halting leaf in the window ends
-    it.
+    it.  A window starts at ``HALT_WINDOW`` rounds, doubles while the runs
+    still going fill at most ``ROUND_CHUNK`` pairs and stops at
+    ``max_rounds``; its runs are split evenly over as few kernel calls as
+    hold them.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")
@@ -161,21 +166,22 @@ def rounds_to_halt(config: ProtocolConfig, repeats: int) -> np.ndarray:
     lengths = np.zeros(repeats, dtype=np.int64)
     if not sampler.halting.any():  # W's step is skipped after an intrusion ok
         return lengths
-    going = np.arange(repeats, dtype=np.uint64)
-    rows = ROUND_CHUNK // HALT_WINDOW  # runs per kernel call
-    for start in range(0, config.max_rounds, HALT_WINDOW):
-        window = np.arange(start, min(start + HALT_WINDOW, config.max_rounds), dtype=np.uint64)
+    going, start = np.arange(repeats, dtype=np.uint64), 0
+    while len(going) and start < config.max_rounds:
+        width = HALT_WINDOW
+        while len(going) * 2 * width <= ROUND_CHUNK:
+            width *= 2
+        window = np.arange(start, min(start + width, config.max_rounds), dtype=np.uint64)
+        rows = ROUND_CHUNK // len(window)  # runs per kernel call, at most
         still = []
-        for first in range(0, len(going), rows):
-            runs = going[first:first + rows]
+        for runs in np.array_split(going, -(-len(going) // rows)):
             halts = sampler.halting[
                 sampler.walk(grid_uniforms(config.seed, (runs, window), sampler.depth))]
             halted = halts.any(axis=1)
             lengths[runs[halted]] = start + 1 + halts[halted].argmax(axis=1)
             still.append(runs[~halted])
         going = np.concatenate(still)
-        if not len(going):
-            break
+        start += width
     return lengths
 
 

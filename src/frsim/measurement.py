@@ -6,7 +6,10 @@ joint space of some target systems.  The basis need not be complete, but
 raise when the probability outside it (the residual) reaches
 :data:`RESIDUAL_TOL`.  :func:`condition_on` and :func:`outcome_probability`
 read only the outcome asked for, and :func:`premeasure` leaves the residual
-part of the state as it is.
+part of the state as it is.  Every probability check passes only a good
+value, so a NaN fails it: a NaN state raises :class:`ResidualError` from
+:func:`branch_all` and :func:`sample`, and :class:`InconsistentOutcomeError`
+from :func:`condition_on`.
 
 Measurement comes in four flavours:
 
@@ -211,7 +214,7 @@ def _project_all(
         coeffs, projected = _components(outcome.vectors, mat)
         projections.append((_weight(coeffs), projected))
     residual_probability = _weight(mat - sum(projected for _, projected in projections))
-    if residual_probability >= RESIDUAL_TOL:
+    if not residual_probability < RESIDUAL_TOL:
         raise ResidualError(
             f"residual outcome on {basis.target_names} has probability "
             f"{residual_probability:.3e} under a forbid policy"
@@ -222,7 +225,7 @@ def _project_all(
 def _post_state(
     state: StateVector, plan: TransposePlan, probability: float, projected: np.ndarray
 ) -> StateVector:
-    if probability <= ZERO_PROBABILITY_ATOL:
+    if not probability > ZERO_PROBABILITY_ATOL:
         return state  # placeholder, never a physical branch
     return StateVector(state.layout, plan.restore(projected / np.sqrt(probability)))
 
@@ -286,7 +289,7 @@ def condition_on(state: StateVector, basis: MeasurementBasis, label: str) -> Sta
     plan, mat = _moved(state, basis)
     coeffs, projected = _components(vectors, mat)
     probability = _weight(coeffs)
-    if probability <= ZERO_PROBABILITY_ATOL:
+    if not probability > ZERO_PROBABILITY_ATOL:
         raise InconsistentOutcomeError(
             f"outcome {label!r} on {basis.target_names} has probability "
             f"{probability:.3e}; conditioning on it is inconsistent"
@@ -318,7 +321,7 @@ def premeasure(
     cube = mat.reshape(-1, memory.dimension, mat.shape[1])  # (target, memory, rest)
 
     off_ready = _weight(cube[:, off_ready_levels])
-    if off_ready > ZERO_PROBABILITY_ATOL:
+    if not off_ready <= ZERO_PROBABILITY_ATOL:
         raise ValueError(
             f"memory {memory.name!r} is not in its ready state "
             f"(off-ready probability {off_ready:.3e})"

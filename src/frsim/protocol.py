@@ -197,60 +197,73 @@ def round_rng(seed: int, *key: int) -> np.random.Generator:
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
-# PCG64's 128-bit LCG multiplier (O'Neill, HMC-CS-2014-0905).
+# PCG64's 128-bit LCG multiplier (O'Neill, HMC-CS-2014-0905).  Every array
+# operation of the kernel takes an operand of the array's own dtype: uint32
+# for SeedSequence's words, uint64 for PCG64's state, so numpy never has to
+# resolve a Python int against the array.  ``_MASK32`` serves the Python
+# ints of the seed and of the hash chains.
 _MASK32 = 0xFFFF_FFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
 _POOL_SIZE = 4
-_PCG_MULT_HI, _PCG_MULT_LO = 2549297995355413924, 4865540595714422341
+_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(2549297995355413924), np.uint64(4865540595714422341)
+_LOW32, _SHIFT32 = np.uint64(_MASK32), np.uint64(32)
+_ONE, _SHIFT63 = np.uint64(1), np.uint64(63)
+_ROTATION_SHIFT, _WORD_BITS, _MANTISSA_SHIFT = np.uint64(58), np.uint64(64), np.uint64(11)
 
 
-def _hash_constants(value: int, mult: int):
-    """SeedSequence's successive (xor, multiplier) pairs; they do not depend
-    on the data, so they stay Python ints."""
-    while True:
+@lru_cache(maxsize=None)
+def _hash_constants(value: int, mult: int, count: int) -> tuple[tuple[np.uint32, np.uint32], ...]:
+    """SeedSequence's first ``count`` (xor, multiplier) pairs of the hash
+    chain that starts at ``value``, as uint32 scalars.  They do not depend
+    on the data, so each chain is built once per length."""
+    pairs = []
+    for _ in range(count):
         following = value * mult & _MASK32
-        yield value, following
+        pairs.append((np.uint32(value), np.uint32(following)))
         value = following
+    return tuple(pairs)
 
 
-def _hash(word, constants):
-    """One SeedSequence hash of a 32-bit word (Python int or uint32 array)."""
+def _hash(word: np.ndarray, constants) -> np.ndarray:
+    """One SeedSequence hash of a uint32 array."""
     xor, mult = next(constants)
-    word = (word ^ xor) * mult & _MASK32
-    return word ^ word >> 16
+    word = (word ^ xor) * mult
+    return word ^ word >> _XSHIFT
 
 
-def _mix(x, y):
-    word = (_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32) & _MASK32
-    return word ^ word >> 16
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    word = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return word ^ word >> _XSHIFT
 
 
-def _words(n: int) -> list[int]:
-    """``n`` as SeedSequence reads it: little-endian 32-bit words, one for 0."""
+def _words(n: int) -> list[np.ndarray]:
+    """``n`` as SeedSequence reads it: little-endian 32-bit words, one for 0,
+    each a one-element uint32 array that broadcasts along a grid."""
     n = int(n)
     if n < 0:
         raise ValueError(f"seed must be non-negative, got {n}")
     words = [n & _MASK32]
     while n := n >> 32:
         words.append(n & _MASK32)
-    return words
+    return list(np.array(words, dtype=np.uint32).reshape(-1, 1))
 
 
-def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
+def _mulhi64(a: np.ndarray, b: np.uint64) -> np.ndarray:
     """High 64 bits of ``a * b`` for uint64 ``a``, from 32-bit limbs.  The
     partial sums accumulate in place, so fewer block-sized arrays are alive
     at once; uint64 sums are the same words in any order."""
-    a0, a1, b0, b1 = a & _MASK32, a >> 32, b & _MASK32, b >> 32
+    a0, a1, b0, b1 = a & _LOW32, a >> _SHIFT32, b & _LOW32, b >> _SHIFT32
     p01, p10 = a0 * b1, a1 * b0
-    middle = a0 * b0 >> 32
-    middle += p01 & _MASK32
-    middle += p10 & _MASK32
+    middle = a0 * b0 >> _SHIFT32
+    middle += p01 & _LOW32
+    middle += p10 & _LOW32
     high = a1 * b1
-    high += p01 >> 32
-    high += p10 >> 32
-    high += middle >> 32
+    high += p01 >> _SHIFT32
+    high += p10 >> _SHIFT32
+    high += middle >> _SHIFT32
     return high
 
 
@@ -261,16 +274,15 @@ def _add128(hi, lo, add_hi, add_lo):
 
 def _lcg_step(hi, lo, inc_hi, inc_lo):
     """PCG64's state update ``state * multiplier + inc`` modulo 2**128."""
-    product_hi = _mulhi64(lo, _PCG_MULT_LO) + lo * np.uint64(_PCG_MULT_HI) \
-        + hi * np.uint64(_PCG_MULT_LO)
-    return _add128(product_hi, lo * np.uint64(_PCG_MULT_LO), inc_hi, inc_lo)
+    product_hi = _mulhi64(lo, _PCG_MULT_LO) + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO
+    return _add128(product_hi, lo * _PCG_MULT_LO, inc_hi, inc_lo)
 
 
 def _block_uniforms(entropy: list, depth: int) -> np.ndarray:
     """``default_rng(SeedSequence(entropy)).random(depth)`` for every round at
-    once.  An entropy word is a Python int or a uint32 array; the arrays
-    broadcast together to the shape of the block, and the last axis of the
-    result holds each round's uniforms.
+    once.  Each entropy word is a uint32 array; the arrays broadcast together
+    to the shape of the block, and the last axis of the result holds each
+    round's uniforms.
 
     The pool, the seed words and each output's temporaries are dropped as
     soon as they are used, so a block of 4096 rounds peaks near 0.5 MiB.  A
@@ -289,14 +301,15 @@ def _block_uniforms(entropy: list, depth: int) -> np.ndarray:
 
 def _seed_pool(entropy: list) -> list:
     """SeedSequence's entropy pool after mixing in ``entropy``."""
-    constants = _hash_constants(_INIT_A, _MULT_A)
-    pool = [_hash(entropy[i] if i < len(entropy) else 0, constants)
+    extra = entropy[_POOL_SIZE:]
+    constants = iter(_hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + len(extra))))
+    pool = [_hash(entropy[i] if i < len(entropy) else np.zeros(1, np.uint32), constants)
             for i in range(_POOL_SIZE)]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
                 pool[dst] = _mix(pool[dst], _hash(pool[src], constants))
-    for word in entropy[_POOL_SIZE:]:
+    for word in extra:
         for dst in range(_POOL_SIZE):
             pool[dst] = _mix(pool[dst], _hash(word, constants))
     return pool
@@ -307,21 +320,21 @@ def _pcg_seed(pool: list) -> tuple[np.ndarray, ...]:
     its seeding: inc = 2 * seq + 1; state = inc, += seed.  Seed and seq are
     ``generate_state(4, uint64)``: eight words, paired little-endian, and
     built a pair at a time."""
-    constants = _hash_constants(_INIT_B, _MULT_B)
+    constants = iter(_hash_constants(_INIT_B, _MULT_B, 8))
 
     def word(i: int) -> np.ndarray:
         return _hash(pool[i % _POOL_SIZE], constants).astype(np.uint64)
 
-    seed_hi, seed_lo, seq_hi, seq_lo = (word(i) | word(i + 1) << 32 for i in range(0, 8, 2))
-    inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
+    seed_hi, seed_lo, seq_hi, seq_lo = (word(i) | word(i + 1) << _SHIFT32 for i in range(0, 8, 2))
+    inc_hi, inc_lo = seq_hi << _ONE | seq_lo >> _SHIFT63, seq_lo << _ONE | _ONE
     return (*_add128(inc_hi, inc_lo, seed_hi, seed_lo), inc_hi, inc_lo)
 
 
 def _xsl_rr_double(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     """PCG64's XSL-RR output of each state, as ``random()`` turns it into a double."""
-    x, rot = hi ^ lo, hi >> 58
-    x = x >> rot | x << (64 - rot & 63)
-    return (x >> 11) * 2.0**-53
+    x, rot = hi ^ lo, hi >> _ROTATION_SHIFT
+    x = x >> rot | x << (_WORD_BITS - rot & _SHIFT63)
+    return (x >> _MANTISSA_SHIFT) * 2.0**-53
 
 
 def _axis(values) -> np.ndarray:
@@ -342,7 +355,7 @@ def _word_runs(values: np.ndarray):
     for run, width in ((slice(0, cut), 1), (slice(cut, len(values)), 2)):
         if run.start < run.stop:
             part = values[run]
-            yield run, [(part >> 32 * j).astype(np.uint32) for j in range(width)]  # low 32 bits
+            yield run, [(part >> _SHIFT32 * j).astype(np.uint32) for j in range(width)]  # low 32 bits
 
 
 def grid_uniforms(seed: int, axes, depth: int) -> np.ndarray:
@@ -587,11 +600,20 @@ def run_round(
     the premeasurement of its first sampled step, Wbar's lab step: the first
     record the round reads.  So only that record's collapse and the rest of
     t=2,3 fold per round."""
+    steps, evolved, prefix = _round_start(variant)
+    _, outcomes = _fold(prefix_state(*prefix), steps, rng, evolved)
+    return _transcript(variant, round_index, _key(outcomes))
+
+
+@lru_cache(maxsize=None)  # one entry per variant, like schedule's
+def _round_start(variant: ProtocolVariant) -> tuple[tuple[Step, ...], int, tuple]:
+    """:func:`run_round`'s steps, how many of them its prefix evolves, and
+    the prefix's :func:`prefix_state` key, found once per variant.  The
+    state stays in :func:`prefix_state`'s cache, and nothing after a
+    collapse is kept."""
     steps = schedule(variant)
     evolved = 1 + next(i for i, step in enumerate(steps) if step.sampled)
-    state = prefix_state(variant.layout(), tuple(step.unitary_part for step in steps[:evolved]))
-    _, outcomes = _fold(state, steps, rng, evolved)
-    return _transcript(variant, round_index, _key(outcomes))
+    return steps, evolved, (variant.layout(), tuple(step.unitary_part for step in steps[:evolved]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,4 +1,5 @@
-"""Mutation gate: every listed mutant of the sampling code must be killed.
+"""Mutation gate: every listed mutant of the sampling code and the
+measurement checks must be killed.
 
 Each mutant is an exact text patch ``(file, old, new, tests)``.  The script
 copies the checkout to a temporary directory, runs the tests of every mutant
@@ -62,6 +63,34 @@ MUTANTS = (
            "src/frsim/protocol.py", "cut = int(np.searchsorted(values, np.uint64(2**32)))",
            "cut = len(values)",
            ("tests/test_protocol.py::test_grid_uniforms_across_the_two_word_boundary",)),
+    Mutant("the hash's shift is 15 instead of 16",
+           "src/frsim/protocol.py", "* mult\n    return word ^ word >> _XSHIFT",
+           "* mult\n    return word ^ word >> np.uint32(15)",
+           ("tests/test_protocol.py::test_grid_uniforms_across_the_two_word_boundary",)),
+    Mutant("the next window starts HALT_WINDOW rounds later instead of its width",
+           "src/frsim/analysis.py", "start += width", "start += HALT_WINDOW",
+           ("tests/test_analysis.py::test_rounds_to_halt_samples_each_pair_once",)),
+    Mutant("the widened window is not clipped at max_rounds",
+           "src/frsim/analysis.py", "min(start + width, config.max_rounds)", "start + width",
+           ("tests/test_analysis.py::test_rounds_to_halt_clips_a_widened_window_at_max_rounds",)),
+    Mutant("the residual check lets a NaN through",
+           "src/frsim/measurement.py", "if not residual_probability < RESIDUAL_TOL:",
+           "if residual_probability >= RESIDUAL_TOL:",
+           ("tests/test_measurement.py::test_a_nan_state_fails_the_residual_check",)),
+    Mutant("a NaN probability builds a branch",
+           "src/frsim/measurement.py",
+           "if not probability > ZERO_PROBABILITY_ATOL:\n        return state",
+           "if probability <= ZERO_PROBABILITY_ATOL:\n        return state",
+           ("tests/test_measurement.py::test_a_nan_probability_builds_no_branch",)),
+    Mutant("conditioning lets a NaN probability through",
+           "src/frsim/measurement.py",
+           "if not probability > ZERO_PROBABILITY_ATOL:\n        raise",
+           "if probability <= ZERO_PROBABILITY_ATOL:\n        raise",
+           ("tests/test_measurement.py::test_a_nan_state_fails_the_zero_probability_check",)),
+    Mutant("the ready check lets a NaN memory amplitude through",
+           "src/frsim/measurement.py", "if not off_ready <= ZERO_PROBABILITY_ATOL:",
+           "if off_ready > ZERO_PROBABILITY_ATOL:",
+           ("tests/test_measurement.py::test_a_nan_memory_amplitude_fails_the_ready_check",)),
 )
 
 # At every node of the 24 variants' trees, pick_index's fallback is the last

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import frsim
 import hand_oracle
+from frsim import analysis
 from frsim.analysis import (
     HALT_WINDOW,
     ROUND_CHUNK,
@@ -25,6 +26,7 @@ from frsim.protocol import (
     ProtocolConfig,
     ProtocolVariant,
     compiled_round,
+    grid_uniforms,
     round_rng,
     run_until_halt,
 )
@@ -195,6 +197,58 @@ def test_rounds_to_halt_across_kernel_calls():
     # More runs than one kernel call's grid holds: the first window takes three calls.
     repeats = 2 * ROUND_CHUNK // HALT_WINDOW + 1
     _assert_rounds_to_halt_matches_run_until_halt(ProtocolConfig(variant(), seed=11), repeats)
+
+
+@pytest.mark.parametrize("repeats, seed", ((300, 12), (1006, 13)))
+def test_rounds_to_halt_in_widening_windows(repeats, seed):
+    # The windows widen as runs halt.  1006 runs take two kernel calls of 503
+    # in the first window, 300 runs one; both widen to 16 rounds and more.
+    _assert_rounds_to_halt_matches_run_until_halt(ProtocolConfig(variant(), seed=seed), repeats)
+
+
+def test_rounds_to_halt_clips_a_widened_window_at_max_rounds():
+    # One run widens its first window to ROUND_CHUNK rounds, and max_rounds
+    # cuts it at 45.  This run halts only at round 66, so it did not halt.
+    unbounded = ProtocolConfig(variant(), seed=60, max_rounds=ROUND_CHUNK)
+    assert run_until_halt(unbounded, stream=(0,)).rounds_executed == 66
+    config = ProtocolConfig(variant(), seed=60, max_rounds=45)
+    assert rounds_to_halt(config, 1)[0] == 0
+    _assert_rounds_to_halt_matches_run_until_halt(config, 1)
+
+
+@pytest.mark.parametrize("config, repeats, calls", (
+    (ProtocolConfig(ProtocolVariant(), seed=7), 2000, 10),  # `frsim run --until-halt --repeats 2000 --seed 7`
+    (ProtocolConfig(variant(), seed=9, max_rounds=30), 700, 4),
+))
+def test_rounds_to_halt_samples_each_pair_once(monkeypatch, config, repeats, calls):
+    # Each window starts where the last one ended and stops at max_rounds.
+    # It doubles from HALT_WINDOW rounds while the runs still going fill at
+    # most ROUND_CHUNK pairs, and its runs are split evenly over as few
+    # kernel calls as hold them.  A run leaves the grid once it halts.
+    grids = []
+
+    def recording(seed, axes, depth):
+        grids.append(tuple(np.array(axis) for axis in axes))
+        return grid_uniforms(seed, axes, depth)
+
+    monkeypatch.setattr(analysis, "grid_uniforms", recording)
+    lengths = rounds_to_halt(config, repeats)
+    assert len(grids) == calls
+    start = 0
+    while grids:
+        window = grids[0][1]
+        same = [runs for runs, rounds in grids if np.array_equal(rounds, window)]
+        del grids[:len(same)]
+        going = np.flatnonzero((lengths == 0) | (lengths > start))
+        np.testing.assert_array_equal(np.concatenate(same), going)
+        np.testing.assert_array_equal(window, np.arange(start, start + len(window)))
+        width = len(window)
+        assert width == HALT_WINDOW or width * len(going) <= ROUND_CHUNK
+        assert start + width == config.max_rounds or 2 * width * len(going) > ROUND_CHUNK
+        assert len(same) == -(-len(going) // (ROUND_CHUNK // width))
+        assert max(map(len, same)) - min(map(len, same)) <= 1
+        start += width
+    assert start <= config.max_rounds
 
 
 def _assert_rounds_to_halt_matches_run_until_halt(config, repeats):

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from frsim.measurement import (
     ResidualError,
     SubspaceOutcome,
     branch_all,
+    _post_state,
     condition_on,
     outcome_probability,
     premeasure,
@@ -193,6 +195,27 @@ def test_forbidden_residual_tolerance_is_1e_9():
     assert branches["fail"] == pytest.approx(0.0, abs=1e-15)
 
 
+
+def _with_nan(state, index):
+    """``state`` with its amplitude at ``index`` set to NaN."""
+    amplitudes = state.amplitudes.copy()
+    amplitudes[index] = np.nan
+    return StateVector(state.layout, amplitudes)
+
+
+def _sample(state, basis):
+    return sample(state, basis, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("measure", (branch_all, _sample), ids=("branch_all", "sample"))
+def test_a_nan_state_fails_the_residual_check(measure):
+    # A NaN residual probability is not below RESIDUAL_TOL, so it raises as
+    # a large one does, instead of yielding NaN branches.
+    state = reference_by_tag("external_t1").state
+    with pytest.raises(ResidualError, match="nan"):
+        measure(_with_nan(state, np.flatnonzero(state.amplitudes)[0]), coin_lab_basis())
+
+
 # sample ----------------------------------------------------------------------
 
 def test_sample_frequencies_match_branch_all():
@@ -258,6 +281,26 @@ def test_zero_probability_conditioning_raises():
     state = reference_by_tag("spin_friend_t1_down").state
     with pytest.raises(InconsistentOutcomeError):
         condition_on(state, coin_lab_basis(), "ok")
+
+
+def test_a_nan_state_fails_the_zero_probability_check():
+    # A NaN probability is not above ZERO_PROBABILITY_ATOL: the outcome is
+    # inconsistent, and no NaN is divided into a state on the way.
+    state = reference_by_tag("external_t1").state
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InconsistentOutcomeError, match="nan"):
+            condition_on(_with_nan(state, np.flatnonzero(state.amplitudes)[0]),
+                         coin_lab_basis(), "ok")
+
+
+def test_a_nan_probability_builds_no_branch():
+    # As for a zero probability, the state comes back as a placeholder.
+    state = reference_by_tag("external_t1").state
+    plan = transpose_plan(state.layout, coin_lab_basis().targets)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _post_state(state, plan, float("nan"), plan.matrix(state)) is state
 
 
 # record_copy / premeasure ----------------------------------------------------
@@ -357,6 +400,14 @@ def test_premeasure_rejects_written_memory():
     state = reference_by_tag("external_t2_secret").state
     with pytest.raises(ValueError, match="ready"):
         premeasure(state, coin_lab_basis(), WBAR)
+
+
+def test_a_nan_memory_amplitude_fails_the_ready_check():
+    layout = RegisterLayout((R, NBAR))
+    state = product_state(layout, {"R": "t", "Nbar": "ready"})
+    assert layout.basis_label(2) == ("t", "h")  # a memory level other than ready
+    with pytest.raises(ValueError, match="ready"):
+        premeasure(_with_nan(state, 2), level_basis(R), NBAR)
 
 
 @pytest.mark.parametrize(

@@ -311,6 +311,17 @@ def test_grid_uniforms_across_the_two_word_boundary(streams):
     np.testing.assert_array_equal(uniforms.reshape(-1, 3), _uniforms_by_round(seed, axes, 3))
 
 
+@pytest.mark.parametrize("seed", (2**64 + 2**32 + 5, 2**130 + 3), ids=("three-words", "five-words"))
+def test_grid_uniforms_of_a_long_seed(seed):
+    # SeedSequence mixes the entropy words past its pool of four in one at a
+    # time: three seed words and a (run, round) grid reach that loop with
+    # the grid's words, five seed words with a seed word as well.
+    axes = ([0, 7, 2**32 + 1], range(5, 9))
+    uniforms = grid_uniforms(seed, axes, 3)
+    assert uniforms.shape == (3, 4, 3)
+    np.testing.assert_array_equal(uniforms.reshape(-1, 3), _uniforms_by_round(seed, axes, 3))
+
+
 def _peak_bytes(draw) -> int:
     """Peak traced memory (numpy buffers included) while ``draw()`` runs."""
     started = not tracemalloc.is_tracing()
@@ -328,9 +339,11 @@ def _peak_bytes(draw) -> int:
 
 def test_a_block_of_uniforms_stays_small_in_memory():
     # monte_carlo draws ROUND_CHUNK rounds per block, rounds_to_halt as many
-    # (run, round) pairs.  A block that passes the heap's trim threshold
-    # makes the heap grow and shrink on every block, at a page-fault cost
-    # that depends on what the process ran before; 0.5 MiB mostly stays below.
+    # (run, round) pairs: HALT_WINDOW rounds of many runs, up to one run's
+    # window widened to ROUND_CHUNK rounds.  A block that passes the heap's
+    # trim threshold makes the heap grow and shrink on every block, at a
+    # page-fault cost that depends on what the process ran before; 0.5 MiB
+    # mostly stays below.
     depth = compiled_round(ProtocolVariant()).depth
     block = np.arange(ROUND_CHUNK, 2 * ROUND_CHUNK, dtype=np.uint64)
     runs = np.arange(ROUND_CHUNK // HALT_WINDOW, dtype=np.uint64)
@@ -338,6 +351,7 @@ def test_a_block_of_uniforms_stays_small_in_memory():
     grid_uniforms(7, (block[:4],), depth)  # first-call set-up outside the measurement
     assert _peak_bytes(lambda: grid_uniforms(7, (block,), depth)) < 768 * 1024
     assert _peak_bytes(lambda: grid_uniforms(7, (runs, window), depth)) < 768 * 1024
+    assert _peak_bytes(lambda: grid_uniforms(7, (runs[:1], block), depth)) < 768 * 1024
 
 
 def test_grid_uniforms_rejects_indices_outside_two_words():
