@@ -28,6 +28,8 @@ AGENT_LABELS = {
 
 
 def show(agent, time, given, variant, note=""):
+    """Print the agent's description and return its standard predictions
+    (None where it has no description)."""
     title = f"t={time}  {AGENT_LABELS[agent]} ({agent})"
     if note:
         title += f"  [{note}]"
@@ -48,6 +50,7 @@ def show(agent, time, given, variant, note=""):
         if name in predictions:
             ok = predictions[name]["ok"]
             print(f"  predicts {name}: ok with probability {ok:.6f}")
+    return predictions
 
 
 print("=" * 72)
@@ -78,13 +81,18 @@ print("=" * 72)
 print("ORIGINAL PROTOCOL: the ok announcement updates everyone at t=2")
 print("=" * 72)
 
-for agent in ("Wbar", "W", "C"):
-    show(agent, 2, branch_ok, ORIGINAL, note="after hearing ok")
+heard_ok = {agent: show(agent, 2, branch_ok, ORIGINAL, note="after hearing ok")
+            for agent in ("Wbar", "W", "C")}
 
 # Everyone who heard the announcement now gives the spin lab even odds,
 # and after the second ok all descriptions collapse to the same product.
 for agent in ("Wbar", "W", "C"):
     show(agent, 3, branch_ok_ok, ORIGINAL, note="after hearing both")
+
+# The note below, checked: each observer that heard ok gives the spin lab
+# even odds, so none is certain of either of its readings.
+for agent, predictions in heard_ok.items():
+    assert abs(predictions["spin_lab"]["ok"] - 0.5) < 1e-10, (agent, predictions["spin_lab"])
 
 print()
 print("Note the agreement: the observers and the external observer all")

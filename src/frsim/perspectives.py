@@ -180,7 +180,7 @@ def agent_model_at(
     split = next((i for i, step in enumerate(modelled) if own(step) or step.heard),
                  len(modelled))
     evolved = split + (split < len(modelled) and not own(modelled[split]))
-    state = prefix_state(layout, tuple(step.unitary_part for step in modelled[:evolved]))
+    state = prefix_state(layout, tuple(modelled[:evolved]))
     log: list[tuple[str, str, str]] = []
     for i, step in enumerate(modelled[split:], split):
         if own(step):

@@ -25,8 +25,9 @@ one more interval.  Agents fold over it in :mod:`frsim.perspectives`.  Until
 a fold samples or conditions on an outcome it is a run of unitary steps on a
 fresh state, ending with the premeasurement of the first record it reads;
 :func:`prefix_state` builds each such record-free prefix once per (layout,
-the steps' unitary parts), and the true dynamics and every agent share it.
-Nothing after the first collapse or conditioning is cached.
+the schedule's steps), and the true dynamics and every agent share it.  The
+fresh state is the empty prefix.  Nothing after the first collapse or
+conditioning is cached.
 
 Randomness contract: one master seed; round ``k`` draws from an independent
 substream derived from ``(seed, k)`` (``(seed, *stream, k)`` with a stream
@@ -44,7 +45,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate, product
 from math import sqrt
 from types import MappingProxyType
@@ -437,20 +438,11 @@ class Step:
             return premeasure(state, self.basis, self.memory)
         return state
 
-    @cached_property
-    def unitary_part(self) -> Step:
-        """The step reduced to what :meth:`evolve` reads: one object for all
-        steps that evolve a state alike, which keys :func:`prefix_state`."""
-        if self.unitary is not None:
-            return self
-        return _measured(self.time, self.basis, self.memory, after=self.after)
-
 
 # The spin preparation, and every measurement step through one cache: equal
-# steps and equal unitary parts are then one object each, so a run of unitary
-# parts, hashed by identity, names what the steps do (:func:`prefix_state`).
-# The 24 variants have eleven distinct measurement steps (whether a lab step
-# is announced and heard makes it another step), and seven unitary parts.
+# steps are then one object, so a run of steps, hashed by identity, keys
+# :func:`prefix_state`.  The 24 variants have eleven distinct measurement
+# steps (whether a lab step is announced, heard or skipped makes it another).
 _SPIN_PREPARATION = Step(0, ("R", "S"), unitary=_PREPARE_SPIN)
 
 
@@ -516,29 +508,21 @@ def _at(variant: ProtocolVariant, *times: int) -> tuple[Step, ...]:
     return tuple(step for step in schedule(variant) if step.time in times)
 
 
-@lru_cache(maxsize=64)  # the 24 variants' agents use 20 layouts
-def fresh_state(layout: RegisterLayout) -> StateVector:
-    """Coin in ``sqrt(2/3)|t> + sqrt(1/3)|h>``, spin resting in ``down`` until
-    prepared, every memory and notebook ready.  Built once per layout and
-    shared: states are immutable."""
+@lru_cache(maxsize=64)  # every agent model, prepared state and round of the 24 variants use 56
+def prefix_state(layout: RegisterLayout, steps: tuple[Step, ...]) -> StateVector:
+    """The fresh state evolved by each step in turn: a record-free prefix of
+    a round, which no sampled or known outcome has touched yet.  The fresh
+    state, ``prefix_state(layout, ())``, has the coin in
+    ``sqrt(2/3)|t> + sqrt(1/3)|h>``, the spin resting in ``down`` until
+    prepared and every memory and notebook ready.  A fold's prefix ends with
+    the premeasurement of the first record it reads (:func:`run_round`,
+    :func:`~frsim.perspectives.agent_model_at`).  Built once per (layout,
+    steps) and shared by the true dynamics and every agent; equal steps of
+    different variants are one object, so their equal prefixes are one entry."""
     factors: dict[str, object] = {"R": _COIN_SUPERPOSITION, "S": "down"}
     for name in layout.names:
         factors.setdefault(name, READY)
-    return product_state(layout, factors)
-
-
-@lru_cache(maxsize=64)  # every agent model, prepared state and round of the 24 variants use 44
-def prefix_state(layout: RegisterLayout, steps: tuple[Step, ...]) -> StateVector:
-    """``fresh_state(layout)`` evolved by each step in turn: a record-free
-    prefix of a round, which no sampled or known outcome has touched yet.
-    A fold's prefix ends with the premeasurement of the first record it
-    reads (:func:`run_round`, :func:`~frsim.perspectives.agent_model_at`).
-    Built once per (layout, steps) and shared by the true dynamics and every
-    agent.  Callers pass each step's :attr:`~Step.unitary_part`, so steps
-    that evolve a state alike (W's step with and without its ``unless``) and
-    equal prefixes of different variants are one entry: 44 for every agent
-    model, prepared state and reference round of the 24 variants."""
-    state = fresh_state(layout)
+    state = product_state(layout, factors)
     for step in steps:
         state = step.evolve(state)
     return state
@@ -572,7 +556,7 @@ def _key(outcomes: dict[str, str]) -> OutcomeKey:
 def state_after_preparation(variant: ProtocolVariant) -> StateVector:
     """Deterministic state after t=1, before any sampled measurement: the
     shared :func:`prefix_state` of the variant's t=0,1 steps."""
-    return prefix_state(variant.layout(), tuple(step.unitary_part for step in _at(variant, 0, 1)))
+    return prefix_state(variant.layout(), _at(variant, 0, 1))
 
 
 @lru_cache(maxsize=None)
@@ -613,7 +597,7 @@ def _round_start(variant: ProtocolVariant) -> tuple[tuple[Step, ...], int, tuple
     collapse is kept."""
     steps = schedule(variant)
     evolved = 1 + next(i for i, step in enumerate(steps) if step.sampled)
-    return steps, evolved, (variant.layout(), tuple(step.unitary_part for step in steps[:evolved]))
+    return steps, evolved, (variant.layout(), steps[:evolved])
 
 
 @dataclass(frozen=True, eq=False)

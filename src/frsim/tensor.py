@@ -135,7 +135,9 @@ class RegisterLayout:
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """Normalized amplitudes over a layout's product basis."""
+    """Amplitudes over a layout's product basis, meant to be normalized: the
+    constructor checks only their count (else :class:`LayoutError`), not their
+    norm or that each is finite, and keeps a read-only complex copy."""
 
     layout: RegisterLayout
     amplitudes: np.ndarray
@@ -290,10 +292,12 @@ def apply_unitary(
     target_names: Sequence[str],
     matrix: np.ndarray,
 ) -> StateVector:
-    """Apply a unitary acting on the joint space of the named systems.
+    """Apply a matrix, meant to be unitary, to the joint space of the named systems.
 
     The matrix is indexed row-major over ``target_names`` in the given order;
-    all other systems are untouched.
+    all other systems are untouched.  Each target must be in the layout and
+    appear once, and the matrix must be square over their joint dimension
+    (else :class:`LayoutError`); unitarity is not checked.
     """
     try:
         targets = tuple(map(state.layout.system, target_names))

@@ -1,5 +1,6 @@
-"""Mutation gate: every listed mutant of the sampling code and the
-measurement checks must be killed.
+"""Mutation gate: every listed mutant must be killed.  The mutants cover the
+sampling code, the measurement checks, the schedule's reach and announcement
+rules, the shared record-free prefixes and the agents' certainty threshold.
 
 Each mutant is an exact text patch ``(file, old, new, tests)``.  The script
 copies the checkout to a temporary directory, runs the tests of every mutant
@@ -41,6 +42,7 @@ class Mutant(NamedTuple):
 
 
 _EDGES = ("tests/test_protocol.py::test_draw_walk_and_the_reference_agree_on_the_branch_edges",)
+_REACH = ("tests/test_perspectives.py::test_reach_rule_keeps_every_verdict_and_announcement",)
 _SLACK = 'children += (children[pick_index(probabilities, float("inf"))],)'
 
 MUTANTS = (
@@ -91,6 +93,28 @@ MUTANTS = (
            "src/frsim/measurement.py", "if not off_ready <= ZERO_PROBABILITY_ATOL:",
            "if off_ready > ZERO_PROBABILITY_ATOL:",
            ("tests/test_measurement.py::test_a_nan_memory_amplitude_fails_the_ready_check",)),
+    Mutant("a round's shared prefix runs one step past its first collapse",
+           "src/frsim/protocol.py", "evolved = 1 + next(", "evolved = 2 + next(",
+           ("tests/test_protocol.py::test_a_round_premeasures_only_w_after_its_shared_prefix",)),
+    Mutant("an agent's fold evolves again the heard step its prefix premeasured",
+           "src/frsim/perspectives.py", "if i >= evolved:", "if True:",
+           ("tests/test_perspectives.py::test_a_heard_first_fold_conditions_before_it_premeasures",)),
+    Mutant("certainty needs a probability within 1e-16 of 1",
+           "src/frsim/perspectives.py", "CERTAINTY_TOL = 1e-10", "CERTAINTY_TOL = 1e-16",
+           ("tests/test_perspectives.py::test_the_inference_chain_in_every_variant",)),
+    Mutant("W is not announced in secret transcripts",
+           "src/frsim/protocol.py", '"w", sampled=True, announced=True,',
+           '"w", sampled=True, announced=heard,', _REACH),
+    Mutant("W is heard in every protocol",
+           "src/frsim/protocol.py", "heard=heard, unless=", "heard=True, unless=", _REACH),
+    Mutant("the intrusion's after-check raises before its field is known",
+           "src/frsim/protocol.py",
+           "if outcomes.get(field) is not None:  # else the step may yet be reached",
+           "if True:", _REACH),
+    Mutant("every skipped step gets the unless message",
+           "src/frsim/protocol.py",
+           "if step.unless is not None:\n                field, label = step.unless\n",
+           "if True:\n                field, label = step.unless or step.after\n", _REACH),
 )
 
 # At every node of the 24 variants' trees, pick_index's fallback is the last

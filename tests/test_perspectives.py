@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,6 @@ from frsim.protocol import (
     ProtocolVariant,
     _transcript,
     compiled_round,
-    fresh_state,
     prefix_state,
     round_rng,
     run_round,
@@ -485,6 +485,68 @@ def test_own_outcome_enters_log_like_an_announcement():
     assert ("heard", "Wbar", "ok") in heard.log
 
 
+# The paper's inference chain ---------------------------------------------------
+
+# Each link is one agent's certainty query in its own model:
+# (agent, time, its own outcome, the queried basis and label).
+CHAIN_LINKS = (
+    ("Fbar", 1, Given(r="t"), spin_lab_basis(), "fail"),  # r=t => the spin lab reads fail
+    ("F", 1, Given(s="up"), coin_basis(), "t"),  # s=up => the coin R = t
+    ("Wbar", 2, Given(wbar="ok"), spin_basis(), "up"),  # wbar=ok => the spin S = up
+)
+
+# The three links' probabilities and P(wbar=ok, w=ok) without intrusion, by
+# notebook set and cheat mode; the announcement changes none of them, and an
+# intrusion sets P(ok, ok) to 0.
+CHAIN_TABLE = {
+    (frozenset(), False): (1, 1, 1, 1 / 12),
+    (frozenset({"Fbar"}), False): (1, 1, 1 / 3, 1 / 12),
+    (frozenset({"Fbar"}), True): (1, 1, 1, 1 / 12),
+    (frozenset({"F"}), False): (1 / 2, 1, 1, 1 / 12),
+    (frozenset({"Fbar", "F"}), False): (1 / 2, 1, 1 / 3, 1 / 4),
+    (frozenset({"Fbar", "F"}), True): (1 / 2, 1, 1, 1 / 4),
+}
+
+
+def test_the_inference_chain_in_every_variant():
+    certain = {}
+    for variant in ALL_VARIANTS:
+        *links, joint = CHAIN_TABLE[variant.notebooks, variant.cheat]
+        for (agent, time, given, basis, label), expected in zip(CHAIN_LINKS, links):
+            verdict = certainty_query(agent_model_at(agent, time, given, variant), basis, label)
+            assert verdict.probability == pytest.approx(expected, abs=EXACT_ATOL), (
+                agent, variant_id(variant))
+            assert verdict.classification == ("certain-yes" if expected == 1 else "uncertain"), (
+                agent, variant_id(variant), verdict)
+            certain[agent, variant] = verdict.classification == "certain-yes"
+        ok_ok = enumerate_exact(variant).joint_wbar_w("ok", "ok")
+        assert ok_ok == pytest.approx(0 if variant.intrusion else joint, abs=EXACT_ATOL)
+
+        # The argument's shape: a notebook that a link's agent models removes
+        # that link's certainty, and every link holding still leaves (ok, ok)
+        # possible.
+        assert certain["Wbar", variant] == ("Nbar" not in known_system_names("Wbar", variant))
+        assert certain["Fbar", variant] == ("F" not in variant.notebooks)
+        assert certain["F", variant]
+        if all(certain[agent, variant] for agent, *_ in CHAIN_LINKS) and not variant.intrusion:
+            assert ok_ok > 0, variant_id(variant)
+
+    # In an announcing cheat variant the unaware Wbar is certain of up, while
+    # C, who heard ok and models the secret notebook, gives up 1/3: the rate
+    # at which the intrusion twin reads up after ok.
+    cheats = [variant for variant in ALL_VARIANTS if variant.announce_wbar and variant.cheat]
+    for variant in cheats:
+        assert certain["Wbar", variant]
+        external = certainty_query(agent_model_at("C", 2, Given(wbar="ok"), variant),
+                                   spin_basis(), "up")
+        assert external.classification == "uncertain"
+        assert external.probability == pytest.approx(1 / 3, abs=EXACT_ATOL)
+        twin = replace(variant, intrusion=True)
+        assert enumerate_exact(twin).conditional_intrusion("up") == pytest.approx(
+            1 / 3, abs=EXACT_ATOL)
+    assert len(certain) == 3 * 24 and len(cheats) == 4
+
+
 # Every bit of every agent model ------------------------------------------------
 
 AGENT_MODEL_DIGEST = json.loads(
@@ -603,15 +665,15 @@ def test_external_observer_before_any_record_is_the_prepared_state(variant):
 def test_shared_states_cannot_be_written():
     variant = ProtocolVariant(notebooks=frozenset({"Fbar", "F"}), cheat=True)
     layout = variant.layout()
-    shared = (fresh_state(layout), state_after_preparation(variant),
+    shared = (prefix_state(layout, ()), state_after_preparation(variant),
               agent_model_at("W", 1, Given(), variant).state)
     for state in shared:
         with pytest.raises(ValueError, match="read-only"):
             state.amplitudes[0] = 0.0
-    amplitudes = np.array(fresh_state(layout).amplitudes)
+    amplitudes = np.array(prefix_state(layout, ()).amplitudes)
     state = StateVector(layout, amplitudes)
     amplitudes[:] = 0.0
-    assert np.array_equal(state.amplitudes, fresh_state(layout).amplitudes)
+    assert np.array_equal(state.amplitudes, prefix_state(layout, ()).amplitudes)
 
 
 def test_a_heard_first_fold_conditions_before_it_premeasures(monkeypatch):
@@ -673,7 +735,7 @@ def test_agent_models_and_their_errors_do_not_depend_on_the_prefix_cache():
     warm = [_fold_result(*args) for args in inputs]
     warm_rounds = [_round_result(*args) for args in _ROUND_INPUTS]
     info = prefix_state.cache_info()
-    assert info.misses == info.currsize == 44 <= info.maxsize  # nothing was evicted
+    assert info.misses == info.currsize == 56 <= info.maxsize  # nothing was evicted
     assert [_fold_result(*args) for args in inputs] == warm
     assert [_round_result(*args) for args in _ROUND_INPUTS] == warm_rounds
     assert prefix_state.cache_info().misses == info.misses  # every prefix was a hit

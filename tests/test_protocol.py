@@ -18,8 +18,8 @@ from frsim.protocol import (
     _at,
     _fold,
     compiled_round,
-    fresh_state,
     grid_uniforms,
+    prefix_state,
     round_rng,
     run_round,
     run_until_halt,
@@ -52,7 +52,7 @@ def test_config_validation():
 def test_initial_state_layouts():
     assert NONE.system_names() == ("R", "Fbar", "S", "F", "Wbar", "W")
     assert BOTH.system_names() == ("Nbar", "R", "Fbar", "N", "S", "F", "Wbar", "W")
-    state = fresh_state(NONE.layout())
+    state = prefix_state(NONE.layout(), ())
     terms = dict(state.nonzero_terms())
     assert terms[("t", "ready", "down", "ready", "ready", "ready")] == pytest.approx(
         np.sqrt(2.0 / 3.0)
@@ -61,7 +61,7 @@ def test_initial_state_layouts():
         np.sqrt(1.0 / 3.0)
     )
     assert abs(state.norm - 1.0) < 1e-12
-    both = fresh_state(BOTH.layout())
+    both = prefix_state(BOTH.layout(), ())
     assert abs(both.norm - 1.0) < 1e-12
     for labels, _ in both.nonzero_terms():
         by_name = dict(zip(both.layout.names, labels))
@@ -69,7 +69,7 @@ def test_initial_state_layouts():
 
 
 def test_t0_head_branch_prepares_spin_down():
-    state, _ = _fold(fresh_state(NONE.layout()), _at(NONE, 0))
+    state, _ = _fold(prefix_state(NONE.layout(), ()), _at(NONE, 0))
     head = condition_on(state, coin_basis(), "h")
     spin = {b.label: b.probability for b in branch_all(head, spin_basis())}
     assert spin["down"] == pytest.approx(1.0, abs=1e-12)
@@ -77,7 +77,7 @@ def test_t0_head_branch_prepares_spin_down():
 
 def test_t0_correlates_coin_friend_and_notebook():
     variant = ProtocolVariant(announce_wbar=False, notebooks=frozenset({"Fbar"}))
-    state, _ = _fold(fresh_state(variant.layout()), _at(variant, 0))
+    state, _ = _fold(prefix_state(variant.layout(), ()), _at(variant, 0))
     for labels, _ in state.nonzero_terms():
         by_name = dict(zip(state.layout.names, labels))
         assert by_name["Nbar"] == by_name["R"] == by_name["Fbar"]
