@@ -13,7 +13,7 @@ coin outcome exists inside the coin lab.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import fsum, log, log1p, sqrt
+from math import exp, fsum, log, log1p, sqrt
 
 import numpy as np
 
@@ -40,6 +40,21 @@ ROUND_CHUNK = 4096
 # fuller calls win.  `frsim run --until-halt --repeats 2000 --seed 7` makes
 # 10 calls, where fixed windows of 8 rounds made 16.
 HALT_WINDOW = 8
+
+# binomial_upper_bound's rounding margin for one evaluation of the log tail:
+# this many machine epsilons per unit of the sum of the absolute values of
+# the terms the evaluation adds.  A bisection mid is skipped only past a
+# point that clears the target by more than its margin.  Against a 160-bit
+# sum, the evaluation's error within a relative 3e-10 of the root stayed
+# under 0.83 of these units on 120 seeded inputs (n up to 40 000); at 600
+# random points of 300 inputs it reached 5.04.
+TAIL_MARGIN = 8 * np.finfo(float).eps
+
+# The cap on binomial_upper_bound's Newton steps.  From (x + 1) / (n + 2),
+# Newton meets the margin at its 7th evaluation on detection inputs (x about
+# n / 3, n from 30 to 20 000, confidence 0.99).  Extreme confidences can need
+# more; past the cap the replay evaluates more mids, with the same result.
+NEWTON_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -203,8 +218,31 @@ def binomial_upper_bound(successes: int, trials: int, confidence: float = 0.99) 
     The bound is the ``p`` at which at most ``successes`` in ``trials`` has
     probability ``1 - confidence`` (Clopper & Pearson, Biometrika 1934),
     i.e. the ``confidence`` quantile of Beta(successes + 1, trials - successes).
-    It is found by bisection on the exact binomial lower tail, evaluated in
-    log space, and is 1 when every trial succeeded.
+    It is 1 when every trial succeeded.  Otherwise it is the float that
+    bisection on the exact binomial lower tail ``F(p)``, evaluated in log
+    space, ends on, found in three phases:
+
+    1. Newton: at most ``NEWTON_STEPS`` steps on ``log F - log(1 - confidence)``
+       from ``(successes + 1) / (trials + 2)``.  Each stays inside the bracket
+       of signs seen so far; a step that would leave it bisects the bracket.
+       The phase stops once the gap is under the evaluation's margin,
+       ``TAIL_MARGIN`` times the sum of the absolute values of the terms the
+       evaluation adds: a stated bound on its rounding error, about ten times
+       the largest error measured near a root.
+    2. Probes at ``p* -+ 4 * margin / |slope|`` around the point it stopped at.
+       A point of these two phases is verified high (or low) when its value
+       clears the target from above (or below) by more than its margin.
+    3. Replay: the bisection from [0, 1], where a mid at or below the highest
+       verified-high point goes to ``lo`` and a mid at or above the lowest
+       verified-low point goes to ``hi``, without an evaluation.  Every other
+       mid is evaluated as in plain bisection.
+
+    The true tail falls strictly in ``p``.  So at a skipped mid, the plain
+    bisection's evaluation falls on the same side of the target as the
+    verified point, as long as the rounding error stays under the margin,
+    and the result is the plain bisection's, bit for bit.  When no point is
+    verified, the replay is the plain bisection.  ``(1667, 4951)`` takes 22
+    evaluations of the tail where plain bisection takes 54.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -216,9 +254,33 @@ def binomial_upper_bound(successes: int, trials: int, confidence: float = 0.99) 
         return 1.0
     log_tail = _log_binomial_tail(successes, trials)
     target = log1p(-confidence)
+    seen = []  # (p, log F(p) - target, margin) at each point evaluated
+    a, b = 0.0, 1.0  # the Newton bracket: log F > target at a, <= target at b
+    p = (successes + 1) / (trials + 2)
+    for _ in range(NEWTON_STEPS):
+        value, slope, scale = log_tail(p)
+        gap, margin = value - target, TAIL_MARGIN * scale
+        seen.append((p, gap, margin))
+        if abs(gap) < margin:
+            if 4 * margin < -slope:  # the probes lie within 1 of p
+                offset = 4 * margin / -slope
+                for probe in (p - offset, p + offset):
+                    if 0.0 < probe < 1.0:
+                        value, _, scale = log_tail(probe)
+                        seen.append((probe, value - target, TAIL_MARGIN * scale))
+            break
+        if gap > 0:
+            a = p
+        else:
+            b = p
+        # A step as long as the bracket, or a zero slope, would leave it: bisect.
+        newton = p - gap / slope if abs(gap) < -slope * (b - a) else a
+        p = newton if a < newton < b else 0.5 * (a + b)
+    high = max((q for q, gap, margin in seen if gap > margin), default=0.0)
+    low = min((q for q, gap, margin in seen if gap < -margin), default=1.0)
     lo, hi = 0.0, 1.0  # the tail falls from 1 at p = 0 to 0 at p = 1
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if log_tail(mid) > target:
+        if mid <= high or mid < low and log_tail(mid)[0] > target:
             lo = mid
         else:
             hi = mid
@@ -226,11 +288,15 @@ def binomial_upper_bound(successes: int, trials: int, confidence: float = 0.99) 
 
 
 def _log_binomial_tail(x: int, n: int):
-    """``p -> log P(X <= x)`` for ``X ~ Binomial(n, p)`` and ``0 < p < 1``.
+    """``p -> (log F, d log F / dp, scale)`` for ``F = P(X <= x)``,
+    ``X ~ Binomial(n, p)`` and ``0 < p < 1``.
 
     Every term is taken relative to the ``k = x`` term, whose log binomial
     coefficient is a sum of small logs added exactly (``fsum``), so no large
-    lgamma values cancel.
+    lgamma values cancel.  With ``S = F / term(x)``, the slope is
+    ``-(n - x) / ((1 - p) S)``.  ``scale`` is the sum of the absolute values
+    of the five terms that ``log F`` adds, from which
+    :func:`binomial_upper_bound` takes its rounding margin.
     """
     m = min(x, n - x)
     i = np.arange(1.0, m + 1)
@@ -240,11 +306,16 @@ def _log_binomial_tail(x: int, n: int):
     log_ratio = np.concatenate(([0.0], np.cumsum(np.log(k / (n - k + 1)))))
     j = np.arange(x + 1.0)
 
-    def log_tail(p: float) -> float:
+    def log_tail(p: float) -> tuple[float, float, float]:
         log_p, log_q = log(p), log1p(-p)
         z = log_ratio + j * (log_q - log_p)  # log term(x - j) - log term(x)
         top = z.max()
-        return log_choose + x * log_p + (n - x) * log_q + top + log(np.exp(z - top).sum())
+        log_sum = log(np.exp(z - top).sum())  # log S = top + log_sum
+        x_log_p, rest_log_q = x * log_p, (n - x) * log_q
+        value = log_choose + x_log_p + rest_log_q + top + log_sum
+        slope = -(n - x) / (1.0 - p) * exp(-(top + log_sum))
+        # log_choose, top and log_sum are never negative
+        return value, slope, log_choose + abs(x_log_p) + abs(rest_log_q) + top + log_sum
 
     return log_tail
 

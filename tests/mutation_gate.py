@@ -1,6 +1,8 @@
 """Mutation gate: every listed mutant must be killed.  The mutants cover the
 sampling code, the measurement checks, the schedule's reach and announcement
-rules, the shared record-free prefixes and the agents' certainty threshold.
+rules, the shared record-free prefixes, the agents' certainty threshold, the
+detection bound's Newton bracket and replayed bisection, and the CLI's usage
+errors.
 
 Each mutant is an exact text patch ``(file, old, new, tests)``.  The script
 copies the checkout to a temporary directory, runs the tests of every mutant
@@ -44,6 +46,10 @@ class Mutant(NamedTuple):
 _EDGES = ("tests/test_protocol.py::test_draw_walk_and_the_reference_agree_on_the_branch_edges",)
 _REACH = ("tests/test_perspectives.py::test_reach_rule_keeps_every_verdict_and_announcement",)
 _SLACK = 'children += (children[pick_index(probabilities, float("inf"))],)'
+_BITS = ("tests/test_analysis.py::test_upper_bound_is_the_bisection_on_large_inputs[cli-golden]",)
+_CONFIDENCE_CHECK = ('if not 0.0 < confidence < 1.0:\n'
+                     '        raise ValueError(f"confidence must lie strictly between 0 and 1, '
+                     'got {confidence}")\n    if min_ok_rounds')
 
 MUTANTS = (
     Mutant("draw takes the branch whose running sum is >= u (bisect_left)",
@@ -115,6 +121,24 @@ MUTANTS = (
            "src/frsim/protocol.py",
            "if step.unless is not None:\n                field, label = step.unless\n",
            "if True:\n                field, label = step.unless or step.after\n", _REACH),
+    Mutant("the bound's replay sends a mid at or below the verified-high point to hi",
+           "src/frsim/analysis.py", "if mid <= high or mid < low and",
+           "if high < mid < low and", _BITS),
+    Mutant("the Newton slope's sign flipped (same bits through the bracket, more evaluations)",
+           "src/frsim/analysis.py", "slope = -(n - x)", "slope = (n - x)",
+           ("tests/test_analysis.py::test_upper_bound_takes_few_tail_evaluations",)),
+    Mutant("the bound's search returns lo instead of hi",
+           "src/frsim/analysis.py", "    return hi\n", "    return lo\n", _BITS),
+    Mutant("detect_records' confidence check lets a NaN --confidence through",
+           "src/frsim/analysis.py", _CONFIDENCE_CHECK,
+           _CONFIDENCE_CHECK.replace("not 0.0 < confidence < 1.0",
+                                     "confidence <= 0.0 or confidence >= 1.0"),
+           ("tests/test_cli.py::test_values_the_library_rejects_are_usage_errors"
+            "[nan-confidence-without-a-bound]",)),
+    Mutant("main without its ValueError handler",
+           "src/frsim/cli.py", "except (ValueError, MemoryError) as exc:",
+           "except MemoryError as exc:",
+           ("tests/test_cli.py::test_values_the_library_rejects_are_usage_errors",)),
 )
 
 # At every node of the 24 variants' trees, pick_index's fallback is the last

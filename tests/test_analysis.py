@@ -1,5 +1,7 @@
 import json
+import random
 from fractions import Fraction
+from math import fsum, log, log1p
 from pathlib import Path
 
 import numpy as np
@@ -410,3 +412,167 @@ def test_upper_bound_matches_scipy_beta_quantile():
                 bound = binomial_upper_bound(successes, trials, confidence)
                 assert bound == pytest.approx(expected, rel=BOUND_RTOL, abs=0), (
                     successes, trials, confidence)
+
+
+# The bound as plain bisection, verbatim from before its Newton bracket: the
+# reference that binomial_upper_bound must equal bit for bit.
+
+def bisection_upper_bound(successes: int, trials: int, confidence: float = 0.99) -> float:
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if not 0 <= successes <= trials:
+        raise ValueError(f"successes must lie in [0, {trials}], got {successes}")
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must lie strictly between 0 and 1, got {confidence}")
+    if successes == trials:
+        return 1.0
+    log_tail = bisection_log_tail(successes, trials)
+    target = log1p(-confidence)
+    lo, hi = 0.0, 1.0  # the tail falls from 1 at p = 0 to 0 at p = 1
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if log_tail(mid) > target:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def bisection_log_tail(x: int, n: int):
+    m = min(x, n - x)
+    i = np.arange(1.0, m + 1)
+    log_choose = fsum(np.log((n - m + i) / i))  # log C(n, x)
+    k = np.arange(float(x), 0.0, -1.0)
+    # log C(n, x - j) - log C(n, x), for j = 0..x
+    log_ratio = np.concatenate(([0.0], np.cumsum(np.log(k / (n - k + 1)))))
+    j = np.arange(x + 1.0)
+
+    def log_tail(p: float) -> float:
+        log_p, log_q = log(p), log1p(-p)
+        z = log_ratio + j * (log_q - log_p)  # log term(x - j) - log term(x)
+        top = z.max()
+        return log_choose + x * log_p + (n - x) * log_q + top + log(np.exp(z - top).sum())
+
+    return log_tail
+
+
+def bisection_evaluations(successes, trials, bound):
+    """The tail evaluations plain bisection makes to end on ``bound``.
+
+    Its path is fixed by where it ends: a mid goes to ``lo`` exactly when it
+    lies below the final ``hi``.
+    """
+    if successes == trials:
+        return 0
+    lo, hi, evaluations = 0.0, 1.0, 0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        evaluations += 1
+        if mid < bound:
+            lo = mid
+        else:
+            hi = mid
+    return evaluations
+
+
+def count_tail_evaluations(monkeypatch):
+    """Count every call of the tail function binomial_upper_bound builds."""
+    calls = [0]
+    build = analysis._log_binomial_tail
+
+    def counted_build(x, n):
+        log_tail = build(x, n)
+
+        def counted(p):
+            calls[0] += 1
+            return log_tail(p)
+
+        return counted
+
+    monkeypatch.setattr(analysis, "_log_binomial_tail", counted_build)
+    return calls
+
+
+SMALL_INPUTS = tuple(
+    (successes, trials, confidence)
+    for trials in range(1, 41)
+    for successes in range(trials + 1)
+    for confidence in (0.5, 0.9, 0.99, 0.999999)
+)
+
+
+def test_upper_bound_is_the_bisection_on_every_small_input(monkeypatch):
+    """Every (x, n) with n <= 40: the bisection's bits, in at most 10 more
+    tail evaluations (the Newton phase and its probes when they verify
+    nothing)."""
+    calls = count_tail_evaluations(monkeypatch)
+    for successes, trials, confidence in SMALL_INPUTS:
+        calls[0] = 0
+        bound = binomial_upper_bound(successes, trials, confidence)
+        assert bound == bisection_upper_bound(successes, trials, confidence), (
+            successes, trials, confidence)
+        assert calls[0] <= bisection_evaluations(successes, trials, bound) + 10, (
+            successes, trials, confidence)
+
+
+def _large_inputs(count):
+    """A fixed sample of (x, n) with n from 1000 to 200 000, log-uniform,
+    cycling through confidences from 1e-6 to 1 - 1e-9."""
+    rng = random.Random(20_000)
+    confidences = (1e-6, 0.5, 0.99, 1 - 1e-9)
+    inputs = []
+    for index in range(count):
+        trials = int(10 ** rng.uniform(3, np.log10(200_000)))
+        inputs.append((rng.randint(0, trials), trials, confidences[index % len(confidences)]))
+    return inputs
+
+
+@pytest.mark.parametrize("successes, trials, confidence", [
+    pytest.param(1667, 4951, 0.99, id="cli-golden"),
+    pytest.param(1012, 2952, 0.99, id="sampled-rounds"),
+    pytest.param(0, 200_000, 1e-6, id="none-of-200000"),
+    pytest.param(4999, 5000, 1 - 1e-9, id="all-but-one-of-5000"),
+    *_large_inputs(8),
+])
+def test_upper_bound_is_the_bisection_on_large_inputs(successes, trials, confidence):
+    assert binomial_upper_bound(successes, trials, confidence) == bisection_upper_bound(
+        successes, trials, confidence)
+
+
+def test_upper_bound_takes_few_tail_evaluations(monkeypatch):
+    # The CLI golden's input, where plain bisection evaluates the tail 54 times.
+    calls = count_tail_evaluations(monkeypatch)
+    bound = binomial_upper_bound(1667, 4951, 0.99)
+    assert bisection_evaluations(1667, 4951, bound) == 54
+    assert calls[0] <= 24
+
+
+# Sampled detection counts against their exact rates.  Each check is a
+# two-sided Clopper-Pearson test at DETECTION_ALPHA, built from analysis' own
+# bound.  The family holds 20 such checks (the ok count of all 12 intrusion
+# variants, the up count of the 8 with a record) plus 4 equalities that a
+# correct sampler always passes (no record: every ok round reads up).  So a
+# correct sampler fails on a fresh seed with probability at most
+# 20 * 1e-6 = 2e-5 (Bonferroni).  DETECTION_SEED is fixed and never re-chosen.
+DETECTION_ALPHA = 1e-6
+DETECTION_SEED = 1
+
+
+def clopper_pearson(successes, trials, alpha):
+    """Two-sided Clopper-Pearson interval at level 1 - alpha."""
+    upper = binomial_upper_bound(successes, trials, 1 - alpha / 2)
+    lower = 1 - binomial_upper_bound(trials - successes, trials, 1 - alpha / 2)
+    return lower, upper
+
+
+@pytest.mark.parametrize("v", [v for v in ALL_VARIANTS if v.intrusion], ids=variant_id)
+def test_detection_counts_agree_with_the_exact_rates(v):
+    exact = enumerate_exact(v)
+    report = detect_records(ProtocolConfig(variant=v, seed=DETECTION_SEED), 20_000)
+    lower, upper = clopper_pearson(report.ok_rounds, report.rounds, DETECTION_ALPHA)
+    assert lower <= exact.marginal_wbar("ok") <= upper
+    up = exact.conditional_intrusion("up")
+    assert up in (1.0, pytest.approx(1 / 3, abs=EXACT_ATOL))
+    if up == 1.0:
+        assert report.up_count == report.ok_rounds
+    else:
+        lower, upper = clopper_pearson(report.up_count, report.ok_rounds, DETECTION_ALPHA)
+        assert lower <= up <= upper

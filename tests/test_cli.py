@@ -155,6 +155,8 @@ def test_run_until_halt_samples_nothing_when_no_round_can_halt(capsys, monkeypat
         ("run", "--until-halt", "--max-rounds", "0"),
         ("detect", "--rounds", "1", "--min-ok", "0"),
         ("detect", "--cheat", "--rounds", "10000", "--seed", "3", "--confidence", "1.5"),
+        # Ten rounds give no bound, so only detect_records' own check sees the NaN.
+        ("detect", "--cheat", "--rounds", "10", "--seed", "3", "--confidence", "nan"),
         ("run", "--rounds", str(2**64 + 1)),
         ("detect", "--rounds", str(2**64 + 1)),
         ("branches", "--out", str(DATA / "no-such-dir" / "x.json")),
@@ -172,6 +174,7 @@ def test_run_until_halt_samples_nothing_when_no_round_can_halt(capsys, monkeypat
         ("perspectives", "--t", "2", "--given", "zz=ok"),
     ),
     ids=("negative-seed", "zero-max-rounds", "zero-min-ok", "confidence-above-one",
+         "nan-confidence-without-a-bound",
          "run-rounds-beyond-2-64", "detect-rounds-beyond-2-64", "out-missing-dir", "out-is-dir",
          "rounds-with-until-halt", "repeats-without-until-halt",
          "max-rounds-without-until-halt", "cheat-without-coin-notebook", "run-without-rounds",
