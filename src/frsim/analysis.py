@@ -34,11 +34,14 @@ PROBABILITY_ATOL = 1e-10
 ROUND_CHUNK = 4096
 
 # rounds_to_halt's first window of rounds.  A run halts within it with
-# probability 1 - (11/12)**8 = 0.50 or more.  Each window doubles while the
-# runs still going fill at most ROUND_CHUNK pairs: a kernel call of 16 pairs
-# costs about 0.17 ms and one of 4096 about 0.43 ms (2 cores), so fewer and
-# fuller calls win.  `frsim run --until-halt --repeats 2000 --seed 7` makes
-# 10 calls, where fixed windows of 8 rounds made 16.
+# probability 1 - (11/12)**8 = 0.50 or more.  A kernel call of 16 pairs
+# costs about 0.17 ms and one of 4096 about 0.43 ms (2 cores): its fixed
+# cost is that of about ROUND_CHUNK / 2 pairs.  So a window doubles while
+# the doubled window's pairs fit in ROUND_CHUNK times the chance that some
+# run still going outlasts the window, the chance of the next call that
+# doubling saves.  `frsim run --until-halt --repeats 2000 --seed 7` makes
+# 10 calls, where fixed windows of 8 rounds made 16; a single such run
+# samples 64 rounds a call, where a window filling ROUND_CHUNK sampled 4096.
 HALT_WINDOW = 8
 
 # binomial_upper_bound's rounding margin for one evaluation of the log tail:
@@ -170,8 +173,10 @@ def rounds_to_halt(config: ProtocolConfig, repeats: int) -> np.ndarray:
     ``(seed, r, k)``.  Every run still going is sampled a window of rounds
     at a time, as a two-axis grid of (run, round) keys (:func:`grid_uniforms`,
     :meth:`RoundSampler.walk`); a run's first halting leaf in the window ends
-    it.  A window starts at ``HALT_WINDOW`` rounds, doubles while the runs
-    still going fill at most ``ROUND_CHUNK`` pairs and stops at
+    it.  A window starts at ``HALT_WINDOW`` rounds and doubles while the
+    runs still going fill at most ``ROUND_CHUNK`` pairs, weighed by the
+    chance that one of them outlasts the window: a round halts with the
+    compiled tree's exact probability of its halting leaves.  It stops at
     ``max_rounds``; its runs are split evenly over as few kernel calls as
     hold them.
     """
@@ -181,10 +186,11 @@ def rounds_to_halt(config: ProtocolConfig, repeats: int) -> np.ndarray:
     lengths = np.zeros(repeats, dtype=np.int64)
     if not sampler.halting.any():  # W's step is skipped after an intrusion ok
         return lengths
+    stays = 1.0 - fsum(p for key, p in sampler.joint.items() if key.halts)  # per round
     going, start = np.arange(repeats, dtype=np.uint64), 0
     while len(going) and start < config.max_rounds:
         width = HALT_WINDOW
-        while len(going) * 2 * width <= ROUND_CHUNK:
+        while 2 * width * len(going) <= ROUND_CHUNK * (1.0 - (1.0 - stays**width) ** len(going)):
             width *= 2
         window = np.arange(start, min(start + width, config.max_rounds), dtype=np.uint64)
         rows = ROUND_CHUNK // len(window)  # runs per kernel call, at most

@@ -19,9 +19,10 @@ both superobservers record ``ok`` (:attr:`OutcomeKey.halts`).
 The true dynamics fold over the schedule: :func:`run_round` samples it on
 the state (the reference path), and :func:`compiled_round` expands every
 branch once into the one tree of labels and Born probabilities that
-sampling and exact enumeration read; its walkers take the first branch whose
-running sum exceeds the uniform, the roundoff slack above the last sum being
-one more interval.  Agents fold over it in :mod:`frsim.perspectives`.  Until
+sampling and exact enumeration read, one table of rows; both walkers read it
+a level at a time and take the first branch whose running sum exceeds the
+uniform, the roundoff slack above the last sum being each row's last
+interval.  Agents fold over it in :mod:`frsim.perspectives`.  Until
 a fold samples or conditions on an outcome it is a run of unitary steps on a
 fresh state, ending with the premeasurement of the first record it reads;
 :func:`prefix_state` builds each such record-free prefix once per (layout,
@@ -36,13 +37,12 @@ consumes exactly one uniform variate.  Rounds are therefore reproducible and
 safe to execute in parallel.  :func:`grid_uniforms` computes the same
 uniforms for a whole grid of substream keys at once (a block of rounds, or
 the same window of rounds of many streams) and :meth:`RoundSampler.walk`
-walks the tree with them in the grid's shape, so block sampling reproduces
-the per-round path bit for bit.
+walks the table with them in the grid's shape, one pass per level, so block
+sampling reproduces the per-round path bit for bit.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -600,38 +600,24 @@ def _round_start(variant: ProtocolVariant) -> tuple[tuple[Step, ...], int, tuple
     return steps, evolved, (variant.layout(), steps[:evolved])
 
 
-@dataclass(frozen=True, eq=False)
-class _Node:
-    """One sampled step of the tree: its branches of nonzero probability.
-
-    ``cumulative`` holds their running sums as :func:`pick_index` adds them,
-    and a uniform ``u`` takes ``children[bisect_right(cumulative, u)]``: a
-    node index, or ``~j`` for the ``j``-th leaf.  One extra, last child takes
-    the slack above the last sum: the branch :func:`pick_index` falls back to.
-    ``level`` counts the sampled steps before this one, so it is the column
-    of the round's uniforms this node reads.  A branch of zero probability
-    is left out: :func:`pick_index` never picks it.
-    """
-
-    level: int
-    cumulative: np.ndarray
-    children: tuple[int, ...]
-
-
 def _branch_tree(
     state: StateVector,
     steps: tuple[Step, ...],
     outcomes: dict[str, str],
     probability: float,
-    nodes: list[_Node],
+    nodes: list[tuple[list[float], tuple[int, ...]]],
     leaves: dict[OutcomeKey, float],
 ) -> int:
     """Expand ``steps`` like :func:`_fold`, following every branch of each sampled step.
 
     Each sampled step becomes a node appended to ``nodes`` after its
-    subtrees, so a parent's index exceeds its children's.  Each leaf is an
-    outcome key put into ``leaves`` with its probability.  Returns what
-    ``steps`` start with: a node index, or ``~j`` for the ``j``-th leaf.
+    subtrees: the running sums of its branches of nonzero probability, as
+    :func:`pick_index` adds them, and what each branch starts with, a node
+    index or ``~j`` for the ``j``-th leaf.  One extra, last entry takes the
+    slack above the last sum: the branch :func:`pick_index` falls back to.
+    A branch of zero probability is left out: :func:`pick_index` never picks
+    it.  Each leaf is an outcome key put into ``leaves`` with its
+    probability.  Returns what ``steps`` start with.
     """
     for i, step in enumerate(steps):
         if step.skipped(outcomes):
@@ -646,56 +632,83 @@ def _branch_tree(
             )
             probabilities = [b.probability for b in branches]
             children += (children[pick_index(probabilities, float("inf"))],)  # above the sums
-            nodes.append(_Node(len(outcomes), np.array(list(accumulate(probabilities))), children))
+            nodes.append((list(accumulate(probabilities)), children))
             return len(nodes) - 1
     leaves[_key(outcomes)] = probability
     return ~(len(leaves) - 1)
 
 
 class RoundSampler:
-    """The branch tree of one round's sampled steps, compiled once.
+    """The branch tree of one round's sampled steps, compiled once into one table.
 
     The tree holds the exact Born probability of every branch, computed with
     the same operations as the reference path, and an outcome key at every
     leaf; no state.  ``joint`` maps each leaf to its (nonzero) probability,
     ``leaves`` lists the leaf keys in the same order, and ``halting`` marks
-    the leaves that halt the experiment.  ``draw`` consumes uniforms in the
-    same order as :func:`run_round` and takes the branches :func:`pick_index`
-    takes, so both paths give identical transcripts for identical generator
-    states; ``walk`` does the same for a whole grid of uniforms at once.
+    the leaves that halt the experiment.
+
+    The table has a row per leaf, in the order of ``leaves``, then a row
+    per node: its running sums, padded with ``+inf`` to the widest node, and
+    its ``width + 1`` next rows, the roundoff slack's last and repeated by
+    the padding.  A leaf's row keeps its round.  A uniform ``u`` takes the
+    next row at the count of running sums ``<= u``.  ``draw`` follows one
+    round and consumes uniforms in the same order as :func:`run_round`,
+    taking the branches :func:`pick_index` takes, so both paths give
+    identical transcripts for identical generator states; ``walk`` does the
+    same for a whole grid of uniforms, one pass per level.
     """
 
     def __init__(self, variant: ProtocolVariant):
         self.variant = variant
-        nodes: list[_Node] = []
+        nodes: list[tuple[list[float], tuple[int, ...]]] = []
         joint: dict[OutcomeKey, float] = {}
-        self._root = _branch_tree(
+        root = _branch_tree(
             state_after_preparation(variant), _at(variant, 2, 3), {}, 1.0, nodes, joint)
-        self._nodes = tuple(nodes)
         self.joint = MappingProxyType(joint)  # shared through the cache: read-only
         self.leaves = tuple(joint)
         self.halting = np.array([key.halts for key in self.leaves])
-        self.depth = 1 + max(node.level for node in nodes)
+        # Each sampled step on a leaf's path wrote one of its outcomes.
+        self.depth = max(sum(label is not None for label in key) for key in self.leaves)
+        width = max(len(sums) for sums, _ in nodes)
+        limits = [[float("inf")] * width for _ in self.leaves]
+        following = [[j] * (width + 1) for j in range(len(self.leaves))]
+        for sums, children in nodes:
+            pad = width - len(sums)
+            limits.append(sums + [float("inf")] * pad)
+            following.append([ref + len(self.leaves) if ref >= 0 else ~ref
+                              for ref in children + children[-1:] * pad])
+        self._root = root + len(self.leaves)
+        self._limits, self._following = np.array(limits), np.array(following)
+        self._rows = tuple(zip(limits, following))
 
     def draw(self, rng: np.random.Generator, round_index: int = 0) -> RoundTranscript:
-        nodes, ref = self._nodes, self._root
-        while ref >= 0:
-            node = nodes[ref]
-            ref = node.children[bisect_right(node.cumulative, rng.random())]
-        return _transcript(self.variant, round_index, self.leaves[~ref])
+        rows, row = self._rows, self._root
+        while row >= len(self.leaves):
+            limits, following = rows[row]
+            u, picked = rng.random(), 0
+            for limit in limits:
+                picked += limit <= u
+            row = following[picked]
+        return _transcript(self.variant, round_index, self.leaves[row])
 
     def walk(self, uniforms: np.ndarray) -> np.ndarray:
         """The leaf each round of ``uniforms`` ends at, as an index into
         ``leaves``.  The last axis holds the uniforms one ``draw`` consumes,
-        so the result has the shape of the axes before it."""
+        so the result has the shape of the axes before it.  Each column of
+        uniforms is one pass over the table: a round gathers its row's
+        running sums, counts those ``<= u`` and moves to that next row.
+        Fewer than ``depth`` columns would leave rounds at a node."""
+        if uniforms.shape[-1] < self.depth:
+            raise ValueError(f"a round reads {self.depth} uniforms, got {uniforms.shape[-1]}")
         rounds = uniforms.reshape(-1, uniforms.shape[-1])
-        ref = np.full(len(rounds), self._root)
-        for index in range(self._root, -1, -1):  # parents before children
-            node = self._nodes[index]
-            at = np.flatnonzero(ref == index)
-            picked = np.searchsorted(node.cumulative, rounds[at, node.level], side="right")
-            ref[at] = np.take(node.children, picked)
-        return ~ref.reshape(uniforms.shape[:-1])
+        row = np.full(len(rounds), self._root)
+        following, stride = self._following.ravel(), self._following.shape[1]
+        for u in rounds.T:
+            picked = row * stride
+            for limit in self._limits.T:
+                picked += limit[row] <= u
+            row = following[picked]
+        return row.reshape(uniforms.shape[:-1])
 
 
 @lru_cache(maxsize=None)

@@ -1,8 +1,8 @@
 """Mutation gate: every listed mutant must be killed.  The mutants cover the
-sampling code, the measurement checks, the schedule's reach and announcement
-rules, the shared record-free prefixes, the agents' certainty threshold, the
-detection bound's Newton bracket and replayed bisection, and the CLI's usage
-errors.
+sampling code (the branch table, its rule and the until-halt windows), the
+measurement checks, the schedule's reach and announcement rules, the shared
+record-free prefixes, the agents' certainty threshold, the detection bound's
+Newton bracket and replayed bisection, and the CLI's usage errors.
 
 Each mutant is an exact text patch ``(file, old, new, tests)``.  The script
 copies the checkout to a temporary directory, runs the tests of every mutant
@@ -18,7 +18,8 @@ mutant survives, when a patch's ``old`` text does not occur exactly once in
 its file (so the list keeps up with the code), or when the unpatched tests
 fail.  A change to a patched line updates its patch here.  ``EQUIVALENT``
 lists mutants that give the same bits as the code; their patches must apply,
-but they are not run.  The file name keeps pytest from collecting it.
+but they are not run.  The file name keeps pytest from collecting it;
+``tests/test_mutation_patches.py`` checks in tier-1 that every patch applies.
 """
 
 from __future__ import annotations
@@ -52,11 +53,14 @@ _CONFIDENCE_CHECK = ('if not 0.0 < confidence < 1.0:\n'
                      'got {confidence}")\n    if min_ok_rounds')
 
 MUTANTS = (
-    Mutant("draw takes the branch whose running sum is >= u (bisect_left)",
-           "src/frsim/protocol.py", "from bisect import bisect_right\n",
-           "from bisect import bisect_left as bisect_right\n", _EDGES),
-    Mutant("walk takes the branch whose running sum is >= u (side='left')",
-           "src/frsim/protocol.py", 'side="right"', 'side="left"', _EDGES),
+    Mutant("draw counts the running sums below u, not at or below it",
+           "src/frsim/protocol.py", "picked += limit <= u", "picked += limit < u", _EDGES),
+    Mutant("walk counts the running sums below u, not at or below it",
+           "src/frsim/protocol.py", "picked += limit[row] <= u", "picked += limit[row] < u",
+           _EDGES),
+    Mutant("a leaf's row sends its round to the first leaf instead of keeping it",
+           "src/frsim/protocol.py", "[[j] * (width + 1) for j in", "[[0] * (width + 1) for j in",
+           ("tests/test_protocol.py::test_table_rows_hold_the_running_sums_and_the_slack",)),
     Mutant("the slack above the last running sum has no child",
            "src/frsim/protocol.py", _SLACK, "pass", _EDGES),
     Mutant("the slack above the last running sum takes the first branch",
@@ -78,6 +82,10 @@ MUTANTS = (
     Mutant("the next window starts HALT_WINDOW rounds later instead of its width",
            "src/frsim/analysis.py", "start += width", "start += HALT_WINDOW",
            ("tests/test_analysis.py::test_rounds_to_halt_samples_each_pair_once",)),
+    Mutant("the window widens while its pairs fit, whatever the runs' chance to halt",
+           "src/frsim/analysis.py",
+           "ROUND_CHUNK * (1.0 - (1.0 - stays**width) ** len(going))", "ROUND_CHUNK",
+           ("tests/test_analysis.py::test_a_single_until_halt_run_samples_few_pairs",)),
     Mutant("the widened window is not clipped at max_rounds",
            "src/frsim/analysis.py", "min(start + width, config.max_rounds)", "start + width",
            ("tests/test_analysis.py::test_rounds_to_halt_clips_a_widened_window_at_max_rounds",)),
@@ -142,10 +150,17 @@ MUTANTS = (
 )
 
 # At every node of the 24 variants' trees, pick_index's fallback is the last
-# branch of nonzero probability, so this mutant gives the same tree.
+# branch of nonzero probability, so the first mutant gives the same tree.
+# Only one-branch nodes are padded in those trees, and each next row of such
+# a node is its one branch's: a 0.0 pad, which every uniform reaches, moves
+# the count one entry on, to a row the padding repeats.  So the second gives
+# the same leaves; only the table test's check of the padding tells it apart.
 EQUIVALENT = (
     Mutant("the slack above the last running sum takes the last branch",
            "src/frsim/protocol.py", _SLACK, "children += (children[-1],)", ()),
+    Mutant("a node's running sums padded with 0.0 instead of +inf",
+           "src/frsim/protocol.py", 'limits.append(sums + [float("inf")] * pad)',
+           "limits.append(sums + [0.0] * pad)", ()),
 )
 
 

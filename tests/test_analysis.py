@@ -209,11 +209,12 @@ def test_rounds_to_halt_in_widening_windows(repeats, seed):
 
 
 def test_rounds_to_halt_clips_a_widened_window_at_max_rounds():
-    # One run widens its first window to ROUND_CHUNK rounds, and max_rounds
-    # cuts it at 45.  This run halts only at round 66, so it did not halt.
+    # One run widens each window to 64 rounds, and max_rounds cuts the
+    # second one at 65: a single round.  This run halts only at round 66,
+    # so it did not halt.
     unbounded = ProtocolConfig(variant(), seed=60, max_rounds=ROUND_CHUNK)
     assert run_until_halt(unbounded, stream=(0,)).rounds_executed == 66
-    config = ProtocolConfig(variant(), seed=60, max_rounds=45)
+    config = ProtocolConfig(variant(), seed=60, max_rounds=65)
     assert rounds_to_halt(config, 1)[0] == 0
     _assert_rounds_to_halt_matches_run_until_halt(config, 1)
 
@@ -225,8 +226,9 @@ def test_rounds_to_halt_clips_a_widened_window_at_max_rounds():
 def test_rounds_to_halt_samples_each_pair_once(monkeypatch, config, repeats, calls):
     # Each window starts where the last one ended and stops at max_rounds.
     # It doubles from HALT_WINDOW rounds while the runs still going fill at
-    # most ROUND_CHUNK pairs, and its runs are split evenly over as few
-    # kernel calls as hold them.  A run leaves the grid once it halts.
+    # most ROUND_CHUNK pairs, weighed by the chance that one of them
+    # outlasts the window, and its runs are split evenly over as few kernel
+    # calls as hold them.  A run leaves the grid once it halts.
     grids = []
 
     def recording(seed, axes, depth):
@@ -236,6 +238,12 @@ def test_rounds_to_halt_samples_each_pair_once(monkeypatch, config, repeats, cal
     monkeypatch.setattr(analysis, "grid_uniforms", recording)
     lengths = rounds_to_halt(config, repeats)
     assert len(grids) == calls
+    stays = 1.0 - fsum(p for key, p in enumerate_exact(config.variant).entries.items() if key.halts)
+
+    def outlasts(width):
+        # The chance that one of the runs going outlasts ``width`` rounds.
+        return 1.0 - (1.0 - stays**width) ** len(going)
+
     start = 0
     while grids:
         window = grids[0][1]
@@ -245,12 +253,33 @@ def test_rounds_to_halt_samples_each_pair_once(monkeypatch, config, repeats, cal
         np.testing.assert_array_equal(np.concatenate(same), going)
         np.testing.assert_array_equal(window, np.arange(start, start + len(window)))
         width = len(window)
-        assert width == HALT_WINDOW or width * len(going) <= ROUND_CHUNK
-        assert start + width == config.max_rounds or 2 * width * len(going) > ROUND_CHUNK
+        assert width == HALT_WINDOW or width * len(going) <= ROUND_CHUNK * outlasts(width // 2)
+        assert (start + width == config.max_rounds
+                or 2 * width * len(going) > ROUND_CHUNK * outlasts(width))
         assert len(same) == -(-len(going) // (ROUND_CHUNK // width))
         assert max(map(len, same)) - min(map(len, same)) <= 1
         start += width
     assert start <= config.max_rounds
+
+
+def test_a_single_until_halt_run_samples_few_pairs(monkeypatch):
+    # `frsim run --until-halt` without --repeats: one run, which halts after
+    # 12 rounds on average, samples a window of 64 rounds a call, far fewer
+    # than the ROUND_CHUNK pairs a call can hold.
+    pairs = []
+
+    def recording(seed, axes, depth):
+        pairs.append(len(axes[0]) * len(axes[1]))
+        return grid_uniforms(seed, axes, depth)
+
+    monkeypatch.setattr(analysis, "grid_uniforms", recording)
+    for seed in range(40):
+        pairs.clear()
+        config = ProtocolConfig(ProtocolVariant(), seed=seed)
+        length = rounds_to_halt(config, 1)[0]
+        assert length == run_until_halt(config, stream=(0,)).rounds_executed
+        assert pairs == [64] * -(-length // 64), seed
+        assert sum(pairs) <= ROUND_CHUNK // 16, seed
 
 
 def _assert_rounds_to_halt_matches_run_until_halt(config, repeats):

@@ -1,6 +1,6 @@
 import json
 import tracemalloc
-from itertools import product
+from itertools import accumulate, product
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from frsim import protocol
 from frsim.analysis import HALT_WINDOW, ROUND_CHUNK
-from frsim.measurement import branch_all, condition_on
+from frsim.measurement import branch_all, condition_on, pick_index
 from frsim.protocol import (
     ProtocolConfig,
     ProtocolVariant,
@@ -211,17 +211,23 @@ class _Scripted:
         self.random = iter(uniforms).__next__
 
 
+def _sums(limits):
+    """A table row's running sums: its limits without the +inf padding."""
+    return [limit for limit in limits if limit != np.inf]
+
+
 def _node_paths(sampler):
-    """Each node index of the tree, with the uniforms that lead to it from the
+    """Each node row of the table, with the uniforms that lead to it from the
     root: the middle of the taken branch's interval at every ancestor."""
     stack = [(sampler._root, ())]
     while stack:
-        index, row = stack.pop()
-        yield index, row
-        node = sampler._nodes[index]
-        for low, high, child in zip((0.0, *node.cumulative), node.cumulative, node.children):
-            if child >= 0:
-                stack.append((child, (*row, float(low + high) / 2)))
+        row, path = stack.pop()
+        yield row, path
+        limits, following = sampler._rows[row]
+        sums = _sums(limits)
+        for low, high, child in zip((0.0, *sums), sums, following):
+            if child >= len(sampler.leaves):
+                stack.append((child, (*path, float(low + high) / 2)))
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=variant_id)
@@ -232,19 +238,72 @@ def test_draw_walk_and_the_reference_agree_on_the_branch_edges(variant):
     sampler = compiled_round(variant)
     rows, reached = [], set()
     for index, path in _node_paths(sampler):
-        node = sampler._nodes[index]
-        edges = {0.0, np.nextafter(1.0, 0.0), node.cumulative[-1]}
-        edges.update(node.cumulative)
-        edges.update(np.nextafter(total, 0.0) for total in node.cumulative)
-        assert max(edges) >= node.cumulative[-1]
+        sums = _sums(sampler._rows[index][0])
+        edges = {0.0, np.nextafter(1.0, 0.0), sums[-1]}
+        edges.update(sums)
+        edges.update(np.nextafter(total, 0.0) for total in sums)
+        assert max(edges) >= sums[-1]
         rows += [(*path, float(u)) + (0.5,) * (sampler.depth - len(path) - 1) for u in edges]
         reached.add(index)
-    assert reached == set(range(len(sampler._nodes)))
+    assert reached == set(range(len(sampler.leaves), len(sampler._rows)))
     walked = sampler.walk(np.array(rows))
     for k, (row, leaf) in enumerate(zip(rows, walked)):
         drawn = sampler.draw(_Scripted(row), k)
         assert drawn == run_round(variant, _Scripted(row), k), row
         assert sampler.leaves[leaf] == drawn.key(), row
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=variant_id)
+def test_table_rows_hold_the_running_sums_and_the_slack(variant, monkeypatch):
+    # Each node row: the running sums of its step's nonzero branch_all
+    # probabilities, padded with +inf to the widest node, then width + 1
+    # next rows whose last, the slack's, is the row of pick_index's
+    # fallback, and which the padding repeats.  Each leaf row, first and in
+    # the order of leaves: only +inf, and itself as every next row.
+    sampler = compiled_round(variant)
+    width = sampler._limits.shape[1]
+    np.testing.assert_array_equal(sampler._limits, [limits for limits, _ in sampler._rows])
+    np.testing.assert_array_equal(sampler._following, [following for _, following in sampler._rows])
+    assert sampler._following.shape == (len(sampler._rows), width + 1)
+    for leaf in range(len(sampler.leaves)):
+        assert sampler._rows[leaf] == ([np.inf] * width, [leaf] * (width + 1))
+    sample, measured = protocol.sample, []
+
+    def recording(state, basis, rng):
+        measured.append((state, basis))
+        return sample(state, basis, rng)
+
+    monkeypatch.setattr(protocol, "sample", recording)
+    nodes = list(_node_paths(sampler))
+    for row, path in nodes:
+        measured.clear()
+        run_round(variant, _Scripted((*path, *(0.5,) * sampler.depth)), 0)
+        probabilities = [b.probability for b in branch_all(*measured[len(path)])]
+        nonzero = [p for p in probabilities if p > 0.0]
+        limits, following = sampler._rows[row]
+        sums = list(accumulate(nonzero))
+        assert limits == sums + [np.inf] * (width - len(sums))
+        fallback = pick_index(probabilities, np.inf)
+        slack = following[len(sums)]
+        assert slack == following[sum(p > 0.0 for p in probabilities[:fallback])]
+        assert following[len(sums):] == [slack] * (width + 1 - len(sums))
+    assert len(nodes) + len(sampler.leaves) == len(sampler._rows)
+
+
+@pytest.mark.parametrize("axes", ((), (5,), (3, 4), (2, 3, 2), (2, 0, 3)),
+                         ids=("0-axes", "1-axis", "2-axes", "3-axes", "3-axes-empty"))
+def test_walk_keeps_the_grid_shape(axes):
+    # One leaf per round, in the grid's shape, each the leaf draw ends at.
+    sampler = compiled_round(BOTH)
+    uniforms = np.random.default_rng(3).random((*axes, sampler.depth))
+    walked = sampler.walk(uniforms)
+    assert walked.shape == axes
+    for index in np.ndindex(*axes):
+        leaf = sampler.draw(_Scripted(uniforms[index].tolist())).key()
+        assert sampler.leaves[walked[index]] == leaf
+    assert sampler.walk(np.empty((0, sampler.depth))).shape == (0,)
+    with pytest.raises(ValueError, match="reads 2 uniforms, got 1"):
+        sampler.walk(uniforms[..., :1])
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=variant_id)
