@@ -7,7 +7,8 @@ on explicit request (``--timestamp``) since it would break byte-for-byte
 reproducibility.
 
 Exit codes: 0 success, 2 usage error, 3 inconsistent transcript
-(zero-probability conditioning), 4 internal invariant violation.  Argparse
+(zero-probability conditioning), 4 internal invariant violation (also a NaN
+or infinity in the results of a JSON document).  Argparse
 reports grammar errors (an unknown flag, a bad choice) itself.  A usage error
 found after parsing, such as a value the library rejects, prints exactly one
 ``frsim: error:`` line: handlers raise, and :func:`main` alone maps the
@@ -18,11 +19,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
-from fractions import Fraction
+from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii as _quote
+from math import isfinite
 
 import numpy as np
 
@@ -64,15 +65,79 @@ class ReportDocument:
     timestamps: dict | None = None
 
     def to_json(self) -> str:
-        """Dump the fields as they stand: they hold only dicts, lists and scalars,
-        so no deep copy is needed before ``json.dumps`` reads them."""
-        return json.dumps(vars(self), sort_keys=True, indent=2, allow_nan=False) + "\n"
+        """The fields as canonical JSON, with a final newline.
+
+        Keys are sorted, nesting is indented by two spaces, strings are
+        ASCII with escapes, and a NaN or infinity raises ``ValueError``: the
+        bytes of ``json.dumps(..., sort_keys=True, indent=2, allow_nan=False)``.
+        The fields are read as they stand, without a copy.
+        """
+        out: list[str] = []
+        _write_json(vars(self), "\n", out)
+        out.append("\n")
+        return "".join(out)
+
+
+def _write_json(value, newline: str, out: list[str]) -> None:
+    """Append ``value`` to ``out`` as JSON.
+
+    ``newline`` is a newline and the indent of the line ``value`` starts on;
+    its items go on lines indented two spaces more.  Tuples are written as
+    lists, and ``int`` and ``float`` subclasses as their base type.  Any
+    other type, and a dict key that is not a string, raises ``TypeError``.
+    """
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        if not isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        out.append(float.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        opener = "{"
+        for key in sorted(value):
+            out.append(f"{opener}{inner}{_quote(key)}: ")
+            _write_json(value[key], inner, out)
+            opener = ","
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        opener = "["
+        for item in value:
+            out.append(opener + inner)
+            _write_json(item, inner, out)
+            opener = ","
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _fraction(p: float) -> str | None:
-    frac = Fraction(p).limit_denominator(24)
-    if abs(float(frac) - p) < 1e-9:
-        return f"{frac.numerator}/{frac.denominator}"
+    """``n/q`` for the smallest denominator q <= 24 within 1e-9 of ``p``, else None.
+
+    Two fractions of denominators at most 24 lie at least 1/552 apart, so at
+    most one is that close, and the smallest q finds it in lowest terms: the
+    fraction ``Fraction(p).limit_denominator(24)`` gives.  NaN raises
+    ``ValueError`` and an infinity ``OverflowError``.
+    """
+    for q in range(1, 25):
+        n = round(p * q)
+        if abs(n / q - p) < 1e-9:
+            return f"{n}/{q}"
     return None
 
 
@@ -245,7 +310,7 @@ def cmd_perspectives(args: argparse.Namespace) -> Report:
         entries[agent] = entry
     return variant, {
         "time": args.t,
-        "given": {k: v for k, v in asdict(given).items() if v is not None},
+        "given": {k: v for k, v in vars(given).items() if v is not None},
         "agents": entries,
     }
 
@@ -265,7 +330,7 @@ def cmd_detect(args: argparse.Namespace) -> Report:
         confidence=args.confidence,
         min_ok_rounds=args.min_ok,
     )
-    return variant, asdict(report)
+    return variant, vars(report)
 
 
 @functools.cache
@@ -421,7 +486,11 @@ def main(argv: list[str] | None = None) -> int:
         results=results,
         timestamps={"unix_epoch_seconds": time.time()} if args.timestamp else None,
     )
-    rendered = doc.to_json() if args.format == "json" else render_text(doc)
+    try:
+        rendered = doc.to_json() if args.format == "json" else render_text(doc)
+    except ValueError as exc:  # a NaN or infinity among the results
+        print(f"internal invariant violation: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:

@@ -93,9 +93,10 @@ class MeasurementBasis:
             raise BasisError("basis needs at least one target system")
         if not self.outcomes:
             raise BasisError("basis needs at least one outcome")
-        labels = [o.label for o in self.outcomes]
+        labels = tuple(o.label for o in self.outcomes)
         if len(set(labels)) != len(labels):
-            raise BasisError(f"duplicate outcome labels: {labels}")
+            raise BasisError(f"duplicate outcome labels: {list(labels)}")
+        object.__setattr__(self, "_labels", labels)
         d = self.target_dimension
         for outcome in self.outcomes:
             if outcome.vectors.shape[1] != d:
@@ -119,7 +120,7 @@ class MeasurementBasis:
         return self.target_dimension - sum(o.subspace_dimension for o in self.outcomes)
 
     def labels(self) -> tuple[str, ...]:
-        return tuple(o.label for o in self.outcomes)
+        return self._labels
 
     def outcome(self, label: str) -> SubspaceOutcome:
         for o in self.outcomes:

@@ -2,7 +2,8 @@
 sampling code (the branch table, its rule and the until-halt windows), the
 measurement checks, the schedule's reach and announcement rules, the shared
 record-free prefixes, the agents' certainty threshold, the detection bound's
-Newton bracket and replayed bisection, and the CLI's usage errors.
+Newton bracket and replayed bisection, the CLI's usage errors, and its
+fraction rule and JSON writer.
 
 Each mutant is an exact text patch ``(file, old, new, tests)``.  The script
 copies the checkout to a temporary directory, runs the tests of every mutant
@@ -147,6 +148,15 @@ MUTANTS = (
            "src/frsim/cli.py", "except (ValueError, MemoryError) as exc:",
            "except MemoryError as exc:",
            ("tests/test_cli.py::test_values_the_library_rejects_are_usage_errors",)),
+    Mutant("fractions searched up to denominator 23, not 24",
+           "src/frsim/cli.py", "for q in range(1, 25):", "for q in range(1, 24):",
+           ("tests/test_cli.py::test_fraction_matches_the_limit_denominator_rule",)),
+    Mutant("the JSON writer keeps each dict's own key order",
+           "src/frsim/cli.py", "for key in sorted(value):", "for key in value:",
+           ("tests/test_cli.py::test_writer_matches_json_dumps_on_the_goldens",)),
+    Mutant("the JSON writer lets a NaN through",
+           "src/frsim/cli.py", "if not isfinite(value):", "if False:",
+           ("tests/test_cli.py::test_writer_rejects_what_json_dumps_rejects",)),
 )
 
 # At every node of the 24 variants' trees, pick_index's fallback is the last

@@ -2,8 +2,13 @@ import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -16,11 +21,14 @@ from frsim.cli import (
     EXIT_OK,
     EXIT_USAGE,
     ReportDocument,
+    _fraction,
+    _write_json,
     build_parser,
     main,
 )
 from frsim.measurement import ResidualError
 from frsim.perspectives import GIVEN_LABELS
+from frsim.protocol import ProtocolVariant
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "branches_none_golden.json"
@@ -298,6 +306,113 @@ def test_document_rejects_nan():
                          results={"threshold": float("nan")})
     with pytest.raises(ValueError):
         doc.to_json()
+
+
+def _written(value) -> str:
+    out: list[str] = []
+    _write_json(value, "\n", out)
+    return "".join(out)
+
+
+def _dumped(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
+
+
+_JSON_FILES = sorted(DATA.glob("*.json")) + [Path(frsim.cli.__file__).parent / "data"
+                                              / "reference_states.json"]
+
+
+@pytest.mark.parametrize("path", _JSON_FILES, ids=lambda path: path.name)
+def test_writer_matches_json_dumps_on_the_goldens(path):
+    # The files hold sorted keys; read each object's keys in reverse, so the
+    # writer has to sort them.
+    value = json.loads(path.read_text(), object_pairs_hook=lambda pairs: dict(reversed(pairs)))
+    assert _written(value) == _dumped(value)
+
+
+_KEYS = st.text(max_size=6) | st.sampled_from(
+    ['"', "\\", "\n", "\x00", "\x1f", "\x7f", "é", "\u2028", "🙂"])
+_FLOATS = (st.floats(allow_nan=False, allow_infinity=False)
+           | st.sampled_from([-0.0, 0.0, 5e-324, 1e16, 0.1, 1e1, 1e-7, 2.0**53]))
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(-2**100, 2**100) | _FLOATS
+            | _FLOATS.map(np.float64) | st.text(max_size=6) | _KEYS)
+_DOCUMENTS = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_KEYS, inner, max_size=4)),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_DOCUMENTS)
+def test_writer_matches_json_dumps(value):
+    assert _written(value) == _dumped(value)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), np.float64("nan"),
+                                   {"a": [1, {"b": float("nan")}]}, {1, 2}, {"a": (1, {2})},
+                                   np.int64(3), b"bytes"],
+                         ids=["nan", "inf", "-inf", "np-nan", "nested-nan", "set", "nested-set",
+                              "np-int64", "bytes"])
+def test_writer_rejects_what_json_dumps_rejects(value):
+    with pytest.raises(Exception) as dumped:
+        _dumped(value)
+    with pytest.raises(type(dumped.value)):
+        _written(value)
+
+
+def _fraction_by_limit_denominator(p):
+    """The rule ``_fraction`` replaced, kept verbatim as its oracle."""
+    frac = Fraction(p).limit_denominator(24)
+    if abs(float(frac) - p) < 1e-9:
+        return f"{frac.numerator}/{frac.denominator}"
+    return None
+
+
+def test_fraction_matches_the_limit_denominator_rule():
+    values = [-0.0, 0.0, -1.5, -1 / 12, 7.25, 1e300, -1e300, 5e-324, 1 - 2**-53, 1e-9, 2e-9]
+    for q in range(1, 31):
+        for n in range(-q, 2 * q + 1):
+            for offset in (0.0, 9.99e-10, 1e-9, 1.0001e-9):
+                values += [n / q + offset, n / q - offset]
+    mismatches = [p for p in values if _fraction(p) != _fraction_by_limit_denominator(p)]
+    assert not mismatches
+    assert _fraction(1 / 24) == "1/24"
+    assert _fraction(-0.0) == "0/1"
+
+
+@pytest.mark.parametrize("value, error", [(float("nan"), ValueError), (float("inf"), OverflowError),
+                                          (-float("inf"), OverflowError)])
+def test_fraction_raises_on_what_the_old_rule_raises(value, error):
+    with pytest.raises(error):
+        _fraction_by_limit_denominator(value)
+    with pytest.raises(error):
+        _fraction(value)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")], ids=str)
+def test_a_non_finite_result_exits_4_and_writes_nothing(capsys, monkeypatch, tmp_path, bad):
+    monkeypatch.setitem(frsim.cli._HANDLERS, "branches",
+                        lambda args: (ProtocolVariant(), {"z": [0.5, {"p": bad}]}))
+    code, out, err = run_cli(capsys, "branches")
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("internal invariant violation")
+    path = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, "branches", "--out", str(path))
+    assert code == EXIT_INTERNAL
+    assert (out, path.exists()) == ("", False)
+    assert err.startswith("internal invariant violation")
+
+
+def test_importing_the_cli_loads_neither_fractions_nor_decimal():
+    code = "import sys, frsim.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(frsim.cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
