@@ -115,10 +115,10 @@ class FrequencyTable:
 class DetectionReport:
     """Outcome of the interaction-free record-detection experiment.
 
-    ``threshold`` is the one-sided upper confidence bound on the probability
-    of seeing the spin up given an ``ok`` coin-lab outcome.  Without any
-    record that probability is exactly 1, so a bound strictly below 1 means a
-    record must exist inside the coin lab.
+    ``decision`` reads the counts: ``"record-detected"`` when some of at least
+    ``min_ok_rounds`` ok rounds read down, else ``"no-record"``, and
+    ``"inconclusive"`` with fewer ok rounds.  ``threshold``, the one-sided
+    upper confidence bound on P(up | ok), is reported only.
     """
 
     rounds: int
@@ -337,7 +337,7 @@ def detect_records(
     Requires the intrusion variant.  Among rounds whose coin-lab outcome was
     ``ok``, the spin is found up with probability 1 when no coin record
     exists and with probability 1/3 when one does, so any observed ``down``
-    is decisive; the confidence bound quantifies it.
+    is decisive: the decision reads the counts; the bound only quantifies it.
     """
     if not config.variant.intrusion:
         raise ValueError("record detection requires the intrusion variant")
@@ -355,7 +355,7 @@ def detect_records(
     else:
         fraction = up_count / ok_rounds
         bound = binomial_upper_bound(up_count, ok_rounds, confidence)
-        decision = "record-detected" if bound < 1.0 else "no-record"
+        decision = "record-detected" if up_count < ok_rounds else "no-record"
     return DetectionReport(
         rounds=rounds,
         ok_rounds=ok_rounds,

@@ -8,7 +8,7 @@ reproducibility.
 
 Exit codes: 0 success, 2 usage error, 3 inconsistent transcript
 (zero-probability conditioning), 4 internal invariant violation (also a NaN
-or infinity in the results of a JSON document).  Argparse
+or infinity in the results, in either format).  Argparse
 reports grammar errors (an unknown flag, a bad choice) itself.  A usage error
 found after parsing, such as a value the library rejects, prints exactly one
 ``frsim: error:`` line: handlers raise, and :func:`main` alone maps the
@@ -47,7 +47,7 @@ EXIT_INTERNAL = 4
 SCHEMA_VERSION = "1"
 
 _NOTEBOOKS = {"none": (), "fbar": ("Fbar",), "f": ("F",), "both": ("Fbar", "F")}
-_AGENT_FLAGS = {"fbar": "Fbar", "f": "F", "wbar": "Wbar", "w": "W", "c": "C"}
+_AGENT_FLAGS = {agent.lower(): agent for agent in AGENTS}
 
 # A command's variant and results; main wraps them in the ReportDocument.
 Report = tuple[ProtocolVariant, dict]
@@ -147,15 +147,6 @@ def _prob_entry(p: float) -> dict:
     if frac is not None:
         entry["fraction"] = frac
     return entry
-
-
-def _variant_dict(variant: ProtocolVariant) -> dict:
-    return {
-        "announce_wbar": variant.announce_wbar,
-        "notebooks": sorted(variant.notebooks),
-        "cheat": variant.cheat,
-        "intrusion": variant.intrusion,
-    }
 
 
 def _add_variant_flags(parser: argparse.ArgumentParser) -> None:
@@ -481,13 +472,15 @@ def main(argv: list[str] | None = None) -> int:
     doc = ReportDocument(
         schema_version=SCHEMA_VERSION,
         command=args.command,
-        variant=_variant_dict(variant),
+        variant={**vars(variant), "notebooks": sorted(variant.notebooks)},
         seed=vars(args).get("seed"),
         results=results,
         timestamps={"unix_epoch_seconds": time.time()} if args.timestamp else None,
     )
-    try:
-        rendered = doc.to_json() if args.format == "json" else render_text(doc)
+    try:  # the JSON is written in either format: it rejects a NaN or infinity
+        rendered = doc.to_json()
+        if args.format == "text":
+            rendered = render_text(doc)
     except ValueError as exc:  # a NaN or infinity among the results
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

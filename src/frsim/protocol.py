@@ -150,21 +150,22 @@ class ProtocolConfig:
 
 @dataclass(frozen=True)
 class RoundTranscript:
-    """Sampled outcomes and announcements of one protocol round.
+    """Sampled outcomes (the round's :class:`OutcomeKey`) and announcements.
 
     ``announcements`` holds ``(time, announcer, label)`` for each
     :attr:`~Step.announced` step the round reaches, in schedule order.
     """
 
     round_index: int
-    wbar_outcome: str | None
-    w_outcome: str | None
-    intrusion_outcome: str | None
+    outcomes: OutcomeKey
     announcements: tuple[tuple[int, str, str], ...]
-    halted: bool
+
+    @property
+    def halted(self) -> bool:
+        return self.outcomes.halts
 
     def key(self) -> OutcomeKey:
-        return OutcomeKey(self.wbar_outcome, self.w_outcome, self.intrusion_outcome)
+        return self.outcomes
 
 
 @dataclass(frozen=True)
@@ -560,17 +561,16 @@ def state_after_preparation(variant: ProtocolVariant) -> StateVector:
 
 
 @lru_cache(maxsize=None)
-def _transcript_fields(variant: ProtocolVariant, key: OutcomeKey) -> tuple:
-    """A transcript's fields after the round index; an outcome the key leaves
-    empty was not reached, so its step announces nothing."""
-    announcements = tuple((step.time, step.memory.name, getattr(key, step.outcome))
-                          for step in schedule(variant)
-                          if step.announced and getattr(key, step.outcome) is not None)
-    return (*key, announcements, key.halts)
+def _announcements(variant: ProtocolVariant, key: OutcomeKey) -> tuple:
+    """A round's announcements; an outcome the key leaves empty was not
+    reached, so its step announces nothing."""
+    return tuple((step.time, step.memory.name, getattr(key, step.outcome))
+                 for step in schedule(variant)
+                 if step.announced and getattr(key, step.outcome) is not None)
 
 
 def _transcript(variant: ProtocolVariant, round_index: int, key: OutcomeKey) -> RoundTranscript:
-    return RoundTranscript(round_index, *_transcript_fields(variant, key))
+    return RoundTranscript(round_index, key, _announcements(variant, key))
 
 
 def run_round(

@@ -110,13 +110,7 @@ def load_reference_states() -> tuple[ReferenceState, ...]:
     )
     out: list[ReferenceState] = []
     for entry in payload["states"]:
-        raw_variant = entry.get("variant", {})
-        variant = ProtocolVariant(
-            announce_wbar=raw_variant.get("announce_wbar", True),
-            notebooks=frozenset(raw_variant.get("notebooks", ())),
-            cheat=raw_variant.get("cheat", False),
-            intrusion=raw_variant.get("intrusion", False),
-        )
+        variant = ProtocolVariant(**entry.get("variant", {}))
         given = Given(**entry.get("given", {}))
         agent = entry["agent"]
         expected_names = known_system_names(agent, variant)

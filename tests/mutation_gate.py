@@ -2,8 +2,9 @@
 sampling code (the branch table, its rule and the until-halt windows), the
 measurement checks, the schedule's reach and announcement rules, the shared
 record-free prefixes, the agents' certainty threshold, the detection bound's
-Newton bracket and replayed bisection, the CLI's usage errors, and its
-fraction rule and JSON writer.
+Newton bracket and replayed bisection, the detection verdict, the CLI's
+usage errors, its fraction rule, its JSON writer and the check both formats
+share.
 
 Each mutant is an exact text patch ``(file, old, new, tests)``.  The script
 copies the checkout to a temporary directory, runs the tests of every mutant
@@ -144,6 +145,23 @@ MUTANTS = (
                                      "confidence <= 0.0 or confidence >= 1.0"),
            ("tests/test_cli.py::test_values_the_library_rejects_are_usage_errors"
             "[nan-confidence-without-a-bound]",)),
+    Mutant("the verdict read off the bound at or below 1",
+           "src/frsim/analysis.py", '"record-detected" if up_count < ok_rounds else',
+           '"record-detected" if bound <= 1.0 else',
+           ("tests/test_analysis.py::test_sampled_verdicts_agree_with_their_exact_rates"
+            "[without-record]",)),
+    Mutant("the verdict read off the bound below 1, which rounds to 1 near it",
+           "src/frsim/analysis.py", '"record-detected" if up_count < ok_rounds else',
+           '"record-detected" if bound < 1.0 else',
+           ("tests/test_analysis.py::test_detection_decides_by_the_counts_not_the_bound",)),
+    Mutant("a run whose ok rounds all read up counts as a detection",
+           "src/frsim/analysis.py", '"record-detected" if up_count < ok_rounds else',
+           '"record-detected" if up_count <= ok_rounds else',
+           ("tests/test_analysis.py::test_detection_reports_no_record_without_cheating",)),
+    Mutant("a transcript halts on Wbar's ok alone",
+           "src/frsim/protocol.py", "return self.outcomes.halts",
+           'return self.outcomes.wbar == "ok"',
+           ("tests/test_protocol.py::test_halting_flag_consistency",)),
     Mutant("main without its ValueError handler",
            "src/frsim/cli.py", "except (ValueError, MemoryError) as exc:",
            "except MemoryError as exc:",
@@ -157,6 +175,12 @@ MUTANTS = (
     Mutant("the JSON writer lets a NaN through",
            "src/frsim/cli.py", "if not isfinite(value):", "if False:",
            ("tests/test_cli.py::test_writer_rejects_what_json_dumps_rejects",)),
+    Mutant("the text renderer lets a NaN through",
+           "src/frsim/cli.py",
+           'rendered = doc.to_json()\n        if args.format == "text":\n'
+           '            rendered = render_text(doc)',
+           'rendered = doc.to_json() if args.format == "json" else render_text(doc)',
+           ("tests/test_cli.py::test_a_non_finite_result_exits_4_and_writes_nothing",)),
 )
 
 # At every node of the 24 variants' trees, pick_index's fallback is the last

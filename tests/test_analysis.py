@@ -1,7 +1,8 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
-from math import fsum, log, log1p
+from math import comb, fsum, log, log1p
 from pathlib import Path
 
 import numpy as np
@@ -372,6 +373,17 @@ def test_detection_inconclusive_with_few_rounds():
     assert report.threshold is None
 
 
+def test_detection_decides_by_the_counts_not_the_bound(monkeypatch):
+    # The exact bound can round to 1.0 when some ok round read down, as
+    # binomial_upper_bound(9_999_999, 10**7, 1 - 1e-9) does: the verdict
+    # must not read it.
+    monkeypatch.setattr(analysis, "binomial_upper_bound", lambda *args: 1.0)
+    config = ProtocolConfig(variant=variant({"Fbar"}, intrusion=True, cheat=True), seed=3)
+    report = detect_records(config, 100)
+    assert report.up_count < report.ok_rounds and report.threshold == 1.0
+    assert report.decision == "record-detected"
+
+
 def test_detection_requires_intrusion_variant():
     config = ProtocolConfig(variant=variant(), seed=3)
     with pytest.raises(ValueError):
@@ -538,6 +550,7 @@ def test_upper_bound_is_the_bisection_on_every_small_input(monkeypatch):
         bound = binomial_upper_bound(successes, trials, confidence)
         assert bound == bisection_upper_bound(successes, trials, confidence), (
             successes, trials, confidence)
+        assert (bound < 1.0) == (successes < trials), (successes, trials, confidence)
         assert calls[0] <= bisection_evaluations(successes, trials, bound) + 10, (
             successes, trials, confidence)
 
@@ -562,8 +575,9 @@ def _large_inputs(count):
     *_large_inputs(8),
 ])
 def test_upper_bound_is_the_bisection_on_large_inputs(successes, trials, confidence):
-    assert binomial_upper_bound(successes, trials, confidence) == bisection_upper_bound(
-        successes, trials, confidence)
+    bound = binomial_upper_bound(successes, trials, confidence)
+    assert bound == bisection_upper_bound(successes, trials, confidence)
+    assert (bound < 1.0) == (successes < trials)
 
 
 def test_upper_bound_takes_few_tail_evaluations(monkeypatch):
@@ -605,3 +619,48 @@ def test_detection_counts_agree_with_the_exact_rates(v):
     else:
         lower, upper = clopper_pearson(report.up_count, report.ok_rounds, DETECTION_ALPHA)
         assert lower <= up <= upper
+
+
+def verdict_probabilities(q, r, n, min_ok_rounds):
+    """Exact P(inconclusive), P(no-record) and P(record-detected) of a run of
+    ``n`` rounds, each ok with probability ``q``, where an ok round reads up
+    with probability ``r``.  The ok count M is Binomial(n, q); a run with
+    M >= min_ok_rounds is "no-record" when all M ok rounds read up."""
+    ok = [comb(n, m) * q**m * (1 - q) ** (n - m) for m in range(n + 1)]
+    inconclusive = sum(ok[:min_ok_rounds])
+    no_record = sum(ok[m] * r**m for m in range(min_ok_rounds, n + 1))
+    return inconclusive, no_record, 1 - inconclusive - no_record
+
+
+def test_verdict_probabilities_in_closed_form():
+    assert verdict_probabilities(Fraction(1, 2), Fraction(1, 3), 4, 1) == (
+        Fraction(1, 16), Fraction(175, 1296), Fraction(65, 81))
+    for q in (Fraction(1, 6), Fraction(1, 2)):
+        assert verdict_probabilities(q, Fraction(1), 4, 1)[2] == 0
+
+
+# Sampled verdicts of 4-round runs over the fixed seeds VERDICT_SEEDS, never
+# re-chosen, with and without the secret record.  Each verdict count of
+# nonzero exact rate gets a two-sided Clopper-Pearson test at DETECTION_ALPHA:
+# 5 tests, so a correct sampler fails the family with probability at most
+# 5 * 1e-6 = 5e-6 (Bonferroni).  Without a record no run reads
+# "record-detected", an equality that a correct sampler always passes.
+VERDICT_SEEDS = range(1200)
+VERDICTS = ("inconclusive", "no-record", "record-detected")
+
+
+@pytest.mark.parametrize("record", (True, False), ids=("with-record", "without-record"))
+def test_sampled_verdicts_agree_with_their_exact_rates(record):
+    v = variant({"Fbar"}, intrusion=True, cheat=True) if record else variant(intrusion=True)
+    q, r = (Fraction(1, 2), Fraction(1, 3)) if record else (Fraction(1, 6), Fraction(1))
+    exact = enumerate_exact(v)
+    assert exact.marginal_wbar("ok") == pytest.approx(q, abs=EXACT_ATOL)
+    assert exact.conditional_intrusion("up") == pytest.approx(r, abs=EXACT_ATOL)
+    counts = Counter(detect_records(ProtocolConfig(variant=v, seed=seed), 4,
+                                    min_ok_rounds=1).decision for seed in VERDICT_SEEDS)
+    for verdict, rate in zip(VERDICTS, verdict_probabilities(q, r, 4, 1)):
+        if rate == 0:
+            assert counts[verdict] == 0, counts
+        else:
+            lower, upper = clopper_pearson(counts[verdict], len(VERDICT_SEEDS), DETECTION_ALPHA)
+            assert lower <= rate <= upper, (verdict, counts)

@@ -393,17 +393,21 @@ def test_fraction_raises_on_what_the_old_rule_raises(value, error):
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")], ids=str)
 def test_a_non_finite_result_exits_4_and_writes_nothing(capsys, monkeypatch, tmp_path, bad):
-    monkeypatch.setitem(frsim.cli._HANDLERS, "branches",
-                        lambda args: (ProtocolVariant(), {"z": [0.5, {"p": bad}]}))
-    code, out, err = run_cli(capsys, "branches")
-    assert code == EXIT_INTERNAL
-    assert out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("internal invariant violation")
-    path = tmp_path / "report.json"
-    code, out, err = run_cli(capsys, "branches", "--out", str(path))
-    assert code == EXIT_INTERNAL
-    assert (out, path.exists()) == ("", False)
-    assert err.startswith("internal invariant violation")
+    # The text renderer lists detect's results as they stand, so it would
+    # print "threshold: nan" if the JSON check did not run in both formats.
+    results = {"threshold": bad, "z": [0.5, {"p": bad}]}
+    monkeypatch.setitem(frsim.cli._HANDLERS, "detect", lambda args: (ProtocolVariant(), results))
+    for fmt in ("json", "text"):
+        argv = ("detect", "--rounds", "1", "--format", fmt)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_INTERNAL
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("internal invariant violation")
+        path = tmp_path / f"report.{fmt}"
+        code, out, err = run_cli(capsys, *argv, "--out", str(path))
+        assert code == EXIT_INTERNAL
+        assert (out, path.exists()) == ("", False)
+        assert err.startswith("internal invariant violation")
 
 
 def test_importing_the_cli_loads_neither_fractions_nor_decimal():

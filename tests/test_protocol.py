@@ -162,13 +162,13 @@ def test_intrusion_aborts_round():
     found = None
     for k in range(100):
         transcript = run_round(variant, round_rng(3, k), k)
-        assert transcript.halted is False or transcript.intrusion_outcome is None
-        if transcript.wbar_outcome == "ok":
+        assert transcript.halted is False or transcript.key().intrusion is None
+        if transcript.key().wbar == "ok":
             found = transcript
             break
     assert found is not None
-    assert found.w_outcome is None
-    assert found.intrusion_outcome == "up"  # no records: spin is surely up
+    assert found.key().w is None
+    assert found.key().intrusion == "up"  # no records: spin is surely up
     assert found.halted is False
     assert all(agent != "W" for _, agent, _ in found.announcements)
 
@@ -178,10 +178,10 @@ def test_announcements_follow_variant():
     secret = ProtocolVariant(announce_wbar=False)
     t1 = run_round(announced, round_rng(5, 0), 0)
     t2 = run_round(secret, round_rng(5, 0), 0)
-    assert (2, "Wbar", t1.wbar_outcome) in t1.announcements
+    assert (2, "Wbar", t1.key().wbar) in t1.announcements
     assert all(agent != "Wbar" for _, agent, _ in t2.announcements)
-    assert (3, "W", t1.w_outcome) in t1.announcements
-    assert (3, "W", t2.w_outcome) in t2.announcements
+    assert (3, "W", t1.key().w) in t1.announcements
+    assert (3, "W", t2.key().w) in t2.announcements
 
 
 def test_halting_flag_consistency():
@@ -189,7 +189,7 @@ def test_halting_flag_consistency():
     for k in range(300):
         transcript = sampler.draw(round_rng(29, k), k)
         assert transcript.halted == (
-            transcript.wbar_outcome == "ok" and transcript.w_outcome == "ok"
+            transcript.key().wbar == "ok" and transcript.key().w == "ok"
         )
 
 
@@ -323,7 +323,7 @@ def test_a_round_premeasures_only_w_after_its_shared_prefix(variant, monkeypatch
     for k in range(40):
         memories.clear()
         transcript = run_round(variant, round_rng(43, k), k)
-        reaches_w = transcript.w_outcome is not None
+        reaches_w = transcript.key().w is not None
         reached.add(reaches_w)
         assert memories == ["W"] * reaches_w, (k, transcript)
     assert reached == ({True, False} if variant.intrusion else {True})
