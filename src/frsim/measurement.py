@@ -20,9 +20,10 @@ Measurement comes in four flavours:
   memory system unitarily, without collapsing anything.
 
 The four flavours and :func:`outcome_probability` share one Born
-projection, and level occupancies (:func:`_occupancies`) are the same floats
-read as row sums of ``|psi|**2``; :func:`record_copy` premeasures the
-source's :func:`level_basis`.
+projection, and level occupancies are the same floats read as row sums of
+one gather of ``|psi|**2`` per level count (:func:`_level_rows`,
+:func:`_occupancies`); :func:`record_copy` premeasures the source's
+:func:`level_basis`.
 Each reads the state through :func:`~frsim.tensor.transpose_plan` for the
 basis targets (and the memory), which checks once per layout and targets
 that they are distinct systems of the state's layout, and raises
@@ -37,7 +38,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .tensor import StateVector, SystemId, TransposePlan, transpose_plan
+from .tensor import RegisterLayout, StateVector, SystemId, TransposePlan, transpose_plan
 
 ORTHO_ATOL = 1e-12
 ZERO_PROBABILITY_ATOL = 1e-12
@@ -59,15 +60,19 @@ class InconsistentOutcomeError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class SubspaceOutcome:
-    """One labeled outcome: a set of orthonormal kets spanning its subspace."""
+    """One labeled outcome: a set of orthonormal kets spanning its subspace,
+    kept with their conjugates, the bras every projection reads."""
 
     label: str
     vectors: np.ndarray
 
     def __post_init__(self) -> None:
         vecs = np.atleast_2d(np.array(self.vectors, dtype=np.complex128))
-        vecs.setflags(write=False)
+        bras = vecs.conj()
+        for rows in (vecs, bras):
+            rows.setflags(write=False)
         object.__setattr__(self, "vectors", vecs)
+        object.__setattr__(self, "bras", bras)
 
     @property
     def subspace_dimension(self) -> int:
@@ -166,11 +171,11 @@ def level_basis(system: SystemId) -> MeasurementBasis:
     )
 
 
-def _components(vectors: np.ndarray, mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _components(outcome: SubspaceOutcome, mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A (target, rest) matrix's coefficients on the outcome's kets, and its
     projection on their span."""
-    coeffs = vectors.conj() @ mat
-    return coeffs, vectors.T @ coeffs
+    coeffs = outcome.bras @ mat
+    return coeffs, outcome.vectors.T @ coeffs
 
 
 def _moved(state: StateVector, basis: MeasurementBasis) -> tuple[TransposePlan, np.ndarray]:
@@ -187,12 +192,24 @@ def _weight(amplitudes: np.ndarray) -> float:
     return float(np.add.reduce(np.abs(amplitudes) ** 2, axis=None))
 
 
-def _occupancies(weights: np.ndarray, plan: TransposePlan) -> list[float]:
-    """Each level's Born probability on one target from ``|psi|**2``: row sums
-    of a C-contiguous (levels, rest) copy, in :func:`_weight`'s summation order
-    (summing the strided view of a trailing target would change bits)."""
-    rows = np.ascontiguousarray(weights.reshape(plan.dims).transpose(plan.perm))
-    return np.add.reduce(rows.reshape(plan.target_dimension, -1), axis=1).tolist()
+def _level_rows(layout: RegisterLayout, systems: Sequence[SystemId]) -> np.ndarray:
+    """Per system of the layout, all with one level count, the flat amplitude
+    indices of its (levels, rest) matrix as :meth:`~frsim.tensor.TransposePlan.matrix`
+    orders it; read-only, shaped (systems, levels, rest)."""
+    flat = np.arange(layout.total_dimension).reshape(layout.dims)
+    plans = [transpose_plan(layout, (system,)) for system in systems]
+    rows = np.stack([flat.transpose(plan.perm).reshape(plan.target_dimension, -1)
+                     for plan in plans])
+    rows.setflags(write=False)
+    return rows
+
+
+def _occupancies(weights: np.ndarray, rows: np.ndarray) -> list[list[float]]:
+    """Each level's Born probability, per system of :func:`_level_rows`'
+    ``rows``, from ``|psi|**2``: row sums of one C-contiguous gather, in
+    :func:`_weight`'s summation order (summing the strided view of a trailing
+    system would change bits)."""
+    return np.add.reduce(weights[rows], axis=-1).tolist()
 
 
 def _probabilities(
@@ -200,7 +217,7 @@ def _probabilities(
 ) -> list[float]:
     """Each given outcome's Born probability, without forming its projection."""
     _, mat = _moved(state, basis)
-    return [_weight(outcome.vectors.conj() @ mat) for outcome in outcomes]
+    return [_weight(outcome.bras @ mat) for outcome in outcomes]
 
 
 def _project_all(
@@ -212,7 +229,7 @@ def _project_all(
     plan, mat = _moved(state, basis)
     projections = []
     for outcome in basis.outcomes:
-        coeffs, projected = _components(outcome.vectors, mat)
+        coeffs, projected = _components(outcome, mat)
         projections.append((_weight(coeffs), projected))
     residual_probability = _weight(mat - sum(projected for _, projected in projections))
     if not residual_probability < RESIDUAL_TOL:
@@ -286,9 +303,9 @@ def condition_on(state: StateVector, basis: MeasurementBasis, label: str) -> Sta
     (near-)zero probability, which signals information inconsistent with the
     state rather than a numerical accident.
     """
-    vectors = basis.outcome(label).vectors
+    outcome = basis.outcome(label)
     plan, mat = _moved(state, basis)
-    coeffs, projected = _components(vectors, mat)
+    coeffs, projected = _components(outcome, mat)
     probability = _weight(coeffs)
     if not probability > ZERO_PROBABILITY_ATOL:
         raise InconsistentOutcomeError(
@@ -332,12 +349,12 @@ def premeasure(
     residual = cube.copy()
     result = np.zeros_like(cube)
     for outcome, levels in zip(basis.outcomes, swaps):
-        projected = _components(outcome.vectors, targets)[1].reshape(cube.shape)
+        projected = _components(outcome, targets)[1].reshape(cube.shape)
         residual -= projected
         result += projected[:, levels]
     result += residual
 
-    return StateVector(state.layout, plan.restore(result.reshape(mat.shape)))
+    return StateVector(state.layout, plan.restore(result))
 
 
 @lru_cache(maxsize=256)

@@ -27,8 +27,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
+import numpy as np
+
 from .measurement import (
     MeasurementBasis,
+    _level_rows,
     _occupancies,
     _probabilities,
     condition_on,
@@ -46,7 +49,7 @@ from .systems import (
     spin_basis,
     spin_lab_basis,
 )
-from .tensor import RegisterLayout, StateVector, transpose_plan
+from .tensor import RegisterLayout, StateVector, SystemId
 
 AGENTS = ("Fbar", "F", "Wbar", "W", "C")
 
@@ -146,18 +149,59 @@ def agent_model_at(
     first record (an own outcome conditions without evolving): the fold
     starts from the shared :func:`~frsim.protocol.prefix_state` of those
     steps and folds only the rest, with the same operations in the same
-    order.  The prefix reads no outcome, so no error arises in it: what the
-    cache holds changes no error.  Raises :class:`PerspectiveLimit` when a
-    reached step measures a lab containing the agent,
-    :class:`~frsim.measurement.InconsistentOutcomeError` when ``Given`` holds
-    an outcome of a step the round does not reach, and :class:`ValueError`
-    when the transcript prefix does not pin an outcome the agent would know
-    at that time.
+    order.  Which steps those are, and the layout, depend only on the agent,
+    the variant and the reached steps, so :func:`_fold_plan` finds them once
+    per such key; per call run only :func:`~frsim.protocol.reached_steps`,
+    the conditionings and the evolutions.  The prefix and the plan read no
+    outcome, and a cache holds no error, so neither changes one.  Raises
+    :class:`PerspectiveLimit` when a reached step measures a lab containing
+    the agent, :class:`~frsim.measurement.InconsistentOutcomeError` when
+    ``Given`` holds an outcome of a step the round does not reach, and
+    :class:`ValueError` when the transcript prefix does not pin an outcome the
+    agent would know at that time.
     """
     if time not in (0, 1, 2, 3):
         raise ValueError(f"time must be one of 0..3, got {time}")
     given = given or Given()
-    steps = [step for step in reached_steps(variant, vars(given)) if step.time <= time]
+    steps = tuple(step for step in reached_steps(variant, vars(given)) if step.time <= time)
+    layout, prefix, rest = _fold_plan(agent, variant, steps)
+    state = prefix_state(layout, prefix)
+    log: list[tuple[str, str, str]] = []
+    for step, own, evolve in rest:
+        if own:
+            label = getattr(given, step.outcome)
+            if label is None:
+                # The intrusion reading is the agent's to use, not to require.
+                if step.after is not None:
+                    continue
+                raise ValueError(f"the {_ROLES[agent]}'s own outcome ({step.outcome}) "
+                                 f"is required at t>={step.time}")
+            state = condition_on(state, step.basis, label)
+            log.append(("own", basis_name(step.targets), label))
+        else:
+            if evolve:
+                state = step.evolve(state)
+            if step.heard:
+                label = getattr(given, step.outcome)
+                if label is None:
+                    lab = basis_name(step.targets).replace("_", "-")
+                    raise ValueError(f"the announced {lab} outcome ({step.outcome}) is "
+                                     f"required at t>={step.time} in the announcing protocol")
+                state = condition_on(state, record_basis(step.memory), label)
+                log.append(("heard", step.memory.name, label))
+
+    return AgentModel(agent=agent, layout=layout, state=state, log=tuple(log))
+
+
+@lru_cache(maxsize=1024)  # every input of the 24 variants uses one of 456 plans
+def _fold_plan(
+    agent: str, variant: ProtocolVariant, steps: tuple[Step, ...]
+) -> tuple[RegisterLayout, tuple[Step, ...], tuple[tuple[Step, bool, bool], ...]]:
+    """:func:`agent_model_at`'s layout, the steps of its
+    :func:`~frsim.protocol.prefix_state`, and each step folded after the
+    prefix with whether it is the agent's own and whether the fold evolves
+    it; found once per (agent, variant, reached steps).  Raises
+    :class:`PerspectiveLimit` or, for an unknown agent, :class:`ValueError`."""
     for step in steps:
         if step.basis is not None and agent in step.targets:
             raise PerspectiveLimit(
@@ -180,32 +224,8 @@ def agent_model_at(
     split = next((i for i, step in enumerate(modelled) if own(step) or step.heard),
                  len(modelled))
     evolved = split + (split < len(modelled) and not own(modelled[split]))
-    state = prefix_state(layout, tuple(modelled[:evolved]))
-    log: list[tuple[str, str, str]] = []
-    for i, step in enumerate(modelled[split:], split):
-        if own(step):
-            label = getattr(given, step.outcome)
-            if label is None:
-                # The intrusion reading is the agent's to use, not to require.
-                if step.after is not None:
-                    continue
-                raise ValueError(f"the {_ROLES[agent]}'s own outcome ({step.outcome}) "
-                                 f"is required at t>={step.time}")
-            state = condition_on(state, step.basis, label)
-            log.append(("own", basis_name(step.targets), label))
-        else:
-            if i >= evolved:
-                state = step.evolve(state)
-            if step.heard:
-                label = getattr(given, step.outcome)
-                if label is None:
-                    lab = basis_name(step.targets).replace("_", "-")
-                    raise ValueError(f"the announced {lab} outcome ({step.outcome}) is "
-                                     f"required at t>={step.time} in the announcing protocol")
-                state = condition_on(state, record_basis(step.memory), label)
-                log.append(("heard", step.memory.name, label))
-
-    return AgentModel(agent=agent, layout=layout, state=state, log=tuple(log))
+    rest = tuple((step, own(step), i >= evolved) for i, step in enumerate(modelled[split:], split))
+    return layout, tuple(modelled[:evolved]), rest
 
 
 def apply_announcement(model: AgentModel, announcer: str, label: str) -> AgentModel:
@@ -244,15 +264,19 @@ def standard_predictions(model: AgentModel) -> dict[str, dict[str, float]]:
     Lab predictions use the ok/fail lab bases (valid before and after the
     lab measurement), projected since they involve interference.  Coin, spin,
     memories and notebooks report level occupancies, read off one ``|psi|**2``
-    per model as the very floats :func:`outcome_probability` gives.  Only
-    measurements whose targets lie inside the agent's layout appear, so the
-    coin friend gets no coin-lab prediction.
+    per model by one gather per level count (:func:`_level_gathers`) as the
+    very floats :func:`outcome_probability` gives.  Only measurements whose
+    targets lie inside the agent's layout appear, so the coin friend gets no
+    coin-lab prediction.
     """
     weights = abs(model.state.amplitudes) ** 2  # the terms _weight sums
+    occupancies = {}
+    for names, rows in _level_gathers(model.layout):
+        occupancies.update(zip(names, _occupancies(weights, rows)))
     predictions = {}
     for name, basis in _standard_bases(model.layout):
-        if len(basis.targets) == 1:
-            probabilities = _occupancies(weights, transpose_plan(model.layout, basis.targets))
+        if name in occupancies:
+            probabilities = occupancies[name]
         else:
             probabilities = _probabilities(model.state, basis, basis.outcomes)
         predictions[name] = dict(zip(basis.labels(), probabilities))
@@ -267,3 +291,16 @@ def _standard_bases(layout: RegisterLayout) -> tuple[tuple[str, MeasurementBasis
     bases += [level_basis(BY_NAME[name]) for name in ("Fbar", "F", "Nbar", "N", "Wbar", "W")]
     return tuple((basis_name(basis.target_names), basis) for basis in bases
                  if all(name in layout for name in basis.target_names))
+
+
+@lru_cache(maxsize=64)
+def _level_gathers(layout: RegisterLayout) -> tuple[tuple[tuple[str, ...], np.ndarray], ...]:
+    """Per level count, the names of the single-system standard measurements
+    inside the layout and their :func:`~frsim.measurement._level_rows`; built
+    once per layout."""
+    by_count: dict[int, list[tuple[str, SystemId]]] = {}
+    for name, basis in _standard_bases(layout):
+        if len(basis.targets) == 1:
+            by_count.setdefault(basis.target_dimension, []).append((name, basis.targets[0]))
+    return tuple((names, _level_rows(layout, systems))
+                 for names, systems in (zip(*group) for group in by_count.values()))

@@ -143,7 +143,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = np.array(self.amplitudes, dtype=np.complex128).reshape(-1)
+        amps = np.array(self.amplitudes, dtype=np.complex128, order="C").reshape(-1)
         if amps.size != self.layout.total_dimension:
             raise LayoutError(
                 f"amplitude count {amps.size} does not match layout dimension "
@@ -255,8 +255,10 @@ class TransposePlan:
         return moved.reshape(self.target_dimension, -1)
 
     def restore(self, matrix: np.ndarray) -> np.ndarray:
-        """Flat amplitudes in layout order from a matrix shaped like :meth:`matrix`'s."""
-        return matrix.reshape(self.moved_dims).transpose(self.inverse).reshape(-1)
+        """The amplitudes in layout order, one axis per system, from a matrix
+        shaped like :meth:`matrix`'s: a view of it, which the
+        :class:`StateVector` built from it copies once."""
+        return matrix.reshape(self.moved_dims).transpose(self.inverse)
 
 
 @lru_cache(maxsize=4096)  # the package uses a few hundred; callers may build many layouts

@@ -1,10 +1,10 @@
 """Mutation gate: every listed mutant must be killed.  The mutants cover the
 sampling code (the branch table, its rule and the until-halt windows), the
 measurement checks, the schedule's reach and announcement rules, the shared
-record-free prefixes, the agents' certainty threshold, the detection bound's
-Newton bracket and replayed bisection, the detection verdict, the CLI's
-usage errors, its fraction rule, its JSON writer and the check both formats
-share.
+record-free prefixes, the agents' level occupancies and certainty threshold,
+the detection bound's Newton bracket and replayed bisection, the detection
+verdict, the CLI's usage errors, its fraction rule, its JSON writer and the
+check both formats share.
 
 Each mutant is an exact text patch ``(file, old, new, tests)``.  The script
 copies the checkout to a temporary directory, runs the tests of every mutant
@@ -113,8 +113,11 @@ MUTANTS = (
            "src/frsim/protocol.py", "evolved = 1 + next(", "evolved = 2 + next(",
            ("tests/test_protocol.py::test_a_round_premeasures_only_w_after_its_shared_prefix",)),
     Mutant("an agent's fold evolves again the heard step its prefix premeasured",
-           "src/frsim/perspectives.py", "if i >= evolved:", "if True:",
+           "src/frsim/perspectives.py", "if evolve:", "if True:",
            ("tests/test_perspectives.py::test_a_heard_first_fold_conditions_before_it_premeasures",)),
+    Mutant("level occupancies gathered through the inverse permutation",
+           "src/frsim/measurement.py", "flat.transpose(plan.perm)", "flat.transpose(plan.inverse)",
+           ("tests/test_perspectives.py::test_agent_models_keep_every_bit",)),
     Mutant("certainty needs a probability within 1e-16 of 1",
            "src/frsim/perspectives.py", "CERTAINTY_TOL = 1e-10", "CERTAINTY_TOL = 1e-16",
            ("tests/test_perspectives.py::test_the_inference_chain_in_every_variant",)),

@@ -17,6 +17,7 @@ from frsim.measurement import (
 )
 from frsim.perspectives import (
     AGENTS,
+    AgentModel,
     GIVEN_LABELS,
     CertaintyVerdict,
     Given,
@@ -43,6 +44,7 @@ from frsim.systems import (
     N,
     NBAR,
     WBAR,
+    canonical_layout,
     coin_basis,
     coin_lab_basis,
     record_basis,
@@ -610,25 +612,52 @@ STANDARD_BASES.update({name: level_basis(BY_NAME[name])
                        for name in ("Fbar", "F", "Nbar", "N", "Wbar", "W")})
 
 
+def _differing_from_the_born_projection(model):
+    """Each prediction that is not the very float projecting on its one outcome
+    gives: level occupancies are read off |psi|**2 and lab outcomes projected."""
+    differing = []
+    predictions = standard_predictions(model)
+    assert predictions.keys() == {
+        name for name, basis in STANDARD_BASES.items()
+        if all(target in model.layout for target in basis.target_names)}
+    for name, dist in predictions.items():
+        assert dist.keys() == set(STANDARD_BASES[name].labels())
+        for label, p in dist.items():
+            assert type(p) is float
+            born = outcome_probability(model.state, STANDARD_BASES[name], label)
+            if p != born:
+                differing.append((name, label, p.hex(), born.hex()))
+    return differing
+
+
 def test_predictions_equal_the_born_projection_float_for_float():
-    # Level occupancies are read off |psi|**2 and lab outcomes projected; each
-    # must be the very float that projecting on the one outcome gives.
     differing, models = [], 0
     for inputs, model in _sweep_models():
         models += 1
-        predictions = standard_predictions(model)
-        assert predictions.keys() == {
-            name for name, basis in STANDARD_BASES.items()
-            if all(target in model.layout for target in basis.target_names)}
-        for name, dist in predictions.items():
-            assert dist.keys() == set(STANDARD_BASES[name].labels())
-            for label, p in dist.items():
-                assert type(p) is float
-                born = outcome_probability(model.state, STANDARD_BASES[name], label)
-                if p != born:
-                    differing.append((inputs, name, label, p.hex(), born.hex()))
+        differing += [(inputs, *entry) for entry in _differing_from_the_born_projection(model)]
     assert differing == []
     assert models == AGENT_MODEL_DIGEST["models"]
+
+
+@pytest.mark.parametrize("ref", REFERENCES, ids=lambda r: r.tag)
+def test_golden_model_predictions_equal_the_born_projection(ref):
+    model = agent_model_at(ref.agent, ref.time, ref.given, ref.variant)
+    assert _differing_from_the_born_projection(model) == []
+
+
+# Layouts no agent of the protocol models: no R and S, or no superobservers.
+@pytest.mark.parametrize("names", (("Nbar", "N", "W"), ("R", "Fbar", "S", "F"),
+                                   ("Nbar", "Fbar", "N", "F", "Wbar", "W")),
+                         ids="+".join)
+def test_hand_built_model_predictions_equal_the_born_projection(names):
+    # A random complex state, so that every term of every row sum counts.
+    layout = canonical_layout(names)
+    assert layout.names == names
+    rng = np.random.default_rng(27)
+    amplitudes = [1, 1j] @ rng.normal(size=(2, layout.total_dimension))
+    state = StateVector(layout, amplitudes / np.linalg.norm(amplitudes))
+    model = AgentModel(agent="C", layout=layout, state=state, log=())
+    assert _differing_from_the_born_projection(model) == []
 
 
 def test_level_predictions_match_a_plain_python_oracle():
@@ -751,3 +780,28 @@ def test_agent_models_and_their_errors_do_not_depend_on_the_prefix_cache():
     assert [result[0] for result in warm[-4:]] == [
         PerspectiveLimit, InconsistentOutcomeError, ValueError, ValueError]
     assert "own outcome" in warm[-2][1] and "announced" in warm[-1][1]
+
+
+def test_a_cached_fold_plan_changes_no_error():
+    # Every way agent_model_at fails, in the order it checks: the time, the
+    # reach rule, a self-measurement, the agent's name (these four raise
+    # before or inside the plan, which caches no error), then the fold's own
+    # errors, which a repeat meets through the cached plan.
+    intrusion = ProtocolVariant(intrusion=True)
+    inputs = (
+        ("W", 4, {}, ORIGINAL),
+        ("F", 2, {"s": "up", "intrusion": "up"}, ORIGINAL),
+        ("Wbar", 3, {"wbar": "ok", "w": "ok"}, intrusion),
+        *_FAILING_INPUTS[:1],
+        ("Nobody", 1, {}, ORIGINAL),
+        *_FAILING_INPUTS[1:],
+    )
+    perspectives._fold_plan.cache_clear()
+    first = [_fold_result(*args) for args in inputs]
+    assert perspectives._fold_plan.cache_info().hits == 0
+    assert [_fold_result(*args) for args in inputs] == first
+    assert perspectives._fold_plan.cache_info().hits == 3  # the fold's own three
+    assert [result[0] for result in first] == [
+        ValueError, InconsistentOutcomeError, InconsistentOutcomeError, PerspectiveLimit,
+        ValueError, InconsistentOutcomeError, ValueError, ValueError]
+    assert "time must be" in first[0][1] and "unknown agent" in first[4][1]

@@ -166,6 +166,23 @@ def test_apply_unitary_rejects_a_target_missing_from_the_layout():
         apply_unitary(state, ("X",), np.eye(2))
 
 
+@pytest.mark.parametrize("transposed", (False, True), ids=("flat", "transposed-view"))
+def test_a_state_keeps_its_own_read_only_copy(transposed):
+    # A caller's writable array, flat or a strided view like TransposePlan.restore's,
+    # is copied once: writing to it afterwards leaves the state unchanged.
+    layout = RegisterLayout((two_level("a"), SystemId("b", ("0", "1", "2"))))
+    source = np.arange(6, dtype=np.complex128)
+    given = source.reshape(3, 2).T if transposed else source
+    state = StateVector(layout, given)
+    expected = np.array([0, 2, 4, 1, 3, 5] if transposed else range(6), dtype=np.complex128)
+    assert np.array_equal(state.amplitudes, expected)
+    source[:] = -1.0
+    assert np.array_equal(state.amplitudes, expected)
+    assert state.amplitudes.flags.c_contiguous and not state.amplitudes.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        state.amplitudes[0] = 0.0
+
+
 def test_system_levels_given_as_a_list_are_kept_as_a_tuple():
     system = SystemId("X", ["a", "b"])
     assert system.levels == ("a", "b") and hash(system) == hash(SystemId("X", ("a", "b")))
