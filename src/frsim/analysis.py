@@ -53,12 +53,6 @@ HALT_WINDOW = 8
 # random points of 300 inputs it reached 5.04.
 TAIL_MARGIN = 8 * np.finfo(float).eps
 
-# The cap on binomial_upper_bound's Newton steps.  From (x + 1) / (n + 2),
-# Newton meets the margin at its 7th evaluation on detection inputs (x about
-# n / 3, n from 30 to 20 000, confidence 0.99).  Extreme confidences can need
-# more; past the cap the replay evaluates more mids, with the same result.
-NEWTON_STEPS = 8
-
 
 @dataclass(frozen=True)
 class JointDistribution:
@@ -226,27 +220,28 @@ def binomial_upper_bound(successes: int, trials: int, confidence: float = 0.99) 
     i.e. the ``confidence`` quantile of Beta(successes + 1, trials - successes).
     It is 1 when every trial succeeded.  Otherwise it is the float that
     bisection on the exact binomial lower tail ``F(p)``, evaluated in log
-    space, ends on, found in three phases:
+    space, ends on.  A point is verified when ``log F`` there clears the
+    target ``log(1 - confidence)`` by more than its margin, ``TAIL_MARGIN``
+    times the sum of the absolute values of the terms the evaluation adds: a
+    stated bound on its rounding error, about ten times the largest error
+    measured near a root.  One bracket ``(a, b)`` holds the highest point
+    verified above the target and the lowest verified below it, from
+    ``(0, 1)``, and both phases read it:
 
-    1. Newton: at most ``NEWTON_STEPS`` steps on ``log F - log(1 - confidence)``
-       from ``(successes + 1) / (trials + 2)``.  Each stays inside the bracket
-       of signs seen so far; a step that would leave it bisects the bracket.
-       The phase stops once the gap is under the evaluation's margin,
-       ``TAIL_MARGIN`` times the sum of the absolute values of the terms the
-       evaluation adds: a stated bound on its rounding error, about ten times
-       the largest error measured near a root.
-    2. Probes at ``p* -+ 4 * margin / |slope|`` around the point it stopped at.
-       A point of these two phases is verified high (or low) when its value
-       clears the target from above (or below) by more than its margin.
-    3. Replay: the bisection from [0, 1], where a mid at or below the highest
-       verified-high point goes to ``lo`` and a mid at or above the lowest
-       verified-low point goes to ``hi``, without an evaluation.  Every other
-       mid is evaluated as in plain bisection.
+    1. Newton on ``log F - target`` from ``(successes + 1) / (trials + 2)``.
+       Each evaluated point replaces an end, and a step that would leave
+       the bracket bisects it instead.  A point within its margin ends the
+       phase, and probes at ``p -+ 4 * margin / |slope|`` around it narrow
+       the bracket.  Each step lands strictly inside the bracket, and the
+       midpoint of two adjacent floats is one of them, so the phase ends.
+    2. Replay: the bisection from [0, 1], where a mid at or below ``a`` goes
+       to ``lo`` and a mid at or above ``b`` goes to ``hi`` without an
+       evaluation.  Every other mid is evaluated as in plain bisection.
 
     The true tail falls strictly in ``p``.  So at a skipped mid, the plain
     bisection's evaluation falls on the same side of the target as the
-    verified point, as long as the rounding error stays under the margin,
-    and the result is the plain bisection's, bit for bit.  When no point is
+    verified end, as long as the rounding error stays under the margin, and
+    the result is the plain bisection's, bit for bit.  When nothing is
     verified, the replay is the plain bisection.  ``(1667, 4951)`` takes 22
     evaluations of the tail where plain bisection takes 54.
     """
@@ -260,33 +255,27 @@ def binomial_upper_bound(successes: int, trials: int, confidence: float = 0.99) 
         return 1.0
     log_tail = _log_binomial_tail(successes, trials)
     target = log1p(-confidence)
-    seen = []  # (p, log F(p) - target, margin) at each point evaluated
-    a, b = 0.0, 1.0  # the Newton bracket: log F > target at a, <= target at b
+    a, b = 0.0, 1.0  # verified: log F > target at a, < target at b
     p = (successes + 1) / (trials + 2)
-    for _ in range(NEWTON_STEPS):
+    while a < p < b:
         value, slope, scale = log_tail(p)
         gap, margin = value - target, TAIL_MARGIN * scale
-        seen.append((p, gap, margin))
-        if abs(gap) < margin:
+        if abs(gap) <= margin:
             if 4 * margin < -slope:  # the probes lie within 1 of p
                 offset = 4 * margin / -slope
                 for probe in (p - offset, p + offset):
-                    if 0.0 < probe < 1.0:
+                    if a < probe < b:
                         value, _, scale = log_tail(probe)
-                        seen.append((probe, value - target, TAIL_MARGIN * scale))
+                        if abs(value - target) > TAIL_MARGIN * scale:
+                            a, b = (probe, b) if value > target else (a, probe)
             break
-        if gap > 0:
-            a = p
-        else:
-            b = p
+        a, b = (p, b) if gap > 0 else (a, p)
         # A step as long as the bracket, or a zero slope, would leave it: bisect.
         newton = p - gap / slope if abs(gap) < -slope * (b - a) else a
         p = newton if a < newton < b else 0.5 * (a + b)
-    high = max((q for q, gap, margin in seen if gap > margin), default=0.0)
-    low = min((q for q, gap, margin in seen if gap < -margin), default=1.0)
     lo, hi = 0.0, 1.0  # the tail falls from 1 at p = 0 to 0 at p = 1
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if mid <= high or mid < low and log_tail(mid)[0] > target:
+        if mid <= a or mid < b and log_tail(mid)[0] > target:
             lo = mid
         else:
             hi = mid

@@ -264,17 +264,18 @@ def standard_predictions(model: AgentModel) -> dict[str, dict[str, float]]:
     Lab predictions use the ok/fail lab bases (valid before and after the
     lab measurement), projected since they involve interference.  Coin, spin,
     memories and notebooks report level occupancies, read off one ``|psi|**2``
-    per model by one gather per level count (:func:`_level_gathers`) as the
-    very floats :func:`outcome_probability` gives.  Only measurements whose
-    targets lie inside the agent's layout appear, so the coin friend gets no
-    coin-lab prediction.
+    per model by one gather per level count (:func:`_standard_measurements`)
+    as the very floats :func:`outcome_probability` gives.  Only measurements
+    whose targets lie inside the agent's layout appear, so the coin friend
+    gets no coin-lab prediction.
     """
+    bases, gathers = _standard_measurements(model.layout)
     weights = abs(model.state.amplitudes) ** 2  # the terms _weight sums
     occupancies = {}
-    for names, rows in _level_gathers(model.layout):
+    for names, rows in gathers:
         occupancies.update(zip(names, _occupancies(weights, rows)))
     predictions = {}
-    for name, basis in _standard_bases(model.layout):
+    for name, basis in bases:
         if name in occupancies:
             probabilities = occupancies[name]
         else:
@@ -284,23 +285,19 @@ def standard_predictions(model: AgentModel) -> dict[str, dict[str, float]]:
 
 
 @lru_cache(maxsize=64)
-def _standard_bases(layout: RegisterLayout) -> tuple[tuple[str, MeasurementBasis], ...]:
+def _standard_measurements(layout: RegisterLayout) -> tuple[
+    tuple[tuple[str, MeasurementBasis], ...], tuple[tuple[tuple[str, ...], np.ndarray], ...]
+]:
     """The standard measurements inside the layout, under their prediction
-    names; built once per layout."""
+    names, and per level count the names of the single-system ones and their
+    :func:`~frsim.measurement._level_rows`; built once per layout."""
     bases = [coin_basis(), spin_basis(), coin_lab_basis(), spin_lab_basis()]
     bases += [level_basis(BY_NAME[name]) for name in ("Fbar", "F", "Nbar", "N", "Wbar", "W")]
-    return tuple((basis_name(basis.target_names), basis) for basis in bases
-                 if all(name in layout for name in basis.target_names))
-
-
-@lru_cache(maxsize=64)
-def _level_gathers(layout: RegisterLayout) -> tuple[tuple[tuple[str, ...], np.ndarray], ...]:
-    """Per level count, the names of the single-system standard measurements
-    inside the layout and their :func:`~frsim.measurement._level_rows`; built
-    once per layout."""
+    named = tuple((basis_name(basis.target_names), basis) for basis in bases
+                  if all(name in layout for name in basis.target_names))
     by_count: dict[int, list[tuple[str, SystemId]]] = {}
-    for name, basis in _standard_bases(layout):
+    for name, basis in named:
         if len(basis.targets) == 1:
             by_count.setdefault(basis.target_dimension, []).append((name, basis.targets[0]))
-    return tuple((names, _level_rows(layout, systems))
-                 for names, systems in (zip(*group) for group in by_count.values()))
+    return named, tuple((names, _level_rows(layout, systems))
+                        for names, systems in (zip(*group) for group in by_count.values()))

@@ -1,10 +1,10 @@
 """Mutation gate: every listed mutant must be killed.  The mutants cover the
 sampling code (the branch table, its rule and the until-halt windows), the
 measurement checks, the schedule's reach and announcement rules, the shared
-record-free prefixes, the agents' level occupancies and certainty threshold,
-the detection bound's Newton bracket and replayed bisection, the detection
-verdict, the CLI's usage errors, its fraction rule, its JSON writer and the
-check both formats share.
+record-free prefixes, the agents' level occupancies, certainty threshold and
+calibration, the detection bound's verified bracket, its uncapped Newton steps
+and its replayed bisection, the detection verdict, the CLI's usage errors, its
+fraction rule, its JSON writer and the check both formats share.
 
 Each mutant is an exact text patch ``(file, old, new, tests)``.  The script
 copies the checkout to a temporary directory, runs the tests of every mutant
@@ -118,6 +118,10 @@ MUTANTS = (
     Mutant("level occupancies gathered through the inverse permutation",
            "src/frsim/measurement.py", "flat.transpose(plan.perm)", "flat.transpose(plan.inverse)",
            ("tests/test_perspectives.py::test_agent_models_keep_every_bit",)),
+    Mutant("W keeps the coin friend's secret notebook in its model",
+           "src/frsim/perspectives.py", 'agent in ("F", "Wbar", "W"):', 'agent in ("F", "Wbar"):',
+           ("tests/test_perspectives.py::"
+            "test_outside_agents_are_calibrated_at_t2_unless_their_model_misses_a_record",)),
     Mutant("certainty needs a probability within 1e-16 of 1",
            "src/frsim/perspectives.py", "CERTAINTY_TOL = 1e-10", "CERTAINTY_TOL = 1e-16",
            ("tests/test_perspectives.py::test_the_inference_chain_in_every_variant",)),
@@ -134,12 +138,17 @@ MUTANTS = (
            "src/frsim/protocol.py",
            "if step.unless is not None:\n                field, label = step.unless\n",
            "if True:\n                field, label = step.unless or step.after\n", _REACH),
-    Mutant("the bound's replay sends a mid at or below the verified-high point to hi",
-           "src/frsim/analysis.py", "if mid <= high or mid < low and",
-           "if high < mid < low and", _BITS),
+    Mutant("the bound's replay sends a mid at or below the verified-high end to hi",
+           "src/frsim/analysis.py", "if mid <= a or mid < b and", "if a < mid < b and", _BITS),
     Mutant("the Newton slope's sign flipped (same bits through the bracket, more evaluations)",
            "src/frsim/analysis.py", "slope = -(n - x)", "slope = (n - x)",
            ("tests/test_analysis.py::test_upper_bound_takes_few_tail_evaluations",)),
+    Mutant("the bound's Newton loop capped at 8 steps (same bits, more evaluations)",
+           "src/frsim/analysis.py",
+           "p = (successes + 1) / (trials + 2)\n    while a < p < b:",
+           "p, steps = (successes + 1) / (trials + 2), 0\n"
+           "    while a < p < b and (steps := steps + 1) <= 8:",
+           ("tests/test_analysis.py::test_upper_bound_runs_newton_without_a_step_cap",)),
     Mutant("the bound's search returns lo instead of hi",
            "src/frsim/analysis.py", "    return hi\n", "    return lo\n", _BITS),
     Mutant("detect_records' confidence check lets a NaN --confidence through",

@@ -588,6 +588,14 @@ def test_upper_bound_takes_few_tail_evaluations(monkeypatch):
     assert calls[0] <= 24
 
 
+def test_upper_bound_runs_newton_without_a_step_cap(monkeypatch):
+    # Newton runs until a point meets its margin or its bracket closes.  Capped
+    # at 8 steps, it left this input to the replay: 50 tail evaluations.
+    calls = count_tail_evaluations(monkeypatch)
+    binomial_upper_bound(39, 40, 0.99)
+    assert calls[0] <= 24
+
+
 # Sampled detection counts against their exact rates.  Each check is a
 # two-sided Clopper-Pearson test at DETECTION_ALPHA, built from analysis' own
 # bound.  The family holds 20 such checks (the ok count of all 12 intrusion

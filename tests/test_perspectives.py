@@ -373,6 +373,69 @@ def test_external_observer_predicts_the_exact_conditionals(variant):
                     expected, abs=EXACT_ATOL), (time, heard, field, label)
 
 
+# Calibration at t=2: where an outside agent's prediction of the round's next
+# sampled outcome, given Wbar's, differs from the outcome's true conditional
+# probability.  (variant, agent, wbar) -> (predicted, true, reason).  Every row
+# is a cheat variant whose agent models the coin lab without Fbar's notebook
+# (Nbar).  With F's notebook too, the spin-lab predictions agree by
+# coincidence; only the intrusion's reading tells the unaware agent apart.
+_LAB_AFTER_OK = ("without Nbar, Wbar's ok projects the coin lab as if no record of r "
+                 "existed: W's ok at 1/2, where the record leaves 1/6")
+_LAB_AFTER_FAIL = ("without Nbar, Wbar's fail leaves W's ok at 1/10, where the record "
+                   "leaves 1/6")
+_UP_AFTER_OK = ("without Nbar, Wbar's ok certifies the spin up, the interaction-free "
+                "detection's premise; the record of r leaves up at 1/3")
+UNCALIBRATED_AT_T2 = {
+    ("secret-Fbar-cheat", "Wbar", "ok"): (1 / 2, 1 / 6, _LAB_AFTER_OK),
+    ("secret-Fbar-cheat", "Wbar", "fail"): (1 / 10, 1 / 6, _LAB_AFTER_FAIL),
+    ("secret-Fbar-cheat-intrusion", "Wbar", "ok"): (1.0, 1 / 3, _UP_AFTER_OK),
+    ("secret-Fbar-cheat-intrusion", "Wbar", "fail"): (1 / 10, 1 / 6, _LAB_AFTER_FAIL),
+    ("announce-Fbar-cheat", "Wbar", "ok"): (1 / 2, 1 / 6, _LAB_AFTER_OK),
+    ("announce-Fbar-cheat", "Wbar", "fail"): (1 / 10, 1 / 6, _LAB_AFTER_FAIL),
+    ("announce-Fbar-cheat", "W", "ok"): (1 / 2, 1 / 6, _LAB_AFTER_OK),
+    ("announce-Fbar-cheat", "W", "fail"): (1 / 10, 1 / 6, _LAB_AFTER_FAIL),
+    ("announce-Fbar-cheat-intrusion", "Wbar", "ok"): (1.0, 1 / 3, _UP_AFTER_OK),
+    ("announce-Fbar-cheat-intrusion", "Wbar", "fail"): (1 / 10, 1 / 6, _LAB_AFTER_FAIL),
+    ("announce-Fbar-cheat-intrusion", "W", "ok"): (1.0, 1 / 3, _UP_AFTER_OK),
+    ("announce-Fbar-cheat-intrusion", "W", "fail"): (1 / 10, 1 / 6, _LAB_AFTER_FAIL),
+    ("secret-F+Fbar-cheat-intrusion", "Wbar", "ok"): (1.0, 1 / 3, _UP_AFTER_OK),
+    ("announce-F+Fbar-cheat-intrusion", "Wbar", "ok"): (1.0, 1 / 3, _UP_AFTER_OK),
+    ("announce-F+Fbar-cheat-intrusion", "W", "ok"): (1.0, 1 / 3, _UP_AFTER_OK),
+}
+
+
+def test_outside_agents_are_calibrated_at_t2_unless_their_model_misses_a_record():
+    # Each outside agent who knows Wbar's outcome at t=2 (Wbar, and W and C
+    # where it is announced) predicts the round's next sampled outcome: W's
+    # spin-lab ok or, after an intrusion ok, the spin read up.  The friends are
+    # out of scope: the superobservers' lab measurements do not read r or s,
+    # so those have no true frequency to calibrate against.
+    cases, uncalibrated = 0, {}
+    for variant in ALL_VARIANTS:
+        exact = enumerate_exact(variant)
+        true_layout = set(known_system_names("C", variant))
+        for agent in ("Wbar", "W", "C") if variant.announce_wbar else ("Wbar",):
+            for wbar in GIVEN_LABELS["wbar"]:
+                model = agent_model_at(agent, 2, Given(wbar=wbar), variant)
+                predictions = standard_predictions(model)
+                if variant.intrusion and wbar == "ok":
+                    predicted, true = predictions["S"]["up"], exact.conditional_intrusion("up")
+                else:
+                    predicted = predictions["spin_lab"]["ok"]
+                    true = exact.conditional_w("ok", wbar)
+                cases += 1
+                if abs(predicted - true) > EXACT_ATOL:
+                    # A prediction disagrees only where the model lacks a system.
+                    assert true_layout - {agent} - set(model.layout.names), (variant, agent)
+                    uncalibrated[variant_id(variant), agent, wbar] = (predicted, true)
+    assert cases == 96
+    assert uncalibrated.keys() == UNCALIBRATED_AT_T2.keys()
+    for case, (predicted, true) in uncalibrated.items():
+        expected_predicted, expected_true, _reason = UNCALIBRATED_AT_T2[case]
+        assert predicted == pytest.approx(expected_predicted, abs=EXACT_ATOL), case
+        assert true == pytest.approx(expected_true, abs=EXACT_ATOL), case
+
+
 @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=variant_id)
 def test_agent_fold_reaches_the_steps_the_dynamics_reach(variant):
     # Each leaf of the compiled tree fills the outcomes of the sampled steps
