@@ -21,6 +21,7 @@ from .measurement import (
     Branch,
     InconsistentOutcomeError,
     MeasurementBasis,
+    NormalizationError,
     ResidualError,
     SubspaceOutcome,
     branch_all,
@@ -58,6 +59,7 @@ from .tensor import (
     RegisterLayout,
     StateVector,
     SystemId,
+    UnitarityError,
     apply_unitary,
     equal_up_to_global_phase,
     inner,
@@ -68,16 +70,17 @@ from .tensor import (
 __all__ = [
     "DetectionReport", "FrequencyTable", "JointDistribution", "detect_records",
     "enumerate_exact", "monte_carlo", "rounds_to_halt", "z_scores", "BasisError",
-    "Branch", "InconsistentOutcomeError", "MeasurementBasis", "ResidualError",
-    "SubspaceOutcome", "branch_all", "condition_on", "outcome_probability",
-    "premeasure", "record_copy", "sample", "validate_basis", "AgentModel",
-    "CertaintyVerdict", "Given", "PerspectiveLimit", "agent_model_at",
+    "Branch", "InconsistentOutcomeError", "MeasurementBasis", "NormalizationError",
+    "ResidualError", "SubspaceOutcome", "branch_all", "condition_on",
+    "outcome_probability", "premeasure", "record_copy", "sample", "validate_basis",
+    "AgentModel", "CertaintyVerdict", "Given", "PerspectiveLimit", "agent_model_at",
     "apply_announcement", "certainty_query", "known_system_names",
     "standard_predictions", "ProtocolConfig", "ProtocolVariant", "RoundTranscript",
     "RunReport", "round_rng", "run_round", "run_until_halt",
     "state_after_preparation", "ReferenceState", "load_reference_states",
     "reference_by_tag", "LayoutError", "RegisterLayout", "StateVector", "SystemId",
-    "apply_unitary", "equal_up_to_global_phase", "inner", "product_state", "reorder",
+    "UnitarityError", "apply_unitary", "equal_up_to_global_phase", "inner",
+    "product_state", "reorder",
 ]
 
 __version__ = "0.1.0"

@@ -38,6 +38,7 @@ from .perspectives import (
     standard_predictions,
 )
 from .protocol import ProtocolConfig, ProtocolVariant
+from .tensor import UnitarityError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -463,7 +464,7 @@ def main(argv: list[str] | None = None) -> int:
     except InconsistentOutcomeError as exc:
         print(f"inconsistent transcript: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    except (ResidualError, BasisError) as exc:
+    except (ResidualError, BasisError, UnitarityError) as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except (ValueError, MemoryError) as exc:  # a rejected value, or a count too large to hold

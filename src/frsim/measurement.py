@@ -3,13 +3,16 @@
 A measurement basis assigns outcome labels to orthonormal subspaces of the
 joint space of some target systems.  The basis need not be complete, but
 :func:`branch_all` and :func:`sample` (and so the compiled branch tree)
-raise when the probability outside it (the residual) reaches
-:data:`RESIDUAL_TOL`.  :func:`condition_on` and :func:`outcome_probability`
-read only the outcome asked for, and :func:`premeasure` leaves the residual
-part of the state as it is.  Every probability check passes only a good
-value, so a NaN fails it: a NaN state raises :class:`ResidualError` from
-:func:`branch_all` and :func:`sample`, and :class:`InconsistentOutcomeError`
-from :func:`condition_on`.
+raise :class:`NormalizationError` unless the outcome probabilities plus
+the probability outside them (the residual) lie within :data:`NORM_TOL` of
+1, and then :class:`ResidualError`, of which that is a kind, once the
+residual reaches :data:`RESIDUAL_TOL`.  :func:`condition_on` and
+:func:`outcome_probability` read only the outcome asked for, and
+:func:`premeasure` leaves the residual part of the state as it is.  Every
+probability check passes only a good value, so a NaN fails it: a NaN state
+raises :class:`NormalizationError` from :func:`branch_all` and
+:func:`sample`, on every basis, and :class:`InconsistentOutcomeError` from
+:func:`condition_on`.
 
 Measurement comes in four flavours:
 
@@ -19,14 +22,19 @@ Measurement comes in four flavours:
 * :func:`premeasure` and :func:`record_copy` write an outcome label into a
   memory system unitarily, without collapsing anything.
 
-The four flavours and :func:`outcome_probability` share one Born
-projection, and level occupancies are the same floats read as row sums of
-one gather of ``|psi|**2`` per level count (:func:`_level_rows`,
-:func:`_occupancies`); :func:`record_copy` premeasures the source's
-:func:`level_basis`.
-Each reads the state through :func:`~frsim.tensor.transpose_plan` for the
-basis targets (and the memory), which checks once per layout and targets
-that they are distinct systems of the state's layout, and raises
+A level basis, each outcome one level ket of one system (every
+:func:`level_basis` and :func:`record_basis`, so the coin and spin bases),
+is recognised when it is built (``MeasurementBasis.levels``) and read by
+index: one gather by its system's row index (:func:`_level_rows`, which
+:func:`_occupancies` reads too), whose rows' ``|psi|**2`` sums are its
+outcome probabilities and residual, and whose picked row over the square
+root of its probability is the post-state.  The coin-lab and spin-lab bases, and every
+:func:`premeasure`, are read by projection on the outcome kets;
+:func:`record_copy` premeasures the source's :func:`level_basis`.  Both
+ways give the same floats.  Each reads the state through
+:func:`~frsim.tensor.transpose_plan` for the basis targets (and the
+memory), which checks once per layout and targets that they are distinct
+systems of the state's layout, and raises
 :class:`~frsim.tensor.LayoutError` if not.
 """
 
@@ -34,15 +42,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
-from typing import ClassVar, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
-from .tensor import RegisterLayout, StateVector, SystemId, TransposePlan, transpose_plan
+from .tensor import RegisterLayout, StateVector, SystemId, transpose_plan
 
 ORTHO_ATOL = 1e-12
 ZERO_PROBABILITY_ATOL = 1e-12
 RESIDUAL_TOL = 1e-9  # probability outside a basis's outcomes raises from here on
+# How far from 1 the outcome probabilities plus the residual may lie.  The
+# worst drift on the 24 branch trees, the 26 golden states and the states
+# run_round samples is 7.8e-16 (3.5 ulp at 1).
+NORM_TOL = 1e-12
 READY = "ready"  # the level every memory starts in, before an outcome is written
 
 
@@ -52,6 +64,11 @@ class BasisError(ValueError):
 
 class ResidualError(RuntimeError):
     """A forbidden residual outcome carried non-negligible probability."""
+
+
+class NormalizationError(ResidualError):
+    """The outcome probabilities and the residual do not sum to 1 within
+    :data:`NORM_TOL`."""
 
 
 class InconsistentOutcomeError(ValueError):
@@ -85,6 +102,7 @@ class MeasurementBasis:
 
     Construction runs :func:`validate_basis`, so every basis in existence is
     orthonormal; an invalid one raises :class:`BasisError` right there.
+    ``levels`` holds each outcome's level for a level basis, else None.
     """
 
     targets: tuple[SystemId, ...]
@@ -110,6 +128,7 @@ class MeasurementBasis:
                     f"{outcome.vectors.shape[1]}, target space has {d}"
                 )
         validate_basis(self)
+        object.__setattr__(self, "levels", _levels(self))
 
     @cached_property
     def target_names(self) -> tuple[str, ...]:
@@ -171,20 +190,6 @@ def level_basis(system: SystemId) -> MeasurementBasis:
     )
 
 
-def _components(outcome: SubspaceOutcome, mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A (target, rest) matrix's coefficients on the outcome's kets, and its
-    projection on their span."""
-    coeffs = outcome.bras @ mat
-    return coeffs, outcome.vectors.T @ coeffs
-
-
-def _moved(state: StateVector, basis: MeasurementBasis) -> tuple[TransposePlan, np.ndarray]:
-    """The shared plan that moves the basis targets to the front, and the
-    state as its (target, rest) matrix."""
-    plan = transpose_plan(state.layout, basis.targets)
-    return plan, plan.matrix(state)
-
-
 def _weight(amplitudes: np.ndarray) -> float:
     """Sum of squared magnitudes: a Born probability from the coefficients on
     an outcome's kets.  ``np.add.reduce`` over all axes is the reduction
@@ -192,73 +197,109 @@ def _weight(amplitudes: np.ndarray) -> float:
     return float(np.add.reduce(np.abs(amplitudes) ** 2, axis=None))
 
 
-def _level_rows(layout: RegisterLayout, systems: Sequence[SystemId]) -> np.ndarray:
-    """Per system of the layout, all with one level count, the flat amplitude
-    indices of its (levels, rest) matrix as :meth:`~frsim.tensor.TransposePlan.matrix`
-    orders it; read-only, shaped (systems, levels, rest)."""
-    flat = np.arange(layout.total_dimension).reshape(layout.dims)
-    plans = [transpose_plan(layout, (system,)) for system in systems]
-    rows = np.stack([flat.transpose(plan.perm).reshape(plan.target_dimension, -1)
-                     for plan in plans])
+@lru_cache(maxsize=1024)  # a few per layout; callers may build many layouts
+def _level_rows(layout: RegisterLayout, system: SystemId) -> np.ndarray:
+    """The flat amplitude indices of the system's (levels, rest) matrix as
+    :meth:`~frsim.tensor.TransposePlan.matrix` orders it; C-contiguous, so a
+    gather by it is too, and read-only; built once per (layout, system)."""
+    plan = transpose_plan(layout, (system,))
+    flat = np.arange(layout.total_dimension).reshape(plan.dims)
+    rows = np.ascontiguousarray(flat.transpose(plan.perm).reshape(plan.target_dimension, -1))
     rows.setflags(write=False)
     return rows
 
 
+def _levels(basis: MeasurementBasis) -> tuple[int, ...] | None:
+    """Each outcome's level if each is a level ket of the one target, else None."""
+    kets = np.vstack([o.vectors for o in basis.outcomes])
+    if len(basis.targets) > 1 or len(kets) > len(basis.outcomes):
+        return None
+    levels = np.argmax(abs(kets), axis=1)
+    return tuple(levels.tolist()) if np.array_equal(kets, np.eye(kets.shape[1])[levels]) else None
+
+
 def _occupancies(weights: np.ndarray, rows: np.ndarray) -> list[list[float]]:
-    """Each level's Born probability, per system of :func:`_level_rows`'
-    ``rows``, from ``|psi|**2``: row sums of one C-contiguous gather, in
-    :func:`_weight`'s summation order (summing the strided view of a trailing
-    system would change bits)."""
+    """Each level's Born probability, per system of ``rows`` (stacked
+    :func:`_level_rows`), from ``|psi|**2``: row sums of one C-contiguous
+    gather, in :func:`_weight`'s summation order (summing the strided view
+    of a trailing system would change bits)."""
     return np.add.reduce(weights[rows], axis=-1).tolist()
 
 
-def _probabilities(
-    state: StateVector, basis: MeasurementBasis, outcomes: Sequence[SubspaceOutcome]
-) -> list[float]:
-    """Each given outcome's Born probability, without forming its projection."""
-    _, mat = _moved(state, basis)
-    return [_weight(outcome.bras @ mat) for outcome in outcomes]
+def _read(state: StateVector, basis: MeasurementBasis) -> tuple[list[float], Callable, Callable]:
+    """Every outcome's Born probability, what gives the residual probability,
+    and what gives an outcome's normalized amplitudes from its index and the
+    square root of its probability: by index for a level basis, else by
+    projection."""
+    if basis.levels is not None:
+        rows = _level_rows(state.layout, basis.targets[0])
+        mat = state.amplitudes[rows]
+        weights = np.add.reduce(np.abs(mat) ** 2, axis=-1).tolist()  # as _occupancies sums
+        unread = [w for level, w in enumerate(weights) if level not in basis.levels]
+
+        def project(index: int, norm: float) -> np.ndarray:
+            amplitudes = np.zeros_like(state.amplitudes)
+            amplitudes[rows[basis.levels[index]]] = mat[basis.levels[index]] / norm
+            return amplitudes
+
+        return [weights[level] for level in basis.levels], lambda: sum(unread, 0.0), project
+    plan = transpose_plan(state.layout, basis.targets)
+    mat = plan.matrix(state)  # (targets, rest)
+    coefficients = [outcome.bras @ mat for outcome in basis.outcomes]  # on each outcome's kets
+    kets = [outcome.vectors.T for outcome in basis.outcomes]
+    return ([_weight(c) for c in coefficients],
+            lambda: _weight(mat - sum(map(np.matmul, kets, coefficients))),
+            lambda index, norm: plan.restore(kets[index] @ coefficients[index] / norm))
 
 
-def _project_all(
-    state: StateVector, basis: MeasurementBasis
-) -> tuple[TransposePlan, list[tuple[float, np.ndarray]]]:
-    """The plan that restores the state, and every outcome's Born probability
-    and unnormalized projection; raises :class:`ResidualError` when at least
-    :data:`RESIDUAL_TOL` of the probability lies outside the outcomes."""
-    plan, mat = _moved(state, basis)
-    projections = []
-    for outcome in basis.outcomes:
-        coeffs, projected = _components(outcome, mat)
-        projections.append((_weight(coeffs), projected))
-    residual_probability = _weight(mat - sum(projected for _, projected in projections))
-    if not residual_probability < RESIDUAL_TOL:
+def _probabilities(state: StateVector, basis: MeasurementBasis) -> list[float]:
+    """Every outcome's Born probability by projection, the floats
+    :func:`_read` gives for a basis that is not a level basis, with nothing
+    else built."""
+    mat = transpose_plan(state.layout, basis.targets).matrix(state)
+    return [_weight(outcome.bras @ mat) for outcome in basis.outcomes]
+
+
+def _checked(state: StateVector, basis: MeasurementBasis) -> tuple[list[float], Callable]:
+    """:func:`_read`'s probabilities and projections, once the probabilities
+    and the residual sum to 1 within :data:`NORM_TOL` (else
+    :class:`NormalizationError`) and the residual is below
+    :data:`RESIDUAL_TOL` (else :class:`ResidualError`)."""
+    probabilities, residual_of, project = _read(state, basis)
+    residual = residual_of()
+    total = sum(probabilities) + residual
+    if not abs(total - 1.0) <= NORM_TOL:
+        raise NormalizationError(
+            f"outcome probabilities on {basis.target_names} and their residual sum to "
+            f"{total!r}, not 1"
+        )
+    if not residual < RESIDUAL_TOL:
         raise ResidualError(
             f"residual outcome on {basis.target_names} has probability "
-            f"{residual_probability:.3e} under a forbid policy"
+            f"{residual:.3e} under a forbid policy"
         )
-    return plan, projections
+    return probabilities, project
 
 
-def _post_state(
-    state: StateVector, plan: TransposePlan, probability: float, projected: np.ndarray
-) -> StateVector:
+def _post_state(state: StateVector, probability: float, project: Callable,
+                index: int) -> StateVector:
     if not probability > ZERO_PROBABILITY_ATOL:
         return state  # placeholder, never a physical branch
-    return StateVector(state.layout, plan.restore(projected / np.sqrt(probability)))
+    return StateVector(state.layout, project(index, np.sqrt(probability)))
 
 
 def branch_all(state: StateVector, basis: MeasurementBasis) -> list[Branch]:
     """Expand the measurement into one branch per outcome.
 
     Each branch carries the Born probability (squared norm of the projection)
-    and the normalized post-measurement state.  Probability outside the
-    declared outcomes raises :class:`ResidualError` from
-    :data:`RESIDUAL_TOL` on.
+    and the normalized post-measurement state.  Probabilities that with the
+    residual do not sum to 1 within :data:`NORM_TOL` raise
+    :class:`NormalizationError`; probability outside the declared outcomes
+    raises :class:`ResidualError` from :data:`RESIDUAL_TOL` on.
     """
-    plan, projections = _project_all(state, basis)
-    return [Branch(outcome.label, p, _post_state(state, plan, p, projected))
-            for outcome, (p, projected) in zip(basis.outcomes, projections)]
+    probabilities, project = _checked(state, basis)
+    return [Branch(outcome.label, p, _post_state(state, p, project, index))
+            for index, (outcome, p) in enumerate(zip(basis.outcomes, probabilities))]
 
 
 def pick_index(probabilities: Sequence[float], u: float) -> int:
@@ -291,9 +332,9 @@ def sample(
     are reproducible from the generator state alone.  Only the drawn
     outcome's post-measurement state is built.
     """
-    plan, projections = _project_all(state, basis)
-    index = pick_index([p for p, _ in projections], float(rng.random()))
-    return basis.outcomes[index].label, _post_state(state, plan, *projections[index])
+    probabilities, project = _checked(state, basis)
+    index = pick_index(probabilities, float(rng.random()))
+    return basis.outcomes[index].label, _post_state(state, probabilities[index], project, index)
 
 
 def condition_on(state: StateVector, basis: MeasurementBasis, label: str) -> StateVector:
@@ -303,21 +344,20 @@ def condition_on(state: StateVector, basis: MeasurementBasis, label: str) -> Sta
     (near-)zero probability, which signals information inconsistent with the
     state rather than a numerical accident.
     """
-    outcome = basis.outcome(label)
-    plan, mat = _moved(state, basis)
-    coeffs, projected = _components(outcome, mat)
-    probability = _weight(coeffs)
+    index = basis.outcomes.index(basis.outcome(label))
+    probabilities, _, project = _read(state, basis)
+    probability = probabilities[index]
     if not probability > ZERO_PROBABILITY_ATOL:
         raise InconsistentOutcomeError(
             f"outcome {label!r} on {basis.target_names} has probability "
             f"{probability:.3e}; conditioning on it is inconsistent"
         )
-    return _post_state(state, plan, probability, projected)
+    return StateVector(state.layout, project(index, np.sqrt(probability)))
 
 
 def outcome_probability(state: StateVector, basis: MeasurementBasis, label: str) -> float:
     """Born probability of one labeled outcome, without collapsing."""
-    return _probabilities(state, basis, [basis.outcome(label)])[0]
+    return _read(state, basis)[0][basis.outcomes.index(basis.outcome(label))]
 
 
 def premeasure(
@@ -349,7 +389,7 @@ def premeasure(
     residual = cube.copy()
     result = np.zeros_like(cube)
     for outcome, levels in zip(basis.outcomes, swaps):
-        projected = _components(outcome, targets)[1].reshape(cube.shape)
+        projected = (outcome.vectors.T @ (outcome.bras @ targets)).reshape(cube.shape)
         residual -= projected
         result += projected[:, levels]
     result += residual

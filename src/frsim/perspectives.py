@@ -279,7 +279,7 @@ def standard_predictions(model: AgentModel) -> dict[str, dict[str, float]]:
         if name in occupancies:
             probabilities = occupancies[name]
         else:
-            probabilities = _probabilities(model.state, basis, basis.outcomes)
+            probabilities = _probabilities(model.state, basis)
         predictions[name] = dict(zip(basis.labels(), probabilities))
     return predictions
 
@@ -290,7 +290,7 @@ def _standard_measurements(layout: RegisterLayout) -> tuple[
 ]:
     """The standard measurements inside the layout, under their prediction
     names, and per level count the names of the single-system ones and their
-    :func:`~frsim.measurement._level_rows`; built once per layout."""
+    :func:`~frsim.measurement._level_rows`, stacked; built once per layout."""
     bases = [coin_basis(), spin_basis(), coin_lab_basis(), spin_lab_basis()]
     bases += [level_basis(BY_NAME[name]) for name in ("Fbar", "F", "Nbar", "N", "Wbar", "W")]
     named = tuple((basis_name(basis.target_names), basis) for basis in bases
@@ -299,5 +299,8 @@ def _standard_measurements(layout: RegisterLayout) -> tuple[
     for name, basis in named:
         if len(basis.targets) == 1:
             by_count.setdefault(basis.target_dimension, []).append((name, basis.targets[0]))
-    return named, tuple((names, _level_rows(layout, systems))
-                        for names, systems in (zip(*group) for group in by_count.values()))
+    gathers = tuple((names, np.stack([_level_rows(layout, system) for system in systems]))
+                    for names, systems in (zip(*group) for group in by_count.values()))
+    for _, rows in gathers:
+        rows.setflags(write=False)
+    return named, gathers

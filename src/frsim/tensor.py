@@ -32,10 +32,15 @@ from typing import Mapping, Sequence
 import numpy as np
 
 NORM_ATOL = 1e-12
+UNITARY_ATOL = 1e-12  # largest entry of |U^dagger U - 1| apply_unitary accepts
 
 
 class LayoutError(ValueError):
     """Operands disagree about the register layout."""
+
+
+class UnitarityError(ValueError):
+    """A matrix applied as a unitary is not unitary within :data:`UNITARY_ATOL`."""
 
 
 @dataclass(frozen=True)
@@ -289,17 +294,26 @@ def transpose_plan(layout: RegisterLayout, targets: tuple[SystemId, ...]) -> Tra
     )
 
 
+@lru_cache(maxsize=64)  # the protocol applies one matrix; tests a few dozen
+def _unitarity_drift(entries: bytes, size: int) -> float:
+    """The largest entry of ``|U^dagger U - 1|`` (NaN if one is) for the
+    square complex matrix with these C-ordered bytes; found once per matrix."""
+    u = np.frombuffer(entries, dtype=np.complex128).reshape(size, size)
+    return float(abs(u.conj().T @ u - np.eye(size)).max())
+
+
 def apply_unitary(
     state: StateVector,
     target_names: Sequence[str],
     matrix: np.ndarray,
 ) -> StateVector:
-    """Apply a matrix, meant to be unitary, to the joint space of the named systems.
+    """Apply a unitary matrix to the joint space of the named systems.
 
     The matrix is indexed row-major over ``target_names`` in the given order;
     all other systems are untouched.  Each target must be in the layout and
     appear once, and the matrix must be square over their joint dimension
-    (else :class:`LayoutError`); unitarity is not checked.
+    (else :class:`LayoutError`) and unitary within :data:`UNITARY_ATOL`
+    (else :class:`UnitarityError`).
     """
     try:
         targets = tuple(map(state.layout.system, target_names))
@@ -312,4 +326,7 @@ def apply_unitary(
         raise LayoutError(
             f"unitary shape {u.shape} does not match target dimension {mat.shape[0]}"
         )
+    drift = _unitarity_drift(u.tobytes(), len(u))
+    if not drift <= UNITARY_ATOL:
+        raise UnitarityError(f"matrix is not unitary: |U^dagger U - 1| reaches {drift:.3e}")
     return StateVector(state.layout, plan.restore(u @ mat))

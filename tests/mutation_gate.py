@@ -1,10 +1,12 @@
 """Mutation gate: every listed mutant must be killed.  The mutants cover the
 sampling code (the branch table, its rule and the until-halt windows), the
-measurement checks, the schedule's reach and announcement rules, the shared
-record-free prefixes, the agents' level occupancies, certainty threshold and
-calibration, the detection bound's verified bracket, its uncapped Newton steps
-and its replayed bisection, the detection verdict, the CLI's usage errors, its
-fraction rule, its JSON writer and the check both formats share.
+measurement checks (normalization, residual, zero probability, ready
+memory, unitarity), the level-basis gather, the schedule's reach and
+announcement rules, the shared record-free prefixes, the agents' level
+occupancies, certainty threshold and calibration, the detection bound's
+verified bracket, its uncapped Newton steps and its replayed bisection, the
+detection verdict, the CLI's usage errors, its fraction rule, its JSON
+writer and the check both formats share.
 
 Each mutant is an exact text patch ``(file, old, new, tests)``.  The script
 copies the checkout to a temporary directory, runs the tests of every mutant
@@ -50,6 +52,8 @@ _EDGES = ("tests/test_protocol.py::test_draw_walk_and_the_reference_agree_on_the
 _REACH = ("tests/test_perspectives.py::test_reach_rule_keeps_every_verdict_and_announcement",)
 _SLACK = 'children += (children[pick_index(probabilities, float("inf"))],)'
 _BITS = ("tests/test_analysis.py::test_upper_bound_is_the_bisection_on_large_inputs[cli-golden]",)
+_NORMALIZATION = "if not abs(total - 1.0) <= NORM_TOL:"
+_RESIDUAL_ROWS = "lambda: sum(unread, 0.0)"
 _CONFIDENCE_CHECK = ('if not 0.0 < confidence < 1.0:\n'
                      '        raise ValueError(f"confidence must lie strictly between 0 and 1, '
                      'got {confidence}")\n    if min_ok_rounds')
@@ -91,10 +95,24 @@ MUTANTS = (
     Mutant("the widened window is not clipped at max_rounds",
            "src/frsim/analysis.py", "min(start + width, config.max_rounds)", "start + width",
            ("tests/test_analysis.py::test_rounds_to_halt_clips_a_widened_window_at_max_rounds",)),
-    Mutant("the residual check lets a NaN through",
-           "src/frsim/measurement.py", "if not residual_probability < RESIDUAL_TOL:",
-           "if residual_probability >= RESIDUAL_TOL:",
+    Mutant("the normalization check lets a NaN through",
+           "src/frsim/measurement.py", _NORMALIZATION, "if abs(total - 1.0) > NORM_TOL:",
            ("tests/test_measurement.py::test_a_nan_state_fails_the_residual_check",)),
+    Mutant("the normalization check dropped",
+           "src/frsim/measurement.py", _NORMALIZATION, "if False:",
+           ("tests/test_measurement.py::"
+            "test_an_unnormalized_state_fails_the_normalization_check",)),
+    Mutant("the residual rows of a level basis left out",
+           "src/frsim/measurement.py", _RESIDUAL_ROWS, "lambda: 0.0",
+           ("tests/test_measurement.py::test_a_memory_left_ready_fails_the_residual_check",)),
+    Mutant("the gather reads each outcome's probability off the neighbouring level",
+           "src/frsim/measurement.py", "[weights[level] for level in basis.levels]",
+           "[weights[level - 1] for level in basis.levels]",
+           ("tests/test_measurement.py::"
+            "test_level_bases_read_by_index_match_the_projection_bit_for_bit",)),
+    Mutant("apply_unitary without its unitarity check",
+           "src/frsim/tensor.py", "if not drift <= UNITARY_ATOL:", "if False:",
+           ("tests/test_tensor.py::test_apply_unitary_checks_unitarity",)),
     Mutant("a NaN probability builds a branch",
            "src/frsim/measurement.py",
            "if not probability > ZERO_PROBABILITY_ATOL:\n        return state",
@@ -117,7 +135,9 @@ MUTANTS = (
            ("tests/test_perspectives.py::test_a_heard_first_fold_conditions_before_it_premeasures",)),
     Mutant("level occupancies gathered through the inverse permutation",
            "src/frsim/measurement.py", "flat.transpose(plan.perm)", "flat.transpose(plan.inverse)",
-           ("tests/test_perspectives.py::test_agent_models_keep_every_bit",)),
+           ("tests/test_perspectives.py::test_agent_models_keep_every_bit",
+            "tests/test_measurement.py::"
+            "test_level_bases_read_by_index_match_the_projection_bit_for_bit")),
     Mutant("W keeps the coin friend's secret notebook in its model",
            "src/frsim/perspectives.py", 'agent in ("F", "Wbar", "W"):', 'agent in ("F", "Wbar"):',
            ("tests/test_perspectives.py::"

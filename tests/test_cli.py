@@ -26,9 +26,10 @@ from frsim.cli import (
     build_parser,
     main,
 )
-from frsim.measurement import ResidualError
+from frsim.measurement import NormalizationError, ResidualError
 from frsim.perspectives import GIVEN_LABELS
 from frsim.protocol import ProtocolVariant
+from frsim.tensor import UnitarityError
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "branches_none_golden.json"
@@ -444,6 +445,17 @@ def test_internal_invariant_violation_exits_4(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "branches", "--notebooks", "none")
     assert code == EXIT_INTERNAL
     assert "internal invariant" in err
+
+
+def test_normalization_and_unitarity_errors_exit_4(capsys, monkeypatch):
+    for error in (NormalizationError, UnitarityError):
+        def boom(args):
+            raise error("forced for the exit-code contract")
+
+        monkeypatch.setitem(frsim.cli._HANDLERS, "branches", boom)
+        code, out, err = run_cli(capsys, "branches", "--notebooks", "none")
+        assert (code, out) == (EXIT_INTERNAL, "")
+        assert err == "internal invariant violation: forced for the exit-code contract\n"
 
 
 def test_timestamp_flag_adds_timestamps(capsys):

@@ -6,14 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frsim import protocol
 from frsim.measurement import (
+    NORM_TOL,
+    RESIDUAL_TOL,
+    ZERO_PROBABILITY_ATOL,
     BasisError,
     InconsistentOutcomeError,
     MeasurementBasis,
+    NormalizationError,
     ResidualError,
     SubspaceOutcome,
     branch_all,
     _post_state,
+    _weight,
     condition_on,
     outcome_probability,
     premeasure,
@@ -21,12 +27,14 @@ from frsim.measurement import (
     sample,
     validate_basis,
 )
-from frsim.reference import reference_by_tag
+from frsim.reference import load_reference_states, reference_by_tag
 from frsim.systems import (
+    F,
     FBAR,
     N,
     NBAR,
     R,
+    READY,
     S,
     W,
     WBAR,
@@ -209,11 +217,34 @@ def _sample(state, basis):
 
 @pytest.mark.parametrize("measure", (branch_all, _sample), ids=("branch_all", "sample"))
 def test_a_nan_state_fails_the_residual_check(measure):
-    # A NaN residual probability is not below RESIDUAL_TOL, so it raises as
-    # a large one does, instead of yielding NaN branches.
+    # A NaN probability sum is not within NORM_TOL of 1, so it raises as a
+    # large residual does, instead of yielding NaN branches: on a complete
+    # level basis (no residual rows), a record basis and a lab basis alike.
     state = reference_by_tag("external_t1").state
-    with pytest.raises(ResidualError, match="nan"):
-        measure(_with_nan(state, np.flatnonzero(state.amplitudes)[0]), coin_lab_basis())
+    nan_state = _with_nan(state, np.flatnonzero(state.amplitudes)[0])
+    for basis in (coin_basis(), spin_basis(), record_basis(F), coin_lab_basis()):
+        with pytest.raises(ResidualError, match="nan"):
+            measure(nan_state, basis)
+
+
+@pytest.mark.parametrize("measure", (branch_all, _sample), ids=("branch_all", "sample"))
+def test_an_unnormalized_state_fails_the_normalization_check(measure):
+    # |t,t> with amplitude 2: probability 4 on the level basis, read by index,
+    # and 2 + 2 on the lab basis, read by projection.
+    a, b = qubit("a"), qubit("b")
+    state = StateVector(RegisterLayout((a, b)), [2, 0, 0, 0])
+    for basis in (level_basis(a), two_qubit_lab_basis(a, b)):
+        with pytest.raises(NormalizationError, match=r"sum to (4\.0|3\.999999999999999), not 1"):
+            measure(state, basis)
+
+
+@pytest.mark.parametrize("measure", (branch_all, _sample), ids=("branch_all", "sample"))
+def test_a_memory_left_ready_fails_the_residual_check(measure):
+    # A record basis leaves the ready level out: its row is the residual.
+    state = product_state(RegisterLayout((R, WBAR)), {"R": "t", "Wbar": READY})
+    with pytest.raises(ResidualError,
+                       match=r"residual outcome on \('Wbar',\) has probability 1\.000e\+00"):
+        measure(state, record_basis(WBAR))
 
 
 # sample ----------------------------------------------------------------------
@@ -297,10 +328,13 @@ def test_a_nan_state_fails_the_zero_probability_check():
 def test_a_nan_probability_builds_no_branch():
     # As for a zero probability, the state comes back as a placeholder.
     state = reference_by_tag("external_t1").state
-    plan = transpose_plan(state.layout, coin_lab_basis().targets)
+
+    def project(index, norm):
+        raise AssertionError("a NaN probability was projected")
+
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _post_state(state, plan, float("nan"), plan.matrix(state)) is state
+        assert _post_state(state, float("nan"), project, 0) is state
 
 
 # record_copy / premeasure ----------------------------------------------------
@@ -435,6 +469,94 @@ def test_outcome_probability_matches_branch_all():
     state = reference_by_tag("coin_observer_t1").state
     p = outcome_probability(state, coin_lab_basis(), "ok")
     assert p == pytest.approx(1.0 / 6.0, abs=1e-12)
+
+
+# Level bases read by index ----------------------------------------------------
+
+def test_level_bases_are_told_apart_when_built():
+    for system in (R, S, FBAR, W):
+        assert level_basis(system).levels == tuple(range(system.dimension))
+    assert record_basis(WBAR).levels == (1, 2)
+    assert coin_lab_basis().levels is None and spin_lab_basis().levels is None
+    plus, minus = (R.ket("t") + R.ket("h")) / SQ2, (R.ket("t") - R.ket("h")) / SQ2
+    flipped = -R.ket("h")  # one level, but not its ket exactly
+    for outcomes in ((SubspaceOutcome("+", plus), SubspaceOutcome("-", minus)),
+                     (SubspaceOutcome("t", R.ket("t")), SubspaceOutcome("h", flipped)),
+                     (SubspaceOutcome("both", np.eye(2)),)):
+        assert MeasurementBasis(targets=(R,), outcomes=outcomes).levels is None
+
+
+def _projection_oracle(state, basis):
+    """The projection on every outcome's kets, as a lab basis is read: each
+    probability, each normalized post-state's amplitudes (None below
+    ZERO_PROBABILITY_ATOL), and the error branch_all must raise (None if it
+    must not)."""
+    plan = transpose_plan(state.layout, basis.targets)
+    mat = plan.matrix(state)
+    coefficients = [outcome.bras @ mat for outcome in basis.outcomes]
+    projections = [o.vectors.T @ c for o, c in zip(basis.outcomes, coefficients)]
+    probabilities = [_weight(c) for c in coefficients]
+    residual = _weight(mat - sum(projections))
+    posts = [plan.restore(projected / np.sqrt(p)).reshape(-1) if p > ZERO_PROBABILITY_ATOL
+             else None for p, projected in zip(probabilities, projections)]
+    if not abs(sum(probabilities) + residual - 1.0) <= NORM_TOL:
+        return probabilities, posts, NormalizationError
+    return probabilities, posts, None if residual < RESIDUAL_TOL else ResidualError
+
+
+def _nonzero_hex(amplitudes):
+    return [(int(i), amplitudes[i].real.hex(), amplitudes[i].imag.hex())
+            for i in np.flatnonzero(amplitudes)]
+
+
+def _collapsed_states(monkeypatch):
+    """The distinct states run_round collapses in 40 rounds of each of the
+    24 variants: all 16 node states of their branch trees."""
+    from variants import ALL_VARIANTS
+
+    seen = {}
+
+    def recording(state, basis, rng):
+        seen.setdefault((state.layout, state.amplitudes.tobytes()), state)
+        return sample(state, basis, rng)
+
+    monkeypatch.setattr(protocol, "sample", recording)
+    for variant in ALL_VARIANTS:
+        for k in range(40):
+            protocol.run_round(variant, protocol.round_rng(29, k), k)
+    return list(seen.values())
+
+
+def test_level_bases_read_by_index_match_the_projection_bit_for_bit(monkeypatch):
+    collapsed = _collapsed_states(monkeypatch)
+    assert len(collapsed) == 16
+    states = collapsed + [ref.state for ref in load_reference_states()]
+    read = raised = 0
+    for state in states:
+        bases = [level_basis(system) for system in state.layout.systems]
+        bases += [record_basis(system) for system in state.layout.systems
+                  if READY in system.levels]
+        for basis in bases:
+            probabilities, posts, error = _projection_oracle(state, basis)
+            gathered = [outcome_probability(state, basis, label) for label in basis.labels()]
+            assert [p.hex() for p in gathered] == [p.hex() for p in probabilities]
+            for label, post in zip(basis.labels(), posts):
+                if post is not None:
+                    assert _nonzero_hex(condition_on(state, basis, label).amplitudes) \
+                        == _nonzero_hex(post)
+            try:
+                branches = branch_all(state, basis)
+            except ResidualError as exc:
+                assert type(exc) is error, (basis.target_names, exc)
+                raised += 1
+                continue
+            assert error is None
+            assert [b.probability.hex() for b in branches] == [p.hex() for p in probabilities]
+            for branch, post in zip(branches, posts):
+                if post is not None:
+                    assert _nonzero_hex(branch.post_state.amplitudes) == _nonzero_hex(post)
+            read += 1
+    assert (read, raised) == (388, 34)  # the ready memories of golden states raise
 
 
 # Transpose plans on any layout ------------------------------------------------

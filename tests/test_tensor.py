@@ -16,6 +16,7 @@ from frsim.tensor import (
     RegisterLayout,
     StateVector,
     SystemId,
+    UnitarityError,
     apply_unitary,
     equal_up_to_global_phase,
     inner,
@@ -151,6 +152,16 @@ def test_apply_unitary_shape_check():
     state = product_state(RegisterLayout((R, S)), {"R": "t", "S": "up"})
     with pytest.raises(LayoutError):
         apply_unitary(state, ("R",), np.eye(3))
+
+
+def test_apply_unitary_checks_unitarity():
+    # An entry of |U^dagger U - 1| may reach UNITARY_ATOL (1e-12), no further.
+    state = product_state(RegisterLayout((R, S)), {"R": "t", "S": "up"})
+    with pytest.raises(UnitarityError, match=r"reaches 3\.000e\+00"):
+        apply_unitary(state, ("R",), 2 * np.eye(2))
+    apply_unitary(state, ("R",), np.diag([1.0, 1.0 + 4e-13]))  # 8e-13 off
+    with pytest.raises(UnitarityError):
+        apply_unitary(state, ("R",), np.diag([1.0, 1.0 + 1e-12]))  # 2e-12 off
 
 
 def test_apply_unitary_rejects_a_repeated_target():
