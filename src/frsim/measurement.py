@@ -7,12 +7,14 @@ raise :class:`NormalizationError` unless the outcome probabilities plus
 the probability outside them (the residual) lie within :data:`NORM_TOL` of
 1, and then :class:`ResidualError`, of which that is a kind, once the
 residual reaches :data:`RESIDUAL_TOL`.  :func:`condition_on` and
-:func:`outcome_probability` read only the outcome asked for, and
+:func:`outcome_probability` read only the outcome asked for and raise
+:class:`NormalizationError` unless the state's norm is 1 within
+:data:`NORM_TOL` (``condition_on`` after its zero-probability check), and
 :func:`premeasure` leaves the residual part of the state as it is.  Every
 probability check passes only a good value, so a NaN fails it: a NaN state
-raises :class:`NormalizationError` from :func:`branch_all` and
-:func:`sample`, on every basis, and :class:`InconsistentOutcomeError` from
-:func:`condition_on`.
+raises :class:`NormalizationError` from :func:`branch_all`, :func:`sample`
+and :func:`outcome_probability`, on every basis, and
+:class:`InconsistentOutcomeError` from :func:`condition_on`.
 
 Measurement comes in four flavours:
 
@@ -25,16 +27,20 @@ Measurement comes in four flavours:
 A level basis, each outcome one level ket of one system (every
 :func:`level_basis` and :func:`record_basis`, so the coin and spin bases),
 is recognised when it is built (``MeasurementBasis.levels``) and read by
-index: one gather by its system's row index (:func:`_level_rows`, which
-:func:`_occupancies` reads too), whose rows' ``|psi|**2`` sums are its
-outcome probabilities and residual, and whose picked row over the square
-root of its probability is the post-state.  The coin-lab and spin-lab bases, and every
-:func:`premeasure`, are read by projection on the outcome kets;
-:func:`record_copy` premeasures the source's :func:`level_basis`.  Both
-ways give the same floats.  Each reads the state through
-:func:`~frsim.tensor.transpose_plan` for the basis targets (and the
-memory), which checks once per layout and targets that they are distinct
-systems of the state's layout, and raises
+index: one gather by its system's row index (:func:`_level_rows`, a view of
+the layout's :func:`_level_stack`, which :func:`_occupancies` reads),
+whose rows' ``|psi|**2`` sums are its outcome probabilities and residual,
+and whose picked row over the square root of its probability is the
+post-state.  The coin-lab and spin-lab bases are read by projection on the
+outcome kets.  Both ways give the same floats.  :func:`premeasure` writes
+by index: the ready check leaves weight only on the memory's ready slice,
+so it gathers that slice alone, projects each outcome on it with the same
+products as any basis, and places each projection on its label's level and
+the residual back on the ready level (:func:`_record_plan`);
+:func:`record_copy` premeasures the source's :func:`level_basis`.  Each
+reads the state through :func:`~frsim.tensor.transpose_plan` for the basis
+targets (and the memory), which checks once per layout and targets that
+they are distinct systems of the state's layout, and raises
 :class:`~frsim.tensor.LayoutError` if not.
 """
 
@@ -46,7 +52,7 @@ from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
-from .tensor import RegisterLayout, StateVector, SystemId, transpose_plan
+from .tensor import RegisterLayout, StateVector, SystemId, TransposePlan, transpose_plan
 
 ORTHO_ATOL = 1e-12
 ZERO_PROBABILITY_ATOL = 1e-12
@@ -197,16 +203,34 @@ def _weight(amplitudes: np.ndarray) -> float:
     return float(np.add.reduce(np.abs(amplitudes) ** 2, axis=None))
 
 
-@lru_cache(maxsize=1024)  # a few per layout; callers may build many layouts
-def _level_rows(layout: RegisterLayout, system: SystemId) -> np.ndarray:
-    """The flat amplitude indices of the system's (levels, rest) matrix as
+def _rows(layout: RegisterLayout, systems: tuple[SystemId, ...]) -> np.ndarray:
+    """The flat amplitude indices of the (systems' levels, rest) matrix as
     :meth:`~frsim.tensor.TransposePlan.matrix` orders it; C-contiguous, so a
-    gather by it is too, and read-only; built once per (layout, system)."""
-    plan = transpose_plan(layout, (system,))
+    gather by it is too."""
+    plan = transpose_plan(layout, systems)
     flat = np.arange(layout.total_dimension).reshape(plan.dims)
-    rows = np.ascontiguousarray(flat.transpose(plan.perm).reshape(plan.target_dimension, -1))
-    rows.setflags(write=False)
-    return rows
+    return np.ascontiguousarray(flat.transpose(plan.perm).reshape(plan.target_dimension, -1))
+
+
+@lru_cache(maxsize=1024)  # a few per layout; callers may build many layouts
+def _level_stack(layout: RegisterLayout, count: int) -> tuple[tuple[SystemId, ...], np.ndarray]:
+    """The layout's systems with ``count`` levels, in layout order, and their
+    :func:`_rows` as one read-only (systems, levels, rest) array, which
+    :func:`_occupancies` gathers at once; built once per (layout, count)."""
+    systems = tuple(system for system in layout.systems if system.dimension == count)
+    stack = np.stack([_rows(layout, (system,)) for system in systems])
+    stack.setflags(write=False)
+    return systems, stack
+
+
+@lru_cache(maxsize=1024)
+def _level_rows(layout: RegisterLayout, system: SystemId) -> np.ndarray:
+    """The system's (levels, rest) index: its row of :func:`_level_stack`, a
+    C-contiguous read-only view, so each index is held once; found once per
+    (layout, system), after :func:`~frsim.tensor.transpose_plan`'s check."""
+    transpose_plan(layout, (system,))
+    systems, stack = _level_stack(layout, system.dimension)
+    return stack[systems.index(system)]
 
 
 def _levels(basis: MeasurementBasis) -> tuple[int, ...] | None:
@@ -219,8 +243,8 @@ def _levels(basis: MeasurementBasis) -> tuple[int, ...] | None:
 
 
 def _occupancies(weights: np.ndarray, rows: np.ndarray) -> list[list[float]]:
-    """Each level's Born probability, per system of ``rows`` (stacked
-    :func:`_level_rows`), from ``|psi|**2``: row sums of one C-contiguous
+    """Each level's Born probability, per system of ``rows`` (a
+    :func:`_level_stack`), from ``|psi|**2``: row sums of one C-contiguous
     gather, in :func:`_weight`'s summation order (summing the strided view
     of a trailing system would change bits)."""
     return np.add.reduce(weights[rows], axis=-1).tolist()
@@ -267,18 +291,42 @@ def _checked(state: StateVector, basis: MeasurementBasis) -> tuple[list[float], 
     :data:`RESIDUAL_TOL` (else :class:`ResidualError`)."""
     probabilities, residual_of, project = _read(state, basis)
     residual = residual_of()
-    total = sum(probabilities) + residual
-    if not abs(total - 1.0) <= NORM_TOL:
-        raise NormalizationError(
-            f"outcome probabilities on {basis.target_names} and their residual sum to "
-            f"{total!r}, not 1"
-        )
+    _check_total(sum(probabilities) + residual, basis)
     if not residual < RESIDUAL_TOL:
         raise ResidualError(
             f"residual outcome on {basis.target_names} has probability "
             f"{residual:.3e} under a forbid policy"
         )
     return probabilities, project
+
+
+def _check_total(total: float, basis: MeasurementBasis) -> None:
+    """Raise :class:`NormalizationError` unless ``total``, the outcome
+    probabilities plus the residual, lies within :data:`NORM_TOL` of 1."""
+    if not abs(total - 1.0) <= NORM_TOL:
+        raise NormalizationError(
+            f"outcome probabilities on {basis.target_names} and their residual sum to "
+            f"{total!r}, not 1"
+        )
+
+
+def _outcome(state: StateVector, basis: MeasurementBasis,
+             label: str) -> tuple[float, float, Callable]:
+    """The labeled outcome's Born probability, what the outcome probabilities
+    and the residual sum to, and what gives the outcome's normalized
+    amplitudes from the square root of its probability.  A level basis reads
+    all three off :func:`_read`'s gathered rows; any other basis projects on
+    the one outcome's kets, and its sum is one reduce of ``|psi|**2``."""
+    index = basis.outcomes.index(basis.outcome(label))
+    if basis.levels is not None:
+        probabilities, residual_of, project = _read(state, basis)
+        return (probabilities[index], sum(probabilities) + residual_of(),
+                lambda norm: project(index, norm))
+    plan = transpose_plan(state.layout, basis.targets)
+    outcome = basis.outcomes[index]
+    coefficients = outcome.bras @ plan.matrix(state)
+    return (_weight(coefficients), _weight(state.amplitudes),
+            lambda norm: plan.restore(outcome.vectors.T @ coefficients / norm))
 
 
 def _post_state(state: StateVector, probability: float, project: Callable,
@@ -342,22 +390,27 @@ def condition_on(state: StateVector, basis: MeasurementBasis, label: str) -> Sta
 
     Raises :class:`InconsistentOutcomeError` when the outcome has
     (near-)zero probability, which signals information inconsistent with the
-    state rather than a numerical accident.
+    state rather than a numerical accident, and then
+    :class:`NormalizationError` unless the state has norm 1 within
+    :data:`NORM_TOL`.
     """
-    index = basis.outcomes.index(basis.outcome(label))
-    probabilities, _, project = _read(state, basis)
-    probability = probabilities[index]
+    probability, total, project = _outcome(state, basis, label)
     if not probability > ZERO_PROBABILITY_ATOL:
         raise InconsistentOutcomeError(
             f"outcome {label!r} on {basis.target_names} has probability "
             f"{probability:.3e}; conditioning on it is inconsistent"
         )
-    return StateVector(state.layout, project(index, np.sqrt(probability)))
+    _check_total(total, basis)
+    return StateVector(state.layout, project(np.sqrt(probability)))
 
 
 def outcome_probability(state: StateVector, basis: MeasurementBasis, label: str) -> float:
-    """Born probability of one labeled outcome, without collapsing."""
-    return _read(state, basis)[0][basis.outcomes.index(basis.outcome(label))]
+    """Born probability of one labeled outcome, without collapsing; raises
+    :class:`NormalizationError` unless the state has norm 1 within
+    :data:`NORM_TOL`."""
+    probability, total, _ = _outcome(state, basis, label)
+    _check_total(total, basis)
+    return probability
 
 
 def premeasure(
@@ -371,53 +424,50 @@ def premeasure(
     P_residual (x) 1`` on (targets, memory): each outcome component gets the
     outcome's label written into the memory, without collapse.  The memory
     must hold a level named after every outcome label and must start in its
-    :data:`READY` level on all populated amplitudes.
+    :data:`READY` level on all populated amplitudes.  Only that ready slice
+    is read and projected (:func:`_record_plan`): each projection lands on
+    its label's level and the residual stays on the ready level.
     """
-    plan = transpose_plan(state.layout, basis.targets + (memory,))
-    off_ready_levels, swaps = _record_swaps(memory, basis.labels())
-    mat = plan.matrix(state)
-    cube = mat.reshape(-1, memory.dimension, mat.shape[1])  # (target, memory, rest)
-
-    off_ready = _weight(cube[:, off_ready_levels])
+    plan, ready, written, ready_rows, off_ready_rows = _record_plan(state.layout, basis, memory)
+    off = state.amplitudes[off_ready_rows]
+    off_ready = _weight(off) if off.any() else 0.0  # zeros weigh 0.0; a NaN is not zero
     if not off_ready <= ZERO_PROBABILITY_ATOL:
         raise ValueError(
             f"memory {memory.name!r} is not in its ready state "
             f"(off-ready probability {off_ready:.3e})"
         )
 
-    targets = mat.reshape(cube.shape[0], -1)  # (target, memory x rest)
-    residual = cube.copy()
-    result = np.zeros_like(cube)
-    for outcome, levels in zip(basis.outcomes, swaps):
-        projected = (outcome.vectors.T @ (outcome.bras @ targets)).reshape(cube.shape)
-        residual -= projected
-        result += projected[:, levels]
-    result += residual
+    mat = state.amplitudes[ready_rows]  # the ready slice: (targets, rest)
+    cube = np.zeros((memory.dimension, *mat.shape), dtype=mat.dtype)  # (memory, targets, rest)
+    residual = mat
+    for outcome, level in zip(basis.outcomes, written):
+        projected = outcome.vectors.T @ (outcome.bras @ mat)
+        residual = residual - projected
+        cube[level] += projected
+    cube[ready] += residual
+    return StateVector(state.layout, plan.restore(cube))
 
-    return StateVector(state.layout, plan.restore(result))
 
-
-@lru_cache(maxsize=256)
-def _record_swaps(
-    memory: SystemId, labels: tuple[str, ...]
-) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """What writing each outcome label into the memory reads, built once per
-    memory and labels: the memory's levels other than :data:`READY`, and per
-    label the index array that swaps its level with the ready one."""
-    for label in labels:
+@lru_cache(maxsize=1024)
+def _record_plan(layout: RegisterLayout, basis: MeasurementBasis, memory: SystemId
+                 ) -> tuple[TransposePlan, int, tuple[int, ...], np.ndarray, np.ndarray]:
+    """What :func:`premeasure` reads and writes, built once per (layout,
+    basis, memory): the plan moving the memory, then the targets, to the
+    front; the :data:`READY` level and each label's level; the flat indices
+    of the ready slice, (targets, rest), and of the other levels, (targets,
+    levels, rest) as the ready check sums them, both C-contiguous, read-only."""
+    plan = transpose_plan(layout, (memory,) + basis.targets)
+    for label in basis.labels():
         if label not in memory.levels:
             raise BasisError(f"memory {memory.name!r} has no level for outcome {label!r}")
     ready = memory.level_index(READY)
-    off_ready = np.array([i for i in range(memory.dimension) if i != ready])
-    swaps = []
-    for label in labels:
-        levels = np.arange(memory.dimension)  # SWAP(ready, outcome) as an index
-        written = memory.level_index(label)
-        levels[ready], levels[written] = written, ready
-        swaps.append(levels)
-    for index in (off_ready, *swaps):
+    rows = _rows(layout, (memory,) + basis.targets)
+    rows = rows.reshape(memory.dimension, -1, rows.shape[1])  # (memory, targets, rest)
+    ready_rows = rows[ready].copy()
+    off_ready_rows = np.ascontiguousarray(np.delete(rows, ready, axis=0).transpose(1, 0, 2))
+    for index in (ready_rows, off_ready_rows):
         index.setflags(write=False)
-    return off_ready, tuple(swaps)
+    return plan, ready, tuple(map(memory.level_index, basis.labels())), ready_rows, off_ready_rows
 
 
 def record_copy(state: StateVector, source: SystemId, target: SystemId) -> StateVector:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .measurement import (
     MeasurementBasis,
-    _level_rows,
+    _level_stack,
     _occupancies,
     _probabilities,
     condition_on,
@@ -49,7 +49,7 @@ from .systems import (
     spin_basis,
     spin_lab_basis,
 )
-from .tensor import RegisterLayout, StateVector, SystemId
+from .tensor import RegisterLayout, StateVector
 
 AGENTS = ("Fbar", "F", "Wbar", "W", "C")
 
@@ -289,18 +289,14 @@ def _standard_measurements(layout: RegisterLayout) -> tuple[
     tuple[tuple[str, MeasurementBasis], ...], tuple[tuple[tuple[str, ...], np.ndarray], ...]
 ]:
     """The standard measurements inside the layout, under their prediction
-    names, and per level count the names of the single-system ones and their
-    :func:`~frsim.measurement._level_rows`, stacked; built once per layout."""
+    names, and for each level count of the single-system ones the names of
+    the layout's systems with that count and their shared
+    :func:`~frsim.measurement._level_stack`; built once per layout."""
     bases = [coin_basis(), spin_basis(), coin_lab_basis(), spin_lab_basis()]
     bases += [level_basis(BY_NAME[name]) for name in ("Fbar", "F", "Nbar", "N", "Wbar", "W")]
     named = tuple((basis_name(basis.target_names), basis) for basis in bases
                   if all(name in layout for name in basis.target_names))
-    by_count: dict[int, list[tuple[str, SystemId]]] = {}
-    for name, basis in named:
-        if len(basis.targets) == 1:
-            by_count.setdefault(basis.target_dimension, []).append((name, basis.targets[0]))
-    gathers = tuple((names, np.stack([_level_rows(layout, system) for system in systems]))
-                    for names, systems in (zip(*group) for group in by_count.values()))
-    for _, rows in gathers:
-        rows.setflags(write=False)
+    counts = dict.fromkeys(basis.target_dimension for _, basis in named if len(basis.targets) == 1)
+    gathers = tuple((tuple(basis_name((system.name,)) for system in systems), rows)
+                    for systems, rows in (_level_stack(layout, count) for count in counts))
     return named, gathers

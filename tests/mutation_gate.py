@@ -1,12 +1,13 @@
 """Mutation gate: every listed mutant must be killed.  The mutants cover the
 sampling code (the branch table, its rule and the until-halt windows), the
 measurement checks (normalization, residual, zero probability, ready
-memory, unitarity), the level-basis gather, the schedule's reach and
-announcement rules, the shared record-free prefixes, the agents' level
-occupancies, certainty threshold and calibration, the detection bound's
-verified bracket, its uncapped Newton steps and its replayed bisection, the
-detection verdict, the CLI's usage errors, its fraction rule, its JSON
-writer and the check both formats share.
+memory, unitarity), the level-basis gather, the premeasurement's writes,
+the schedule's reach and announcement rules, the shared record-free
+prefixes, the agents' level occupancies, certainty threshold and
+calibration, the detection bound's verified bracket, its uncapped Newton
+steps and its replayed bisection, the detection verdict, the CLI's usage
+errors, its fraction rule, its JSON writer and the check both formats
+share.
 
 Each mutant is an exact text patch ``(file, old, new, tests)``.  The script
 copies the checkout to a temporary directory, runs the tests of every mutant
@@ -54,6 +55,8 @@ _SLACK = 'children += (children[pick_index(probabilities, float("inf"))],)'
 _BITS = ("tests/test_analysis.py::test_upper_bound_is_the_bisection_on_large_inputs[cli-golden]",)
 _NORMALIZATION = "if not abs(total - 1.0) <= NORM_TOL:"
 _RESIDUAL_ROWS = "lambda: sum(unread, 0.0)"
+_PREMEASURE_BITS = ("tests/test_perspectives.py::"
+                    "test_premeasure_by_index_matches_the_full_cube_bit_for_bit",)
 _CONFIDENCE_CHECK = ('if not 0.0 < confidence < 1.0:\n'
                      '        raise ValueError(f"confidence must lie strictly between 0 and 1, '
                      'got {confidence}")\n    if min_ok_rounds')
@@ -110,6 +113,20 @@ MUTANTS = (
            "[weights[level - 1] for level in basis.levels]",
            ("tests/test_measurement.py::"
             "test_level_bases_read_by_index_match_the_projection_bit_for_bit",)),
+    Mutant("condition_on without its normalization check",
+           "src/frsim/measurement.py", "_check_total(total, basis)\n    return StateVector",
+           "return StateVector",
+           ("tests/test_measurement.py::"
+            "test_one_outcome_of_an_unnormalized_state_fails_the_normalization_check",)),
+    Mutant("outcome_probability without its normalization check",
+           "src/frsim/measurement.py", "_check_total(total, basis)\n    return probability",
+           "return probability", ("tests/test_measurement.py::"
+                                  "test_a_nan_state_has_no_outcome_probability",)),
+    Mutant("premeasure without writing the residual back to the ready level",
+           "src/frsim/measurement.py", "cube[ready] += residual", "pass", _PREMEASURE_BITS),
+    Mutant("premeasure writes each projection to the ready level, not its label's",
+           "src/frsim/measurement.py", "cube[level] += projected", "cube[ready] += projected",
+           _PREMEASURE_BITS),
     Mutant("apply_unitary without its unitarity check",
            "src/frsim/tensor.py", "if not drift <= UNITARY_ATOL:", "if False:",
            ("tests/test_tensor.py::test_apply_unitary_checks_unitarity",)),

@@ -18,6 +18,8 @@ from frsim.measurement import (
     ResidualError,
     SubspaceOutcome,
     branch_all,
+    _level_rows,
+    _level_stack,
     _post_state,
     _weight,
     condition_on,
@@ -236,6 +238,25 @@ def test_an_unnormalized_state_fails_the_normalization_check(measure):
     for basis in (level_basis(a), two_qubit_lab_basis(a, b)):
         with pytest.raises(NormalizationError, match=r"sum to (4\.0|3\.999999999999999), not 1"):
             measure(state, basis)
+
+
+@pytest.mark.parametrize("read", (condition_on, outcome_probability))
+def test_one_outcome_of_an_unnormalized_state_fails_the_normalization_check(read):
+    # The same |t,t> with amplitude 2: the level basis sums its gathered rows,
+    # the lab basis reduces |psi|**2 once, and both find 4.
+    a, b = qubit("a"), qubit("b")
+    state = StateVector(RegisterLayout((a, b)), [2, 0, 0, 0])
+    for basis, label in ((level_basis(a), "t"), (two_qubit_lab_basis(a, b), "ok")):
+        with pytest.raises(NormalizationError, match=r"sum to 4\.0, not 1"):
+            read(state, basis, label)
+
+
+def test_a_nan_state_has_no_outcome_probability():
+    state = reference_by_tag("external_t1").state
+    nan_state = _with_nan(state, np.flatnonzero(state.amplitudes)[0])
+    for basis in (coin_basis(), spin_basis(), record_basis(F), coin_lab_basis()):
+        with pytest.raises(NormalizationError, match="nan"):
+            outcome_probability(nan_state, basis, basis.labels()[0])
 
 
 @pytest.mark.parametrize("measure", (branch_all, _sample), ids=("branch_all", "sample"))
@@ -484,6 +505,26 @@ def test_level_bases_are_told_apart_when_built():
                      (SubspaceOutcome("t", R.ket("t")), SubspaceOutcome("h", flipped)),
                      (SubspaceOutcome("both", np.eye(2)),)):
         assert MeasurementBasis(targets=(R,), outcomes=outcomes).levels is None
+
+
+def test_each_row_index_is_held_once():
+    # A system's row index is a view of its layout's stack for its level
+    # count, which the agents' occupancies gather by too.
+    from frsim.perspectives import _standard_measurements
+
+    layout = RegisterLayout((NBAR, R, FBAR, N, S, F, WBAR, W))
+    for system in layout.systems:
+        rows = _level_rows(layout, system)
+        systems, stack = _level_stack(layout, system.dimension)
+        assert system in systems and rows.base is stack
+        assert rows.flags.c_contiguous and not rows.flags.writeable
+        assert np.array_equal(rows, transpose_plan(layout, (system,)).matrix(
+            StateVector(layout, np.arange(layout.total_dimension))).real)
+    _, gathers = _standard_measurements(layout)
+    assert [id(rows) for _, rows in gathers] == [id(_level_stack(layout, count)[1])
+                                                 for count in (2, 3)]
+    with pytest.raises(LayoutError):
+        _level_rows(layout, SystemId("R", ("t", "h", "x")))
 
 
 def _projection_oracle(state, basis):

@@ -10,10 +10,15 @@ import pytest
 from frsim import perspectives, protocol
 from frsim.analysis import enumerate_exact
 from frsim.measurement import (
+    READY,
+    ZERO_PROBABILITY_ATOL,
+    BasisError,
     InconsistentOutcomeError,
+    _weight,
     condition_on,
     level_basis,
     outcome_probability,
+    premeasure,
 )
 from frsim.perspectives import (
     AGENTS,
@@ -43,6 +48,7 @@ from frsim.systems import (
     BY_NAME,
     N,
     NBAR,
+    W,
     WBAR,
     canonical_layout,
     coin_basis,
@@ -51,7 +57,7 @@ from frsim.systems import (
     spin_basis,
     spin_lab_basis,
 )
-from frsim.tensor import StateVector, equal_up_to_global_phase, inner
+from frsim.tensor import StateVector, equal_up_to_global_phase, inner, transpose_plan
 from variants import ALL_NOTEBOOK_SETS, ALL_VARIANTS, variant_id
 
 EXACT_ATOL = 1e-10
@@ -868,3 +874,104 @@ def test_a_cached_fold_plan_changes_no_error():
         ValueError, InconsistentOutcomeError, InconsistentOutcomeError, PerspectiveLimit,
         ValueError, InconsistentOutcomeError, ValueError, ValueError]
     assert "time must be" in first[0][1] and "unknown agent" in first[4][1]
+
+
+# Every bit of every premeasurement ---------------------------------------------
+
+def _full_cube_premeasure(state, basis, memory):
+    """premeasure as it was written before it read only the memory's ready
+    slice, verbatim: the whole state as a (targets, memory, rest) cube, every
+    memory level projected and swapped back."""
+    plan = transpose_plan(state.layout, basis.targets + (memory,))
+    off_ready_levels, swaps = _record_swaps(memory, basis.labels())
+    mat = plan.matrix(state)
+    cube = mat.reshape(-1, memory.dimension, mat.shape[1])  # (target, memory, rest)
+
+    off_ready = _weight(cube[:, off_ready_levels])
+    if not off_ready <= ZERO_PROBABILITY_ATOL:
+        raise ValueError(
+            f"memory {memory.name!r} is not in its ready state "
+            f"(off-ready probability {off_ready:.3e})"
+        )
+
+    targets = mat.reshape(cube.shape[0], -1)  # (target, memory x rest)
+    residual = cube.copy()
+    result = np.zeros_like(cube)
+    for outcome, levels in zip(basis.outcomes, swaps):
+        projected = (outcome.vectors.T @ (outcome.bras @ targets)).reshape(cube.shape)
+        residual -= projected
+        result += projected[:, levels]
+    result += residual
+
+    return StateVector(state.layout, plan.restore(result))
+
+
+def _record_swaps(memory, labels):
+    """The full-cube oracle's helper, verbatim but for its cache."""
+    for label in labels:
+        if label not in memory.levels:
+            raise BasisError(f"memory {memory.name!r} has no level for outcome {label!r}")
+    ready = memory.level_index(READY)
+    off_ready = np.array([i for i in range(memory.dimension) if i != ready])
+    swaps = []
+    for label in labels:
+        levels = np.arange(memory.dimension)  # SWAP(ready, outcome) as an index
+        written = memory.level_index(label)
+        levels[ready], levels[written] = written, ready
+        swaps.append(levels)
+    for index in (off_ready, *swaps):
+        index.setflags(write=False)
+    return off_ready, tuple(swaps)
+
+
+def _premeasure_result(write, state, basis, memory):
+    """The nonzero amplitudes ``write`` gives, as float.hex, or its error's class."""
+    try:
+        amplitudes = write(state, basis, memory).amplitudes
+    except (ValueError, KeyError) as exc:
+        return type(exc)
+    return [(int(i), amplitudes[i].real.hex(), amplitudes[i].imag.hex())
+            for i in np.flatnonzero(amplitudes)]
+
+
+def test_premeasure_by_index_matches_the_full_cube_bit_for_bit(monkeypatch):
+    # Every premeasurement the 24 variants' prefixes, rounds and agent folds
+    # make, recorded with a cold prefix cache; then each of the schedules'
+    # (basis, memory) pairs on every golden state holding both.
+    calls = {}
+
+    def recording(state, basis, memory):
+        calls.setdefault((state.layout, state.amplitudes.tobytes(), basis, memory),
+                         (state, basis, memory))
+        return premeasure(state, basis, memory)
+
+    monkeypatch.setattr(protocol, "premeasure", recording)
+    prefix_state.cache_clear()
+    for variant in ALL_VARIANTS:
+        for k in range(40):
+            run_round(variant, round_rng(29, k), k)
+    for args in _sweep_inputs():
+        _fold_result(*args)
+    monkeypatch.undo()
+    layouts = {state.layout for state, _, _ in calls.values()}
+    pairs = {(step.basis, step.memory) for variant in ALL_VARIANTS
+             for step in schedule(variant) if step.basis is not None and step.after is None}
+    inputs = list(calls.values())
+    for ref in load_reference_states():
+        inputs += [(ref.state, basis, memory) for basis, memory in pairs
+                   if all(name in ref.state.layout for name in basis.target_names + (memory.name,))]
+    fresh = prefix_state(ProtocolVariant().layout(), ())
+    inputs.append((fresh, coin_lab_basis(), WBAR))  # every amplitude in the residual
+    nan_memory = fresh.amplitudes.copy()
+    nan_memory[np.flatnonzero(fresh.amplitudes)[0] + 1] = np.nan  # W's ok level
+    inputs += [(StateVector(fresh.layout, nan_memory), spin_lab_basis(), W),
+               (fresh, level_basis(BY_NAME["R"]), BY_NAME["F"])]  # F has no level t
+    results = [(_premeasure_result(premeasure, *args),
+                _premeasure_result(_full_cube_premeasure, *args)) for args in inputs]
+    for (new, old), (state, basis, memory) in zip(results, inputs):
+        assert new == old, (state.layout.names, basis.target_names, memory.name)
+    errors = [new for new, _ in results if isinstance(new, type)]
+    assert (len(layouts), len(calls), len(inputs)) == (20, 98, 183)
+    # The NaN memory amplitude and the golden states whose memory is written
+    # fail the ready check; F has no level for the coin's labels.
+    assert (errors.count(ValueError), errors.count(BasisError), len(errors)) == (64, 1, 65)
