@@ -56,16 +56,18 @@ TAIL_MARGIN = 8 * np.finfo(float).eps
 
 @dataclass(frozen=True)
 class JointDistribution:
-    """Exact probabilities over round outcome keys."""
+    """Exact probabilities over round outcome keys: each at least
+    ``-PROBABILITY_ATOL`` and their sum within it of 1 (else ValueError, also
+    for a NaN)."""
 
     entries: dict[OutcomeKey, float]
 
     def __post_init__(self) -> None:
         for key, p in self.entries.items():
-            if p < -PROBABILITY_ATOL:
-                raise ValueError(f"negative probability {p} for {key}")
+            if not p >= -PROBABILITY_ATOL:
+                raise ValueError(f"probability {p} for {key} is negative or not a number")
         total = sum(self.entries.values())
-        if abs(total - 1.0) > PROBABILITY_ATOL:
+        if not abs(total - 1.0) <= PROBABILITY_ATOL:
             raise ValueError(f"probabilities sum to {total}, not 1")
 
     def probability(self, key: OutcomeKey) -> float:
@@ -88,12 +90,15 @@ class JointDistribution:
 
 @dataclass(frozen=True)
 class FrequencyTable:
-    """Empirical counts over round outcome keys."""
+    """Empirical counts over round outcome keys, of at least one round (else
+    ValueError)."""
 
     counts: dict[OutcomeKey, int]
     total: int
 
     def __post_init__(self) -> None:
+        if not self.total >= 1:
+            raise ValueError(f"a frequency table needs at least one round, got {self.total}")
         if sum(self.counts.values()) != self.total:
             raise ValueError("counts do not sum to the round total")
 
@@ -201,14 +206,22 @@ def rounds_to_halt(config: ProtocolConfig, repeats: int) -> np.ndarray:
 
 
 def z_scores(table: FrequencyTable, exact: JointDistribution) -> dict[OutcomeKey, float]:
-    """Standardized deviations of empirical frequencies from exact values."""
+    """Standardized deviations of empirical frequencies from exact values.
+
+    A key whose exact probability has no spread (0 or 1) scores 0 when its
+    frequency matches, and raises ValueError naming it when it does not: a
+    key counted at exact probability 0 has no finite score.
+    """
     out: dict[OutcomeKey, float] = {}
     keys = set(table.counts) | set(exact.entries)
     for key in sorted(keys, key=str):
         p = exact.probability(key)
         se = sqrt(p * (1.0 - p) / table.total)
         diff = table.frequency(key) - p
-        out[key] = diff / se if se > 0 else (0.0 if diff == 0 else float("inf"))
+        if not (se > 0 or diff == 0):
+            raise ValueError(f"{key} has frequency {table.frequency(key)!r} at exact "
+                             f"probability {p!r}: its z-score is infinite")
+        out[key] = diff / se if se > 0 else 0.0
     return out
 
 

@@ -27,20 +27,21 @@ Measurement comes in four flavours:
 A level basis, each outcome one level ket of one system (every
 :func:`level_basis` and :func:`record_basis`, so the coin and spin bases),
 is recognised when it is built (``MeasurementBasis.levels``) and read by
-index: one gather by its system's row index (:func:`_level_rows`, a view of
-the layout's :func:`_level_stack`, which :func:`_occupancies` reads),
-whose rows' ``|psi|**2`` sums are its outcome probabilities and residual,
-and whose picked row over the square root of its probability is the
-post-state.  The coin-lab and spin-lab bases are read by projection on the
-outcome kets.  Both ways give the same floats.  :func:`premeasure` writes
-by index: the ready check leaves weight only on the memory's ready slice,
-so it gathers that slice alone, projects each outcome on it with the same
-products as any basis, and places each projection on its label's level and
-the residual back on the ready level (:func:`_record_plan`);
-:func:`record_copy` premeasures the source's :func:`level_basis`.  Each
-reads the state through :func:`~frsim.tensor.transpose_plan` for the basis
-targets (and the memory), which checks once per layout and targets that
-they are distinct systems of the state's layout, and raises
+index: one gather by its system's (levels, rest) index, whose rows'
+``|psi|**2`` sums are its outcome probabilities and residual, and whose
+picked row over the square root of its probability is the post-state.  The
+coin-lab and spin-lab bases are read by projection on the outcome kets of
+the (targets, rest) matrix that the same kind of index gathers, and their
+post-states are written back through it.  Both ways give the same floats.
+:func:`premeasure` writes by index: the ready check leaves weight only on
+the memory's ready slice, so it gathers that slice alone, projects each
+outcome on it with the same products as any basis, and adds each
+projection, then the residual, into a zeroed array through the rows of its
+label's level and of the ready level (:func:`_record_plan`);
+:func:`record_copy` premeasures the source's :func:`level_basis`.  Every
+index is :func:`~frsim.tensor.transpose_plan`'s for the basis targets (and
+the memory), which checks once per layout and targets that they are
+distinct systems of the state's layout, and raises
 :class:`~frsim.tensor.LayoutError` if not.
 """
 
@@ -52,7 +53,7 @@ from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
-from .tensor import RegisterLayout, StateVector, SystemId, TransposePlan, transpose_plan
+from .tensor import RegisterLayout, StateVector, SystemId, _write, transpose_plan
 
 ORTHO_ATOL = 1e-12
 ZERO_PROBABILITY_ATOL = 1e-12
@@ -173,16 +174,18 @@ def validate_basis(basis: MeasurementBasis) -> None:
 
     Raises :class:`BasisError` if any vector is not normalized or any pair of
     vectors (within one outcome or across outcomes) is not orthogonal, each
-    beyond :data:`ORTHO_ATOL`.
+    beyond :data:`ORTHO_ATOL`.  Each check passes only a good value, so a
+    vector holding a NaN or an infinity is not normalized.
     """
     stacked = np.vstack([o.vectors for o in basis.outcomes])
-    gram = stacked.conj() @ stacked.T
+    with np.errstate(all="ignore"):  # inf * 0 is NaN, which the checks reject
+        gram = stacked.conj() @ stacked.T
     diag = np.abs(np.diag(gram) - 1.0)
-    if np.any(diag > ORTHO_ATOL):
-        bad = int(np.argmax(diag))
+    if not np.all(diag <= ORTHO_ATOL):
+        bad = int(np.argmax(diag))  # the first NaN, if any
         raise BasisError(f"outcome vector {bad} is not normalized")
     off = np.abs(gram - np.eye(gram.shape[0]))
-    if np.any(off > ORTHO_ATOL):
+    if not np.all(off <= ORTHO_ATOL):
         i, j = np.unravel_index(int(np.argmax(off)), off.shape)
         raise BasisError(f"outcome vectors {i} and {j} are not orthogonal")
 
@@ -203,36 +206,6 @@ def _weight(amplitudes: np.ndarray) -> float:
     return float(np.add.reduce(np.abs(amplitudes) ** 2, axis=None))
 
 
-def _rows(layout: RegisterLayout, systems: tuple[SystemId, ...]) -> np.ndarray:
-    """The flat amplitude indices of the (systems' levels, rest) matrix as
-    :meth:`~frsim.tensor.TransposePlan.matrix` orders it; C-contiguous, so a
-    gather by it is too."""
-    plan = transpose_plan(layout, systems)
-    flat = np.arange(layout.total_dimension).reshape(plan.dims)
-    return np.ascontiguousarray(flat.transpose(plan.perm).reshape(plan.target_dimension, -1))
-
-
-@lru_cache(maxsize=1024)  # a few per layout; callers may build many layouts
-def _level_stack(layout: RegisterLayout, count: int) -> tuple[tuple[SystemId, ...], np.ndarray]:
-    """The layout's systems with ``count`` levels, in layout order, and their
-    :func:`_rows` as one read-only (systems, levels, rest) array, which
-    :func:`_occupancies` gathers at once; built once per (layout, count)."""
-    systems = tuple(system for system in layout.systems if system.dimension == count)
-    stack = np.stack([_rows(layout, (system,)) for system in systems])
-    stack.setflags(write=False)
-    return systems, stack
-
-
-@lru_cache(maxsize=1024)
-def _level_rows(layout: RegisterLayout, system: SystemId) -> np.ndarray:
-    """The system's (levels, rest) index: its row of :func:`_level_stack`, a
-    C-contiguous read-only view, so each index is held once; found once per
-    (layout, system), after :func:`~frsim.tensor.transpose_plan`'s check."""
-    transpose_plan(layout, (system,))
-    systems, stack = _level_stack(layout, system.dimension)
-    return stack[systems.index(system)]
-
-
 def _levels(basis: MeasurementBasis) -> tuple[int, ...] | None:
     """Each outcome's level if each is a level ket of the one target, else None."""
     kets = np.vstack([o.vectors for o in basis.outcomes])
@@ -244,9 +217,9 @@ def _levels(basis: MeasurementBasis) -> tuple[int, ...] | None:
 
 def _occupancies(weights: np.ndarray, rows: np.ndarray) -> list[list[float]]:
     """Each level's Born probability, per system of ``rows`` (a
-    :func:`_level_stack`), from ``|psi|**2``: row sums of one C-contiguous
-    gather, in :func:`_weight`'s summation order (summing the strided view
-    of a trailing system would change bits)."""
+    :func:`~frsim.tensor._level_stack`), from ``|psi|**2``: row sums of one
+    C-contiguous gather, in :func:`_weight`'s summation order (summing the
+    strided view of a trailing system would change bits)."""
     return np.add.reduce(weights[rows], axis=-1).tolist()
 
 
@@ -255,9 +228,9 @@ def _read(state: StateVector, basis: MeasurementBasis) -> tuple[list[float], Cal
     and what gives an outcome's normalized amplitudes from its index and the
     square root of its probability: by index for a level basis, else by
     projection."""
+    rows = transpose_plan(state.layout, basis.targets)
+    mat = state.amplitudes[rows]  # (targets, rest)
     if basis.levels is not None:
-        rows = _level_rows(state.layout, basis.targets[0])
-        mat = state.amplitudes[rows]
         weights = np.add.reduce(np.abs(mat) ** 2, axis=-1).tolist()  # as _occupancies sums
         unread = [w for level, w in enumerate(weights) if level not in basis.levels]
 
@@ -267,20 +240,18 @@ def _read(state: StateVector, basis: MeasurementBasis) -> tuple[list[float], Cal
             return amplitudes
 
         return [weights[level] for level in basis.levels], lambda: sum(unread, 0.0), project
-    plan = transpose_plan(state.layout, basis.targets)
-    mat = plan.matrix(state)  # (targets, rest)
     coefficients = [outcome.bras @ mat for outcome in basis.outcomes]  # on each outcome's kets
     kets = [outcome.vectors.T for outcome in basis.outcomes]
     return ([_weight(c) for c in coefficients],
             lambda: _weight(mat - sum(map(np.matmul, kets, coefficients))),
-            lambda index, norm: plan.restore(kets[index] @ coefficients[index] / norm))
+            lambda i, norm: _write(state.layout, rows, kets[i] @ coefficients[i] / norm))
 
 
 def _probabilities(state: StateVector, basis: MeasurementBasis) -> list[float]:
     """Every outcome's Born probability by projection, the floats
     :func:`_read` gives for a basis that is not a level basis, with nothing
     else built."""
-    mat = transpose_plan(state.layout, basis.targets).matrix(state)
+    mat = state.amplitudes[transpose_plan(state.layout, basis.targets)]
     return [_weight(outcome.bras @ mat) for outcome in basis.outcomes]
 
 
@@ -322,11 +293,11 @@ def _outcome(state: StateVector, basis: MeasurementBasis,
         probabilities, residual_of, project = _read(state, basis)
         return (probabilities[index], sum(probabilities) + residual_of(),
                 lambda norm: project(index, norm))
-    plan = transpose_plan(state.layout, basis.targets)
+    rows = transpose_plan(state.layout, basis.targets)
     outcome = basis.outcomes[index]
-    coefficients = outcome.bras @ plan.matrix(state)
+    coefficients = outcome.bras @ state.amplitudes[rows]
     return (_weight(coefficients), _weight(state.amplitudes),
-            lambda norm: plan.restore(outcome.vectors.T @ coefficients / norm))
+            lambda norm: _write(state.layout, rows, outcome.vectors.T @ coefficients / norm))
 
 
 def _post_state(state: StateVector, probability: float, project: Callable,
@@ -428,7 +399,7 @@ def premeasure(
     is read and projected (:func:`_record_plan`): each projection lands on
     its label's level and the residual stays on the ready level.
     """
-    plan, ready, written, ready_rows, off_ready_rows = _record_plan(state.layout, basis, memory)
+    rows, ready, written, off_ready_rows = _record_plan(state.layout, basis, memory)
     off = state.amplitudes[off_ready_rows]
     off_ready = _weight(off) if off.any() else 0.0  # zeros weigh 0.0; a NaN is not zero
     if not off_ready <= ZERO_PROBABILITY_ATOL:
@@ -437,37 +408,35 @@ def premeasure(
             f"(off-ready probability {off_ready:.3e})"
         )
 
-    mat = state.amplitudes[ready_rows]  # the ready slice: (targets, rest)
-    cube = np.zeros((memory.dimension, *mat.shape), dtype=mat.dtype)  # (memory, targets, rest)
+    mat = state.amplitudes[rows[ready]]  # the ready slice: (targets, rest)
+    amplitudes = np.zeros_like(state.amplitudes)
     residual = mat
     for outcome, level in zip(basis.outcomes, written):
         projected = outcome.vectors.T @ (outcome.bras @ mat)
         residual = residual - projected
-        cube[level] += projected
-    cube[ready] += residual
-    return StateVector(state.layout, plan.restore(cube))
+        amplitudes[rows[level]] += projected
+    amplitudes[rows[ready]] += residual
+    return StateVector(state.layout, amplitudes)
 
 
 @lru_cache(maxsize=1024)
 def _record_plan(layout: RegisterLayout, basis: MeasurementBasis, memory: SystemId
-                 ) -> tuple[TransposePlan, int, tuple[int, ...], np.ndarray, np.ndarray]:
+                 ) -> tuple[np.ndarray, int, tuple[int, ...], np.ndarray]:
     """What :func:`premeasure` reads and writes, built once per (layout,
-    basis, memory): the plan moving the memory, then the targets, to the
-    front; the :data:`READY` level and each label's level; the flat indices
-    of the ready slice, (targets, rest), and of the other levels, (targets,
-    levels, rest) as the ready check sums them, both C-contiguous, read-only."""
-    plan = transpose_plan(layout, (memory,) + basis.targets)
+    basis, memory): the :func:`~frsim.tensor.transpose_plan` index of the
+    memory, then the targets, as (memory levels, targets, rest); the
+    :data:`READY` level and each label's level; and the flat indices of the
+    other levels than ready, (targets, levels, rest) as the ready check sums
+    them, C-contiguous and read-only."""
+    rows = transpose_plan(layout, (memory,) + basis.targets)
     for label in basis.labels():
         if label not in memory.levels:
             raise BasisError(f"memory {memory.name!r} has no level for outcome {label!r}")
     ready = memory.level_index(READY)
-    rows = _rows(layout, (memory,) + basis.targets)
-    rows = rows.reshape(memory.dimension, -1, rows.shape[1])  # (memory, targets, rest)
-    ready_rows = rows[ready].copy()
+    rows = rows.reshape(memory.dimension, -1, rows.shape[1])
     off_ready_rows = np.ascontiguousarray(np.delete(rows, ready, axis=0).transpose(1, 0, 2))
-    for index in (ready_rows, off_ready_rows):
-        index.setflags(write=False)
-    return plan, ready, tuple(map(memory.level_index, basis.labels())), ready_rows, off_ready_rows
+    off_ready_rows.setflags(write=False)
+    return rows, ready, tuple(map(memory.level_index, basis.labels())), off_ready_rows
 
 
 def record_copy(state: StateVector, source: SystemId, target: SystemId) -> StateVector:

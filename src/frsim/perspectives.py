@@ -31,7 +31,6 @@ import numpy as np
 
 from .measurement import (
     MeasurementBasis,
-    _level_stack,
     _occupancies,
     _probabilities,
     condition_on,
@@ -49,7 +48,7 @@ from .systems import (
     spin_basis,
     spin_lab_basis,
 )
-from .tensor import RegisterLayout, StateVector
+from .tensor import RegisterLayout, StateVector, _level_stack
 
 AGENTS = ("Fbar", "F", "Wbar", "W", "C")
 
@@ -291,7 +290,7 @@ def _standard_measurements(layout: RegisterLayout) -> tuple[
     """The standard measurements inside the layout, under their prediction
     names, and for each level count of the single-system ones the names of
     the layout's systems with that count and their shared
-    :func:`~frsim.measurement._level_stack`; built once per layout."""
+    :func:`~frsim.tensor._level_stack`; built once per layout."""
     bases = [coin_basis(), spin_basis(), coin_lab_basis(), spin_lab_basis()]
     bases += [level_basis(BY_NAME[name]) for name in ("Fbar", "F", "Nbar", "N", "Wbar", "W")]
     named = tuple((basis_name(basis.target_names), basis) for basis in bases

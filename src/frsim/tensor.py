@@ -8,17 +8,19 @@ state ``|a>|b>|c>`` for a three-system layout sits at index
 
 Work that depends only on a layout and some of its systems is done once: a
 layout keeps its name-to-axis map and its hash, and :func:`transpose_plan`
-builds one :class:`TransposePlan` per (layout, target systems), shared by
-every equal layout.  Building the plan is also where the targets are checked
-against the layout, so every axis permutation in the package, and its check,
-is made there once per key.
+builds one index per (layout, target systems), shared by every equal layout:
+the flat amplitude positions of the (targets, rest) matrix, so that
+``amplitudes[index]`` is that matrix and a write puts a matrix back through
+the same positions.  Building the index is also where the targets are checked
+against the layout, so every axis move in the package, and its check, is made
+there once per key.
 
 All values are immutable after construction and all operations are pure
 functions, so states can be shared freely between threads and callers: a
 state copies the amplitudes it is built from and makes its copy read-only.
 That is what lets :mod:`frsim.protocol` hand one cached state, such as a
 round's record-free prefix, to the true dynamics and to every agent.  The
-layouts, plans and other values built once per layout and then shared are
+layouts, indices and other values built once per layout and then shared are
 immutable too; two threads that build the same one at once build equal
 values.
 """
@@ -188,7 +190,8 @@ def product_state(
     """Tensor product of one normalized ket per system, in layout order.
 
     Factors may be given as dense kets or as level labels.  Each factor must
-    be normalized; the result then has norm 1 up to roundoff.
+    be normalized, so finite (else ValueError); the result then has norm 1 up
+    to roundoff.
     """
     missing = set(layout.names) - set(factors)
     if missing:
@@ -200,7 +203,7 @@ def product_state(
     amps = np.ones(1, dtype=np.complex128)
     for system in layout.systems:
         ket = _as_ket(system, factors[system.name])
-        if abs(np.linalg.norm(ket) - 1.0) > 1e-9:
+        if not abs(np.linalg.norm(ket) - 1.0) <= 1e-9:
             raise ValueError(f"factor for system {system.name!r} is not normalized")
         amps = np.kron(amps, ket)
     return StateVector(layout, amps)
@@ -215,7 +218,7 @@ def reorder(state: StateVector, target: RegisterLayout) -> StateVector:
         raise LayoutError(
             f"target layout {target.names} is not a permutation of {state.layout.names}"
         )
-    return StateVector(target, transpose_plan(state.layout, target.systems).matrix(state))
+    return StateVector(target, state.amplitudes[transpose_plan(state.layout, target.systems)])
 
 
 def inner(a: StateVector, b: StateVector) -> complex:
@@ -239,36 +242,12 @@ def equal_up_to_global_phase(a: StateVector, b: StateVector, tol: float = 1e-10)
     return bool(abs(inner(a, b)) >= 1.0 - tol)
 
 
-@dataclass(frozen=True, eq=False)
-class TransposePlan:
-    """How a layout's amplitudes turn into a (target, rest) matrix and back.
-
-    ``perm`` lists the target axes, then the others in layout order;
-    :meth:`matrix` moves the targets to the front and :meth:`restore` undoes
-    it.  Built by :func:`transpose_plan`, once per layout and target systems.
-    """
-
-    dims: tuple[int, ...]
-    perm: tuple[int, ...]
-    target_dimension: int
-    moved_dims: tuple[int, ...]
-    inverse: tuple[int, ...]
-
-    def matrix(self, state: StateVector) -> np.ndarray:
-        """The amplitudes as a (target_dim, rest_dim) matrix with target axes leading."""
-        moved = state.amplitudes.reshape(self.dims).transpose(self.perm)
-        return moved.reshape(self.target_dimension, -1)
-
-    def restore(self, matrix: np.ndarray) -> np.ndarray:
-        """The amplitudes in layout order, one axis per system, from a matrix
-        shaped like :meth:`matrix`'s: a view of it, which the
-        :class:`StateVector` built from it copies once."""
-        return matrix.reshape(self.moved_dims).transpose(self.inverse)
-
-
-@lru_cache(maxsize=4096)  # the package uses a few hundred; callers may build many layouts
-def transpose_plan(layout: RegisterLayout, targets: tuple[SystemId, ...]) -> TransposePlan:
-    """The shared plan for moving ``targets``, in that order, to the front.
+@lru_cache(maxsize=1024)  # the package builds about 160; each holds one entry per amplitude
+def transpose_plan(layout: RegisterLayout, targets: tuple[SystemId, ...]) -> np.ndarray:
+    """The shared index moving ``targets``, in that order, to the front: the
+    flat amplitude positions of the (targets, rest) matrix, the rest in layout
+    order; C-contiguous and read-only, so a gather by it is too.  A single
+    target's index is its row of :func:`_level_stack`, so it is held once.
 
     Raises :class:`LayoutError` unless each target is the layout's system of
     that name, levels included, and appears once.
@@ -283,15 +262,38 @@ def transpose_plan(layout: RegisterLayout, targets: tuple[SystemId, ...]) -> Tra
         if axis in axes:
             raise LayoutError(f"system {system.name!r} is targeted twice")
         axes.append(axis)
-    perm = tuple(axes + [i for i in range(len(layout.systems)) if i not in axes])
-    dims = layout.dims
-    return TransposePlan(
-        dims=dims,
-        perm=perm,
-        target_dimension=int(np.prod([dims[i] for i in axes])) if axes else 1,
-        moved_dims=tuple(dims[i] for i in perm),
-        inverse=tuple(int(i) for i in np.argsort(perm)),
-    )
+    if len(axes) == 1:
+        systems, stack = _level_stack(layout, targets[0].dimension)
+        return stack[systems.index(targets[0])]
+    return _index(layout.dims, axes)
+
+
+def _index(dims: tuple[int, ...], axes: list[int]) -> np.ndarray:
+    """The read-only (axes, rest) flat index over an array of shape ``dims``."""
+    perm = axes + [i for i in range(len(dims)) if i not in axes]
+    moved = np.arange(int(np.prod(dims))).reshape(dims).transpose(perm)
+    index = np.ascontiguousarray(moved.reshape(int(np.prod([dims[i] for i in axes])), -1))
+    index.setflags(write=False)
+    return index
+
+
+@lru_cache(maxsize=1024)  # as transpose_plan's, whose single-system entries view these
+def _level_stack(layout: RegisterLayout, count: int) -> tuple[tuple[SystemId, ...], np.ndarray]:
+    """The layout's systems with ``count`` levels, in layout order, and their
+    (levels, rest) indices as one read-only (systems, levels, rest) array,
+    which the agents' occupancies gather at once; built once per (layout,
+    count)."""
+    systems = tuple(system for system in layout.systems if system.dimension == count)
+    stack = np.stack([_index(layout.dims, [layout.axis(system.name)]) for system in systems])
+    stack.setflags(write=False)
+    return systems, stack
+
+
+def _write(layout: RegisterLayout, index: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """The flat amplitudes whose (targets, rest) matrix by ``index`` is ``matrix``."""
+    amplitudes = np.empty(layout.total_dimension, dtype=np.complex128)
+    amplitudes[index] = matrix
+    return amplitudes
 
 
 @lru_cache(maxsize=64)  # the protocol applies one matrix; tests a few dozen
@@ -319,8 +321,8 @@ def apply_unitary(
         targets = tuple(map(state.layout.system, target_names))
     except KeyError as exc:  # a missing target, as in every measurement
         raise LayoutError(*exc.args) from None
-    plan = transpose_plan(state.layout, targets)
-    mat = plan.matrix(state)
+    index = transpose_plan(state.layout, targets)
+    mat = state.amplitudes[index]
     u = np.asarray(matrix, dtype=np.complex128)
     if u.shape != (mat.shape[0], mat.shape[0]):
         raise LayoutError(
@@ -329,4 +331,4 @@ def apply_unitary(
     drift = _unitarity_drift(u.tobytes(), len(u))
     if not drift <= UNITARY_ATOL:
         raise UnitarityError(f"matrix is not unitary: |U^dagger U - 1| reaches {drift:.3e}")
-    return StateVector(state.layout, plan.restore(u @ mat))
+    return StateVector(state.layout, _write(state.layout, index, u @ mat))

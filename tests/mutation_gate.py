@@ -1,7 +1,9 @@
 """Mutation gate: every listed mutant must be killed.  The mutants cover the
 sampling code (the branch table, its rule and the until-halt windows), the
 measurement checks (normalization, residual, zero probability, ready
-memory, unitarity), the level-basis gather, the premeasurement's writes,
+memory, unitarity), the construction checks (basis vectors, product
+factors, exact distributions, frequency tables, z-scores), the one
+(targets, rest) index, the level-basis gather, the premeasurement's writes,
 the schedule's reach and announcement rules, the shared record-free
 prefixes, the agents' level occupancies, certainty threshold and
 calibration, the detection bound's verified bracket, its uncapped Newton
@@ -57,6 +59,7 @@ _NORMALIZATION = "if not abs(total - 1.0) <= NORM_TOL:"
 _RESIDUAL_ROWS = "lambda: sum(unread, 0.0)"
 _PREMEASURE_BITS = ("tests/test_perspectives.py::"
                     "test_premeasure_by_index_matches_the_full_cube_bit_for_bit",)
+_INDEX_AXES = "perm = axes + [i for i in range(len(dims)) if i not in axes]"
 _CONFIDENCE_CHECK = ('if not 0.0 < confidence < 1.0:\n'
                      '        raise ValueError(f"confidence must lie strictly between 0 and 1, '
                      'got {confidence}")\n    if min_ok_rounds')
@@ -123,9 +126,11 @@ MUTANTS = (
            "return probability", ("tests/test_measurement.py::"
                                   "test_a_nan_state_has_no_outcome_probability",)),
     Mutant("premeasure without writing the residual back to the ready level",
-           "src/frsim/measurement.py", "cube[ready] += residual", "pass", _PREMEASURE_BITS),
+           "src/frsim/measurement.py", "amplitudes[rows[ready]] += residual", "pass",
+           _PREMEASURE_BITS),
     Mutant("premeasure writes each projection to the ready level, not its label's",
-           "src/frsim/measurement.py", "cube[level] += projected", "cube[ready] += projected",
+           "src/frsim/measurement.py", "amplitudes[rows[level]] += projected",
+           "amplitudes[rows[ready]] += projected",
            _PREMEASURE_BITS),
     Mutant("apply_unitary without its unitarity check",
            "src/frsim/tensor.py", "if not drift <= UNITARY_ATOL:", "if False:",
@@ -151,10 +156,33 @@ MUTANTS = (
            "src/frsim/perspectives.py", "if evolve:", "if True:",
            ("tests/test_perspectives.py::test_a_heard_first_fold_conditions_before_it_premeasures",)),
     Mutant("level occupancies gathered through the inverse permutation",
-           "src/frsim/measurement.py", "flat.transpose(plan.perm)", "flat.transpose(plan.inverse)",
+           "src/frsim/tensor.py", "reshape(dims).transpose(perm)",
+           "reshape(dims).transpose(np.argsort(perm))",
            ("tests/test_perspectives.py::test_agent_models_keep_every_bit",
             "tests/test_measurement.py::"
             "test_level_bases_read_by_index_match_the_projection_bit_for_bit")),
+    Mutant("the index built with its target and rest axes swapped",
+           "src/frsim/tensor.py", _INDEX_AXES,
+           "perm = [i for i in range(len(dims)) if i not in axes] + axes",
+           ("tests/test_tensor.py::test_an_index_lists_the_targets_levels_then_the_rest",)),
+    Mutant("a basis vector holding a NaN passes as normalized",
+           "src/frsim/measurement.py", "if not np.all(diag <= ORTHO_ATOL):",
+           "if np.any(diag > ORTHO_ATOL):",
+           ("tests/test_measurement.py::test_a_basis_vector_that_is_not_finite_is_rejected",)),
+    Mutant("product_state lets a NaN factor through",
+           "src/frsim/tensor.py", "if not abs(np.linalg.norm(ket) - 1.0) <= 1e-9:",
+           "if abs(np.linalg.norm(ket) - 1.0) > 1e-9:",
+           ("tests/test_tensor.py::test_a_nan_factor_is_not_normalized",)),
+    Mutant("an exact distribution lets a NaN probability through",
+           "src/frsim/analysis.py", "if not p >= -PROBABILITY_ATOL:",
+           "if p < -PROBABILITY_ATOL:",
+           ("tests/test_analysis.py::test_an_exact_distribution_rejects_a_nan_probability",)),
+    Mutant("a frequency table of zero rounds builds",
+           "src/frsim/analysis.py", "if not self.total >= 1:", "if not self.total >= 0:",
+           ("tests/test_analysis.py::test_a_frequency_table_needs_at_least_one_round",)),
+    Mutant("a key counted at exact probability 0 scores 0",
+           "src/frsim/analysis.py", "if not (se > 0 or diff == 0):", "if False:",
+           ("tests/test_analysis.py::test_a_key_counted_at_probability_zero_has_no_z_score",)),
     Mutant("W keeps the coin friend's secret notebook in its model",
            "src/frsim/perspectives.py", 'agent in ("F", "Wbar", "W"):', 'agent in ("F", "Wbar"):',
            ("tests/test_perspectives.py::"
@@ -238,12 +266,23 @@ MUTANTS = (
 # a node is its one branch's: a 0.0 pad, which every uniform reaches, moves
 # the count one entry on, to a row the padding repeats.  So the second gives
 # the same leaves; only the table test's check of the padding tells it apart.
+#
+# A basis vector holding a NaN or an infinity fails the normalization check,
+# so the orthogonality check after it sees only finite values; an exact
+# distribution's entries pass their check only if none is NaN or -inf, so
+# their total is never NaN.  So the third and fourth give the same errors.
 EQUIVALENT = (
     Mutant("the slack above the last running sum takes the last branch",
            "src/frsim/protocol.py", _SLACK, "children += (children[-1],)", ()),
     Mutant("a node's running sums padded with 0.0 instead of +inf",
            "src/frsim/protocol.py", 'limits.append(sums + [float("inf")] * pad)',
            "limits.append(sums + [0.0] * pad)", ()),
+    Mutant("the orthogonality check lets a NaN through",
+           "src/frsim/measurement.py", "if not np.all(off <= ORTHO_ATOL):",
+           "if np.any(off > ORTHO_ATOL):", ()),
+    Mutant("an exact distribution's total lets a NaN through",
+           "src/frsim/analysis.py", "if not abs(total - 1.0) <= PROBABILITY_ATOL:",
+           "if abs(total - 1.0) > PROBABILITY_ATOL:", ()),
 )
 
 

@@ -148,6 +148,12 @@ def test_joint_distribution_validation():
         JointDistribution({("ok", "ok", None): 1.5, ("ok", "fail", None): -0.5})
 
 
+def test_an_exact_distribution_rejects_a_nan_probability():
+    # A NaN passes no check: the entry's own check names its key.
+    with pytest.raises(ValueError, match=r"probability nan for \('ok', 'ok', None\)"):
+        JointDistribution({("ok", "ok", None): float("nan")})
+
+
 # monte_carlo ------------------------------------------------------------------
 
 def test_monte_carlo_is_deterministic_per_seed():
@@ -329,6 +335,14 @@ def test_frequency_table_validation_and_errors():
     assert table.std_error(("ok", "ok", None)) == pytest.approx(np.sqrt(0.3 * 0.7 / 10))
 
 
+def test_a_frequency_table_needs_at_least_one_round():
+    # Else every frequency would divide by zero.
+    for total in (0, -1, float("nan")):
+        with pytest.raises(ValueError, match="at least one round"):
+            FrequencyTable({}, total)
+    assert FrequencyTable({("ok", "ok", None): 1}, 1).frequency(("ok", "ok", None)) == 1.0
+
+
 def test_z_scores_of_matching_run_are_small():
     config = ProtocolConfig(variant=variant(), seed=11)
     table = monte_carlo(config, 20000)
@@ -341,6 +355,18 @@ def test_z_scores_flag_mismatched_distribution():
     table = monte_carlo(config, 20000)
     scores = z_scores(table, enumerate_exact(variant()))
     assert max(abs(z) for z in scores.values()) > 10
+
+
+def test_a_key_counted_at_probability_zero_has_no_z_score():
+    exact = JointDistribution({("ok", "ok", None): 0.5, ("fail", "ok", None): 0.5})
+    counted = FrequencyTable({("ok", "ok", None): 3, ("fail", "fail", None): 1}, 4)
+    with pytest.raises(ValueError, match=r"\('fail', 'fail', None\) has frequency 0.25 at "
+                                         r"exact probability 0.0: its z-score is infinite"):
+        z_scores(counted, exact)
+    # An uncounted key of probability 0, or a certain one always seen, scores 0.
+    certain = JointDistribution({("ok", "ok", None): 1.0, ("fail", "ok", None): 0.0})
+    assert z_scores(FrequencyTable({("ok", "ok", None): 4}, 4), certain) == {
+        ("fail", "ok", None): 0.0, ("ok", "ok", None): 0.0}
 
 
 # detect_records ---------------------------------------------------------------

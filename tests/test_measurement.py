@@ -18,8 +18,6 @@ from frsim.measurement import (
     ResidualError,
     SubspaceOutcome,
     branch_all,
-    _level_rows,
-    _level_stack,
     _post_state,
     _weight,
     condition_on,
@@ -56,6 +54,7 @@ from frsim.tensor import (
     equal_up_to_global_phase,
     inner,
     product_state,
+    _level_stack,
     transpose_plan,
 )
 
@@ -108,6 +107,14 @@ def test_validate_rejects_unnormalized_vector():
             outcomes=(SubspaceOutcome("t", 0.5 * R.ket("t")),),
         )
         validate_basis(basis)
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf))
+def test_a_basis_vector_that_is_not_finite_is_rejected(bad):
+    # Construction runs validate_basis, whose checks pass only good values.
+    with pytest.raises(BasisError, match="outcome vector 0 is not normalized"):
+        MeasurementBasis(targets=(R,), outcomes=(SubspaceOutcome("a", [bad, 0]),
+                                                 SubspaceOutcome("b", [0, 1])))
 
 
 def test_bases_are_built_once_and_validated_on_construction():
@@ -507,24 +514,36 @@ def test_level_bases_are_told_apart_when_built():
         assert MeasurementBasis(targets=(R,), outcomes=outcomes).levels is None
 
 
+def _explicit_index(layout, targets):
+    """The (targets, rest) flat index written out: the layout's positions
+    with the targets' axes moved to the front."""
+    axes = [layout.axis(system.name) for system in targets]
+    perm = axes + [i for i in range(len(layout.systems)) if i not in axes]
+    moved = np.arange(layout.total_dimension).reshape(layout.dims).transpose(perm)
+    return moved.reshape(int(np.prod([layout.dims[i] for i in axes])), -1)
+
+
 def test_each_row_index_is_held_once():
-    # A system's row index is a view of its layout's stack for its level
-    # count, which the agents' occupancies gather by too.
+    # A system's index is a view of its layout's stack for its level count,
+    # which the agents' occupancies gather by too.
     from frsim.perspectives import _standard_measurements
 
     layout = RegisterLayout((NBAR, R, FBAR, N, S, F, WBAR, W))
     for system in layout.systems:
-        rows = _level_rows(layout, system)
+        rows = transpose_plan(layout, (system,))
         systems, stack = _level_stack(layout, system.dimension)
         assert system in systems and rows.base is stack
         assert rows.flags.c_contiguous and not rows.flags.writeable
-        assert np.array_equal(rows, transpose_plan(layout, (system,)).matrix(
-            StateVector(layout, np.arange(layout.total_dimension))).real)
+        assert np.array_equal(rows, _explicit_index(layout, (system,)))
+    for targets in ((F, S), (WBAR, R, W), layout.systems[::-1]):
+        rows = transpose_plan(layout, targets)
+        assert rows.flags.c_contiguous and not rows.flags.writeable
+        assert np.array_equal(rows, _explicit_index(layout, targets))
     _, gathers = _standard_measurements(layout)
     assert [id(rows) for _, rows in gathers] == [id(_level_stack(layout, count)[1])
                                                  for count in (2, 3)]
     with pytest.raises(LayoutError):
-        _level_rows(layout, SystemId("R", ("t", "h", "x")))
+        transpose_plan(layout, (SystemId("R", ("t", "h", "x")),))
 
 
 def _projection_oracle(state, basis):
@@ -532,14 +551,19 @@ def _projection_oracle(state, basis):
     probability, each normalized post-state's amplitudes (None below
     ZERO_PROBABILITY_ATOL), and the error branch_all must raise (None if it
     must not)."""
-    plan = transpose_plan(state.layout, basis.targets)
-    mat = plan.matrix(state)
+    layout = state.layout
+    axes = [layout.axis(system.name) for system in basis.targets]
+    perm = tuple(axes + [i for i in range(len(layout.systems)) if i not in axes])
+    moved = state.amplitudes.reshape(layout.dims).transpose(perm)  # the targets' axes first
+    mat = moved.reshape(basis.target_dimension, -1)
     coefficients = [outcome.bras @ mat for outcome in basis.outcomes]
     projections = [o.vectors.T @ c for o, c in zip(basis.outcomes, coefficients)]
     probabilities = [_weight(c) for c in coefficients]
     residual = _weight(mat - sum(projections))
-    posts = [plan.restore(projected / np.sqrt(p)).reshape(-1) if p > ZERO_PROBABILITY_ATOL
-             else None for p, projected in zip(probabilities, projections)]
+    restore = np.argsort(perm)  # the inverse permutation
+    posts = [(projected / np.sqrt(p)).reshape(moved.shape).transpose(restore).reshape(-1)
+             if p > ZERO_PROBABILITY_ATOL else None
+             for p, projected in zip(probabilities, projections)]
     if not abs(sum(probabilities) + residual - 1.0) <= NORM_TOL:
         return probabilities, posts, NormalizationError
     return probabilities, posts, None if residual < RESIDUAL_TOL else ResidualError
@@ -602,18 +626,23 @@ def test_level_bases_read_by_index_match_the_projection_bit_for_bit(monkeypatch)
 
 # Transpose plans on any layout ------------------------------------------------
 
-def _embed(layout, names, op):
-    """``op`` on the named systems (row-major in that order) as a matrix on the
-    whole layout: ``op (x) 1`` by np.kron, with each basis state's digits
-    moved by hand from layout order to (names, rest) order."""
+def _to_front(layout, names):
+    """The permutation matrix from layout order to (names, rest) order, each
+    basis state's digits moved by hand."""
     dims = {system.name: system.dimension for system in layout.systems}
     order = list(names) + [system.name for system in layout.systems if system.name not in names]
-    moved = np.kron(op, np.eye(layout.total_dimension // len(op)))
-    perm = np.zeros_like(moved)
+    perm = np.zeros((layout.total_dimension, layout.total_dimension))
     for flat, digits in enumerate(itertools.product(*(range(d) for d in dims.values()))):
         by_name = dict(zip(dims, digits))
         perm[np.ravel_multi_index([by_name[n] for n in order], [dims[n] for n in order]), flat] = 1
-    return perm.T @ moved @ perm
+    return perm
+
+
+def _embed(layout, names, op):
+    """``op`` on the named systems (row-major in that order) as a matrix on the
+    whole layout: ``op (x) 1`` by np.kron, moved by :func:`_to_front`."""
+    perm = _to_front(layout, names)
+    return perm.T @ np.kron(op, np.eye(layout.total_dimension // len(op))) @ perm
 
 
 @st.composite
@@ -649,6 +678,9 @@ def test_plans_on_any_layout_match_explicit_matrices(case, seed):
         SubspaceOutcome("o0", unitary[:, 0]), SubspaceOutcome("o1", unitary[:, 1:2].T)))
     state = random_state(rng.normal(size=layout.total_dimension)
                          + 1j * rng.normal(size=layout.total_dimension))
+
+    np.testing.assert_array_equal(state.amplitudes[transpose_plan(layout, targets)],
+                                  (_to_front(layout, names) @ state.amplitudes).reshape(d_t, -1))
 
     applied = apply_unitary(state, names, unitary)
     np.testing.assert_allclose(applied.amplitudes,

@@ -57,7 +57,7 @@ from frsim.systems import (
     spin_basis,
     spin_lab_basis,
 )
-from frsim.tensor import StateVector, equal_up_to_global_phase, inner, transpose_plan
+from frsim.tensor import StateVector, equal_up_to_global_phase, inner
 from variants import ALL_NOTEBOOK_SETS, ALL_VARIANTS, variant_id
 
 EXACT_ATOL = 1e-10
@@ -880,11 +880,16 @@ def test_a_cached_fold_plan_changes_no_error():
 
 def _full_cube_premeasure(state, basis, memory):
     """premeasure as it was written before it read only the memory's ready
-    slice, verbatim: the whole state as a (targets, memory, rest) cube, every
+    slice, verbatim but for its transpose plan, whose reshape and transpose
+    are written out: the whole state as a (targets, memory, rest) cube, every
     memory level projected and swapped back."""
-    plan = transpose_plan(state.layout, basis.targets + (memory,))
+    layout = state.layout
+    axes = [layout.axis(system.name) for system in basis.targets + (memory,)]
+    perm = tuple(axes + [i for i in range(len(layout.systems)) if i not in axes])
+    moved_dims = tuple(layout.dims[i] for i in perm)
     off_ready_levels, swaps = _record_swaps(memory, basis.labels())
-    mat = plan.matrix(state)
+    mat = state.amplitudes.reshape(layout.dims).transpose(perm).reshape(
+        basis.target_dimension * memory.dimension, -1)
     cube = mat.reshape(-1, memory.dimension, mat.shape[1])  # (target, memory, rest)
 
     off_ready = _weight(cube[:, off_ready_levels])
@@ -903,7 +908,7 @@ def _full_cube_premeasure(state, basis, memory):
         result += projected[:, levels]
     result += residual
 
-    return StateVector(state.layout, plan.restore(result))
+    return StateVector(state.layout, result.reshape(moved_dims).transpose(np.argsort(perm)))
 
 
 def _record_swaps(memory, labels):

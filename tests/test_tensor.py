@@ -22,6 +22,7 @@ from frsim.tensor import (
     inner,
     product_state,
     reorder,
+    transpose_plan,
 )
 
 SQ23 = np.sqrt(2.0 / 3.0)
@@ -68,6 +69,26 @@ def test_product_state_rejects_unnormalized_factor():
     layout = RegisterLayout((R,))
     with pytest.raises(ValueError):
         product_state(layout, {"R": [1.0, 1.0]})
+
+
+def test_a_nan_factor_is_not_normalized():
+    with pytest.raises(ValueError, match="factor for system 'R' is not normalized"):
+        product_state(RegisterLayout((R, S)), {"R": [np.nan, 0.0], "S": "up"})
+
+
+def test_an_index_lists_the_targets_levels_then_the_rest():
+    # Layout (a, b, c) of 2, 3 and 2 levels: the amplitude of |a b c> sits at
+    # 6a + 2b + c.  Each row is one level of the targets, in their order; the
+    # rest runs over the other systems in layout order.
+    a, b, c = two_level("a"), SystemId("b", ("0", "1", "2")), two_level("c")
+    layout = RegisterLayout((a, b, c))
+    assert transpose_plan(layout, (b,)).tolist() == [[0, 1, 6, 7], [2, 3, 8, 9], [4, 5, 10, 11]]
+    assert transpose_plan(layout, (c, a)).tolist() == [[0, 2, 4], [6, 8, 10], [1, 3, 5],
+                                                       [7, 9, 11]]
+    assert transpose_plan(layout, (a, b, c)).ravel().tolist() == list(range(12))
+    state = StateVector(layout, np.arange(12) * 1j)
+    assert reorder(state, RegisterLayout((b, c, a))).amplitudes.tolist() == [
+        6j * x + 2j * y + 1j * z for y in range(3) for z in range(2) for x in range(2)]
 
 
 def test_reorder_two_factor_swap():
@@ -179,8 +200,8 @@ def test_apply_unitary_rejects_a_target_missing_from_the_layout():
 
 @pytest.mark.parametrize("transposed", (False, True), ids=("flat", "transposed-view"))
 def test_a_state_keeps_its_own_read_only_copy(transposed):
-    # A caller's writable array, flat or a strided view like TransposePlan.restore's,
-    # is copied once: writing to it afterwards leaves the state unchanged.
+    # A caller's writable array, flat or a strided view such as a transposed
+    # matrix, is copied once: writing to it afterwards leaves the state unchanged.
     layout = RegisterLayout((two_level("a"), SystemId("b", ("0", "1", "2"))))
     source = np.arange(6, dtype=np.complex128)
     given = source.reshape(3, 2).T if transposed else source
