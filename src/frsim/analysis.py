@@ -215,7 +215,7 @@ def z_scores(table: FrequencyTable, exact: JointDistribution) -> dict[OutcomeKey
     out: dict[OutcomeKey, float] = {}
     keys = set(table.counts) | set(exact.entries)
     for key in sorted(keys, key=str):
-        p = exact.probability(key)
+        p = min(max(exact.probability(key), 0.0), 1.0)  # JointDistribution's slack clamped
         se = sqrt(p * (1.0 - p) / table.total)
         diff = table.frequency(key) - p
         if not (se > 0 or diff == 0):

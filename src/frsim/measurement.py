@@ -24,23 +24,25 @@ Measurement comes in four flavours:
 * :func:`premeasure` and :func:`record_copy` write an outcome label into a
   memory system unitarily, without collapsing anything.
 
-A level basis, each outcome one level ket of one system (every
-:func:`level_basis` and :func:`record_basis`, so the coin and spin bases),
-is recognised when it is built (``MeasurementBasis.levels``) and read by
-index: one gather by its system's (levels, rest) index, whose rows'
-``|psi|**2`` sums are its outcome probabilities and residual, and whose
-picked row over the square root of its probability is the post-state.  The
-coin-lab and spin-lab bases are read by projection on the outcome kets of
-the (targets, rest) matrix that the same kind of index gathers, and their
-post-states are written back through it.  Both ways give the same floats.
+Every readout is one read (:func:`_read`) of the (targets, rest) matrix
+that :func:`~frsim.tensor.transpose_plan`'s index gathers: the probability
+of every outcome (or of the one asked for), their total with the residual,
+and each post-state.  A level basis, each outcome one level ket of one
+system (every :func:`level_basis` and :func:`record_basis`, so the coin and
+spin bases), is recognised when it is built (``MeasurementBasis.levels``)
+and reads its rows: their ``|psi|**2`` sums are its outcome probabilities,
+the floats projection gives, and sum to the total, and a picked row over
+the square root of its probability is the post-state.  The coin-lab and
+spin-lab bases project on each read outcome's bras, their total is one
+reduce of ``|psi|**2``, and their post-states are written back through the
+index.  The residual is the total less the outcome probabilities.
 :func:`premeasure` writes by index: the ready check leaves weight only on
 the memory's ready slice, so it gathers that slice alone, projects each
 outcome on it with the same products as any basis, and adds each
 projection, then the residual, into a zeroed array through the rows of its
 label's level and of the ready level (:func:`_record_plan`);
-:func:`record_copy` premeasures the source's :func:`level_basis`.  Every
-index is :func:`~frsim.tensor.transpose_plan`'s for the basis targets (and
-the memory), which checks once per layout and targets that they are
+:func:`record_copy` premeasures the source's :func:`level_basis`.  Each
+index checks once per layout and targets (and memory) that they are
 distinct systems of the state's layout, and raises
 :class:`~frsim.tensor.LayoutError` if not.
 """
@@ -60,7 +62,7 @@ ZERO_PROBABILITY_ATOL = 1e-12
 RESIDUAL_TOL = 1e-9  # probability outside a basis's outcomes raises from here on
 # How far from 1 the outcome probabilities plus the residual may lie.  The
 # worst drift on the 24 branch trees, the 26 golden states and the states
-# run_round samples is 7.8e-16 (3.5 ulp at 1).
+# run_round samples is 6.7e-16 (3 ulp at 1).
 NORM_TOL = 1e-12
 READY = "ready"  # the level every memory starts in, before an outcome is written
 
@@ -223,46 +225,41 @@ def _occupancies(weights: np.ndarray, rows: np.ndarray) -> list[list[float]]:
     return np.add.reduce(weights[rows], axis=-1).tolist()
 
 
-def _read(state: StateVector, basis: MeasurementBasis) -> tuple[list[float], Callable, Callable]:
-    """Every outcome's Born probability, what gives the residual probability,
-    and what gives an outcome's normalized amplitudes from its index and the
-    square root of its probability: by index for a level basis, else by
-    projection."""
+def _read(state: StateVector, basis: MeasurementBasis,
+          label: str | None = None) -> tuple[list[float], Callable, Callable]:
+    """Every outcome's Born probability, or the labeled outcome's alone; what
+    gives their total with the residual; and what gives the normalized
+    amplitudes of the outcome at an index of those probabilities from the
+    square root of its probability.  A level basis reads its gathered rows;
+    any other basis projects on each read outcome's bras."""
     rows = transpose_plan(state.layout, basis.targets)
     mat = state.amplitudes[rows]  # (targets, rest)
-    if basis.levels is not None:
+    outcomes, levels = basis.outcomes, basis.levels
+    if label is not None:
+        i = basis.outcomes.index(basis.outcome(label))
+        outcomes, levels = outcomes[i:i + 1], levels and levels[i:i + 1]  # None stays None
+    if levels is not None:
         weights = np.add.reduce(np.abs(mat) ** 2, axis=-1).tolist()  # as _occupancies sums
-        unread = [w for level, w in enumerate(weights) if level not in basis.levels]
 
         def project(index: int, norm: float) -> np.ndarray:
             amplitudes = np.zeros_like(state.amplitudes)
-            amplitudes[rows[basis.levels[index]]] = mat[basis.levels[index]] / norm
+            amplitudes[rows[levels[index]]] = mat[levels[index]] / norm
             return amplitudes
 
-        return [weights[level] for level in basis.levels], lambda: sum(unread, 0.0), project
-    coefficients = [outcome.bras @ mat for outcome in basis.outcomes]  # on each outcome's kets
-    kets = [outcome.vectors.T for outcome in basis.outcomes]
-    return ([_weight(c) for c in coefficients],
-            lambda: _weight(mat - sum(map(np.matmul, kets, coefficients))),
-            lambda i, norm: _write(state.layout, rows, kets[i] @ coefficients[i] / norm))
-
-
-def _probabilities(state: StateVector, basis: MeasurementBasis) -> list[float]:
-    """Every outcome's Born probability by projection, the floats
-    :func:`_read` gives for a basis that is not a level basis, with nothing
-    else built."""
-    mat = state.amplitudes[transpose_plan(state.layout, basis.targets)]
-    return [_weight(outcome.bras @ mat) for outcome in basis.outcomes]
+        return [weights[level] for level in levels], lambda: sum(weights), project
+    coefficients = [outcome.bras @ mat for outcome in outcomes]  # on each outcome's kets
+    return ([_weight(c) for c in coefficients], lambda: _weight(state.amplitudes),
+            lambda i, norm: _write(state.layout, rows,
+                                   outcomes[i].vectors.T @ coefficients[i] / norm))
 
 
 def _checked(state: StateVector, basis: MeasurementBasis) -> tuple[list[float], Callable]:
-    """:func:`_read`'s probabilities and projections, once the probabilities
-    and the residual sum to 1 within :data:`NORM_TOL` (else
-    :class:`NormalizationError`) and the residual is below
+    """:func:`_read`'s probabilities and projections, once their total lies
+    within :data:`NORM_TOL` of 1 (else :class:`NormalizationError`) and the
+    residual, the total less the probabilities, is below
     :data:`RESIDUAL_TOL` (else :class:`ResidualError`)."""
-    probabilities, residual_of, project = _read(state, basis)
-    residual = residual_of()
-    _check_total(sum(probabilities) + residual, basis)
+    probabilities, total_of, project = _read(state, basis)
+    residual = _check_total(total_of(), basis) - sum(probabilities)
     if not residual < RESIDUAL_TOL:
         raise ResidualError(
             f"residual outcome on {basis.target_names} has probability "
@@ -271,33 +268,15 @@ def _checked(state: StateVector, basis: MeasurementBasis) -> tuple[list[float], 
     return probabilities, project
 
 
-def _check_total(total: float, basis: MeasurementBasis) -> None:
-    """Raise :class:`NormalizationError` unless ``total``, the outcome
-    probabilities plus the residual, lies within :data:`NORM_TOL` of 1."""
+def _check_total(total: float, basis: MeasurementBasis) -> float:
+    """``total``, the outcome probabilities plus the residual, once it lies
+    within :data:`NORM_TOL` of 1 (else :class:`NormalizationError`)."""
     if not abs(total - 1.0) <= NORM_TOL:
         raise NormalizationError(
             f"outcome probabilities on {basis.target_names} and their residual sum to "
             f"{total!r}, not 1"
         )
-
-
-def _outcome(state: StateVector, basis: MeasurementBasis,
-             label: str) -> tuple[float, float, Callable]:
-    """The labeled outcome's Born probability, what the outcome probabilities
-    and the residual sum to, and what gives the outcome's normalized
-    amplitudes from the square root of its probability.  A level basis reads
-    all three off :func:`_read`'s gathered rows; any other basis projects on
-    the one outcome's kets, and its sum is one reduce of ``|psi|**2``."""
-    index = basis.outcomes.index(basis.outcome(label))
-    if basis.levels is not None:
-        probabilities, residual_of, project = _read(state, basis)
-        return (probabilities[index], sum(probabilities) + residual_of(),
-                lambda norm: project(index, norm))
-    rows = transpose_plan(state.layout, basis.targets)
-    outcome = basis.outcomes[index]
-    coefficients = outcome.bras @ state.amplitudes[rows]
-    return (_weight(coefficients), _weight(state.amplitudes),
-            lambda norm: _write(state.layout, rows, outcome.vectors.T @ coefficients / norm))
+    return total
 
 
 def _post_state(state: StateVector, probability: float, project: Callable,
@@ -365,22 +344,22 @@ def condition_on(state: StateVector, basis: MeasurementBasis, label: str) -> Sta
     :class:`NormalizationError` unless the state has norm 1 within
     :data:`NORM_TOL`.
     """
-    probability, total, project = _outcome(state, basis, label)
+    (probability,), total_of, project = _read(state, basis, label)
     if not probability > ZERO_PROBABILITY_ATOL:
         raise InconsistentOutcomeError(
             f"outcome {label!r} on {basis.target_names} has probability "
             f"{probability:.3e}; conditioning on it is inconsistent"
         )
-    _check_total(total, basis)
-    return StateVector(state.layout, project(np.sqrt(probability)))
+    _check_total(total_of(), basis)
+    return StateVector(state.layout, project(0, np.sqrt(probability)))
 
 
 def outcome_probability(state: StateVector, basis: MeasurementBasis, label: str) -> float:
     """Born probability of one labeled outcome, without collapsing; raises
     :class:`NormalizationError` unless the state has norm 1 within
     :data:`NORM_TOL`."""
-    probability, total, _ = _outcome(state, basis, label)
-    _check_total(total, basis)
+    (probability,), total_of, _ = _read(state, basis, label)
+    _check_total(total_of(), basis)
     return probability
 
 

@@ -32,7 +32,7 @@ import numpy as np
 from .measurement import (
     MeasurementBasis,
     _occupancies,
-    _probabilities,
+    _read,
     condition_on,
     outcome_probability,
 )
@@ -278,7 +278,7 @@ def standard_predictions(model: AgentModel) -> dict[str, dict[str, float]]:
         if name in occupancies:
             probabilities = occupancies[name]
         else:
-            probabilities = _probabilities(model.state, basis)
+            probabilities = _read(model.state, basis)[0]
         predictions[name] = dict(zip(basis.labels(), probabilities))
     return predictions
 

@@ -3,7 +3,8 @@ sampling code (the branch table, its rule and the until-halt windows), the
 measurement checks (normalization, residual, zero probability, ready
 memory, unitarity), the construction checks (basis vectors, product
 factors, exact distributions, frequency tables, z-scores), the one
-(targets, rest) index, the level-basis gather, the premeasurement's writes,
+(targets, rest) index, the one read (its labeled outcome, its residual, the
+level-basis gather, the projected probabilities), the premeasurement's writes,
 the schedule's reach and announcement rules, the shared record-free
 prefixes, the agents' level occupancies, certainty threshold and
 calibration, the detection bound's verified bracket, its uncapped Newton
@@ -56,7 +57,8 @@ _REACH = ("tests/test_perspectives.py::test_reach_rule_keeps_every_verdict_and_a
 _SLACK = 'children += (children[pick_index(probabilities, float("inf"))],)'
 _BITS = ("tests/test_analysis.py::test_upper_bound_is_the_bisection_on_large_inputs[cli-golden]",)
 _NORMALIZATION = "if not abs(total - 1.0) <= NORM_TOL:"
-_RESIDUAL_ROWS = "lambda: sum(unread, 0.0)"
+_RESIDUAL_ROWS = "lambda: sum(weights)"
+_RESIDUAL = "_check_total(total_of(), basis) - sum(probabilities)"
 _PREMEASURE_BITS = ("tests/test_perspectives.py::"
                     "test_premeasure_by_index_matches_the_full_cube_bit_for_bit",)
 _INDEX_AXES = "perm = axes + [i for i in range(len(dims)) if i not in axes]"
@@ -103,28 +105,43 @@ MUTANTS = (
            ("tests/test_analysis.py::test_rounds_to_halt_clips_a_widened_window_at_max_rounds",)),
     Mutant("the normalization check lets a NaN through",
            "src/frsim/measurement.py", _NORMALIZATION, "if abs(total - 1.0) > NORM_TOL:",
-           ("tests/test_measurement.py::test_a_nan_state_fails_the_residual_check",)),
+           ("tests/test_measurement.py::test_a_nan_state_fails_the_residual_check",
+            "tests/test_measurement.py::"
+            "test_a_nan_state_fails_the_normalization_check_of_every_readout")),
     Mutant("the normalization check dropped",
            "src/frsim/measurement.py", _NORMALIZATION, "if False:",
            ("tests/test_measurement.py::"
             "test_an_unnormalized_state_fails_the_normalization_check",)),
     Mutant("the residual rows of a level basis left out",
-           "src/frsim/measurement.py", _RESIDUAL_ROWS, "lambda: 0.0",
+           "src/frsim/measurement.py", _RESIDUAL_ROWS,
+           "lambda: sum(weights[level] for level in levels)",
            ("tests/test_measurement.py::test_a_memory_left_ready_fails_the_residual_check",)),
     Mutant("the gather reads each outcome's probability off the neighbouring level",
-           "src/frsim/measurement.py", "[weights[level] for level in basis.levels]",
-           "[weights[level - 1] for level in basis.levels]",
+           "src/frsim/measurement.py", "[weights[level] for level in levels]",
+           "[weights[level - 1] for level in levels]",
            ("tests/test_measurement.py::"
             "test_level_bases_read_by_index_match_the_projection_bit_for_bit",)),
     Mutant("condition_on without its normalization check",
-           "src/frsim/measurement.py", "_check_total(total, basis)\n    return StateVector",
+           "src/frsim/measurement.py", "_check_total(total_of(), basis)\n    return StateVector",
            "return StateVector",
            ("tests/test_measurement.py::"
             "test_one_outcome_of_an_unnormalized_state_fails_the_normalization_check",)),
     Mutant("outcome_probability without its normalization check",
-           "src/frsim/measurement.py", "_check_total(total, basis)\n    return probability",
+           "src/frsim/measurement.py", "_check_total(total_of(), basis)\n    return probability",
            "return probability", ("tests/test_measurement.py::"
                                   "test_a_nan_state_has_no_outcome_probability",)),
+    Mutant("the residual read as the outcome probabilities less the total",
+           "src/frsim/measurement.py", _RESIDUAL,
+           "sum(probabilities) - _check_total(total_of(), basis)",
+           ("tests/test_measurement.py::test_forbidden_residual_tolerance_is_1e_9",)),
+    Mutant("a labeled read reads the first outcome",
+           "src/frsim/measurement.py", "i = basis.outcomes.index(basis.outcome(label))", "i = 0",
+           ("tests/test_measurement.py::"
+            "test_level_bases_read_by_index_match_the_projection_bit_for_bit",)),
+    Mutant("probabilities computed with np.vdot",
+           "src/frsim/measurement.py", "[_weight(c) for c in coefficients]",
+           "[np.vdot(c, c).real for c in coefficients]",
+           ("tests/test_perspectives.py::test_agent_models_keep_every_bit",)),
     Mutant("premeasure without writing the residual back to the ready level",
            "src/frsim/measurement.py", "amplitudes[rows[ready]] += residual", "pass",
            _PREMEASURE_BITS),
@@ -180,6 +197,10 @@ MUTANTS = (
     Mutant("a frequency table of zero rounds builds",
            "src/frsim/analysis.py", "if not self.total >= 1:", "if not self.total >= 0:",
            ("tests/test_analysis.py::test_a_frequency_table_needs_at_least_one_round",)),
+    Mutant("z_scores takes an exact probability outside [0, 1] as it is",
+           "src/frsim/analysis.py", "p = min(max(exact.probability(key), 0.0), 1.0)",
+           "p = exact.probability(key)",
+           ("tests/test_analysis.py::test_an_exact_probability_in_its_slack_has_a_z_score",)),
     Mutant("a key counted at exact probability 0 scores 0",
            "src/frsim/analysis.py", "if not (se > 0 or diff == 0):", "if False:",
            ("tests/test_analysis.py::test_a_key_counted_at_probability_zero_has_no_z_score",)),

@@ -369,6 +369,18 @@ def test_a_key_counted_at_probability_zero_has_no_z_score():
         ("fail", "ok", None): 0.0, ("ok", "ok", None): 0.0}
 
 
+def test_an_exact_probability_in_its_slack_has_a_z_score():
+    # JointDistribution takes entries up to PROBABILITY_ATOL outside [0, 1];
+    # each scores as its clamped value, with no root of a negative spread.
+    exact = JointDistribution({("ok", "ok", None): 1 + 5e-11, ("fail", "ok", None): -5e-11})
+    assert z_scores(FrequencyTable({("ok", "ok", None): 3}, 3), exact) == {
+        ("fail", "ok", None): 0.0, ("ok", "ok", None): 0.0}
+    counted = FrequencyTable({("ok", "ok", None): 3, ("fail", "ok", None): 1}, 4)
+    with pytest.raises(ValueError, match=r"\('fail', 'ok', None\) has frequency 0.25 at "
+                                         r"exact probability 0.0: its z-score is infinite"):
+        z_scores(counted, exact)
+
+
 # detect_records ---------------------------------------------------------------
 
 def test_detection_finds_secret_record():

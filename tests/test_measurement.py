@@ -196,21 +196,32 @@ def test_forbidden_residual_raises():
 
 
 def test_forbidden_residual_tolerance_is_1e_9():
+    # The residual is read as the total less the outcome probabilities: on a
+    # record basis the ready row, on a lab basis the weight off ok and fail.
     a, b = qubit("a"), qubit("b")
-    layout = RegisterLayout((a, b))
-    basis = two_qubit_lab_basis(a, b)
-    ok = basis.outcome("ok").vectors[0]
-    crossed = product_state(layout, {"a": "t", "b": "h"}).amplitudes  # outside ok and fail
+    two_qubit_lab = two_qubit_lab_basis(a, b)
+    cases = (  # each basis, its ok ket on the whole layout, and a state outside ok and fail
+        (two_qubit_lab, two_qubit_lab.outcome("ok").vectors[0],
+         product_state(RegisterLayout((a, b)), {"a": "t", "b": "h"})),
+        (coin_lab_basis(), coin_lab_basis().outcome("ok").vectors[0],
+         product_state(RegisterLayout((R, FBAR)), {"R": "t", "Fbar": READY})),
+        (record_basis(WBAR), np.kron(R.ket("t"), WBAR.ket("ok")),
+         product_state(RegisterLayout((R, WBAR)), {"R": "t", "Wbar": READY})),
+    )
+    for basis, ok, outside in cases:
 
-    def leaking(residual):
-        return StateVector(layout, np.sqrt(1.0 - residual) * ok + np.sqrt(residual) * crossed)
+        def leaking(residual):
+            return StateVector(outside.layout, np.sqrt(1.0 - residual) * ok
+                               + np.sqrt(residual) * outside.amplitudes)
 
-    with pytest.raises(ResidualError):
-        branch_all(leaking(2e-9), basis)
-    branches = {br.label: br.probability for br in branch_all(leaking(5e-10), basis)}
-    assert branches["ok"] == pytest.approx(1.0 - 5e-10, abs=1e-15)
-    assert branches["fail"] == pytest.approx(0.0, abs=1e-15)
-
+        for residual in (1e-7, 2e-9):
+            with pytest.raises(ResidualError, match=f"has probability {residual:.3e}") as raised:
+                branch_all(leaking(residual), basis)
+            assert type(raised.value) is ResidualError
+        for residual in (5e-10, 1e-11):
+            branches = {br.label: br.probability for br in branch_all(leaking(residual), basis)}
+            assert branches["ok"] == pytest.approx(1.0 - residual, abs=1e-15)
+            assert branches["fail"] == pytest.approx(0.0, abs=1e-15)
 
 
 def _with_nan(state, index):
@@ -264,6 +275,32 @@ def test_a_nan_state_has_no_outcome_probability():
     for basis in (coin_basis(), spin_basis(), record_basis(F), coin_lab_basis()):
         with pytest.raises(NormalizationError, match="nan"):
             outcome_probability(nan_state, basis, basis.labels()[0])
+
+
+def test_a_nan_state_fails_the_normalization_check_of_every_readout():
+    # The total is NaN wherever the NaN lies, so every readout raises
+    # NormalizationError; condition_on raises InconsistentOutcomeError first
+    # when the NaN reaches the outcome's own probability.  A lab basis spreads
+    # a NaN to every outcome (0 * NaN is NaN).
+    layout = RegisterLayout((R, WBAR))
+    written = StateVector(layout, np.kron(R.ket("t"), WBAR.ket("ok") + WBAR.ket("fail")) / SQ2)
+    assert layout.basis_label(3) == ("h", READY) and layout.basis_label(1) == ("t", "ok")
+    lab = reference_by_tag("external_t1").state
+    cases = ((_with_nan(written, 3), record_basis(WBAR), ()),
+             (_with_nan(written, 1), record_basis(WBAR), ("ok",)),
+             (_with_nan(lab, np.flatnonzero(lab.amplitudes)[0]), coin_lab_basis(), ("ok", "fail")))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for state, basis, inconsistent in cases:
+            for read in (branch_all, _sample):
+                with pytest.raises(NormalizationError, match="nan"):
+                    read(state, basis)
+            for label in basis.labels():
+                with pytest.raises(NormalizationError, match="nan"):
+                    outcome_probability(state, basis, label)
+                error = InconsistentOutcomeError if label in inconsistent else NormalizationError
+                with pytest.raises(error, match="nan"):
+                    condition_on(state, basis, label)
 
 
 @pytest.mark.parametrize("measure", (branch_all, _sample), ids=("branch_all", "sample"))
@@ -703,3 +740,92 @@ def test_plans_on_any_layout_match_explicit_matrices(case, seed):
     assert transpose_plan(twin, targets) is transpose_plan(layout, targets)
     with pytest.raises(KeyError, match="layout has no system named 'absent'"):
         layout.axis("absent")
+
+
+# Metamorphic checks of the physics on any layout -----------------------------
+
+def _two_outcome_bases(targets, rng):
+    """A level basis of the first target, its levels 0 and 1 read as o0 and
+    o1, and a lab basis of all targets, o0 and o1 the first two columns of a
+    random unitary: the memory M of :func:`_layouts_with_targets` has a level
+    for each label, and the rest of each target space is residual."""
+    first = targets[0]
+    level = MeasurementBasis(targets=(first,), outcomes=(
+        SubspaceOutcome("o0", first.ket(first.levels[0])),
+        SubspaceOutcome("o1", first.ket(first.levels[1]))))
+    d = int(np.prod([system.dimension for system in targets]))
+    unitary, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    lab = MeasurementBasis(targets=targets, outcomes=(
+        SubspaceOutcome("o0", unitary[:, 0]), SubspaceOutcome("o1", unitary[:, 1])))
+    assert level.levels == (0, 1) and lab.levels is None
+    return level, lab
+
+
+def _random_state(layout, rng, where=True):
+    amplitudes = rng.normal(size=layout.total_dimension) + 1j * rng.normal(
+        size=layout.total_dimension)
+    amplitudes = np.where(where, amplitudes, 0)
+    return StateVector(layout, amplitudes / np.linalg.norm(amplitudes))
+
+
+def _ready(layout):
+    """Where the memory M holds its ready level."""
+    return np.array([labels[layout.axis("M")] == READY
+                     for labels in map(layout.basis_label, range(layout.total_dimension))])
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_layouts_with_targets(), seed=st.integers(0, 2**32 - 1))
+def test_premeasure_is_an_isometry_on_ready_states(case, seed):
+    systems, targets, memory = case
+    layout = RegisterLayout(systems)
+    rng = np.random.default_rng(seed)
+    a, b = (_random_state(layout, rng, _ready(layout)) for _ in range(2))
+    for basis in _two_outcome_bases(targets, rng):
+        ua, ub = premeasure(a, basis, memory), premeasure(b, basis, memory)
+        assert abs(inner(ua, ub) - inner(a, b)) <= 1e-12
+        assert abs(inner(ua, ua) - 1.0) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_layouts_with_targets(), seed=st.integers(0, 2**32 - 1),
+       leak=st.sampled_from((0.0, 1e-11, 5e-10)))
+def test_branches_and_their_residual_sum_to_one(case, seed, leak):
+    # A state leaking ``leak`` outside the outcomes, where the basis leaves
+    # room: each label's own read gives its branch's floats, and the
+    # post-states are pairwise orthogonal.
+    systems, targets, _ = case
+    layout = RegisterLayout(systems)
+    rng = np.random.default_rng(seed)
+    for basis in _two_outcome_bases(targets, rng):
+        inside = _embed(layout, basis.target_names,
+                        sum(o.vectors.T @ o.bras for o in basis.outcomes))
+        psi = _random_state(layout, rng).amplitudes
+        kept, lost = inside @ psi, psi - inside @ psi
+        residual = leak if np.linalg.norm(lost) > 0.1 else 0.0
+        amplitudes = np.sqrt(1.0 - residual) * kept / np.linalg.norm(kept)
+        if residual:
+            amplitudes += np.sqrt(residual) * lost / np.linalg.norm(lost)
+        state = StateVector(layout, amplitudes)
+        branches = branch_all(state, basis)
+        assert abs(sum(b.probability for b in branches) + residual - 1.0) <= 1e-12
+        for i, branch in enumerate(branches):
+            assert outcome_probability(state, basis, branch.label) == branch.probability
+            conditioned = condition_on(state, basis, branch.label).amplitudes
+            np.testing.assert_array_equal(conditioned, branch.post_state.amplitudes)
+            for other in branches[i + 1:]:
+                assert abs(inner(branch.post_state, other.post_state)) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_layouts_with_targets(), seed=st.integers(0, 2**32 - 1))
+def test_conditioning_commutes_with_premeasuring_on_a_level_basis(case, seed):
+    systems, targets, memory = case
+    layout = RegisterLayout(systems)
+    rng = np.random.default_rng(seed)
+    state = _random_state(layout, rng, _ready(layout))
+    basis, _ = _two_outcome_bases(targets, rng)
+    for label in basis.labels():
+        first = premeasure(condition_on(state, basis, label), basis, memory)
+        second = condition_on(premeasure(state, basis, memory), basis, label)
+        np.testing.assert_allclose(first.amplitudes, second.amplitudes, rtol=0, atol=1e-12)
