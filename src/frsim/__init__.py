@@ -53,7 +53,7 @@ from .protocol import (
     run_until_halt,
     state_after_preparation,
 )
-from .reference import ReferenceState, load_reference_states, reference_by_tag
+from .reference import ReferenceState, load_reference_states
 from .tensor import (
     LayoutError,
     RegisterLayout,
@@ -62,7 +62,6 @@ from .tensor import (
     UnitarityError,
     apply_unitary,
     equal_up_to_global_phase,
-    inner,
     product_state,
     reorder,
 )
@@ -78,9 +77,8 @@ __all__ = [
     "standard_predictions", "ProtocolConfig", "ProtocolVariant", "RoundTranscript",
     "RunReport", "round_rng", "run_round", "run_until_halt",
     "state_after_preparation", "ReferenceState", "load_reference_states",
-    "reference_by_tag", "LayoutError", "RegisterLayout", "StateVector", "SystemId",
-    "UnitarityError", "apply_unitary", "equal_up_to_global_phase", "inner",
-    "product_state", "reorder",
+    "LayoutError", "RegisterLayout", "StateVector", "SystemId", "UnitarityError",
+    "apply_unitary", "equal_up_to_global_phase", "product_state", "reorder",
 ]
 
 __version__ = "0.1.0"

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import exp, fsum, log, log1p, sqrt
+from operator import index
 
 import numpy as np
 
@@ -258,6 +259,7 @@ def binomial_upper_bound(successes: int, trials: int, confidence: float = 0.99) 
     verified, the replay is the plain bisection.  ``(1667, 4951)`` takes 22
     evaluations of the tail where plain bisection takes 54.
     """
+    successes, trials = index(successes), index(trials)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if not 0 <= successes <= trials:

@@ -48,6 +48,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, product
 from math import sqrt
+from operator import index
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -142,9 +143,9 @@ class ProtocolConfig:
     max_rounds: int = 10000
 
     def __post_init__(self) -> None:
-        if self.seed < 0:
+        if index(self.seed) < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.max_rounds < 1:
+        if index(self.max_rounds) < 1:
             raise ValueError("max_rounds must be at least 1")
 
 
@@ -193,8 +194,9 @@ class RunReport:
 
 
 def round_rng(seed: int, *key: int) -> np.random.Generator:
-    """Independent substream for one round, addressable by (seed, *key)."""
-    entropy = (int(seed),) + tuple(int(k) for k in key)
+    """Independent substream for one round, addressable by (seed, *key);
+    each is an integer, and a float raises ``TypeError``."""
+    entropy = (index(seed), *map(index, key))
     return np.random.default_rng(np.random.SeedSequence(entropy=entropy))
 
 
@@ -244,7 +246,7 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _words(n: int) -> list[np.ndarray]:
     """``n`` as SeedSequence reads it: little-endian 32-bit words, one for 0,
     each a one-element uint32 array that broadcasts along a grid."""
-    n = int(n)
+    n = index(n)
     if n < 0:
         raise ValueError(f"seed must be non-negative, got {n}")
     words = [n & _MASK32]

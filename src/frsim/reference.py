@@ -134,10 +134,3 @@ def load_reference_states() -> tuple[ReferenceState, ...]:
     if len(set(tags)) != len(tags):
         raise ValueError("duplicate reference tags")
     return tuple(out)
-
-
-def reference_by_tag(tag: str) -> ReferenceState:
-    for ref in load_reference_states():
-        if ref.tag == tag:
-            return ref
-    raise KeyError(f"no reference state tagged {tag!r}")

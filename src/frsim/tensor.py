@@ -221,13 +221,6 @@ def reorder(state: StateVector, target: RegisterLayout) -> StateVector:
     return StateVector(target, state.amplitudes[transpose_plan(state.layout, target.systems)])
 
 
-def inner(a: StateVector, b: StateVector) -> complex:
-    """Inner product, conjugate-linear in the first argument."""
-    if a.layout != b.layout:
-        raise LayoutError("inner product requires identical layouts")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
 def equal_up_to_global_phase(a: StateVector, b: StateVector, tol: float = 1e-10) -> bool:
     """True when the states differ by at most a global phase.
 
@@ -239,7 +232,7 @@ def equal_up_to_global_phase(a: StateVector, b: StateVector, tol: float = 1e-10)
     for side, state in (("first", a), ("second", b)):
         if abs(state.norm - 1.0) > max(tol, NORM_ATOL):
             raise ValueError(f"{side} state is not normalized (norm {state.norm})")
-    return bool(abs(inner(a, b)) >= 1.0 - tol)
+    return bool(abs(np.vdot(a.amplitudes, b.amplitudes)) >= 1.0 - tol)
 
 
 @lru_cache(maxsize=1024)  # the package builds about 160; each holds one entry per amplitude

@@ -2,15 +2,16 @@
 sampling code (the branch table, its rule and the until-halt windows), the
 measurement checks (normalization, residual, zero probability, ready
 memory, unitarity), the construction checks (basis vectors, product
-factors, exact distributions, frequency tables, z-scores), the one
+factors, exact distributions, frequency tables, z-scores), the integer
+reads of seeds and counts, a state's own read-only copy, the one
 (targets, rest) index, the one read (its labeled outcome, its residual, the
-level-basis gather, the projected probabilities), the premeasurement's writes,
-the schedule's reach and announcement rules, the shared record-free
-prefixes, the agents' level occupancies, certainty threshold and
-calibration, the detection bound's verified bracket, its uncapped Newton
-steps and its replayed bisection, the detection verdict, the CLI's usage
-errors, its fraction rule, its JSON writer and the check both formats
-share.
+level-basis gather, the projected probabilities, the order of its sum), the
+premeasurement's writes, the schedule's reach and announcement rules, the
+shared record-free prefixes, the agents' layouts, level occupancies,
+announcements, certainty threshold and calibration, the detection bound's
+verified bracket, its uncapped Newton steps and its replayed bisection, the
+detection verdict, the CLI's usage errors, its fraction rule, its JSON
+writer and the check both formats share.
 
 Each mutant is an exact text patch ``(file, old, new, tests)``.  The script
 copies the checkout to a temporary directory, runs the tests of every mutant
@@ -62,6 +63,9 @@ _RESIDUAL = "_check_total(total_of(), basis) - sum(probabilities)"
 _PREMEASURE_BITS = ("tests/test_perspectives.py::"
                     "test_premeasure_by_index_matches_the_full_cube_bit_for_bit",)
 _INDEX_AXES = "perm = axes + [i for i in range(len(dims)) if i not in axes]"
+_OWN_COPY = ("tests/test_tensor.py::test_a_state_keeps_its_own_read_only_copy",)
+_ENTROPY = "entropy = (index(seed), *map(index, key))"
+_COUNTS = "successes, trials = index(successes), index(trials)"
 _CONFIDENCE_CHECK = ('if not 0.0 < confidence < 1.0:\n'
                      '        raise ValueError(f"confidence must lie strictly between 0 and 1, '
                      'got {confidence}")\n    if min_ok_rounds')
@@ -279,6 +283,47 @@ MUTANTS = (
            '            rendered = render_text(doc)',
            'rendered = doc.to_json() if args.format == "json" else render_text(doc)',
            ("tests/test_cli.py::test_a_non_finite_result_exits_4_and_writes_nothing",)),
+    Mutant("apply_announcement does not condition",
+           "src/frsim/perspectives.py",
+           "state = condition_on(model.state, record_basis(memory), label)", "state = model.state",
+           ("tests/test_perspectives.py::test_external_observer_predicts_the_exact_conditionals",)),
+    Mutant("_weight sums in reverse order",
+           "src/frsim/measurement.py", "np.add.reduce(np.abs(amplitudes) ** 2, axis=None)",
+           "np.add.reduce((np.abs(amplitudes) ** 2).ravel()[::-1], axis=None)",
+           ("tests/test_perspectives.py::test_agent_models_keep_every_bit",)),
+    Mutant("C's model skips the coin friend's secret notebook",
+           "src/frsim/perspectives.py", 'agent in ("F", "Wbar", "W"):',
+           'agent in ("F", "Wbar", "W", "C"):',
+           ("tests/test_perspectives.py::"
+            "test_external_observer_before_any_record_is_the_prepared_state",)),
+    Mutant("a StateVector shares the caller's array instead of copying it",
+           "src/frsim/tensor.py", "amps = np.array(self.amplitudes,",
+           "amps = np.asarray(self.amplitudes,",
+           _OWN_COPY),
+    Mutant("a StateVector's amplitudes stay writable",
+           "src/frsim/tensor.py", "amps.setflags(write=False)\n        object.", "object.",
+           _OWN_COPY),
+    Mutant("round_rng truncates a float seed",
+           "src/frsim/protocol.py", _ENTROPY, "entropy = (int(seed), *map(index, key))",
+           ("tests/test_protocol.py::test_seeds_and_counts_are_integers[round_rng-seed]",)),
+    Mutant("round_rng truncates a float key",
+           "src/frsim/protocol.py", _ENTROPY, "entropy = (index(seed), *map(int, key))",
+           ("tests/test_protocol.py::test_seeds_and_counts_are_integers[round_rng-key]",)),
+    Mutant("the uniforms kernel truncates a float seed",
+           "src/frsim/protocol.py", "n = index(n)", "n = int(n)",
+           ("tests/test_protocol.py::test_seeds_and_counts_are_integers[grid-seed]",)),
+    Mutant("a config takes a float seed",
+           "src/frsim/protocol.py", "if index(self.seed) < 0:", "if self.seed < 0:",
+           ("tests/test_protocol.py::test_seeds_and_counts_are_integers[config-seed]",)),
+    Mutant("a config takes a float max_rounds",
+           "src/frsim/protocol.py", "if index(self.max_rounds) < 1:", "if self.max_rounds < 1:",
+           ("tests/test_protocol.py::test_seeds_and_counts_are_integers[config-max_rounds]",)),
+    Mutant("the bound truncates a float count of successes",
+           "src/frsim/analysis.py", _COUNTS, "successes, trials = int(successes), index(trials)",
+           ("tests/test_analysis.py::test_upper_bound_takes_integer_counts[float-successes]",)),
+    Mutant("the bound truncates a float count of trials",
+           "src/frsim/analysis.py", _COUNTS, "successes, trials = index(successes), int(trials)",
+           ("tests/test_analysis.py::test_upper_bound_takes_integer_counts[float-trials]",)),
 )
 
 # At every node of the 24 variants' trees, pick_index's fallback is the last

@@ -6,10 +6,11 @@ lines as they complete.
 
 import contextlib
 import time
+from fractions import Fraction
 
 import numpy as np
 
-import hand_oracle
+import exact_oracle
 from frsim.analysis import enumerate_exact, monte_carlo
 from frsim.cli import main as cli_main
 from frsim.measurement import (
@@ -50,6 +51,12 @@ from frsim.tensor import RegisterLayout, equal_up_to_global_phase, product_state
 from variants import ALL_NOTEBOOK_SETS
 
 EXACT_ATOL = 1e-10
+
+
+def _wbar_ok(exact: dict) -> Fraction:
+    """P(wbar = ok) of an exact joint."""
+    return sum(p for key, p in exact.items() if key[0] == "ok")
+
 
 DYNAMICS_VARIANTS = tuple(
     ProtocolVariant(announce_wbar=False, notebooks=notebooks, intrusion=intrusion)
@@ -106,31 +113,28 @@ def test_criterion_3_golden_state_suite():
 
 def test_criterion_4_record_effect_on_spin():
     with criterion(4, "P(spin up | coin ok) = 1, 1/3, 1/3, 1 across notebook subsets"):
-        expectations = {
-            frozenset(): 1.0,
-            frozenset({"Fbar", "F"}): 1 / 3,
-            frozenset({"Fbar"}): 1 / 3,
-            frozenset({"F"}): 1.0,
-        }
-        for notebooks, expected in expectations.items():
+        expected = []
+        for notebooks in (frozenset(), frozenset({"Fbar", "F"}), frozenset({"Fbar"}),
+                          frozenset({"F"})):
+            exact = exact_oracle.joint(notebooks, True)
+            expected.append(exact[("ok", None, "up")] / _wbar_ok(exact))
             joint = enumerate_exact(
                 ProtocolVariant(announce_wbar=False, notebooks=notebooks, intrusion=True)
             )
-            assert abs(joint.conditional_intrusion("up") - expected) < EXACT_ATOL
+            assert abs(joint.conditional_intrusion("up") - expected[-1]) < EXACT_ATOL
+        assert expected == [1, Fraction(1, 3), Fraction(1, 3), 1]
 
 
-def test_criterion_5_notebook_halting_against_hand_expansion():
-    with criterion(5, "both notebooks: P(coin ok) = 1/2, P(both ok) = 1/4 vs hand tree"):
+def test_criterion_5_notebook_halting_against_the_exact_oracle():
+    with criterion(5, "both notebooks: P(coin ok) = 1/2, P(both ok) = 1/4 vs exact oracle"):
         joint = enumerate_exact(
             ProtocolVariant(announce_wbar=False, notebooks=frozenset({"Fbar", "F"}))
         )
-        terms = hand_oracle.notebook_round_terms(True, True)
-        hand_marginal = hand_oracle.coin_lab_probability(terms, "ok")
-        hand_joint = hand_oracle.joint_probability(terms, "ok", "ok")
-        assert abs(hand_marginal - 1 / 2) < EXACT_ATOL
-        assert abs(hand_joint - 1 / 4) < EXACT_ATOL
-        assert abs(joint.marginal_wbar("ok") - hand_marginal) < EXACT_ATOL
-        assert abs(joint.joint_wbar_w("ok", "ok") - hand_joint) < EXACT_ATOL
+        exact = exact_oracle.joint(frozenset({"Fbar", "F"}), False)
+        exact_marginal, exact_joint = _wbar_ok(exact), exact[("ok", "ok", None)]
+        assert (exact_marginal, exact_joint) == (Fraction(1, 2), Fraction(1, 4))
+        assert abs(joint.marginal_wbar("ok") - exact_marginal) < EXACT_ATOL
+        assert abs(joint.joint_wbar_w("ok", "ok") - exact_joint) < EXACT_ATOL
 
 
 def test_criterion_6_monte_carlo_convergence(capsys):

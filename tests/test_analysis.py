@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import exact_oracle
 import frsim
-import hand_oracle
 from frsim import analysis
 from frsim.analysis import (
     HALT_WINDOW,
@@ -45,17 +45,28 @@ def variant(notebooks=frozenset(), announce=False, intrusion=False, cheat=False)
     )
 
 
-# enumerate_exact against the hand-expanded trees ------------------------------
+# enumerate_exact against the exact oracle -------------------------------------
 
-def test_exact_joint_no_notebooks_matches_hand_expansion():
+def _wbar_ok(exact: dict) -> Fraction:
+    """P(wbar = ok) of an exact joint."""
+    return sum(p for key, p in exact.items() if key[0] == "ok")
+
+
+def _ulps(p: float, exact: Fraction) -> int:
+    """How many floats lie from ``p`` to the float nearest ``exact``, both >= 0."""
+    return abs(int(np.float64(p).view(np.int64)) - int(np.float64(exact).view(np.int64)))
+
+
+# enumerate_exact's worst case over the 24 variants, measured on the code as
+# it stood when the exact oracle came in; never raise it to let a change pass.
+EXACT_ULPS = 8
+
+
+def test_exact_joint_no_notebooks_matches_the_exact_oracle():
     joint = enumerate_exact(variant())
-    terms = hand_oracle.plain_round_terms()
-    expected = {
-        ("fail", "fail", None): hand_oracle.joint_probability(terms, "fail", "fail"),
-        ("fail", "ok", None): hand_oracle.joint_probability(terms, "fail", "ok"),
-        ("ok", "fail", None): hand_oracle.joint_probability(terms, "ok", "fail"),
-        ("ok", "ok", None): hand_oracle.joint_probability(terms, "ok", "ok"),
-    }
+    expected = exact_oracle.joint(frozenset(), False)
+    assert set(expected) == {("fail", "fail", None), ("fail", "ok", None),
+                             ("ok", "fail", None), ("ok", "ok", None)}
     assert set(joint.entries) == set(expected)
     for key, p in expected.items():
         assert joint.entries[key] == pytest.approx(p, abs=EXACT_ATOL)
@@ -70,15 +81,13 @@ def test_exact_marginal_and_conditional_no_notebooks():
     assert joint.conditional_w("ok", "fail") == pytest.approx(1 / 10, abs=EXACT_ATOL)
 
 
-def test_exact_joint_both_notebooks_matches_hand_expansion():
+def test_exact_joint_both_notebooks_matches_the_exact_oracle():
     joint = enumerate_exact(variant({"Fbar", "F"}))
-    terms = hand_oracle.notebook_round_terms(True, True)
-    assert joint.marginal_wbar("ok") == pytest.approx(
-        hand_oracle.coin_lab_probability(terms, "ok"), abs=EXACT_ATOL
-    )
+    exact = exact_oracle.joint(frozenset({"Fbar", "F"}), False)
+    assert joint.marginal_wbar("ok") == pytest.approx(_wbar_ok(exact), abs=EXACT_ATOL)
     assert joint.marginal_wbar("ok") == pytest.approx(0.5, abs=EXACT_ATOL)
     assert joint.joint_wbar_w("ok", "ok") == pytest.approx(
-        hand_oracle.joint_probability(terms, "ok", "ok"), abs=EXACT_ATOL
+        exact[("ok", "ok", None)], abs=EXACT_ATOL
     )
     assert joint.joint_wbar_w("ok", "ok") == pytest.approx(0.25, abs=EXACT_ATOL)
 
@@ -95,16 +104,20 @@ def test_exact_joint_both_notebooks_matches_hand_expansion():
 def test_exact_intrusion_conditionals(notebooks, expected_up):
     joint = enumerate_exact(variant(notebooks, intrusion=True))
     assert joint.conditional_intrusion("up") == pytest.approx(expected_up, abs=EXACT_ATOL)
-    coin_note = "Fbar" in notebooks
-    spin_note = "F" in notebooks
-    terms = (
-        hand_oracle.plain_round_terms()
-        if not notebooks
-        else hand_oracle.notebook_round_terms(coin_note, spin_note)
-    )
+    exact = exact_oracle.joint(notebooks, True)
     assert joint.conditional_intrusion("up") == pytest.approx(
-        hand_oracle.spin_up_probability_given_coin(terms, "ok"), abs=EXACT_ATOL
+        exact[("ok", None, "up")] / _wbar_ok(exact), abs=EXACT_ATOL
     )
+
+
+@pytest.mark.parametrize("v", ALL_VARIANTS, ids=variant_id)
+def test_exact_joint_lies_within_a_few_ulp_of_the_exact_oracle(v):
+    joint = enumerate_exact(v)
+    exact = exact_oracle.joint(v.notebooks, v.intrusion)
+    assert set(joint.entries) == set(exact)
+    for key, p in exact.items():
+        assert abs(joint.entries[key] - p) <= EXACT_ATOL, key
+        assert _ulps(joint.entries[key], p) <= EXACT_ULPS, (key, joint.entries[key], p)
 
 
 @pytest.mark.parametrize("notebooks", ALL_NOTEBOOK_SETS)
@@ -455,6 +468,14 @@ def test_single_down_observation_is_logically_decisive():
 def test_upper_bound_rejects_arguments_outside_its_domain(successes, trials, confidence):
     with pytest.raises(ValueError):
         binomial_upper_bound(successes, trials, confidence)
+
+
+@pytest.mark.parametrize("successes, trials", [(0.5, 1), (2, 3.5)],
+                         ids=("float-successes", "float-trials"))
+def test_upper_bound_takes_integer_counts(successes, trials):
+    # Truncated, they would bound 0 of 1 and 2 of 3.
+    with pytest.raises(TypeError):
+        binomial_upper_bound(successes, trials)
 
 
 BOUND_RTOL = 1e-12

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import exact_oracle
 import frsim.analysis
 import frsim.cli
 from frsim.cli import (
@@ -30,6 +31,7 @@ from frsim.measurement import NormalizationError, ResidualError
 from frsim.perspectives import GIVEN_LABELS
 from frsim.protocol import ProtocolVariant
 from frsim.tensor import UnitarityError
+from variants import ALL_VARIANTS, variant_id
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "branches_none_golden.json"
@@ -78,6 +80,41 @@ def test_branches_golden_document(capsys):
     code, out, _ = run_cli(capsys, "branches", "--notebooks", "none")
     assert code == EXIT_OK
     assert out == GOLDEN.read_text()
+
+
+_NOTEBOOK_FLAGS = {frozenset(): "none", frozenset({"Fbar"}): "fbar",
+                   frozenset({"F"}): "f", frozenset({"Fbar", "F"}): "both"}
+
+
+def _fractions(results):
+    """Every ``fraction`` field of a branches document, keyed by where it stands."""
+    out = {("joint", r["wbar"], r["w"], r["intrusion"]): r["fraction"] for r in results["joint"]}
+    for group in ("marginals", "conditionals"):
+        out.update({(group, name): entry["fraction"] for name, entry in results[group].items()})
+    if "halt" in results:
+        out["halt",] = results["halt"]["fraction"]
+    return {where: Fraction(text) for where, text in out.items()}
+
+
+@pytest.mark.parametrize("v", ALL_VARIANTS, ids=variant_id)
+def test_every_branches_fraction_is_the_exact_one(capsys, v):
+    argv = ["branches", "--notebooks", _NOTEBOOK_FLAGS[v.notebooks],
+            "--announce", "on" if v.announce_wbar else "off"]
+    argv += ["--cheat"] * v.cheat + ["--intrusion"] * v.intrusion
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    exact = exact_oracle.joint(v.notebooks, v.intrusion)
+    wbar = {label: sum(p for key, p in exact.items() if key[0] == label)
+            for label in ("ok", "fail")}
+    expected = {("joint", *key): p for key, p in exact.items()}
+    expected.update({("marginals", f"wbar_{label}"): p for label, p in wbar.items()})
+    if v.intrusion:
+        expected["conditionals", "up_given_wbar_ok"] = exact["ok", None, "up"] / wbar["ok"]
+    else:
+        expected.update({("conditionals", f"w_ok_given_wbar_{label}"):
+                         exact.get((label, "ok", None), 0) / wbar[label] for label in wbar})
+        expected["halt",] = exact.get(("ok", "ok", None), 0)
+    assert _fractions(parse(out)["results"]) == expected
 
 
 @pytest.mark.parametrize(

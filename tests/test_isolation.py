@@ -1,4 +1,5 @@
-"""Tier-1 stands alone: no module under tests/ imports the benchmark harness.
+"""Tier-1 stands alone: no module under tests/ imports the benchmark harness,
+and the exact oracle imports nothing from the package it checks.
 
 perfbench may import from tests/, never the other way round, so the suite
 runs and passes in a checkout whatever state the harness is in.
@@ -10,8 +11,8 @@ from pathlib import Path
 TESTS = Path(__file__).resolve().parent
 
 
-def _perfbench_imports(source: str) -> list[str]:
-    """Each import of perfbench in ``source``: import statements, and
+def _imports_of(package: str, source: str) -> list[str]:
+    """Each import of ``package`` in ``source``: import statements, and
     ``import_module`` or ``__import__`` calls with a literal name."""
     found = []
     for node in ast.walk(ast.parse(source)):
@@ -26,7 +27,7 @@ def _perfbench_imports(source: str) -> list[str]:
         else:
             continue
         found += [name for name in names
-                  if isinstance(name, str) and name.split(".")[0] == "perfbench"]
+                  if isinstance(name, str) and name.split(".")[0] == package]
     return found
 
 
@@ -42,10 +43,16 @@ def test_no_test_module_imports_perfbench():
         "from perfbenchmarks import x",  # another package
         "from . import perfbench",  # a sibling module, not the harness
     ])
-    assert _perfbench_imports(source) == [
+    assert _imports_of("perfbench", source) == [
         "perfbench", "perfbench.workloads", "perfbench.oracle", "perfbench.run", "perfbench"]
     modules = sorted(TESTS.rglob("*.py"))
     assert TESTS / "mutation_gate.py" in modules and len(modules) >= 10
     offenders = {path.name: names for path in modules
-                 if (names := _perfbench_imports(path.read_text()))}
+                 if (names := _imports_of("perfbench", path.read_text()))}
     assert offenders == {}
+
+
+def test_the_exact_oracle_imports_nothing_from_frsim():
+    assert _imports_of("frsim", "import frsim.cli\nfrom frsim import x\nimport frsimx") == [
+        "frsim.cli", "frsim"]
+    assert _imports_of("frsim", (TESTS / "exact_oracle.py").read_text()) == []

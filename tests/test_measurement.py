@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import exact_oracle
 from frsim import protocol
 from frsim.measurement import (
     NORM_TOL,
@@ -27,7 +28,7 @@ from frsim.measurement import (
     sample,
     validate_basis,
 )
-from frsim.reference import load_reference_states, reference_by_tag
+from frsim.reference import load_reference_states
 from frsim.systems import (
     F,
     FBAR,
@@ -52,11 +53,11 @@ from frsim.tensor import (
     SystemId,
     apply_unitary,
     equal_up_to_global_phase,
-    inner,
     product_state,
     _level_stack,
     transpose_plan,
 )
+from golden_states import golden_state
 
 SQ2 = np.sqrt(2.0)
 
@@ -135,14 +136,14 @@ def test_bases_are_built_once_and_validated_on_construction():
 # branch_all ------------------------------------------------------------------
 
 def test_branch_probabilities_on_prepared_round():
-    state = reference_by_tag("coin_observer_t1").state
+    state = golden_state("coin_observer_t1")
     branches = {b.label: b for b in branch_all(state, coin_lab_basis())}
     assert branches["ok"].probability == pytest.approx(1.0 / 6.0, abs=1e-12)
     assert branches["fail"].probability == pytest.approx(5.0 / 6.0, abs=1e-12)
 
 
 def test_branch_probabilities_spin_down_branch():
-    state = reference_by_tag("spin_friend_t1_down").state
+    state = golden_state("spin_friend_t1_down")
     branches = {b.label: b.probability for b in branch_all(state, coin_lab_basis())}
     assert branches["fail"] == pytest.approx(1.0, abs=1e-12)
     assert branches["ok"] == pytest.approx(0.0, abs=1e-12)
@@ -156,30 +157,29 @@ def test_branch_on_eigenstate():
 
 
 def test_branch_probabilities_with_both_notebooks():
-    import hand_oracle
-
-    state = reference_by_tag("coin_observer_t1_both_notebooks").state
+    state = golden_state("coin_observer_t1_both_notebooks")
     branches = {b.label: b.probability for b in branch_all(state, coin_lab_basis())}
-    terms = hand_oracle.notebook_round_terms(True, True)
-    assert branches["ok"] == pytest.approx(hand_oracle.coin_lab_probability(terms, "ok"), abs=1e-12)
+    exact = exact_oracle.joint(frozenset({"Fbar", "F"}), False)
+    wbar_ok = sum(p for key, p in exact.items() if key[0] == "ok")
+    assert branches["ok"] == pytest.approx(wbar_ok, abs=1e-12)
     assert branches["ok"] == pytest.approx(0.5, abs=1e-12)
     assert branches["fail"] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_branch_probabilities_sum_to_one_and_posts_are_orthogonal():
     for tag in ("coin_observer_t1", "external_t2_secret", "coin_observer_t1_both_notebooks"):
-        state = reference_by_tag(tag).state
+        state = golden_state(tag)
         basis = coin_lab_basis()
         branches = branch_all(state, basis)
         assert sum(b.probability for b in branches) == pytest.approx(1.0, abs=1e-10)
         real = [b for b in branches if b.probability > 0]
         for i, bi in enumerate(real):
             for bj in real[i + 1:]:
-                assert abs(inner(bi.post_state, bj.post_state)) < 1e-10
+                assert abs(np.vdot(bi.post_state.amplitudes, bj.post_state.amplitudes)) < 1e-10
 
 
 def test_branch_repeatability():
-    state = reference_by_tag("coin_observer_t1").state
+    state = golden_state("coin_observer_t1")
     for branch in branch_all(state, coin_lab_basis()):
         if branch.probability == 0:
             continue
@@ -240,7 +240,7 @@ def test_a_nan_state_fails_the_residual_check(measure):
     # A NaN probability sum is not within NORM_TOL of 1, so it raises as a
     # large residual does, instead of yielding NaN branches: on a complete
     # level basis (no residual rows), a record basis and a lab basis alike.
-    state = reference_by_tag("external_t1").state
+    state = golden_state("external_t1")
     nan_state = _with_nan(state, np.flatnonzero(state.amplitudes)[0])
     for basis in (coin_basis(), spin_basis(), record_basis(F), coin_lab_basis()):
         with pytest.raises(ResidualError, match="nan"):
@@ -270,7 +270,7 @@ def test_one_outcome_of_an_unnormalized_state_fails_the_normalization_check(read
 
 
 def test_a_nan_state_has_no_outcome_probability():
-    state = reference_by_tag("external_t1").state
+    state = golden_state("external_t1")
     nan_state = _with_nan(state, np.flatnonzero(state.amplitudes)[0])
     for basis in (coin_basis(), spin_basis(), record_basis(F), coin_lab_basis()):
         with pytest.raises(NormalizationError, match="nan"):
@@ -285,7 +285,7 @@ def test_a_nan_state_fails_the_normalization_check_of_every_readout():
     layout = RegisterLayout((R, WBAR))
     written = StateVector(layout, np.kron(R.ket("t"), WBAR.ket("ok") + WBAR.ket("fail")) / SQ2)
     assert layout.basis_label(3) == ("h", READY) and layout.basis_label(1) == ("t", "ok")
-    lab = reference_by_tag("external_t1").state
+    lab = golden_state("external_t1")
     cases = ((_with_nan(written, 3), record_basis(WBAR), ()),
              (_with_nan(written, 1), record_basis(WBAR), ("ok",)),
              (_with_nan(lab, np.flatnonzero(lab.amplitudes)[0]), coin_lab_basis(), ("ok", "fail")))
@@ -315,7 +315,7 @@ def test_a_memory_left_ready_fails_the_residual_check(measure):
 # sample ----------------------------------------------------------------------
 
 def test_sample_frequencies_match_branch_all():
-    state = reference_by_tag("spin_friend_t0").state
+    state = golden_state("spin_friend_t0")
     basis = spin_basis()
     expected = {b.label: b.probability for b in branch_all(state, basis)}
     rng = np.random.default_rng(20240811)
@@ -336,7 +336,7 @@ def test_sample_eigenstate_is_deterministic():
 
 
 def test_sample_fixed_seed_reproduces_sequence():
-    state = reference_by_tag("coin_observer_t1").state
+    state = golden_state("coin_observer_t1")
     basis = coin_lab_basis()
     seq1 = [sample(state, basis, np.random.default_rng(k))[0] for k in range(40)]
     seq2 = [sample(state, basis, np.random.default_rng(k))[0] for k in range(40)]
@@ -346,35 +346,35 @@ def test_sample_fixed_seed_reproduces_sequence():
 # condition_on ----------------------------------------------------------------
 
 def test_condition_spin_observer_on_heard_ok():
-    before = reference_by_tag("spin_observer_t2_secret").state
-    expected = reference_by_tag("spin_observer_t2_heard_ok").state
+    before = golden_state("spin_observer_t2_secret")
+    expected = golden_state("spin_observer_t2_heard_ok")
     after = condition_on(before, record_basis(WBAR), "ok")
     assert equal_up_to_global_phase(after, expected, tol=1e-10)
 
 
 def test_condition_external_on_heard_ok():
-    before = reference_by_tag("external_t2_secret").state
-    expected = reference_by_tag("external_t2_heard_ok").state
+    before = golden_state("external_t2_secret")
+    expected = golden_state("external_t2_heard_ok")
     after = condition_on(before, record_basis(WBAR), "ok")
     assert equal_up_to_global_phase(after, expected, tol=1e-10)
 
 
 def test_condition_external_twice_reaches_product_state():
-    heard = reference_by_tag("external_t2_heard_ok").state
+    heard = golden_state("external_t2_heard_ok")
     premeasured = premeasure(heard, spin_lab_basis(), W)
     after = condition_on(premeasured, record_basis(W), "ok")
-    expected = reference_by_tag("external_t3_heard_ok_ok").state
+    expected = golden_state("external_t3_heard_ok_ok")
     assert equal_up_to_global_phase(after, expected, tol=1e-10)
 
 
 def test_condition_on_own_outcome_is_projector_fixed_point():
-    state = reference_by_tag("coin_observer_t2_ok").state
+    state = golden_state("coin_observer_t2_ok")
     again = condition_on(state, coin_lab_basis(), "ok")
-    assert abs(inner(again, state)) == pytest.approx(1.0, abs=1e-12)
+    assert abs(np.vdot(again.amplitudes, state.amplitudes)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_zero_probability_conditioning_raises():
-    state = reference_by_tag("spin_friend_t1_down").state
+    state = golden_state("spin_friend_t1_down")
     with pytest.raises(InconsistentOutcomeError):
         condition_on(state, coin_lab_basis(), "ok")
 
@@ -382,7 +382,7 @@ def test_zero_probability_conditioning_raises():
 def test_a_nan_state_fails_the_zero_probability_check():
     # A NaN probability is not above ZERO_PROBABILITY_ATOL: the outcome is
     # inconsistent, and no NaN is divided into a state on the way.
-    state = reference_by_tag("external_t1").state
+    state = golden_state("external_t1")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InconsistentOutcomeError, match="nan"):
@@ -392,7 +392,7 @@ def test_a_nan_state_fails_the_zero_probability_check():
 
 def test_a_nan_probability_builds_no_branch():
     # As for a zero probability, the state comes back as a placeholder.
-    state = reference_by_tag("external_t1").state
+    state = golden_state("external_t1")
 
     def project(index, norm):
         raise AssertionError("a NaN probability was projected")
@@ -471,7 +471,7 @@ def test_record_copy_matches_explicit_unitary_and_preserves_norm():
 
 
 def test_record_copy_commutes_with_source_measurement():
-    state = reference_by_tag("spin_friend_t0").state  # S still superposed
+    state = golden_state("spin_friend_t0")  # S still superposed
     layout_with_n = RegisterLayout(state.layout.systems + (N,))
     amps = np.kron(state.amplitudes, N.ket("ready"))
     state = StateVector(layout_with_n, amps)
@@ -489,14 +489,14 @@ def test_record_copy_commutes_with_source_measurement():
 
 
 def test_premeasure_writes_lab_outcome_into_memory():
-    before = reference_by_tag("external_t1").state
-    expected = reference_by_tag("external_t2_secret").state
+    before = golden_state("external_t1")
+    expected = golden_state("external_t2_secret")
     after = premeasure(before, coin_lab_basis(), WBAR)
     assert equal_up_to_global_phase(after, expected, tol=1e-10)
 
 
 def test_premeasure_rejects_written_memory():
-    state = reference_by_tag("external_t2_secret").state
+    state = golden_state("external_t2_secret")
     with pytest.raises(ValueError, match="ready"):
         premeasure(state, coin_lab_basis(), WBAR)
 
@@ -531,7 +531,7 @@ def test_premeasure_checks_its_memory_like_its_targets():
 
 
 def test_outcome_probability_matches_branch_all():
-    state = reference_by_tag("coin_observer_t1").state
+    state = golden_state("coin_observer_t1")
     p = outcome_probability(state, coin_lab_basis(), "ok")
     assert p == pytest.approx(1.0 / 6.0, abs=1e-12)
 
@@ -783,8 +783,9 @@ def test_premeasure_is_an_isometry_on_ready_states(case, seed):
     a, b = (_random_state(layout, rng, _ready(layout)) for _ in range(2))
     for basis in _two_outcome_bases(targets, rng):
         ua, ub = premeasure(a, basis, memory), premeasure(b, basis, memory)
-        assert abs(inner(ua, ub) - inner(a, b)) <= 1e-12
-        assert abs(inner(ua, ua) - 1.0) <= 1e-12
+        assert abs(np.vdot(ua.amplitudes, ub.amplitudes)
+                   - np.vdot(a.amplitudes, b.amplitudes)) <= 1e-12
+        assert abs(np.vdot(ua.amplitudes, ua.amplitudes) - 1.0) <= 1e-12
 
 
 @settings(max_examples=30, deadline=None)
@@ -814,7 +815,8 @@ def test_branches_and_their_residual_sum_to_one(case, seed, leak):
             conditioned = condition_on(state, basis, branch.label).amplitudes
             np.testing.assert_array_equal(conditioned, branch.post_state.amplitudes)
             for other in branches[i + 1:]:
-                assert abs(inner(branch.post_state, other.post_state)) <= 1e-12
+                assert abs(np.vdot(branch.post_state.amplitudes,
+                                   other.post_state.amplitudes)) <= 1e-12
 
 
 @settings(max_examples=30, deadline=None)

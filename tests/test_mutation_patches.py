@@ -1,7 +1,7 @@
 """Every patch of the mutation gate applies to the checkout as it stands.
 
 The gate (``tests/mutation_gate.py``) runs its mutants' tests in pytest
-subprocesses, about 75–90 s, outside tier-1.  This check only reads files, so
+subprocesses, about 85–90 s, outside tier-1.  This check only reads files, so
 an edit to a mutated line, or to the name of a test that kills a mutant,
 fails tier-1 at once.  The gate is loaded by path and nothing is run.
 """

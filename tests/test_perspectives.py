@@ -43,7 +43,7 @@ from frsim.protocol import (
     schedule,
     state_after_preparation,
 )
-from frsim.reference import load_reference_states, reference_by_tag
+from frsim.reference import load_reference_states
 from frsim.systems import (
     BY_NAME,
     N,
@@ -57,7 +57,8 @@ from frsim.systems import (
     spin_basis,
     spin_lab_basis,
 )
-from frsim.tensor import StateVector, equal_up_to_global_phase, inner
+from frsim.tensor import StateVector, equal_up_to_global_phase
+from golden_states import golden_state
 from variants import ALL_NOTEBOOK_SETS, ALL_VARIANTS, variant_id
 
 EXACT_ATOL = 1e-10
@@ -125,7 +126,7 @@ def test_missing_own_outcome_is_an_error_not_a_limit():
 
 def test_modified_protocol_needs_no_heard_outcomes():
     state = agent_model_at("C", 3, Given(), MODIFIED).state
-    expected = reference_by_tag("external_t3_secret").state
+    expected = golden_state("external_t3_secret")
     assert equal_up_to_global_phase(state, expected, tol=1e-10)
 
 
@@ -161,7 +162,7 @@ def test_given_rejects_labels_its_steps_cannot_write():
 def test_apply_announcement_conditions_the_model():
     model = agent_model_at("W", 2, Given(), MODIFIED)
     updated = apply_announcement(model, "Wbar", "ok")
-    expected = reference_by_tag("spin_observer_t2_heard_ok").state
+    expected = golden_state("spin_observer_t2_heard_ok")
     assert equal_up_to_global_phase(updated.state, expected, tol=1e-10)
     assert updated.log[-1] == ("heard", "Wbar", "ok")
 
@@ -169,14 +170,15 @@ def test_apply_announcement_conditions_the_model():
 def test_apply_announcement_on_external_observer():
     model = agent_model_at("C", 2, Given(), MODIFIED)
     updated = apply_announcement(model, "Wbar", "ok")
-    expected = reference_by_tag("external_t2_heard_ok").state
+    expected = golden_state("external_t2_heard_ok")
     assert equal_up_to_global_phase(updated.state, expected, tol=1e-10)
 
 
 def test_announcing_a_certain_outcome_changes_nothing():
     model = agent_model_at("C", 2, Given(wbar="ok"), ORIGINAL)
     again = apply_announcement(model, "Wbar", "ok")
-    assert abs(inner(again.state, model.state)) == pytest.approx(1.0, abs=1e-12)
+    assert abs(np.vdot(again.state.amplitudes, model.state.amplitudes)) == pytest.approx(
+        1.0, abs=1e-12)
 
 
 def test_inconsistent_announcement_raises():
@@ -529,7 +531,7 @@ def test_cheated_observer_predicts_up_but_truth_is_one_third():
     )
     model = agent_model_at("Wbar", 2, Given(wbar="ok"), cheat)
     # His model omits the secret notebook, so it equals the record-free state.
-    expected = reference_by_tag("coin_observer_t2_ok").state
+    expected = golden_state("coin_observer_t2_ok")
     assert equal_up_to_global_phase(model.state, expected, tol=1e-10)
     assert certainty_query(model, spin_basis(), "up").classification == "certain-yes"
     # The true dynamics include the record.

@@ -25,9 +25,9 @@ from frsim.protocol import (
     run_until_halt,
     state_after_preparation,
 )
-from frsim.reference import reference_by_tag
 from frsim.systems import coin_basis, coin_lab_basis, spin_basis
 from frsim.tensor import equal_up_to_global_phase
+from golden_states import golden_state
 from variants import ALL_NOTEBOOK_SETS, ALL_VARIANTS, variant_id
 
 NONE = ProtocolVariant(announce_wbar=False)
@@ -47,6 +47,19 @@ def test_config_validation():
         ProtocolConfig(variant=NONE, max_rounds=0)
     with pytest.raises(ValueError, match="seed"):
         ProtocolConfig(variant=NONE, seed=-1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: round_rng(1.7, 3),
+    lambda: round_rng(1, 3.0),
+    lambda: grid_uniforms(1.5, ([0, 1],), 2),
+    lambda: ProtocolConfig(variant=NONE, seed=1.5),
+    lambda: ProtocolConfig(variant=NONE, max_rounds=2.5),
+], ids=("round_rng-seed", "round_rng-key", "grid-seed", "config-seed", "config-max_rounds"))
+def test_seeds_and_counts_are_integers(call):
+    # Truncated, seed 1.5 would draw seed 1's stream.
+    with pytest.raises(TypeError):
+        call()
 
 
 def test_initial_state_layouts():
@@ -85,7 +98,7 @@ def test_t0_correlates_coin_friend_and_notebook():
 
 def test_state_after_preparation_matches_external_description():
     state = state_after_preparation(NONE)
-    expected = reference_by_tag("external_t1").state
+    expected = golden_state("external_t1")
     assert equal_up_to_global_phase(state, expected, tol=1e-10)
 
 
@@ -464,7 +477,7 @@ def test_global_state_after_sampling_matches_external_description():
     # is exactly what the external observer describes after hearing it.
     state = state_after_preparation(ProtocolVariant())
     post, _ = _fold(state, _at(ProtocolVariant(), 2), _rng_for_outcome(state, "ok"))
-    expected = reference_by_tag("external_t2_heard_ok").state
+    expected = golden_state("external_t2_heard_ok")
     assert equal_up_to_global_phase(post, expected, tol=1e-10)
 
 
