@@ -152,7 +152,7 @@ def monte_carlo(config: ProtocolConfig, rounds: int) -> FrequencyTable:
     uniforms and the same outcomes as one ``draw`` per round.  Round indices
     stop below 2**64, so more rounds are rejected before any is sampled.
     """
-    if not 1 <= rounds <= 2**64:
+    if not 1 <= index(rounds) <= 2**64:
         raise ValueError(f"rounds must lie in [1, 2**64], got {rounds}")
     sampler = compiled_round(config.variant)
     leaf_counts = np.zeros(len(sampler.leaves), dtype=np.int64)
@@ -180,7 +180,7 @@ def rounds_to_halt(config: ProtocolConfig, repeats: int) -> np.ndarray:
     ``max_rounds``; its runs are split evenly over as few kernel calls as
     hold them.
     """
-    if repeats < 1:
+    if index(repeats) < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")
     sampler = compiled_round(config.variant)
     lengths = np.zeros(repeats, dtype=np.int64)
@@ -244,10 +244,13 @@ def binomial_upper_bound(successes: int, trials: int, confidence: float = 0.99) 
 
     1. Newton on ``log F - target`` from ``(successes + 1) / (trials + 2)``.
        Each evaluated point replaces an end, and a step that would leave
-       the bracket bisects it instead.  A point within its margin ends the
-       phase, and probes at ``p -+ 4 * margin / |slope|`` around it narrow
-       the bracket.  Each step lands strictly inside the bracket, and the
-       midpoint of two adjacent floats is one of them, so the phase ends.
+       the bracket bisects it instead, at the float halfway between its ends
+       in bit pattern: near a tiny root ``p - gap / slope`` cancels to 0, and
+       halving the bracket would take one step per exponent.  A point within
+       its margin ends the phase, and probes at ``p -+ 4 * margin / |slope|``
+       around it narrow the bracket.  Each step lands strictly inside the
+       bracket, and the midpoint of two adjacent floats is one of them, so
+       the phase ends.
     2. Replay: the bisection from [0, 1], where a mid at or below ``a`` goes
        to ``lo`` and a mid at or above ``b`` goes to ``hi`` without an
        evaluation.  Every other mid is evaluated as in plain bisection.
@@ -257,7 +260,8 @@ def binomial_upper_bound(successes: int, trials: int, confidence: float = 0.99) 
     verified end, as long as the rounding error stays under the margin, and
     the result is the plain bisection's, bit for bit.  When nothing is
     verified, the replay is the plain bisection.  ``(1667, 4951)`` takes 22
-    evaluations of the tail where plain bisection takes 54.
+    evaluations of the tail where plain bisection takes 54, and
+    ``(0, 1, 1e-300)`` takes 22.
     """
     successes, trials = index(successes), index(trials)
     if trials < 1:
@@ -285,9 +289,11 @@ def binomial_upper_bound(successes: int, trials: int, confidence: float = 0.99) 
                             a, b = (probe, b) if value > target else (a, probe)
             break
         a, b = (p, b) if gap > 0 else (a, p)
-        # A step as long as the bracket, or a zero slope, would leave it: bisect.
+        # A step as long as the bracket, or a zero slope, would leave it: bisect
+        # at the float halfway in bits, which halves a span of exponents too.
         newton = p - gap / slope if abs(gap) < -slope * (b - a) else a
-        p = newton if a < newton < b else 0.5 * (a + b)
+        p = newton if a < newton < b else float(
+            (np.array([a, b]).view(np.int64).sum() // 2).view(np.float64))
     lo, hi = 0.0, 1.0  # the tail falls from 1 at p = 0 to 0 at p = 1
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         if mid <= a or mid < b and log_tail(mid)[0] > target:
@@ -347,7 +353,7 @@ def detect_records(
         raise ValueError("record detection requires the intrusion variant")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie strictly between 0 and 1, got {confidence}")
-    if min_ok_rounds < 1:
+    if index(min_ok_rounds) < 1:
         raise ValueError(f"min_ok_rounds must be at least 1, got {min_ok_rounds}")
     table = monte_carlo(config, rounds)
     # Post-selected ok rounds, by the intrusion's direct spin reading: only an

@@ -55,15 +55,11 @@ from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
-from .tensor import RegisterLayout, StateVector, SystemId, _write, transpose_plan
+from .tensor import NORM_TOL, RegisterLayout, StateVector, SystemId, _write, transpose_plan
 
 ORTHO_ATOL = 1e-12
 ZERO_PROBABILITY_ATOL = 1e-12
 RESIDUAL_TOL = 1e-9  # probability outside a basis's outcomes raises from here on
-# How far from 1 the outcome probabilities plus the residual may lie.  The
-# worst drift on the 24 branch trees, the 26 golden states and the states
-# run_round samples is 6.7e-16 (3 ulp at 1).
-NORM_TOL = 1e-12
 READY = "ready"  # the level every memory starts in, before an outcome is written
 
 

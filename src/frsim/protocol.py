@@ -16,15 +16,16 @@ Each step carries the condition that skips it (:meth:`Step.skipped`), which
 every walker of the schedule reads.  The round halts the experiment when
 both superobservers record ``ok`` (:attr:`OutcomeKey.halts`).
 
-The true dynamics fold over the schedule: :func:`run_round` samples it on
-the state (the reference path), and :func:`compiled_round` expands every
-branch once into the one tree of labels and Born probabilities that
-sampling and exact enumeration read, one table of rows; both walkers read it
-a level at a time and take the first branch whose running sum exceeds the
-uniform, the roundoff slack above the last sum being each row's last
-interval.  Agents fold over it in :mod:`frsim.perspectives`.  Until
-a fold samples or conditions on an outcome it is a run of unitary steps on a
-fresh state, ending with the premeasurement of the first record it reads;
+The true dynamics fold over the schedule from the one start that
+:func:`compiled_round` holds per variant: :func:`run_round` samples it on
+the state (the reference path), and the compiled round expands every branch
+once into the one tree of labels and Born probabilities that sampling and
+exact enumeration read, one table of rows; both walkers read it a level at a
+time and take the first branch whose running sum exceeds the uniform, the
+roundoff slack above the last sum being each row's last interval.  Agents
+fold over it in :mod:`frsim.perspectives`.  Until a fold samples or
+conditions on an outcome it is a run of unitary steps on a fresh state,
+ending with the premeasurement of the first record it reads;
 :func:`prefix_state` builds each such record-free prefix once per (layout,
 the schedule's steps), and the true dynamics and every agent share it.  The
 fresh state is the empty prefix.  Nothing after the first collapse or
@@ -562,19 +563,6 @@ def state_after_preparation(variant: ProtocolVariant) -> StateVector:
     return prefix_state(variant.layout(), _at(variant, 0, 1))
 
 
-@lru_cache(maxsize=None)
-def _announcements(variant: ProtocolVariant, key: OutcomeKey) -> tuple:
-    """A round's announcements; an outcome the key leaves empty was not
-    reached, so its step announces nothing."""
-    return tuple((step.time, step.memory.name, getattr(key, step.outcome))
-                 for step in schedule(variant)
-                 if step.announced and getattr(key, step.outcome) is not None)
-
-
-def _transcript(variant: ProtocolVariant, round_index: int, key: OutcomeKey) -> RoundTranscript:
-    return RoundTranscript(round_index, key, _announcements(variant, key))
-
-
 def run_round(
     variant: ProtocolVariant,
     rng: np.random.Generator,
@@ -582,24 +570,13 @@ def run_round(
 ) -> RoundTranscript:
     """Execute one full round on a fresh set of systems (reference path).
 
-    The round starts from the shared :func:`prefix_state` that runs through
-    the premeasurement of its first sampled step, Wbar's lab step: the first
-    record the round reads.  So only that record's collapse and the rest of
-    t=2,3 fold per round."""
-    steps, evolved, prefix = _round_start(variant)
-    _, outcomes = _fold(prefix_state(*prefix), steps, rng, evolved)
-    return _transcript(variant, round_index, _key(outcomes))
-
-
-@lru_cache(maxsize=None)  # one entry per variant, like schedule's
-def _round_start(variant: ProtocolVariant) -> tuple[tuple[Step, ...], int, tuple]:
-    """:func:`run_round`'s steps, how many of them its prefix evolves, and
-    the prefix's :func:`prefix_state` key, found once per variant.  The
-    state stays in :func:`prefix_state`'s cache, and nothing after a
-    collapse is kept."""
-    steps = schedule(variant)
-    evolved = 1 + next(i for i, step in enumerate(steps) if step.sampled)
-    return steps, evolved, (variant.layout(), steps[:evolved])
+    It starts from its :func:`compiled_round`'s ``start``, the shared prefix
+    through Wbar's premeasurement, the first record it reads, so only the rest
+    of t=2,3 folds per round; its announcements are the compiled table's."""
+    sampler = compiled_round(variant)
+    _, outcomes = _fold(prefix_state(*sampler.start), sampler.steps, rng, sampler.evolved)
+    key = _key(outcomes)
+    return RoundTranscript(round_index, key, sampler.announcements[key])
 
 
 def _branch_tree(
@@ -609,6 +586,7 @@ def _branch_tree(
     probability: float,
     nodes: list[tuple[list[float], tuple[int, ...]]],
     leaves: dict[OutcomeKey, float],
+    evolved: int = 0,
 ) -> int:
     """Expand ``steps`` like :func:`_fold`, following every branch of each sampled step.
 
@@ -624,7 +602,8 @@ def _branch_tree(
     for i, step in enumerate(steps):
         if step.skipped(outcomes):
             continue
-        state = step.evolve(state)
+        if i >= evolved:
+            state = step.evolve(state)
         if step.sampled:
             branches = [b for b in branch_all(state, step.readout) if b.probability > 0.0]
             children = tuple(
@@ -643,11 +622,14 @@ def _branch_tree(
 class RoundSampler:
     """The branch tree of one round's sampled steps, compiled once into one table.
 
-    The tree holds the exact Born probability of every branch, computed with
-    the same operations as the reference path, and an outcome key at every
-    leaf; no state.  ``joint`` maps each leaf to its (nonzero) probability,
-    ``leaves`` lists the leaf keys in the same order, and ``halting`` marks
-    the leaves that halt the experiment.
+    It and :func:`run_round` start at ``start``, the :func:`prefix_state` key
+    of the first ``evolved`` ``steps``, through the first sampled step's
+    premeasurement.  The tree holds the exact Born probability of every
+    branch, computed with the same operations as the reference path, and an
+    outcome key at every leaf; no state.  ``joint`` maps each leaf to its
+    (nonzero) probability, ``leaves`` lists the leaf keys in the same order,
+    ``halting`` marks the leaves that halt the experiment, and
+    ``announcements`` maps each leaf to its transcript's announcements.
 
     The table has a row per leaf, in the order of ``leaves``, then a row
     per node: its running sums, padded with ``+inf`` to the widest node, and
@@ -661,13 +643,18 @@ class RoundSampler:
     """
 
     def __init__(self, variant: ProtocolVariant):
-        self.variant = variant
+        self.steps = steps = schedule(variant)
+        self.evolved = 1 + next(i for i, step in enumerate(steps) if step.sampled)
+        self.start = (variant.layout(), steps[:self.evolved])
         nodes: list[tuple[list[float], tuple[int, ...]]] = []
         joint: dict[OutcomeKey, float] = {}
-        root = _branch_tree(
-            state_after_preparation(variant), _at(variant, 2, 3), {}, 1.0, nodes, joint)
+        root = _branch_tree(prefix_state(*self.start), steps, {}, 1.0, nodes, joint, self.evolved)
         self.joint = MappingProxyType(joint)  # shared through the cache: read-only
         self.leaves = tuple(joint)
+        # A step a leaf leaves empty was not reached, so it announces nothing.
+        self.announcements = MappingProxyType({key: tuple(
+            (step.time, step.memory.name, getattr(key, step.outcome)) for step in steps
+            if step.announced and getattr(key, step.outcome) is not None) for key in self.leaves})
         self.halting = np.array([key.halts for key in self.leaves])
         # Each sampled step on a leaf's path wrote one of its outcomes.
         self.depth = max(sum(label is not None for label in key) for key in self.leaves)
@@ -691,7 +678,8 @@ class RoundSampler:
             for limit in limits:
                 picked += limit <= u
             row = following[picked]
-        return _transcript(self.variant, round_index, self.leaves[row])
+        key = self.leaves[row]
+        return RoundTranscript(round_index, key, self.announcements[key])
 
     def walk(self, uniforms: np.ndarray) -> np.ndarray:
         """The leaf each round of ``uniforms`` ends at, as an index into
@@ -715,7 +703,7 @@ class RoundSampler:
 
 @lru_cache(maxsize=None)
 def compiled_round(variant: ProtocolVariant) -> RoundSampler:
-    """Shared per-variant branch tree; samplers are immutable after build."""
+    """The variant's one compiled round, shared; samplers are immutable after build."""
     return RoundSampler(variant)
 
 

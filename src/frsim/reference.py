@@ -19,7 +19,7 @@ import numpy as np
 from .perspectives import Given, known_system_names
 from .protocol import ProtocolVariant
 from .systems import canonical_layout, coin_lab_basis, spin_lab_basis
-from .tensor import RegisterLayout, StateVector
+from .tensor import NORM_TOL, RegisterLayout, StateVector
 
 COEFFICIENTS: dict[str, float] = {
     "0": 0.0,
@@ -98,7 +98,7 @@ def _build_state(layout: RegisterLayout, terms: list[dict]) -> StateVector:
         coeff = COEFFICIENTS[term["coeff"]]
         amps += coeff * _term_vector(layout, term["factors"])
     state = StateVector(layout, amps)
-    if abs(state.norm - 1.0) > 1e-12:
+    if not abs(state.norm - 1.0) <= NORM_TOL:
         raise ValueError(f"reference state is not normalized (norm {state.norm})")
     return state
 

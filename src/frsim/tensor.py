@@ -33,7 +33,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-NORM_ATOL = 1e-12
+# How far from 1 a norm, or the outcome probabilities plus the residual, may
+# lie.  The worst drift on the 24 branch trees, the 26 golden states and the
+# states run_round samples is 6.7e-16 (3 ulp at 1).
+NORM_TOL = 1e-12
 UNITARY_ATOL = 1e-12  # largest entry of |U^dagger U - 1| apply_unitary accepts
 
 
@@ -224,13 +227,14 @@ def reorder(state: StateVector, target: RegisterLayout) -> StateVector:
 def equal_up_to_global_phase(a: StateVector, b: StateVector, tol: float = 1e-10) -> bool:
     """True when the states differ by at most a global phase.
 
-    Both states must be normalized within ``tol``; the comparison is
-    ``|<a|b>| >= 1 - tol``, so a leading sign or any overall phase is ignored.
+    Both states must be normalized within ``tol`` (else ValueError, also for
+    a NaN); the comparison is ``|<a|b>| >= 1 - tol``, so a leading sign or
+    any overall phase is ignored.
     """
     if a.layout != b.layout:
         raise LayoutError("comparison requires identical layouts")
     for side, state in (("first", a), ("second", b)):
-        if abs(state.norm - 1.0) > max(tol, NORM_ATOL):
+        if not abs(state.norm - 1.0) <= max(tol, NORM_TOL):
             raise ValueError(f"{side} state is not normalized (norm {state.norm})")
     return bool(abs(np.vdot(a.amplitudes, b.amplitudes)) >= 1.0 - tol)
 

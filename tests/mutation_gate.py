@@ -1,15 +1,16 @@
 """Mutation gate: every listed mutant must be killed.  The mutants cover the
-sampling code (the branch table, its rule and the until-halt windows), the
-measurement checks (normalization, residual, zero probability, ready
-memory, unitarity), the construction checks (basis vectors, product
-factors, exact distributions, frequency tables, z-scores), the integer
-reads of seeds and counts, a state's own read-only copy, the one
-(targets, rest) index, the one read (its labeled outcome, its residual, the
-level-basis gather, the projected probabilities, the order of its sum), the
-premeasurement's writes, the schedule's reach and announcement rules, the
-shared record-free prefixes, the agents' layouts, level occupancies,
-announcements, certainty threshold and calibration, the detection bound's
-verified bracket, its uncapped Newton steps and its replayed bisection, the
+sampling code (the branch table, its rule, each leaf's announcements and the
+until-halt windows), the measurement checks (normalization, residual, zero
+probability, ready memory, unitarity), the construction checks (basis
+vectors, product factors, exact distributions, frequency tables, z-scores,
+the phase-blind comparison, reference states), the integer reads of seeds
+and counts, a state's own read-only copy, the one (targets, rest) index, the
+one read (its labeled outcome, its residual, the level-basis gather, the
+projected probabilities, the order of its sum), the premeasurement's writes,
+the schedule's reach and announcement rules, the shared record-free
+prefixes, the agents' layouts, level occupancies, announcements, certainty
+threshold and calibration, the detection bound's verified bracket, its
+uncapped Newton steps, its bisection in bits and its replayed bisection, the
 detection verdict, the CLI's usage errors, its fraction rule, its JSON
 writer and the check both formats share.
 
@@ -68,7 +69,7 @@ _ENTROPY = "entropy = (index(seed), *map(index, key))"
 _COUNTS = "successes, trials = index(successes), index(trials)"
 _CONFIDENCE_CHECK = ('if not 0.0 < confidence < 1.0:\n'
                      '        raise ValueError(f"confidence must lie strictly between 0 and 1, '
-                     'got {confidence}")\n    if min_ok_rounds')
+                     'got {confidence}")\n    if index(min_ok_rounds)')
 
 MUTANTS = (
     Mutant("draw counts the running sums below u, not at or below it",
@@ -324,6 +325,38 @@ MUTANTS = (
     Mutant("the bound truncates a float count of trials",
            "src/frsim/analysis.py", _COUNTS, "successes, trials = index(successes), int(trials)",
            ("tests/test_analysis.py::test_upper_bound_takes_integer_counts[float-trials]",)),
+    Mutant("monte_carlo compares a float count of rounds as it stands",
+           "src/frsim/analysis.py", "if not 1 <= index(rounds) <= 2**64:",
+           "if not 1 <= int(rounds) <= 2**64:",
+           ("tests/test_analysis.py::test_counts_are_integers[monte_carlo-rounds]",)),
+    Mutant("rounds_to_halt truncates a float count of runs",
+           "src/frsim/analysis.py", "if index(repeats) < 1:", "if int(repeats) < 1:",
+           ("tests/test_analysis.py::test_counts_are_integers[halt-repeats]",)),
+    Mutant("detect_records takes a float min_ok_rounds",
+           "src/frsim/analysis.py", "if index(min_ok_rounds) < 1:", "if min_ok_rounds < 1:",
+           ("tests/test_analysis.py::test_counts_are_integers[detect-min_ok_rounds]",)),
+    Mutant("the phase-blind comparison lets a NaN state through",
+           "src/frsim/tensor.py", "if not abs(state.norm - 1.0) <= max(tol, NORM_TOL):",
+           "if abs(state.norm - 1.0) > max(tol, NORM_TOL):",
+           ("tests/test_tensor.py::test_equal_up_to_global_phase_rejects_unnormalized",)),
+    Mutant("the reference loader lets a NaN state through",
+           "src/frsim/reference.py", "if not abs(state.norm - 1.0) <= NORM_TOL:",
+           "if abs(state.norm - 1.0) > NORM_TOL:",
+           ("tests/test_perspectives.py::test_a_reference_state_that_is_not_finite_is_rejected",)),
+    Mutant("the bound's Newton phase halves its bracket instead of bisecting it in bits",
+           "src/frsim/analysis.py",
+           "float(\n            (np.array([a, b]).view(np.int64).sum() // 2).view(np.float64))",
+           "0.5 * (a + b)",
+           ("tests/test_analysis.py::"
+            "test_upper_bound_at_a_tiny_confidence_takes_few_tail_evaluations",)),
+    Mutant("the announcements table lists every sampled step, announced or not",
+           "src/frsim/protocol.py", "if step.announced and getattr(key, step.outcome)",
+           "if step.sampled and getattr(key, step.outcome)",
+           ("tests/test_protocol.py::test_announcements_follow_variant",)),
+    Mutant("draw reads the announcements of the leaf before its own",
+           "src/frsim/protocol.py", "RoundTranscript(round_index, key, self.announcements[key])",
+           "RoundTranscript(round_index, key, self.announcements[self.leaves[row - 1]])",
+           ("tests/test_protocol.py::test_sampler_matches_reference_path",)),
 )
 
 # At every node of the 24 variants' trees, pick_index's fallback is the last

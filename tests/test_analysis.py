@@ -26,6 +26,7 @@ from frsim.analysis import (
     z_scores,
 )
 from frsim.protocol import (
+    OutcomeKey,
     ProtocolConfig,
     ProtocolVariant,
     compiled_round,
@@ -60,6 +61,11 @@ def _ulps(p: float, exact: Fraction) -> int:
 # enumerate_exact's worst case over the 24 variants, measured on the code as
 # it stood when the exact oracle came in; never raise it to let a change pass.
 EXACT_ULPS = 8
+# The worst case of the marginals and conditionals read off enumerate_exact
+# over the 24 variants, measured on the code as it stood when these checks
+# came in: marginal_wbar 8, conditional_w 3, conditional_intrusion 0.  Never
+# raise it to let a change pass.
+DERIVED_ULPS = 8
 
 
 def test_exact_joint_no_notebooks_matches_the_exact_oracle():
@@ -118,6 +124,31 @@ def test_exact_joint_lies_within_a_few_ulp_of_the_exact_oracle(v):
     for key, p in exact.items():
         assert abs(joint.entries[key] - p) <= EXACT_ATOL, key
         assert _ulps(joint.entries[key], p) <= EXACT_ULPS, (key, joint.entries[key], p)
+
+
+def _exact_sum(exact: dict, **labels) -> Fraction:
+    """The exact probability of the keys whose fields hold ``labels``."""
+    return sum((p for key, p in exact.items()
+                if labels.items() <= OutcomeKey(*key)._asdict().items()), Fraction(0))
+
+
+@pytest.mark.parametrize("v", ALL_VARIANTS, ids=variant_id)
+def test_exact_marginals_and_conditionals_lie_within_a_few_ulp_of_the_exact_oracle(v):
+    joint = enumerate_exact(v)
+    exact = exact_oracle.joint(v.notebooks, v.intrusion)
+    cases = []
+    for wbar in ("ok", "fail"):
+        marginal = _exact_sum(exact, wbar=wbar)
+        cases.append((("marginal_wbar", wbar), joint.marginal_wbar(wbar), marginal))
+        for w in ("ok", "fail"):
+            cases.append((("conditional_w", w, wbar), joint.conditional_w(w, wbar),
+                          _exact_sum(exact, wbar=wbar, w=w) / marginal))
+    for spin in ("up", "down"):
+        cases.append((("conditional_intrusion", spin), joint.conditional_intrusion(spin),
+                      _exact_sum(exact, intrusion=spin) / _wbar_ok(exact)))
+    for case, value, p in cases:
+        assert abs(value - p) <= EXACT_ATOL, case
+        assert _ulps(value, p) <= DERIVED_ULPS, (case, value, p)
 
 
 @pytest.mark.parametrize("notebooks", ALL_NOTEBOOK_SETS)
@@ -313,6 +344,20 @@ def _assert_rounds_to_halt_matches_run_until_halt(config, repeats):
 def test_rounds_to_halt_needs_a_run():
     with pytest.raises(ValueError, match="repeats"):
         rounds_to_halt(ProtocolConfig(variant=variant()), 0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: monte_carlo(ProtocolConfig(variant=variant()), 0.5),
+    lambda: detect_records(ProtocolConfig(variant=variant(intrusion=True)), 0.5),
+    lambda: detect_records(ProtocolConfig(variant=variant(intrusion=True)), 200,
+                           min_ok_rounds=2.5),
+    lambda: rounds_to_halt(ProtocolConfig(variant=variant()), 0.5),
+], ids=("monte_carlo-rounds", "detect-rounds", "detect-min_ok_rounds", "halt-repeats"))
+def test_counts_are_integers(call):
+    # A float count raises TypeError on entry.  Compared as it stood, 0.5
+    # failed as a count below 1, and 2.5 ran and was reported as min_ok_rounds.
+    with pytest.raises(TypeError):
+        call()
 
 
 def test_rounds_to_halt_is_public():
@@ -645,6 +690,18 @@ def test_upper_bound_takes_few_tail_evaluations(monkeypatch):
     bound = binomial_upper_bound(1667, 4951, 0.99)
     assert bisection_evaluations(1667, 4951, bound) == 54
     assert calls[0] <= 24
+
+
+@pytest.mark.parametrize("successes, trials", [(0, 1), (0, 10)])
+def test_upper_bound_at_a_tiny_confidence_takes_few_tail_evaluations(monkeypatch, successes,
+                                                                     trials):
+    # The root lies near 1e-300, where a Newton step cancels to 0.  Halving
+    # the bracket there took 883 and 892 tail evaluations, one per exponent;
+    # bisecting it in bits takes 22 and 21, with the same bits.
+    calls = count_tail_evaluations(monkeypatch)
+    bound = binomial_upper_bound(successes, trials, 1e-300)
+    assert calls[0] <= 30
+    assert bound == bisection_upper_bound(successes, trials, 1e-300)
 
 
 def test_upper_bound_runs_newton_without_a_step_cap(monkeypatch):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from frsim import perspectives, protocol
+from frsim import perspectives, protocol, reference
 from frsim.analysis import enumerate_exact
 from frsim.measurement import (
     READY,
@@ -35,7 +35,6 @@ from frsim.perspectives import (
 )
 from frsim.protocol import (
     ProtocolVariant,
-    _transcript,
     compiled_round,
     prefix_state,
     round_rng,
@@ -83,6 +82,14 @@ def test_reference_suite_covers_all_agents_and_variants():
     assert any(ref.variant.notebooks for ref in REFERENCES)
     assert any(ref.variant.announce_wbar for ref in REFERENCES)
     assert len(REFERENCES) >= 20
+
+
+def test_a_reference_state_that_is_not_finite_is_rejected(monkeypatch):
+    # A NaN norm once passed the loader's normalization check.
+    monkeypatch.setitem(reference.COEFFICIENTS, "nan", float("nan"))
+    term = {"coeff": "nan", "factors": {"R": "t", "S": "up"}}
+    with pytest.raises(ValueError, match="not normalized"):
+        reference._build_state(canonical_layout(("R", "S")), [term])
 
 
 # Perspective limits -----------------------------------------------------------
@@ -467,12 +474,11 @@ def test_transcript_lists_what_the_announcing_protocol_hears(variant):
     # announcements a round's transcript lists, in order.  In the secret one
     # C hears nothing, while the transcript still lists W's t=3 announcement:
     # W still announces there, but no agent updates on hearsay.
-    for key in compiled_round(variant).leaves:
+    for key, announcements in compiled_round(variant).announcements.items():
         filled = {field: label for field, label in key._asdict().items() if label is not None}
         log = agent_model_at("C", 3, Given(**filled), variant).log
         heard = [(announcer, label) for kind, announcer, label in log if kind == "heard"]
-        listed = [(announcer, label)
-                  for _, announcer, label in _transcript(variant, 0, key).announcements]
+        listed = [(announcer, label) for _, announcer, label in announcements]
         if variant.announce_wbar:
             assert listed == heard, key
         else:
@@ -499,8 +505,7 @@ def _reach_lines():
                 except (PerspectiveLimit, InconsistentOutcomeError, ValueError) as exc:
                     result = (type(exc).__name__, str(exc))
                 yield repr((name, agent, time, sorted(given.items()), result))
-        for key in compiled_round(variant).leaves:
-            announcements = _transcript(variant, 0, key).announcements
+        for key, announcements in compiled_round(variant).announcements.items():
             yield repr((name, sorted(key._asdict().items()), announcements))
 
 

@@ -155,11 +155,13 @@ def test_equal_up_to_global_phase_examples():
 
 
 def test_equal_up_to_global_phase_rejects_unnormalized():
+    # A NaN norm once passed the check, and the NaN state compared as False.
     layout = RegisterLayout((S,))
     up = product_state(layout, {"S": "up"})
-    bad = StateVector(layout, np.array([0.5, 0.0]))
-    with pytest.raises(ValueError):
-        equal_up_to_global_phase(up, bad)
+    for amplitude in (0.5, np.nan, np.inf):
+        bad = StateVector(layout, np.array([amplitude, 0.0]))
+        with pytest.raises(ValueError):
+            equal_up_to_global_phase(up, bad)
 
 
 def test_apply_unitary_shape_check():
