@@ -230,13 +230,16 @@ def binomial_upper_bound(successes: int, trials: int, confidence: float = 0.99) 
     """One-sided Clopper-Pearson upper confidence bound for a proportion.
 
     The bound is the ``p`` at which at most ``successes`` in ``trials`` has
-    probability ``1 - confidence`` (Clopper & Pearson, Biometrika 1934),
-    i.e. the ``confidence`` quantile of Beta(successes + 1, trials - successes).
-    It is 1 when every trial succeeded.  Otherwise it is the float that
-    bisection on the exact binomial lower tail ``F(p)``, evaluated in log
-    space, ends on.  A point is verified when ``log F`` there clears the
-    target ``log(1 - confidence)`` by more than its margin, ``TAIL_MARGIN``
-    times the sum of the absolute values of the terms the evaluation adds: a
+    probability ``1 - confidence`` (Clopper & Pearson, Biometrika 1934), the
+    ``confidence`` quantile of Beta(successes + 1, trials - successes) as
+    far as the tail's log resolves it: with ``successes > 0`` its terms
+    cancel, so the relative error grows as the confidence falls (against
+    scipy at (5, 10): 1.3e-12 at 1e-4, 5e-9 at 1e-7, 4e-6 at 1e-10).  It is
+    1 when every trial succeeded.  Otherwise it is the float that bisection
+    on the exact binomial lower tail ``F(p)``, evaluated in log space, ends
+    on.  A point is verified when ``log F`` there clears the target
+    ``log(1 - confidence)`` by more than its margin, ``TAIL_MARGIN`` times
+    the sum of the absolute values of the terms the evaluation adds: a
     stated bound on its rounding error, about ten times the largest error
     measured near a root.  One bracket ``(a, b)`` holds the highest point
     verified above the target and the lowest verified below it, from

@@ -266,13 +266,6 @@ def cmd_run(args: argparse.Namespace) -> Report:
     return variant, {"rounds": args.rounds, "frequencies": rows}
 
 
-def _amplitude_rows(model) -> list[dict]:
-    rows = []
-    for labels, amp in model.state.nonzero_terms():
-        rows.append({"labels": list(labels), "re": amp.real, "im": amp.imag})
-    return rows
-
-
 def _agent_entry(agent: str, args_time: int, given: Given, variant: ProtocolVariant) -> dict:
     try:
         model = agent_model_at(agent, args_time, given, variant)
@@ -284,7 +277,8 @@ def _agent_entry(agent: str, args_time: int, given: Given, variant: ProtocolVari
         return {"undetermined": str(exc)}
     return {
         "layout": list(model.layout.names),
-        "amplitudes": _amplitude_rows(model),
+        "amplitudes": [{"labels": list(labels), "re": amp.real, "im": amp.imag}
+                       for labels, amp in model.state.nonzero_terms()],
         "log": [list(event) for event in model.log],
         "predictions": standard_predictions(model),
     }
@@ -442,13 +436,8 @@ def render_text(doc: ReportDocument) -> str:
                 lines.append(f"  undetermined: {entry['undetermined']}")
                 continue
             lines.append(f"  layout: ({', '.join(entry['layout'])})")
-            for row in entry["amplitudes"]:
-                amp = complex(row["re"], row["im"])
-                ket = ",".join(row["labels"])
-                if abs(amp.imag) < 1e-15:
-                    lines.append(f"    {amp.real:+.9f}  |{ket}>")
-                else:
-                    lines.append(f"    {amp:+.9f}  |{ket}>")
+            for row in entry["amplitudes"]:  # every amplitude of the schedule is real
+                lines.append(f"    {row['re']:+.9f}  |{','.join(row['labels'])}>")
             for name, probs in entry["predictions"].items():
                 shown = "  ".join(f"{label}={p:.9g}" for label, p in probs.items())
                 lines.append(f"  predict {name}: {shown}")

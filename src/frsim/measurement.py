@@ -96,10 +96,6 @@ class SubspaceOutcome:
         object.__setattr__(self, "vectors", vecs)
         object.__setattr__(self, "bras", bras)
 
-    @property
-    def subspace_dimension(self) -> int:
-        return self.vectors.shape[0]
-
 
 @dataclass(frozen=True, eq=False)
 class MeasurementBasis:
@@ -142,11 +138,6 @@ class MeasurementBasis:
     @property
     def target_dimension(self) -> int:
         return int(np.prod([s.dimension for s in self.targets]))
-
-    @property
-    def residual_dimension(self) -> int:
-        """Dimension of the target space outside every declared outcome."""
-        return self.target_dimension - sum(o.subspace_dimension for o in self.outcomes)
 
     def labels(self) -> tuple[str, ...]:
         return self._labels
@@ -213,14 +204,6 @@ def _levels(basis: MeasurementBasis) -> tuple[int, ...] | None:
     return tuple(levels.tolist()) if np.array_equal(kets, np.eye(kets.shape[1])[levels]) else None
 
 
-def _occupancies(weights: np.ndarray, rows: np.ndarray) -> list[list[float]]:
-    """Each level's Born probability, per system of ``rows`` (a
-    :func:`~frsim.tensor._level_stack`), from ``|psi|**2``: row sums of one
-    C-contiguous gather, in :func:`_weight`'s summation order (summing the
-    strided view of a trailing system would change bits)."""
-    return np.add.reduce(weights[rows], axis=-1).tolist()
-
-
 def _read(state: StateVector, basis: MeasurementBasis,
           label: str | None = None) -> tuple[list[float], Callable, Callable]:
     """Every outcome's Born probability, or the labeled outcome's alone; what
@@ -235,7 +218,7 @@ def _read(state: StateVector, basis: MeasurementBasis,
         i = basis.outcomes.index(basis.outcome(label))
         outcomes, levels = outcomes[i:i + 1], levels and levels[i:i + 1]  # None stays None
     if levels is not None:
-        weights = np.add.reduce(np.abs(mat) ** 2, axis=-1).tolist()  # as _occupancies sums
+        weights = np.add.reduce(np.abs(mat) ** 2, axis=-1).tolist()  # as standard_predictions sums
 
         def project(index: int, norm: float) -> np.ndarray:
             amplitudes = np.zeros_like(state.amplitudes)
@@ -327,8 +310,8 @@ def sample(
     outcome's post-measurement state is built.
     """
     probabilities, project = _checked(state, basis)
-    index = pick_index(probabilities, float(rng.random()))
-    return basis.outcomes[index].label, _post_state(state, probabilities[index], project, index)
+    i = pick_index(probabilities, float(rng.random()))  # never a probability-0 outcome
+    return basis.outcomes[i].label, StateVector(state.layout, project(i, np.sqrt(probabilities[i])))
 
 
 def condition_on(state: StateVector, basis: MeasurementBasis, label: str) -> StateVector:

@@ -31,7 +31,6 @@ import numpy as np
 
 from .measurement import (
     MeasurementBasis,
-    _occupancies,
     _read,
     condition_on,
     outcome_probability,
@@ -272,7 +271,9 @@ def standard_predictions(model: AgentModel) -> dict[str, dict[str, float]]:
     weights = abs(model.state.amplitudes) ** 2  # the terms _weight sums
     occupancies = {}
     for names, rows in gathers:
-        occupancies.update(zip(names, _occupancies(weights, rows)))
+        # Row sums of one C-contiguous gather, in _weight's summation order
+        # (summing the strided view of a trailing system would change bits).
+        occupancies.update(zip(names, np.add.reduce(weights[rows], axis=-1).tolist()))
     predictions = {}
     for name, basis in bases:
         if name in occupancies:

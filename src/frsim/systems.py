@@ -45,9 +45,7 @@ N = SystemId("N", (READY, "up", "down"))
 CANONICAL_ORDER: tuple[SystemId, ...] = (NBAR, R, FBAR, N, S, F, WBAR, W)
 BY_NAME: dict[str, SystemId] = {sys.name: sys for sys in CANONICAL_ORDER}
 
-COIN_LAB: tuple[str, str] = ("R", "Fbar")
-SPIN_LAB: tuple[str, str] = ("S", "F")
-LAB_NAMES: dict[tuple[str, ...], str] = {COIN_LAB: "coin_lab", SPIN_LAB: "spin_lab"}
+LAB_NAMES: dict[tuple[str, ...], str] = {("R", "Fbar"): "coin_lab", ("S", "F"): "spin_lab"}
 
 
 def canonical_layout(names: Iterable[str]) -> RegisterLayout:

@@ -1,9 +1,10 @@
 """Mutation gate: every listed mutant must be killed.  The mutants cover the
 sampling code (the branch table, its rule, each leaf's announcements and the
 until-halt windows), the measurement checks (normalization, residual, zero
-probability, ready memory, unitarity), the construction checks (basis
-vectors, product factors, exact distributions, frequency tables, z-scores,
-the phase-blind comparison, reference states), the integer reads of seeds
+probability, ready memory, unitarity), a sampled outcome's collapse, the
+construction checks (basis vectors, product factors, exact distributions,
+frequency tables, z-scores, the phase-blind comparison, reference states),
+the integer reads of seeds
 and counts, a state's own read-only copy, the one (targets, rest) index, the
 one read (its labeled outcome, its residual, the level-basis gather, the
 projected probabilities, the order of its sum), the premeasurement's writes,
@@ -162,6 +163,12 @@ MUTANTS = (
            "if not probability > ZERO_PROBABILITY_ATOL:\n        return state",
            "if probability <= ZERO_PROBABILITY_ATOL:\n        return state",
            ("tests/test_measurement.py::test_a_nan_probability_builds_no_branch",)),
+    Mutant("sample keeps the state as it was for an outcome below the zero-probability tolerance",
+           "src/frsim/measurement.py",
+           "StateVector(state.layout, project(i, np.sqrt(probabilities[i])))",
+           "_post_state(state, probabilities[i], project, i)",
+           ("tests/test_measurement.py::"
+            "test_a_drawn_outcome_below_the_zero_probability_tolerance_is_collapsed_onto",)),
     Mutant("conditioning lets a NaN probability through",
            "src/frsim/measurement.py",
            "if not probability > ZERO_PROBABILITY_ATOL:\n        raise",

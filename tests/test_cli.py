@@ -136,10 +136,17 @@ def test_every_branches_fraction_is_the_exact_one(capsys, v):
          "detect_cheat_golden.txt"),
         (("detect", "--rounds", "10", "--seed", "3", "--format", "text"),
          "detect_inconclusive_golden.txt"),
+        (("run", "--rounds", "120000", "--seed", "7", "--format", "text"),
+         "run_rounds_golden.txt"),
+        (("run", "--until-halt", "--repeats", "2000", "--seed", "7", "--format", "text"),
+         "run_until_halt_golden.txt"),
+        (("perspectives", "--t", "2", "--given", "wbar=ok", "--format", "text"),
+         "perspectives_t2_golden.txt"),
     ),
     ids=("run-rounds", "run-until-halt", "perspectives", "detect", "branches-intrusion-text",
          "perspectives-t3-both", "run-until-halt-intrusion", "run-until-halt-both-max6",
-         "detect-cheat-text", "detect-inconclusive-text"),
+         "detect-cheat-text", "detect-inconclusive-text", "run-rounds-text",
+         "run-until-halt-text", "perspectives-text"),
 )
 def test_golden_document(capsys, argv, golden):
     code, out, _ = run_cli(capsys, *argv)
@@ -218,6 +225,7 @@ def test_run_until_halt_samples_nothing_when_no_round_can_halt(capsys, monkeypat
         ("perspectives", "--t", "2", "--given", "wbar=sideways"),
         ("perspectives", "--t", "2", "--given", "wbar=ok,wbar=fail"),
         ("perspectives", "--t", "2", "--given", "zz=ok"),
+        ("perspectives", "--t", "2", "--given", "wbar"),
     ),
     ids=("negative-seed", "zero-max-rounds", "zero-min-ok", "confidence-above-one",
          "nan-confidence-without-a-bound",
@@ -225,7 +233,7 @@ def test_run_until_halt_samples_nothing_when_no_round_can_halt(capsys, monkeypat
          "rounds-with-until-halt", "repeats-without-until-halt",
          "max-rounds-without-until-halt", "cheat-without-coin-notebook", "run-without-rounds",
          "run-zero-rounds", "detect-zero-rounds", "single-agent-missing-outcome",
-         "given-bad-label", "given-repeated-key", "given-unknown-key"),
+         "given-bad-label", "given-repeated-key", "given-unknown-key", "given-item-without-label"),
 )
 def test_values_the_library_rejects_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)  # main returns; it raises no SystemExit

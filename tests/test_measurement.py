@@ -1,5 +1,6 @@
 import itertools
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from frsim.measurement import (
     _weight,
     condition_on,
     outcome_probability,
+    pick_index,
     premeasure,
     record_copy,
     sample,
@@ -82,13 +84,11 @@ def test_validate_lab_basis_on_four_dimensional_lab():
     basis = two_qubit_lab_basis(a, b)
     assert validate_basis(basis) is None
     assert basis.target_dimension == 4
-    assert basis.residual_dimension == 2
     assert basis.labels() == ("ok", "fail")
 
 
 def test_validate_complete_coin_basis():
     assert validate_basis(coin_basis()) is None
-    assert coin_basis().residual_dimension == 0
 
 
 def test_validate_rejects_non_orthogonal_outcomes():
@@ -116,6 +116,33 @@ def test_a_basis_vector_that_is_not_finite_is_rejected(bad):
     with pytest.raises(BasisError, match="outcome vector 0 is not normalized"):
         MeasurementBasis(targets=(R,), outcomes=(SubspaceOutcome("a", [bad, 0]),
                                                  SubspaceOutcome("b", [0, 1])))
+
+
+@pytest.mark.parametrize(
+    "targets, outcomes, message",
+    (
+        ((), (("t", R.ket("t")),), "basis needs at least one target system"),
+        ((R,), (), "basis needs at least one outcome"),
+        ((R,), (("t", R.ket("t")), ("t", R.ket("h"))), r"duplicate outcome labels: \['t', 't'\]"),
+        ((R,), (("t", FBAR.ket("t")),),
+         "outcome 't' has vectors of dimension 3, target space has 2"),
+    ),
+    ids=("no-targets", "no-outcomes", "repeated-label", "wrong-vector-dimension"),
+)
+def test_a_malformed_basis_is_rejected(targets, outcomes, message):
+    with pytest.raises(BasisError, match=message):
+        MeasurementBasis(targets, tuple(SubspaceOutcome(label, ket) for label, ket in outcomes))
+
+
+@pytest.mark.parametrize("read", (condition_on, outcome_probability))
+def test_an_unknown_label_raises_key_error(read):
+    with pytest.raises(KeyError, match="basis has no outcome labeled 'x'"):
+        read(golden_state("external_t1"), coin_lab_basis(), "x")
+
+
+def test_pick_index_needs_a_probability_above_zero():
+    with pytest.raises(ValueError, match="all branch probabilities vanish"):
+        pick_index([0.0, 0.0], 0.5)
 
 
 def test_bases_are_built_once_and_validated_on_construction():
@@ -343,6 +370,17 @@ def test_sample_fixed_seed_reproduces_sequence():
     assert seq1 == seq2
 
 
+def test_a_drawn_outcome_below_the_zero_probability_tolerance_is_collapsed_onto():
+    # u, the largest float below 1, lands in h's interval at the top of the
+    # cumulative distribution, though h's probability 1e-14 lies below
+    # ZERO_PROBABILITY_ATOL: the post-state is |h>, not the state as it was.
+    state = StateVector(RegisterLayout((R,)), np.sqrt(1 - 1e-14) * R.ket("t") + 1e-7 * R.ket("h"))
+    top = SimpleNamespace(random=lambda: np.nextafter(1.0, 0.0))
+    label, post = sample(state, coin_basis(), top)
+    assert label == "h"
+    np.testing.assert_allclose(post.amplitudes, R.ket("h"), rtol=0, atol=1e-15)
+
+
 # condition_on ----------------------------------------------------------------
 
 def test_condition_spin_observer_on_heard_ok():
@@ -463,7 +501,8 @@ def test_record_copy_matches_explicit_unitary_and_preserves_norm():
             state = draw()
             outside = 1.0 - sum(outcome_probability(state, basis, label)
                                 for label in basis.labels())
-            assert (outside > 0.05) == (basis.residual_dimension > 0)
+            kets = sum(len(outcome.vectors) for outcome in basis.outcomes)
+            assert (outside > 0.05) == (kets < basis.target_dimension)
             written = write(state)
             oracle = apply_unitary(state, basis.target_names + (memory.name,), u)
             np.testing.assert_allclose(written.amplitudes, oracle.amplitudes, atol=1e-14)

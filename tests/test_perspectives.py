@@ -201,6 +201,17 @@ def test_announcer_memory_must_be_modeled():
         apply_announcement(model, "W", "ok")
 
 
+def test_an_unknown_announcer_is_rejected():
+    model = agent_model_at("C", 2, Given(), MODIFIED)
+    with pytest.raises(ValueError, match="unknown announcer 'Q'"):
+        apply_announcement(model, "Q", "ok")
+
+
+def test_a_layout_of_an_unknown_system_is_rejected():
+    with pytest.raises(KeyError, match=r"unknown system names: \['Q'\]"):
+        canonical_layout(("R", "Q"))
+
+
 # Certainty queries -------------------------------------------------------------
 
 def test_spin_friend_is_certain_of_the_coin_notebook_entry():

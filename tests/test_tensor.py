@@ -110,6 +110,33 @@ def test_reorder_rejects_non_permutation():
     for target in ((R, FBAR), (R, SystemId("S", ("up", "down", "x")))):
         with pytest.raises(LayoutError):
             reorder(state, RegisterLayout(target))
+    with pytest.raises(LayoutError, match=r"target layout \('R',\) is not a permutation of "
+                                          r"\('R', 'S'\)"):
+        reorder(state, RegisterLayout((R,)))
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    (
+        (lambda: SystemId("", ("0", "1")), ValueError, "system name must be non-empty"),
+        (lambda: SystemId("a", ("0",)), ValueError, "system 'a' needs at least 2 levels"),
+        (lambda: SystemId("a", ("0", "0")), ValueError, "system 'a' has duplicate level labels"),
+        (lambda: R.level_index("x"), KeyError, "system 'R' has no level 'x'"),
+        (lambda: RegisterLayout((R, R)), ValueError,
+         r"duplicate system names in layout: \['R', 'R'\]"),
+        (lambda: RegisterLayout(()), ValueError, "layout must contain at least one system"),
+        (lambda: StateVector(RegisterLayout((R,)), [1.0]), LayoutError,
+         "amplitude count 1 does not match layout dimension 2"),
+        (lambda: product_state(RegisterLayout((R,)), {"R": "t", "S": "up"}), LayoutError,
+         r"factors for systems not in layout: \['S'\]"),
+    ),
+    ids=("system-without-name", "system-of-one-level", "system-with-a-repeated-level",
+         "unknown-level", "layout-with-a-repeated-system", "empty-layout",
+         "wrong-amplitude-count", "factor-outside-the-layout"),
+)
+def test_each_construction_and_lookup_check_raises_its_documented_error(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
 
 
 def test_pickled_layout_hashes_like_a_fresh_one_in_another_process():
