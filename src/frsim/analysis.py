@@ -20,14 +20,13 @@ import numpy as np
 
 from .measurement import branch_all  # noqa: F401  (perfbench/test_benchmark.py traces it here)
 from .protocol import (
+    JointDistribution,
     OutcomeKey,
     ProtocolConfig,
     ProtocolVariant,
     compiled_round,
     grid_uniforms,
 )
-
-PROBABILITY_ATOL = 1e-10
 
 # Rounds sampled per block by monte_carlo, and (run, round) pairs per block
 # by rounds_to_halt: the block's uniforms and tree walk take about 1 MiB,
@@ -53,40 +52,6 @@ HALT_WINDOW = 8
 # under 0.83 of these units on 120 seeded inputs (n up to 40 000); at 600
 # random points of 300 inputs it reached 5.04.
 TAIL_MARGIN = 8 * np.finfo(float).eps
-
-
-@dataclass(frozen=True)
-class JointDistribution:
-    """Exact probabilities over round outcome keys: each at least
-    ``-PROBABILITY_ATOL`` and their sum within it of 1 (else ValueError, also
-    for a NaN)."""
-
-    entries: dict[OutcomeKey, float]
-
-    def __post_init__(self) -> None:
-        for key, p in self.entries.items():
-            if not p >= -PROBABILITY_ATOL:
-                raise ValueError(f"probability {p} for {key} is negative or not a number")
-        total = sum(self.entries.values())
-        if not abs(total - 1.0) <= PROBABILITY_ATOL:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-
-    def probability(self, key: OutcomeKey) -> float:
-        return self.entries.get(key, 0.0)
-
-    def marginal_wbar(self, label: str) -> float:
-        return sum(p for key, p in self.entries.items() if key.wbar == label)
-
-    def joint_wbar_w(self, wbar: str, w: str) -> float:
-        return sum(p for key, p in self.entries.items() if key.wbar == wbar and key.w == w)
-
-    def conditional_w(self, w: str, given_wbar: str) -> float:
-        return self.joint_wbar_w(given_wbar, w) / self.marginal_wbar(given_wbar)
-
-    def conditional_intrusion(self, outcome: str) -> float:
-        """Probability of the direct spin reading that follows a ``wbar`` ok."""
-        joint = sum(p for key, p in self.entries.items() if key.intrusion == outcome)
-        return joint / self.marginal_wbar("ok")
 
 
 @dataclass(frozen=True)
@@ -133,12 +98,11 @@ class DetectionReport:
 
 
 def enumerate_exact(variant: ProtocolVariant) -> JointDistribution:
-    """Exact joint distribution over the round's sampled measurements.
-
-    Read off the leaves of the compiled branch tree (:func:`compiled_round`),
-    each a product of exact Born probabilities.  No randomness is involved.
-    """
-    return JointDistribution(dict(compiled_round(variant).joint))
+    """Exact joint distribution over the round's sampled measurements, read
+    off the leaves of the compiled branch tree (:func:`compiled_round`), each
+    a product of exact Born probabilities; no randomness is involved.  It is
+    the variant's one distribution, checked once: every call returns it."""
+    return compiled_round(variant).distribution
 
 
 def monte_carlo(config: ProtocolConfig, rounds: int) -> FrequencyTable:
@@ -186,7 +150,7 @@ def rounds_to_halt(config: ProtocolConfig, repeats: int) -> np.ndarray:
     lengths = np.zeros(repeats, dtype=np.int64)
     if not sampler.halting.any():  # W's step is skipped after an intrusion ok
         return lengths
-    stays = 1.0 - fsum(p for key, p in sampler.joint.items() if key.halts)  # per round
+    stays = 1.0 - sampler.distribution.halt_probability  # per round
     going, start = np.arange(repeats, dtype=np.uint64), 0
     while len(going) and start < config.max_rounds:
         width = HALT_WINDOW

@@ -212,7 +212,7 @@ def cmd_branches(args: argparse.Namespace) -> Report:
     if not variant.intrusion:
         conditionals["w_ok_given_wbar_ok"] = _prob_entry(joint.conditional_w("ok", "ok"))
         conditionals["w_ok_given_wbar_fail"] = _prob_entry(joint.conditional_w("ok", "fail"))
-        results["halt"] = _prob_entry(sum(p for key, p in joint.entries.items() if key.halts))
+        results["halt"] = _prob_entry(joint.halt_probability)
     else:
         conditionals["up_given_wbar_ok"] = _prob_entry(joint.conditional_intrusion("up"))
     results["conditionals"] = conditionals

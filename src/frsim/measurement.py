@@ -18,7 +18,7 @@ and :func:`outcome_probability`, on every basis, and
 
 Measurement comes in four flavours:
 
-* :func:`branch_all` expands every outcome with its Born probability,
+* :func:`branch_all` expands every outcome of nonzero probability,
 * :func:`sample` draws one outcome from a seeded generator,
 * :func:`condition_on` projects on an outcome that is already known,
 * :func:`premeasure` and :func:`record_copy` write an outcome label into a
@@ -258,25 +258,20 @@ def _check_total(total: float, basis: MeasurementBasis) -> float:
     return total
 
 
-def _post_state(state: StateVector, probability: float, project: Callable,
-                index: int) -> StateVector:
-    if not probability > ZERO_PROBABILITY_ATOL:
-        return state  # placeholder, never a physical branch
-    return StateVector(state.layout, project(index, np.sqrt(probability)))
-
-
 def branch_all(state: StateVector, basis: MeasurementBasis) -> list[Branch]:
-    """Expand the measurement into one branch per outcome.
+    """Expand the measurement into one branch per outcome of nonzero probability.
 
     Each branch carries the Born probability (squared norm of the projection)
-    and the normalized post-measurement state.  Probabilities that with the
-    residual do not sum to 1 within :data:`NORM_TOL` raise
-    :class:`NormalizationError`; probability outside the declared outcomes
-    raises :class:`ResidualError` from :data:`RESIDUAL_TOL` on.
+    and the normalized post-measurement state, however small the probability.
+    An outcome of probability 0 has no post-state and no branch.
+    Probabilities that with the residual do not sum to 1 within
+    :data:`NORM_TOL` raise :class:`NormalizationError`; probability outside
+    the declared outcomes raises :class:`ResidualError` from
+    :data:`RESIDUAL_TOL` on.
     """
     probabilities, project = _checked(state, basis)
-    return [Branch(outcome.label, p, _post_state(state, p, project, index))
-            for index, (outcome, p) in enumerate(zip(basis.outcomes, probabilities))]
+    return [Branch(outcome.label, p, StateVector(state.layout, project(index, np.sqrt(p))))
+            for index, (outcome, p) in enumerate(zip(basis.outcomes, probabilities)) if p > 0.0]
 
 
 def pick_index(probabilities: Sequence[float], u: float) -> int:

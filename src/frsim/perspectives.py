@@ -23,7 +23,7 @@ copy step, while the external observer and the true dynamics include it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -241,13 +241,8 @@ def apply_announcement(model: AgentModel, announcer: str, label: str) -> AgentMo
         raise ValueError(
             f"announcer {announcer!r} has no memory system in the model of {model.agent!r}"
         )
-    state = condition_on(model.state, record_basis(memory), label)
-    return AgentModel(
-        agent=model.agent,
-        layout=model.layout,
-        state=state,
-        log=model.log + (("heard", announcer, label),),
-    )
+    return replace(model, state=condition_on(model.state, record_basis(memory), label),
+                   log=model.log + (("heard", announcer, label),))
 
 
 def certainty_query(model: AgentModel, basis: MeasurementBasis, label: str) -> CertaintyVerdict:

@@ -46,12 +46,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate, product
-from math import sqrt
+from math import fsum, sqrt
 from operator import index
 from types import MappingProxyType
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -81,6 +81,7 @@ from .systems import (
 from .tensor import RegisterLayout, StateVector, SystemId, apply_unitary, product_state
 
 FRIENDS_WITH_NOTEBOOKS = ("Fbar", "F")
+PROBABILITY_ATOL = 1e-10
 
 
 class OutcomeKey(NamedTuple):
@@ -94,6 +95,50 @@ class OutcomeKey(NamedTuple):
     def halts(self) -> bool:
         """Whether a round with these outcomes halts the experiment: both labs ok."""
         return self.wbar == "ok" and self.w == "ok"
+
+
+@dataclass(frozen=True)
+class JointDistribution:
+    """Exact probabilities over round outcome keys: each at least
+    ``-PROBABILITY_ATOL`` and their sum within it of 1 (else ValueError, also
+    for a NaN).  ``entries`` is a read-only copy of the mapping given, so one
+    distribution can be shared; ``dict(entries)`` gives a mutable copy."""
+
+    entries: Mapping[OutcomeKey, float]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
+        for key, p in self.entries.items():
+            if not p >= -PROBABILITY_ATOL:
+                raise ValueError(f"probability {p} for {key} is negative or not a number")
+        total = sum(self.entries.values())
+        if not abs(total - 1.0) <= PROBABILITY_ATOL:
+            raise ValueError(f"probabilities sum to {total}, not 1")
+
+    def __reduce__(self):  # a mapping proxy does not pickle; its copy does
+        return JointDistribution, (dict(self.entries),)
+
+    @cached_property
+    def halt_probability(self) -> float:
+        """The probability that a round halts the experiment (:attr:`OutcomeKey.halts`)."""
+        return fsum(p for key, p in self.entries.items() if key.halts)
+
+    def probability(self, key: OutcomeKey) -> float:
+        return self.entries.get(key, 0.0)
+
+    def marginal_wbar(self, label: str) -> float:
+        return sum(p for key, p in self.entries.items() if key.wbar == label)
+
+    def joint_wbar_w(self, wbar: str, w: str) -> float:
+        return sum(p for key, p in self.entries.items() if key.wbar == wbar and key.w == w)
+
+    def conditional_w(self, w: str, given_wbar: str) -> float:
+        return self.joint_wbar_w(given_wbar, w) / self.marginal_wbar(given_wbar)
+
+    def conditional_intrusion(self, outcome: str) -> float:
+        """Probability of the direct spin reading that follows a ``wbar`` ok."""
+        joint = sum(p for key, p in self.entries.items() if key.intrusion == outcome)
+        return joint / self.marginal_wbar("ok")
 
 
 @dataclass(frozen=True)
@@ -595,9 +640,9 @@ def _branch_tree(
     :func:`pick_index` adds them, and what each branch starts with, a node
     index or ``~j`` for the ``j``-th leaf.  One extra, last entry takes the
     slack above the last sum: the branch :func:`pick_index` falls back to.
-    A branch of zero probability is left out: :func:`pick_index` never picks
-    it.  Each leaf is an outcome key put into ``leaves`` with its
-    probability.  Returns what ``steps`` start with.
+    :func:`branch_all` leaves out a branch of zero probability, which
+    :func:`pick_index` never picks.  Each leaf is an outcome key put into
+    ``leaves`` with its probability.  Returns what ``steps`` start with.
     """
     for i, step in enumerate(steps):
         if step.skipped(outcomes):
@@ -605,7 +650,7 @@ def _branch_tree(
         if i >= evolved:
             state = step.evolve(state)
         if step.sampled:
-            branches = [b for b in branch_all(state, step.readout) if b.probability > 0.0]
+            branches = branch_all(state, step.readout)
             children = tuple(
                 _branch_tree(b.post_state, steps[i + 1:], {**outcomes, step.outcome: b.label},
                              probability * b.probability, nodes, leaves)
@@ -626,8 +671,9 @@ class RoundSampler:
     of the first ``evolved`` ``steps``, through the first sampled step's
     premeasurement.  The tree holds the exact Born probability of every
     branch, computed with the same operations as the reference path, and an
-    outcome key at every leaf; no state.  ``joint`` maps each leaf to its
-    (nonzero) probability, ``leaves`` lists the leaf keys in the same order,
+    outcome key at every leaf; no state.  ``distribution``, the variant's
+    one :class:`JointDistribution`, checked once here, gives each leaf its
+    (nonzero) probability; ``leaves`` lists the leaf keys in the same order,
     ``halting`` marks the leaves that halt the experiment, and
     ``announcements`` maps each leaf to its transcript's announcements.
 
@@ -649,7 +695,7 @@ class RoundSampler:
         nodes: list[tuple[list[float], tuple[int, ...]]] = []
         joint: dict[OutcomeKey, float] = {}
         root = _branch_tree(prefix_state(*self.start), steps, {}, 1.0, nodes, joint, self.evolved)
-        self.joint = MappingProxyType(joint)  # shared through the cache: read-only
+        self.distribution = JointDistribution(joint)
         self.leaves = tuple(joint)
         # A step a leaf leaves empty was not reached, so it announces nothing.
         self.announcements = MappingProxyType({key: tuple(

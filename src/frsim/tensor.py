@@ -168,10 +168,8 @@ class StateVector:
 
     def nonzero_terms(self) -> list[tuple[tuple[str, ...], complex]]:
         """(basis labels, amplitude) pairs with magnitude above 1e-12."""
-        out = []
-        for idx in np.flatnonzero(np.abs(self.amplitudes) > 1e-12):
-            out.append((self.layout.basis_label(int(idx)), complex(self.amplitudes[idx])))
-        return out
+        return [(self.layout.basis_label(int(idx)), complex(self.amplitudes[idx]))
+                for idx in np.flatnonzero(np.abs(self.amplitudes) > 1e-12)]
 
 
 def _as_ket(system: SystemId, factor: np.ndarray | Sequence[complex] | str) -> np.ndarray:

@@ -1,19 +1,20 @@
 """Mutation gate: every listed mutant must be killed.  The mutants cover the
 sampling code (the branch table, its rule, each leaf's announcements and the
 until-halt windows), the measurement checks (normalization, residual, zero
-probability, ready memory, unitarity), a sampled outcome's collapse, the
-construction checks (basis vectors, product factors, exact distributions,
-frequency tables, z-scores, the phase-blind comparison, reference states),
-the integer reads of seeds
-and counts, a state's own read-only copy, the one (targets, rest) index, the
-one read (its labeled outcome, its residual, the level-basis gather, the
-projected probabilities, the order of its sum), the premeasurement's writes,
-the schedule's reach and announcement rules, the shared record-free
-prefixes, the agents' layouts, level occupancies, announcements, certainty
-threshold and calibration, the detection bound's verified bracket, its
-uncapped Newton steps, its bisection in bits and its replayed bisection, the
-detection verdict, the CLI's usage errors, its fraction rule, its JSON
-writer and the check both formats share.
+probability, ready memory, unitarity), a sampled outcome's collapse, each
+branch's collapse and the branches of probability 0, the construction checks
+(basis vectors, product factors, exact distributions, frequency tables,
+z-scores, the phase-blind comparison, reference states), the shared exact
+distribution's read-only entries, the integer reads of seeds and counts, a
+state's own read-only copy, the one (targets, rest) index, the one read (its
+labeled outcome, its residual, the level-basis gather, the projected
+probabilities, the order of its sum), the premeasurement's writes, the
+schedule's reach and announcement rules, the shared record-free prefixes,
+the agents' layouts, level occupancies, announcements, certainty threshold
+and calibration, the detection bound's verified bracket, its uncapped Newton
+steps, its bisection in bits and its replayed bisection, the detection
+verdict, the CLI's usage errors, its fraction rule, its JSON writer and the
+check both formats share.
 
 Each mutant is an exact text patch ``(file, old, new, tests)``.  The script
 copies the checkout to a temporary directory, runs the tests of every mutant
@@ -158,15 +159,23 @@ MUTANTS = (
     Mutant("apply_unitary without its unitarity check",
            "src/frsim/tensor.py", "if not drift <= UNITARY_ATOL:", "if False:",
            ("tests/test_tensor.py::test_apply_unitary_checks_unitarity",)),
-    Mutant("a NaN probability builds a branch",
+    Mutant("branch_all builds a branch for an outcome of probability 0",
+           "src/frsim/measurement.py", "zip(basis.outcomes, probabilities)) if p > 0.0]",
+           "zip(basis.outcomes, probabilities)) if p >= 0.0]",
+           ("tests/test_measurement.py::test_an_outcome_of_probability_zero_builds_no_branch",)),
+    Mutant("branch_all keeps the state as it was for an outcome below the zero-probability "
+           "tolerance",
            "src/frsim/measurement.py",
-           "if not probability > ZERO_PROBABILITY_ATOL:\n        return state",
-           "if probability <= ZERO_PROBABILITY_ATOL:\n        return state",
-           ("tests/test_measurement.py::test_a_nan_probability_builds_no_branch",)),
+           "StateVector(state.layout, project(index, np.sqrt(p)))",
+           "(StateVector(state.layout, project(index, np.sqrt(p))) "
+           "if p > ZERO_PROBABILITY_ATOL else state)",
+           ("tests/test_measurement.py::"
+            "test_a_branch_below_the_zero_probability_tolerance_is_collapsed_onto",)),
     Mutant("sample keeps the state as it was for an outcome below the zero-probability tolerance",
            "src/frsim/measurement.py",
            "StateVector(state.layout, project(i, np.sqrt(probabilities[i])))",
-           "_post_state(state, probabilities[i], project, i)",
+           "(StateVector(state.layout, project(i, np.sqrt(probabilities[i]))) "
+           "if probabilities[i] > ZERO_PROBABILITY_ATOL else state)",
            ("tests/test_measurement.py::"
             "test_a_drawn_outcome_below_the_zero_probability_tolerance_is_collapsed_onto",)),
     Mutant("conditioning lets a NaN probability through",
@@ -203,9 +212,12 @@ MUTANTS = (
            "if abs(np.linalg.norm(ket) - 1.0) > 1e-9:",
            ("tests/test_tensor.py::test_a_nan_factor_is_not_normalized",)),
     Mutant("an exact distribution lets a NaN probability through",
-           "src/frsim/analysis.py", "if not p >= -PROBABILITY_ATOL:",
+           "src/frsim/protocol.py", "if not p >= -PROBABILITY_ATOL:",
            "if p < -PROBABILITY_ATOL:",
            ("tests/test_analysis.py::test_an_exact_distribution_rejects_a_nan_probability",)),
+    Mutant("an exact distribution's entries stay writable",
+           "src/frsim/protocol.py", "MappingProxyType(dict(self.entries))", "dict(self.entries)",
+           ("tests/test_analysis.py::test_the_shared_distribution_is_read_only",)),
     Mutant("a frequency table of zero rounds builds",
            "src/frsim/analysis.py", "if not self.total >= 1:", "if not self.total >= 0:",
            ("tests/test_analysis.py::test_a_frequency_table_needs_at_least_one_round",)),
@@ -293,7 +305,7 @@ MUTANTS = (
            ("tests/test_cli.py::test_a_non_finite_result_exits_4_and_writes_nothing",)),
     Mutant("apply_announcement does not condition",
            "src/frsim/perspectives.py",
-           "state = condition_on(model.state, record_basis(memory), label)", "state = model.state",
+           "state=condition_on(model.state, record_basis(memory), label)", "state=model.state",
            ("tests/test_perspectives.py::test_external_observer_predicts_the_exact_conditionals",)),
     Mutant("_weight sums in reverse order",
            "src/frsim/measurement.py", "np.add.reduce(np.abs(amplitudes) ** 2, axis=None)",
@@ -387,7 +399,7 @@ EQUIVALENT = (
            "src/frsim/measurement.py", "if not np.all(off <= ORTHO_ATOL):",
            "if np.any(off > ORTHO_ATOL):", ()),
     Mutant("an exact distribution's total lets a NaN through",
-           "src/frsim/analysis.py", "if not abs(total - 1.0) <= PROBABILITY_ATOL:",
+           "src/frsim/protocol.py", "if not abs(total - 1.0) <= PROBABILITY_ATOL:",
            "if abs(total - 1.0) > PROBABILITY_ATOL:", ()),
 )
 

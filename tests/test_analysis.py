@@ -1,9 +1,13 @@
+import copy
+import hashlib
 import json
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
 from math import comb, fsum, log, log1p
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -12,7 +16,7 @@ from hypothesis import strategies as st
 
 import exact_oracle
 import frsim
-from frsim import analysis
+from frsim import analysis, protocol
 from frsim.analysis import (
     HALT_WINDOW,
     ROUND_CHUNK,
@@ -198,6 +202,59 @@ def test_an_exact_distribution_rejects_a_nan_probability():
         JointDistribution({("ok", "ok", None): float("nan")})
 
 
+# One shared distribution per variant -------------------------------------------
+
+@pytest.mark.parametrize("v", ALL_VARIANTS, ids=variant_id)
+def test_equal_variants_share_one_distribution_built_from_the_leaves(v):
+    twin = ProtocolVariant(announce_wbar=v.announce_wbar, notebooks=set(v.notebooks),
+                           cheat=v.cheat, intrusion=v.intrusion)
+    joint = enumerate_exact(v)
+    assert twin == v and twin is not v
+    assert enumerate_exact(twin) is joint is enumerate_exact(v) is compiled_round(v).distribution
+    # The tree expanded again, its leaves put in a fresh dict, gives an
+    # equal distribution, bit for bit and in the order of the sampler's leaves.
+    sampler, leaves = compiled_round(v), {}
+    protocol._branch_tree(protocol.prefix_state(*sampler.start), sampler.steps, {}, 1.0, [],
+                          leaves, sampler.evolved)
+    fresh = JointDistribution(dict(leaves))
+    assert fresh == joint and fresh is not joint
+    assert [(key, p.hex()) for key, p in joint.entries.items()] \
+        == [(key, p.hex()) for key, p in fresh.entries.items()]
+    assert tuple(joint.entries) == sampler.leaves
+    halting = [p for key, p in leaves.items() if key.halts]
+    assert joint.halt_probability == fsum(halting) == (halting[0] if halting else 0.0)
+
+
+def test_the_shared_distribution_is_read_only():
+    joint = enumerate_exact(variant())
+    before = dict(joint.entries)
+    with pytest.raises(TypeError):
+        joint.entries[("ok", "ok", None)] = 1.0
+    with pytest.raises(TypeError):
+        del joint.entries[("fail", "fail", None)]
+    with pytest.raises(AttributeError):  # the dataclass is frozen
+        joint.entries = {}
+    mutable = dict(joint.entries)  # a copy the caller may change
+    mutable[("ok", "ok", None)] = 1.0
+    assert enumerate_exact(variant()).entries == before
+    # A distribution built directly keeps its own checked copy of the dict given.
+    given = dict(before)
+    built = JointDistribution(given)
+    given[("ok", "ok", None)] = 2.0
+    assert built.entries == before and type(built.entries) is MappingProxyType
+
+
+@pytest.mark.parametrize("v", ALL_VARIANTS, ids=variant_id)
+def test_the_shared_distribution_survives_pickle_and_copy(v):
+    joint = enumerate_exact(v)
+    for again in (pickle.loads(pickle.dumps(joint)), copy.deepcopy(joint), copy.copy(joint)):
+        assert again == joint and again is not joint
+        assert type(again.entries) is MappingProxyType
+        assert [p.hex() for p in again.entries.values()] \
+            == [p.hex() for p in joint.entries.values()]
+        assert again.halt_probability == joint.halt_probability
+
+
 # monte_carlo ------------------------------------------------------------------
 
 def test_monte_carlo_is_deterministic_per_seed():
@@ -244,6 +301,23 @@ def test_monte_carlo_rejects_rounds_beyond_the_round_indices():
 def test_rounds_to_halt_matches_run_until_halt(v, seed, repeats, max_rounds):
     _assert_rounds_to_halt_matches_run_until_halt(
         ProtocolConfig(variant=v, seed=seed, max_rounds=max_rounds), repeats)
+
+
+# SHA-256 of rounds_to_halt's lengths (int64 bytes, one array after another)
+# over the 24 variants x seeds 1, 7 and 41 x repeats 1 and 2000, in that
+# order, recorded while the halting probability was still summed per call.
+ROUNDS_TO_HALT_SHA256 = "0c82fe531842d5337ab0eada09e335d11856b1f370e4cf12cdc59bb067c6e921"
+
+
+def test_rounds_to_halt_keeps_every_length():
+    digest = hashlib.sha256()
+    for v in ALL_VARIANTS:
+        for seed in (1, 7, 41):
+            for repeats in (1, 2000):
+                lengths = rounds_to_halt(ProtocolConfig(v, seed=seed), repeats)
+                assert lengths.dtype == np.int64 and lengths.shape == (repeats,)
+                digest.update(lengths.tobytes())
+    assert digest.hexdigest() == ROUNDS_TO_HALT_SHA256
 
 
 def test_rounds_to_halt_across_kernel_calls():

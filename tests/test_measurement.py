@@ -20,7 +20,6 @@ from frsim.measurement import (
     ResidualError,
     SubspaceOutcome,
     branch_all,
-    _post_state,
     _weight,
     condition_on,
     outcome_probability,
@@ -173,7 +172,7 @@ def test_branch_probabilities_spin_down_branch():
     state = golden_state("spin_friend_t1_down")
     branches = {b.label: b.probability for b in branch_all(state, coin_lab_basis())}
     assert branches["fail"] == pytest.approx(1.0, abs=1e-12)
-    assert branches["ok"] == pytest.approx(0.0, abs=1e-12)
+    assert "ok" not in branches  # its probability is 0
 
 
 def test_branch_on_eigenstate():
@@ -248,7 +247,7 @@ def test_forbidden_residual_tolerance_is_1e_9():
         for residual in (5e-10, 1e-11):
             branches = {br.label: br.probability for br in branch_all(leaking(residual), basis)}
             assert branches["ok"] == pytest.approx(1.0 - residual, abs=1e-15)
-            assert branches["fail"] == pytest.approx(0.0, abs=1e-15)
+            assert branches.get("fail", 0.0) == pytest.approx(0.0, abs=1e-15)
 
 
 def _with_nan(state, index):
@@ -337,6 +336,32 @@ def test_a_memory_left_ready_fails_the_residual_check(measure):
     with pytest.raises(ResidualError,
                        match=r"residual outcome on \('Wbar',\) has probability 1\.000e\+00"):
         measure(state, record_basis(WBAR))
+
+
+def test_an_outcome_of_probability_zero_builds_no_branch():
+    # It has no post-state: its projection and the square root it would be
+    # divided by are both 0, and no 0/0 is taken on the way.
+    cases = ((golden_state("spin_friend_t1_down"), coin_lab_basis(), ["fail"]),
+             (product_state(RegisterLayout((S,)), {"S": "up"}), spin_basis(), ["up"]),
+             (product_state(RegisterLayout((R, WBAR)), {"R": "t", "Wbar": "fail"}),
+              record_basis(WBAR), ["fail"]))
+    for state, basis, labels in cases:
+        assert len(basis.outcomes) > len(labels)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            branches = branch_all(state, basis)
+        assert [b.label for b in branches] == labels
+        assert all(b.probability > 0.0 for b in branches)
+
+
+def test_a_branch_below_the_zero_probability_tolerance_is_collapsed_onto():
+    # h's probability 1e-14 lies below ZERO_PROBABILITY_ATOL, but it is not 0:
+    # its branch carries |h>, not the state as it was, as sample's does.
+    state = StateVector(RegisterLayout((R,)), np.sqrt(1 - 1e-14) * R.ket("t") + 1e-7 * R.ket("h"))
+    branches = {b.label: b for b in branch_all(state, coin_basis())}
+    assert 0.0 < branches["h"].probability <= ZERO_PROBABILITY_ATOL
+    np.testing.assert_allclose(branches["h"].post_state.amplitudes, R.ket("h"), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(branches["t"].post_state.amplitudes, R.ket("t"), rtol=0, atol=1e-15)
 
 
 # sample ----------------------------------------------------------------------
@@ -428,16 +453,6 @@ def test_a_nan_state_fails_the_zero_probability_check():
                          coin_lab_basis(), "ok")
 
 
-def test_a_nan_probability_builds_no_branch():
-    # As for a zero probability, the state comes back as a placeholder.
-    state = golden_state("external_t1")
-
-    def project(index, norm):
-        raise AssertionError("a NaN probability was projected")
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert _post_state(state, float("nan"), project, 0) is state
 
 
 # record_copy / premeasure ----------------------------------------------------
@@ -624,9 +639,9 @@ def test_each_row_index_is_held_once():
 
 def _projection_oracle(state, basis):
     """The projection on every outcome's kets, as a lab basis is read: each
-    probability, each normalized post-state's amplitudes (None below
-    ZERO_PROBABILITY_ATOL), and the error branch_all must raise (None if it
-    must not)."""
+    probability, each normalized post-state's amplitudes (None at
+    probability 0), and the error branch_all must raise (None if it must
+    not)."""
     layout = state.layout
     axes = [layout.axis(system.name) for system in basis.targets]
     perm = tuple(axes + [i for i in range(len(layout.systems)) if i not in axes])
@@ -638,7 +653,7 @@ def _projection_oracle(state, basis):
     residual = _weight(mat - sum(projections))
     restore = np.argsort(perm)  # the inverse permutation
     posts = [(projected / np.sqrt(p)).reshape(moved.shape).transpose(restore).reshape(-1)
-             if p > ZERO_PROBABILITY_ATOL else None
+             if p > 0.0 else None
              for p, projected in zip(probabilities, projections)]
     if not abs(sum(probabilities) + residual - 1.0) <= NORM_TOL:
         return probabilities, posts, NormalizationError
@@ -681,8 +696,8 @@ def test_level_bases_read_by_index_match_the_projection_bit_for_bit(monkeypatch)
             probabilities, posts, error = _projection_oracle(state, basis)
             gathered = [outcome_probability(state, basis, label) for label in basis.labels()]
             assert [p.hex() for p in gathered] == [p.hex() for p in probabilities]
-            for label, post in zip(basis.labels(), posts):
-                if post is not None:
+            for label, p, post in zip(basis.labels(), probabilities, posts):
+                if p > ZERO_PROBABILITY_ATOL:
                     assert _nonzero_hex(condition_on(state, basis, label).amplitudes) \
                         == _nonzero_hex(post)
             try:
@@ -692,10 +707,12 @@ def test_level_bases_read_by_index_match_the_projection_bit_for_bit(monkeypatch)
                 raised += 1
                 continue
             assert error is None
-            assert [b.probability.hex() for b in branches] == [p.hex() for p in probabilities]
-            for branch, post in zip(branches, posts):
-                if post is not None:
-                    assert _nonzero_hex(branch.post_state.amplitudes) == _nonzero_hex(post)
+            kept = [(label, p, post) for label, p, post in zip(basis.labels(), probabilities, posts)
+                    if post is not None]  # no branch at probability 0
+            assert [(b.label, b.probability.hex()) for b in branches] \
+                == [(label, p.hex()) for label, p, _ in kept]
+            for branch, (_, _, post) in zip(branches, kept):
+                assert _nonzero_hex(branch.post_state.amplitudes) == _nonzero_hex(post)
             read += 1
     assert (read, raised) == (388, 34)  # the ready memories of golden states raise
 
