@@ -51,7 +51,7 @@ HALT_WINDOW = 8
 # sum, the evaluation's error within a relative 3e-10 of the root stayed
 # under 0.83 of these units on 120 seeded inputs (n up to 40 000); at 600
 # random points of 300 inputs it reached 5.04.
-TAIL_MARGIN = 8 * np.finfo(float).eps
+TAIL_MARGIN = 8 * np.finfo(float).eps  # a search rule, not an invariant: nothing raises on it
 
 
 @dataclass(frozen=True)

@@ -135,7 +135,7 @@ def _fraction(p: float) -> str | None:
     fraction ``Fraction(p).limit_denominator(24)`` gives.  NaN raises
     ``ValueError`` and an infinity ``OverflowError``.
     """
-    for q in range(1, 25):
+    for q in range(1, 25):  # a rendering rule, not an invariant: a miss renders no fraction
         n = round(p * q)
         if abs(n / q - p) < 1e-9:
             return f"{n}/{q}"

@@ -7,14 +7,13 @@ raise :class:`NormalizationError` unless the outcome probabilities plus
 the probability outside them (the residual) lie within :data:`NORM_TOL` of
 1, and then :class:`ResidualError`, of which that is a kind, once the
 residual reaches :data:`RESIDUAL_TOL`.  :func:`condition_on` and
-:func:`outcome_probability` read only the outcome asked for and raise
-:class:`NormalizationError` unless the state's norm is 1 within
-:data:`NORM_TOL` (``condition_on`` after its zero-probability check), and
-:func:`premeasure` leaves the residual part of the state as it is.  Every
-probability check passes only a good value, so a NaN fails it: a NaN state
-raises :class:`NormalizationError` from :func:`branch_all`, :func:`sample`
-and :func:`outcome_probability`, on every basis, and
-:class:`InconsistentOutcomeError` from :func:`condition_on`.
+:func:`outcome_probability` read only the outcome asked for and check the
+state's norm alone (``condition_on`` after its zero-probability check), and
+:func:`premeasure` leaves the residual part of the state as it is.  Each of
+these checks is a :func:`~frsim.tensor.require`, which a NaN never passes: a NaN
+state raises :class:`NormalizationError` from every readout, but
+:class:`InconsistentOutcomeError` from :func:`condition_on` when the NaN
+reaches the outcome's own probability.
 
 Measurement comes in four flavours:
 
@@ -51,15 +50,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
+from operator import gt, le, lt
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
-from .tensor import NORM_TOL, RegisterLayout, StateVector, SystemId, _write, transpose_plan
+from .tensor import (NORM_TOL, ORTHO_ATOL, RESIDUAL_TOL, ZERO_PROBABILITY_ATOL, RegisterLayout,
+                     StateVector, SystemId, _write, require, transpose_plan)
 
-ORTHO_ATOL = 1e-12
-ZERO_PROBABILITY_ATOL = 1e-12
-RESIDUAL_TOL = 1e-9  # probability outside a basis's outcomes raises from here on
 READY = "ready"  # the level every memory starts in, before an outcome is written
 
 
@@ -169,14 +167,12 @@ def validate_basis(basis: MeasurementBasis) -> None:
     stacked = np.vstack([o.vectors for o in basis.outcomes])
     with np.errstate(all="ignore"):  # inf * 0 is NaN, which the checks reject
         gram = stacked.conj() @ stacked.T
-    diag = np.abs(np.diag(gram) - 1.0)
-    if not np.all(diag <= ORTHO_ATOL):
-        bad = int(np.argmax(diag))  # the first NaN, if any
-        raise BasisError(f"outcome vector {bad} is not normalized")
+    diag = np.abs(np.diag(gram) - 1.0)  # a NaN makes the maximum NaN; argmax finds the first
+    require(diag.max(), le, ORTHO_ATOL, BasisError,
+            lambda: f"outcome vector {np.argmax(diag)} is not normalized")
     off = np.abs(gram - np.eye(gram.shape[0]))
-    if not np.all(off <= ORTHO_ATOL):
-        i, j = np.unravel_index(int(np.argmax(off)), off.shape)
-        raise BasisError(f"outcome vectors {i} and {j} are not orthogonal")
+    require(off.max(), le, ORTHO_ATOL, BasisError, lambda: "outcome vectors {} and {} are not "
+            "orthogonal".format(*np.unravel_index(np.argmax(off), off.shape)))
 
 
 @cache
@@ -239,22 +235,18 @@ def _checked(state: StateVector, basis: MeasurementBasis) -> tuple[list[float], 
     :data:`RESIDUAL_TOL` (else :class:`ResidualError`)."""
     probabilities, total_of, project = _read(state, basis)
     residual = _check_total(total_of(), basis) - sum(probabilities)
-    if not residual < RESIDUAL_TOL:
-        raise ResidualError(
-            f"residual outcome on {basis.target_names} has probability "
-            f"{residual:.3e} under a forbid policy"
-        )
+    require(residual, lt, RESIDUAL_TOL, ResidualError, lambda: (
+        f"residual outcome on {basis.target_names} has probability "
+        f"{residual:.3e} under a forbid policy"))
     return probabilities, project
 
 
 def _check_total(total: float, basis: MeasurementBasis) -> float:
     """``total``, the outcome probabilities plus the residual, once it lies
     within :data:`NORM_TOL` of 1 (else :class:`NormalizationError`)."""
-    if not abs(total - 1.0) <= NORM_TOL:
-        raise NormalizationError(
-            f"outcome probabilities on {basis.target_names} and their residual sum to "
-            f"{total!r}, not 1"
-        )
+    require(abs(total - 1.0), le, NORM_TOL, NormalizationError, lambda: (
+        f"outcome probabilities on {basis.target_names} and their residual sum to "
+        f"{total!r}, not 1"))
     return total
 
 
@@ -286,7 +278,7 @@ def pick_index(probabilities: Sequence[float], u: float) -> int:
         cumulative += p
         if u < cumulative:
             return i
-    # u landed in roundoff slack at the top; take the last real branch.
+    # u landed in roundoff slack at the top; take the last real branch (a search rule).
     for i in range(len(probabilities) - 1, -1, -1):
         if probabilities[i] > ZERO_PROBABILITY_ATOL:
             return i
@@ -319,11 +311,9 @@ def condition_on(state: StateVector, basis: MeasurementBasis, label: str) -> Sta
     :data:`NORM_TOL`.
     """
     (probability,), total_of, project = _read(state, basis, label)
-    if not probability > ZERO_PROBABILITY_ATOL:
-        raise InconsistentOutcomeError(
-            f"outcome {label!r} on {basis.target_names} has probability "
-            f"{probability:.3e}; conditioning on it is inconsistent"
-        )
+    require(probability, gt, ZERO_PROBABILITY_ATOL, InconsistentOutcomeError, lambda: (
+        f"outcome {label!r} on {basis.target_names} has probability "
+        f"{probability:.3e}; conditioning on it is inconsistent"))
     _check_total(total_of(), basis)
     return StateVector(state.layout, project(0, np.sqrt(probability)))
 
@@ -355,11 +345,9 @@ def premeasure(
     rows, ready, written, off_ready_rows = _record_plan(state.layout, basis, memory)
     off = state.amplitudes[off_ready_rows]
     off_ready = _weight(off) if off.any() else 0.0  # zeros weigh 0.0; a NaN is not zero
-    if not off_ready <= ZERO_PROBABILITY_ATOL:
-        raise ValueError(
-            f"memory {memory.name!r} is not in its ready state "
-            f"(off-ready probability {off_ready:.3e})"
-        )
+    require(off_ready, le, ZERO_PROBABILITY_ATOL, ValueError, lambda: (
+        f"memory {memory.name!r} is not in its ready state "
+        f"(off-ready probability {off_ready:.3e})"))
 
     mat = state.amplitudes[rows[ready]]  # the ready slice: (targets, rest)
     amplitudes = np.zeros_like(state.amplitudes)

@@ -55,7 +55,7 @@ AGENTS = ("Fbar", "F", "Wbar", "W", "C")
 _ROLES = {"Fbar": "coin friend", "F": "spin friend",
           "Wbar": "coin-lab observer", "W": "spin-lab observer"}
 
-CERTAINTY_TOL = 1e-10
+CERTAINTY_TOL = 1e-10  # a classification rule, not an invariant: nothing raises on it
 
 # The labels each ``Given`` field can take: those of the step that writes it.
 GIVEN_LABELS = MappingProxyType({

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, product
 from math import fsum, sqrt
-from operator import index
+from operator import ge, index, le
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -78,10 +78,10 @@ from .systems import (
     spin_basis,
     spin_lab_basis,
 )
-from .tensor import RegisterLayout, StateVector, SystemId, apply_unitary, product_state
+from .tensor import (PROBABILITY_ATOL, RegisterLayout, StateVector, SystemId, apply_unitary,
+                     product_state, require)
 
 FRIENDS_WITH_NOTEBOOKS = ("Fbar", "F")
-PROBABILITY_ATOL = 1e-10
 
 
 class OutcomeKey(NamedTuple):
@@ -109,11 +109,11 @@ class JointDistribution:
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
         for key, p in self.entries.items():
-            if not p >= -PROBABILITY_ATOL:
-                raise ValueError(f"probability {p} for {key} is negative or not a number")
+            require(p, ge, -PROBABILITY_ATOL, ValueError,
+                    lambda: f"probability {p} for {key} is negative or not a number")
         total = sum(self.entries.values())
-        if not abs(total - 1.0) <= PROBABILITY_ATOL:
-            raise ValueError(f"probabilities sum to {total}, not 1")
+        require(abs(total - 1.0), le, PROBABILITY_ATOL, ValueError,
+                lambda: f"probabilities sum to {total}, not 1")
 
     def __reduce__(self):  # a mapping proxy does not pickle; its copy does
         return JointDistribution, (dict(self.entries),)
@@ -162,8 +162,7 @@ class ProtocolVariant:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "notebooks", frozenset(self.notebooks))
-        unknown = self.notebooks - set(FRIENDS_WITH_NOTEBOOKS)
-        if unknown:
+        if unknown := self.notebooks - set(FRIENDS_WITH_NOTEBOOKS):
             raise ValueError(f"notebooks must be a subset of {FRIENDS_WITH_NOTEBOOKS}, "
                              f"got extra {sorted(unknown)}")
         if self.cheat and "Fbar" not in self.notebooks:

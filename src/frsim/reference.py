@@ -13,13 +13,14 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 from math import sqrt
+from operator import le
 
 import numpy as np
 
 from .perspectives import Given, known_system_names
 from .protocol import ProtocolVariant
 from .systems import canonical_layout, coin_lab_basis, spin_lab_basis
-from .tensor import NORM_TOL, RegisterLayout, StateVector
+from .tensor import NORM_TOL, RegisterLayout, StateVector, require
 
 COEFFICIENTS: dict[str, float] = {
     "0": 0.0,
@@ -86,8 +87,7 @@ def _term_vector(layout: RegisterLayout, factors: dict[str, str]) -> np.ndarray:
         vec = np.kron(vec, layout.system(name).ket(factors[name]))
         used.add(name)
         i += 1
-    unused = set(factors) - used
-    if unused:
+    if unused := set(factors) - used:
         raise ValueError(f"term has factors for absent systems: {sorted(unused)}")
     return vec
 
@@ -98,8 +98,8 @@ def _build_state(layout: RegisterLayout, terms: list[dict]) -> StateVector:
         coeff = COEFFICIENTS[term["coeff"]]
         amps += coeff * _term_vector(layout, term["factors"])
     state = StateVector(layout, amps)
-    if not abs(state.norm - 1.0) <= NORM_TOL:
-        raise ValueError(f"reference state is not normalized (norm {state.norm})")
+    require(abs(state.norm - 1.0), le, NORM_TOL, ValueError,
+            lambda: f"reference state is not normalized (norm {state.norm})")
     return state
 
 

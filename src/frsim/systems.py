@@ -59,8 +59,7 @@ def canonical_layout(names: Iterable[str]) -> RegisterLayout:
 
 @cache
 def _canonical_layout(wanted: frozenset[str]) -> RegisterLayout:
-    unknown = wanted - set(BY_NAME)
-    if unknown:
+    if unknown := wanted - set(BY_NAME):
         raise KeyError(f"unknown system names: {sorted(unknown)}")
     return RegisterLayout(tuple(sys for sys in CANONICAL_ORDER if sys.name in wanted))
 

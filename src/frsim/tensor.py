@@ -29,15 +29,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Mapping, Sequence
+from operator import le
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-# How far from 1 a norm, or the outcome probabilities plus the residual, may
-# lie.  The worst drift on the 24 branch trees, the 26 golden states and the
-# states run_round samples is 6.7e-16 (3 ulp at 1).
-NORM_TOL = 1e-12
+# The physical invariants' tolerances; every check of one is a call of require().
+NORM_TOL = 1e-12  # a norm, or probabilities plus residual, off 1: worst drift seen 6.7e-16
+FACTOR_NORM_TOL = 1e-9  # a product_state factor's norm off 1: a caller's ket, checked loosely
 UNITARY_ATOL = 1e-12  # largest entry of |U^dagger U - 1| apply_unitary accepts
+ORTHO_ATOL = 1e-12  # largest entry of |V^dagger V - 1| over a basis's outcome vectors
+ZERO_PROBABILITY_ATOL = 1e-12  # at or below it a probability counts as none: no outcome, no record
+RESIDUAL_TOL = 1e-9  # probability outside a basis's outcomes raises from here on
+PROBABILITY_ATOL = 1e-10  # an exact distribution's slack below 0 and of its sum about 1
+
+
+def require(value: float, compare: Callable, limit: float, error: type[Exception],
+            message: Callable[[], str]) -> float:
+    """``value`` if ``compare(value, limit)``, else raise ``error(message())``: the one
+    check of every physical invariant.  ``compare`` (``operator.le``, ``lt``, ``ge`` or
+    ``gt``) is named at each call; a NaN compares false, so it never passes."""
+    if not compare(value, limit):
+        raise error(message())
+    return value
 
 
 class LayoutError(ValueError):
@@ -167,7 +181,8 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
     def nonzero_terms(self) -> list[tuple[tuple[str, ...], complex]]:
-        """(basis labels, amplitude) pairs with magnitude above 1e-12."""
+        """(basis labels, amplitude) pairs with magnitude above 1e-12: a rendering
+        rule for listing terms, not an invariant."""
         return [(self.layout.basis_label(int(idx)), complex(self.amplitudes[idx]))
                 for idx in np.flatnonzero(np.abs(self.amplitudes) > 1e-12)]
 
@@ -191,21 +206,19 @@ def product_state(
     """Tensor product of one normalized ket per system, in layout order.
 
     Factors may be given as dense kets or as level labels.  Each factor must
-    be normalized, so finite (else ValueError); the result then has norm 1 up
-    to roundoff.
+    be normalized within :data:`FACTOR_NORM_TOL`, so finite (else ValueError);
+    the result then has norm 1 up to roundoff.
     """
-    missing = set(layout.names) - set(factors)
-    if missing:
+    if missing := set(layout.names) - set(factors):
         raise LayoutError(f"missing factors for systems: {sorted(missing)}")
-    extra = set(factors) - set(layout.names)
-    if extra:
+    if extra := set(factors) - set(layout.names):
         raise LayoutError(f"factors for systems not in layout: {sorted(extra)}")
 
     amps = np.ones(1, dtype=np.complex128)
     for system in layout.systems:
         ket = _as_ket(system, factors[system.name])
-        if not abs(np.linalg.norm(ket) - 1.0) <= 1e-9:
-            raise ValueError(f"factor for system {system.name!r} is not normalized")
+        require(abs(np.linalg.norm(ket) - 1.0), le, FACTOR_NORM_TOL, ValueError,
+                lambda: f"factor for system {system.name!r} is not normalized")
         amps = np.kron(amps, ket)
     return StateVector(layout, amps)
 
@@ -232,8 +245,8 @@ def equal_up_to_global_phase(a: StateVector, b: StateVector, tol: float = 1e-10)
     if a.layout != b.layout:
         raise LayoutError("comparison requires identical layouts")
     for side, state in (("first", a), ("second", b)):
-        if not abs(state.norm - 1.0) <= max(tol, NORM_TOL):
-            raise ValueError(f"{side} state is not normalized (norm {state.norm})")
+        require(abs(state.norm - 1.0), le, max(tol, NORM_TOL), ValueError,
+                lambda: f"{side} state is not normalized (norm {state.norm})")
     return bool(abs(np.vdot(a.amplitudes, b.amplitudes)) >= 1.0 - tol)
 
 
@@ -324,6 +337,6 @@ def apply_unitary(
             f"unitary shape {u.shape} does not match target dimension {mat.shape[0]}"
         )
     drift = _unitarity_drift(u.tobytes(), len(u))
-    if not drift <= UNITARY_ATOL:
-        raise UnitarityError(f"matrix is not unitary: |U^dagger U - 1| reaches {drift:.3e}")
+    require(drift, le, UNITARY_ATOL, UnitarityError,
+            lambda: f"matrix is not unitary: |U^dagger U - 1| reaches {drift:.3e}")
     return StateVector(state.layout, _write(state.layout, index, u @ mat))

@@ -1,12 +1,14 @@
 """Mutation gate: every listed mutant must be killed.  The mutants cover the
 sampling code (the branch table, its rule, each leaf's announcements and the
-until-halt windows), the measurement checks (normalization, residual, zero
-probability, ready memory, unitarity), a sampled outcome's collapse, each
-branch's collapse and the branches of probability 0, the construction checks
-(basis vectors, product factors, exact distributions, frequency tables,
-z-scores, the phase-blind comparison, reference states), the shared exact
-distribution's read-only entries, the integer reads of seeds and counts, a
-state's own read-only copy, the one (targets, rest) index, the one read (its
+until-halt windows), the one check of every physical invariant
+(``tensor.require``: a NaN, its message), the tolerance each of its calls
+reads (normalization, residual, zero probability, ready memory, unitarity,
+basis vectors, product factors, exact distributions, the phase-blind
+comparison, reference states), the residual's and the zero probability's
+boundaries, a sampled outcome's collapse, each branch's collapse and the
+branches of probability 0, the remaining construction checks (frequency
+tables, z-scores), the shared exact distribution's read-only entries, the
+integer reads of seeds and counts, a state's own read-only copy, the one (targets, rest) index, the one read (its
 labeled outcome, its residual, the level-basis gather, the projected
 probabilities, the order of its sum), the premeasurement's writes, the
 schedule's reach and announcement rules, the shared record-free prefixes,
@@ -31,7 +33,8 @@ its file (so the list keeps up with the code), or when the unpatched tests
 fail.  A change to a patched line updates its patch here.  ``EQUIVALENT``
 lists mutants that give the same bits as the code; their patches must apply,
 but they are not run.  The file name keeps pytest from collecting it;
-``tests/test_mutation_patches.py`` checks in tier-1 that every patch applies.
+``tests/test_mutation_patches.py`` checks in tier-1 that every patch applies,
+and that some mutant patches every call of ``tensor.require``.
 """
 
 from __future__ import annotations
@@ -60,7 +63,6 @@ _EDGES = ("tests/test_protocol.py::test_draw_walk_and_the_reference_agree_on_the
 _REACH = ("tests/test_perspectives.py::test_reach_rule_keeps_every_verdict_and_announcement",)
 _SLACK = 'children += (children[pick_index(probabilities, float("inf"))],)'
 _BITS = ("tests/test_analysis.py::test_upper_bound_is_the_bisection_on_large_inputs[cli-golden]",)
-_NORMALIZATION = "if not abs(total - 1.0) <= NORM_TOL:"
 _RESIDUAL_ROWS = "lambda: sum(weights)"
 _RESIDUAL = "_check_total(total_of(), basis) - sum(probabilities)"
 _PREMEASURE_BITS = ("tests/test_perspectives.py::"
@@ -69,6 +71,10 @@ _INDEX_AXES = "perm = axes + [i for i in range(len(dims)) if i not in axes]"
 _OWN_COPY = ("tests/test_tensor.py::test_a_state_keeps_its_own_read_only_copy",)
 _ENTROPY = "entropy = (index(seed), *map(index, key))"
 _COUNTS = "successes, trials = index(successes), index(trials)"
+_PAST = "tests/test_invariants.py::test_each_site_raises_its_class_past_its_tolerance"
+_INSIDE = "tests/test_invariants.py::test_each_site_passes_inside_its_tolerance"
+_REQUIRE = ("tests/test_invariants.py::test_require_passes_only_the_good_side_of_its_limit",)
+_CONDITION = "gt, ZERO_PROBABILITY_ATOL, InconsistentOutcomeError"
 _CONFIDENCE_CHECK = ('if not 0.0 < confidence < 1.0:\n'
                      '        raise ValueError(f"confidence must lie strictly between 0 and 1, '
                      'got {confidence}")\n    if index(min_ok_rounds)')
@@ -110,15 +116,17 @@ MUTANTS = (
     Mutant("the widened window is not clipped at max_rounds",
            "src/frsim/analysis.py", "min(start + width, config.max_rounds)", "start + width",
            ("tests/test_analysis.py::test_rounds_to_halt_clips_a_widened_window_at_max_rounds",)),
-    Mutant("the normalization check lets a NaN through",
-           "src/frsim/measurement.py", _NORMALIZATION, "if abs(total - 1.0) > NORM_TOL:",
-           ("tests/test_measurement.py::test_a_nan_state_fails_the_residual_check",
-            "tests/test_measurement.py::"
-            "test_a_nan_state_fails_the_normalization_check_of_every_readout")),
-    Mutant("the normalization check dropped",
-           "src/frsim/measurement.py", _NORMALIZATION, "if False:",
-           ("tests/test_measurement.py::"
-            "test_an_unnormalized_state_fails_the_normalization_check",)),
+    Mutant("require lets a NaN through",
+           "src/frsim/tensor.py", "if not compare(value, limit):",
+           "if not (compare(value, limit) or value != value):", _REQUIRE),
+    Mutant("require formats its message before it compares",
+           "src/frsim/tensor.py",
+           "    if not compare(value, limit):\n        raise error(message())",
+           "    text = message()\n    if not compare(value, limit):\n        raise error(text)",
+           _REQUIRE),
+    Mutant("the normalization check reads RESIDUAL_TOL, not NORM_TOL",
+           "src/frsim/measurement.py", "le, NORM_TOL, NormalizationError",
+           "le, RESIDUAL_TOL, NormalizationError", (f"{_PAST}[total]",)),
     Mutant("the residual rows of a level basis left out",
            "src/frsim/measurement.py", _RESIDUAL_ROWS,
            "lambda: sum(weights[level] for level in levels)",
@@ -156,9 +164,10 @@ MUTANTS = (
            "src/frsim/measurement.py", "amplitudes[rows[level]] += projected",
            "amplitudes[rows[ready]] += projected",
            _PREMEASURE_BITS),
-    Mutant("apply_unitary without its unitarity check",
-           "src/frsim/tensor.py", "if not drift <= UNITARY_ATOL:", "if False:",
-           ("tests/test_tensor.py::test_apply_unitary_checks_unitarity",)),
+    Mutant("the unitarity check reads PROBABILITY_ATOL, not UNITARY_ATOL",
+           "src/frsim/tensor.py", "le, UNITARY_ATOL, UnitarityError",
+           "le, PROBABILITY_ATOL, UnitarityError",
+           ("tests/test_tensor.py::test_apply_unitary_checks_unitarity", f"{_PAST}[unitarity]")),
     Mutant("branch_all builds a branch for an outcome of probability 0",
            "src/frsim/measurement.py", "zip(basis.outcomes, probabilities)) if p > 0.0]",
            "zip(basis.outcomes, probabilities)) if p >= 0.0]",
@@ -178,15 +187,29 @@ MUTANTS = (
            "if probabilities[i] > ZERO_PROBABILITY_ATOL else state)",
            ("tests/test_measurement.py::"
             "test_a_drawn_outcome_below_the_zero_probability_tolerance_is_collapsed_onto",)),
-    Mutant("conditioning lets a NaN probability through",
-           "src/frsim/measurement.py",
-           "if not probability > ZERO_PROBABILITY_ATOL:\n        raise",
-           "if probability <= ZERO_PROBABILITY_ATOL:\n        raise",
-           ("tests/test_measurement.py::test_a_nan_state_fails_the_zero_probability_check",)),
-    Mutant("the ready check lets a NaN memory amplitude through",
-           "src/frsim/measurement.py", "if not off_ready <= ZERO_PROBABILITY_ATOL:",
-           "if off_ready > ZERO_PROBABILITY_ATOL:",
-           ("tests/test_measurement.py::test_a_nan_memory_amplitude_fails_the_ready_check",)),
+    Mutant("conditioning reads RESIDUAL_TOL, not ZERO_PROBABILITY_ATOL",
+           "src/frsim/measurement.py", _CONDITION, "gt, RESIDUAL_TOL, InconsistentOutcomeError",
+           (f"{_INSIDE}[zero-probability]",)),
+    Mutant("conditioning takes any probability above 0",
+           "src/frsim/measurement.py", _CONDITION, "gt, 0.0, InconsistentOutcomeError",
+           (f"{_PAST}[zero-probability]",)),
+    Mutant("conditioning takes a probability of exactly ZERO_PROBABILITY_ATOL",
+           "src/frsim/measurement.py", _CONDITION,
+           "gt, np.nextafter(ZERO_PROBABILITY_ATOL, 0.0), InconsistentOutcomeError",
+           ("tests/test_invariants.py::"
+            "test_conditioning_at_exactly_the_zero_probability_tolerance_raises",)),
+    Mutant("the residual check passes a residual of exactly RESIDUAL_TOL",
+           "src/frsim/measurement.py", "require(residual, lt, RESIDUAL_TOL",
+           "require(residual, le, RESIDUAL_TOL",
+           ("tests/test_invariants.py::test_a_residual_at_exactly_its_tolerance_raises",)),
+    Mutant("the residual check reads NORM_TOL, not RESIDUAL_TOL",
+           "src/frsim/measurement.py", "lt, RESIDUAL_TOL, ResidualError",
+           "lt, NORM_TOL, ResidualError",
+           ("tests/test_measurement.py::test_forbidden_residual_tolerance_is_1e_9",
+            f"{_INSIDE}[residual]")),
+    Mutant("the ready check reads RESIDUAL_TOL, not ZERO_PROBABILITY_ATOL",
+           "src/frsim/measurement.py", "le, ZERO_PROBABILITY_ATOL, ValueError",
+           "le, RESIDUAL_TOL, ValueError", (f"{_PAST}[ready]",)),
     Mutant("a round's shared prefix runs one step past its first collapse",
            "src/frsim/protocol.py", "evolved = 1 + next(", "evolved = 2 + next(",
            ("tests/test_protocol.py::test_a_round_premeasures_only_w_after_its_shared_prefix",)),
@@ -203,18 +226,21 @@ MUTANTS = (
            "src/frsim/tensor.py", _INDEX_AXES,
            "perm = [i for i in range(len(dims)) if i not in axes] + axes",
            ("tests/test_tensor.py::test_an_index_lists_the_targets_levels_then_the_rest",)),
-    Mutant("a basis vector holding a NaN passes as normalized",
-           "src/frsim/measurement.py", "if not np.all(diag <= ORTHO_ATOL):",
-           "if np.any(diag > ORTHO_ATOL):",
-           ("tests/test_measurement.py::test_a_basis_vector_that_is_not_finite_is_rejected",)),
-    Mutant("product_state lets a NaN factor through",
-           "src/frsim/tensor.py", "if not abs(np.linalg.norm(ket) - 1.0) <= 1e-9:",
-           "if abs(np.linalg.norm(ket) - 1.0) > 1e-9:",
-           ("tests/test_tensor.py::test_a_nan_factor_is_not_normalized",)),
-    Mutant("an exact distribution lets a NaN probability through",
-           "src/frsim/protocol.py", "if not p >= -PROBABILITY_ATOL:",
-           "if p < -PROBABILITY_ATOL:",
-           ("tests/test_analysis.py::test_an_exact_distribution_rejects_a_nan_probability",)),
+    Mutant("a basis vector's norm checked against RESIDUAL_TOL, not ORTHO_ATOL",
+           "src/frsim/measurement.py", "require(diag.max(), le, ORTHO_ATOL,",
+           "require(diag.max(), le, RESIDUAL_TOL,", (f"{_PAST}[basis-norm]",)),
+    Mutant("basis vectors' overlaps checked against RESIDUAL_TOL, not ORTHO_ATOL",
+           "src/frsim/measurement.py", "require(off.max(), le, ORTHO_ATOL,",
+           "require(off.max(), le, RESIDUAL_TOL,", (f"{_PAST}[basis-orthogonality]",)),
+    Mutant("product_state checks its factors within NORM_TOL, not FACTOR_NORM_TOL",
+           "src/frsim/tensor.py", "le, FACTOR_NORM_TOL, ValueError", "le, NORM_TOL, ValueError",
+           (f"{_INSIDE}[factor-norm]",)),
+    Mutant("an exact distribution's entries may lie RESIDUAL_TOL (1e-9) below 0",
+           "src/frsim/protocol.py", "ge, -PROBABILITY_ATOL, ValueError", "ge, -1e-9, ValueError",
+           (f"{_PAST}[distribution-entry]",)),
+    Mutant("an exact distribution's total may lie RESIDUAL_TOL (1e-9) off 1",
+           "src/frsim/protocol.py", "le, PROBABILITY_ATOL, ValueError", "le, 1e-9, ValueError",
+           (f"{_PAST}[distribution-total]",)),
     Mutant("an exact distribution's entries stay writable",
            "src/frsim/protocol.py", "MappingProxyType(dict(self.entries))", "dict(self.entries)",
            ("tests/test_analysis.py::test_the_shared_distribution_is_read_only",)),
@@ -354,14 +380,12 @@ MUTANTS = (
     Mutant("detect_records takes a float min_ok_rounds",
            "src/frsim/analysis.py", "if index(min_ok_rounds) < 1:", "if min_ok_rounds < 1:",
            ("tests/test_analysis.py::test_counts_are_integers[detect-min_ok_rounds]",)),
-    Mutant("the phase-blind comparison lets a NaN state through",
-           "src/frsim/tensor.py", "if not abs(state.norm - 1.0) <= max(tol, NORM_TOL):",
-           "if abs(state.norm - 1.0) > max(tol, NORM_TOL):",
-           ("tests/test_tensor.py::test_equal_up_to_global_phase_rejects_unnormalized",)),
-    Mutant("the reference loader lets a NaN state through",
-           "src/frsim/reference.py", "if not abs(state.norm - 1.0) <= NORM_TOL:",
-           "if abs(state.norm - 1.0) > NORM_TOL:",
-           ("tests/test_perspectives.py::test_a_reference_state_that_is_not_finite_is_rejected",)),
+    Mutant("the phase-blind comparison reads RESIDUAL_TOL, not NORM_TOL",
+           "src/frsim/tensor.py", "max(tol, NORM_TOL)", "max(tol, RESIDUAL_TOL)",
+           (f"{_PAST}[phase-blind-norm]",)),
+    Mutant("the reference loader reads PROBABILITY_ATOL (1e-10), not NORM_TOL",
+           "src/frsim/reference.py", "le, NORM_TOL, ValueError", "le, 1e-10, ValueError",
+           (f"{_PAST}[reference-norm]",)),
     Mutant("the bound's Newton phase halves its bracket instead of bisecting it in bits",
            "src/frsim/analysis.py",
            "float(\n            (np.array([a, b]).view(np.int64).sum() // 2).view(np.float64))",
@@ -384,23 +408,12 @@ MUTANTS = (
 # a node is its one branch's: a 0.0 pad, which every uniform reaches, moves
 # the count one entry on, to a row the padding repeats.  So the second gives
 # the same leaves; only the table test's check of the padding tells it apart.
-#
-# A basis vector holding a NaN or an infinity fails the normalization check,
-# so the orthogonality check after it sees only finite values; an exact
-# distribution's entries pass their check only if none is NaN or -inf, so
-# their total is never NaN.  So the third and fourth give the same errors.
 EQUIVALENT = (
     Mutant("the slack above the last running sum takes the last branch",
            "src/frsim/protocol.py", _SLACK, "children += (children[-1],)", ()),
     Mutant("a node's running sums padded with 0.0 instead of +inf",
            "src/frsim/protocol.py", 'limits.append(sums + [float("inf")] * pad)',
            "limits.append(sums + [0.0] * pad)", ()),
-    Mutant("the orthogonality check lets a NaN through",
-           "src/frsim/measurement.py", "if not np.all(off <= ORTHO_ATOL):",
-           "if np.any(off > ORTHO_ATOL):", ()),
-    Mutant("an exact distribution's total lets a NaN through",
-           "src/frsim/protocol.py", "if not abs(total - 1.0) <= PROBABILITY_ATOL:",
-           "if abs(total - 1.0) > PROBABILITY_ATOL:", ()),
 )
 
 
