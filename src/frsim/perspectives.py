@@ -9,12 +9,13 @@ An agent's description folds over the steps a round reaches
 (:func:`frsim.protocol.reached_steps`), each step seen from where the agent
 stands:
 
-* the agent's own outcome conditions its model of the other systems,
-* every other step (friend premeasurements, notebook copies, the spin
-  preparation, the superobservers' premeasurements) acts unitarily,
-* a :attr:`~frsim.protocol.Step.heard` step then conditions the model on the
-  announcer's memory; where no step is heard, descriptions keep the full
-  superposition over the records.
+* the spin preparation, and each premeasurement or notebook copy into a
+  memory it models, evolves the model,
+* the agent's own read conditions its model of the other systems,
+* a :attr:`~frsim.protocol.Step.heard` read conditions the model on the
+  announcer's memory; where no read is heard, descriptions keep the full
+  superposition over the records,
+* every other read leaves the model as it is.
 
 In cheat mode the coin friend's notebook exists physically but is unknown to
 the other participants: their models omit it, and their folds skip its
@@ -141,15 +142,14 @@ def agent_model_at(
     Folds the agent's view over the steps the round reaches
     (:func:`~frsim.protocol.reached_steps`): like the true dynamics, the fold
     skips each step that the outcomes in ``Given`` rule out, so a given
-    ``wbar=ok`` leads to the intrusion and not to W's step.  The
-    steps the agent applies unitarily up to its first own or heard outcome
-    are a record-free prefix, which ends with the premeasurement of a heard
-    first record (an own outcome conditions without evolving): the fold
-    starts from the shared :func:`~frsim.protocol.prefix_state` of those
-    steps and folds only the rest, with the same operations in the same
-    order.  Which steps those are, and the layout, depend only on the agent,
-    the variant and the reached steps, so :func:`_fold_plan` finds them once
-    per such key; per call run only :func:`~frsim.protocol.reached_steps`,
+    ``wbar=ok`` leads to the intrusion and not to W's steps.  The unitary
+    steps the agent applies before its first own or heard read are a
+    record-free prefix: the fold starts from the shared
+    :func:`~frsim.protocol.prefix_state` of those steps and folds only the
+    rest, with the same operations in the same order.  Which steps those
+    are, and the layout, depend only on the agent, the variant and the
+    reached steps, so :func:`_fold_plan` finds them once per such key; per
+    call run only :func:`~frsim.protocol.reached_steps`,
     the conditionings and the evolutions.  The prefix and the plan read no
     outcome, and a cache holds no error, so neither changes one.  Raises
     :class:`PerspectiveLimit` when a reached step measures a lab containing
@@ -165,9 +165,12 @@ def agent_model_at(
     layout, prefix, rest = _fold_plan(agent, variant, steps)
     state = prefix_state(layout, prefix)
     log: list[tuple[str, str, str]] = []
-    for step, own, evolve in rest:
-        if own:
-            label = getattr(given, step.outcome)
+    for step in rest:
+        if step.outcome is None:
+            state = step.evolve(state)
+            continue
+        label = getattr(given, step.outcome)
+        if step.memory.name == agent:
             if label is None:
                 # The intrusion reading is the agent's to use, not to require.
                 if step.after is not None:
@@ -176,17 +179,13 @@ def agent_model_at(
                                  f"is required at t>={step.time}")
             state = condition_on(state, step.basis, label)
             log.append(("own", basis_name(step.targets), label))
-        else:
-            if evolve:
-                state = step.evolve(state)
-            if step.heard:
-                label = getattr(given, step.outcome)
-                if label is None:
-                    lab = basis_name(step.targets).replace("_", "-")
-                    raise ValueError(f"the announced {lab} outcome ({step.outcome}) is "
-                                     f"required at t>={step.time} in the announcing protocol")
-                state = condition_on(state, record_basis(step.memory), label)
-                log.append(("heard", step.memory.name, label))
+        else:  # a heard read
+            if label is None:
+                lab = basis_name(step.targets).replace("_", "-")
+                raise ValueError(f"the announced {lab} outcome ({step.outcome}) is "
+                                 f"required at t>={step.time} in the announcing protocol")
+            state = condition_on(state, record_basis(step.memory), label)
+            log.append(("heard", step.memory.name, label))
 
     return AgentModel(agent=agent, layout=layout, state=state, log=tuple(log))
 
@@ -194,11 +193,10 @@ def agent_model_at(
 @lru_cache(maxsize=1024)  # every input of the 24 variants uses one of 456 plans
 def _fold_plan(
     agent: str, variant: ProtocolVariant, steps: tuple[Step, ...]
-) -> tuple[RegisterLayout, tuple[Step, ...], tuple[tuple[Step, bool, bool], ...]]:
+) -> tuple[RegisterLayout, tuple[Step, ...], tuple[Step, ...]]:
     """:func:`agent_model_at`'s layout, the steps of its
-    :func:`~frsim.protocol.prefix_state`, and each step folded after the
-    prefix with whether it is the agent's own and whether the fold evolves
-    it; found once per (agent, variant, reached steps).  Raises
+    :func:`~frsim.protocol.prefix_state` and the steps it folds after them;
+    found once per (agent, variant, reached steps).  Raises
     :class:`PerspectiveLimit` or, for an unknown agent, :class:`ValueError`."""
     for step in steps:
         if step.basis is not None and agent in step.targets:
@@ -208,22 +206,15 @@ def _fold_plan(
             )
 
     layout = canonical_layout(known_system_names(agent, variant))
-
-    def own(step: Step) -> bool:
-        return step.memory is not None and step.memory.name == agent
-
-    # The steps the model takes part in: the agent's own outcomes, and the
-    # steps it applies unitarily (the spin preparation, and premeasurements
-    # into a memory it models).  Up to its first own or heard outcome, the
-    # model is a shared prefix; it runs through a heard step's premeasurement,
-    # while an own outcome conditions without evolving.
-    modelled = [step for step in steps if own(step) or step.unitary is not None
-                or (step.memory.name in layout and step.after is None)]
-    split = next((i for i, step in enumerate(modelled) if own(step) or step.heard),
+    # The steps the model takes part in: the unitary ones into systems it
+    # models, its own reads and the heard ones.  Up to its first read, the
+    # model is a shared prefix.
+    modelled = [step for step in steps if (
+        (step.unitary is not None or step.memory.name in layout) if step.outcome is None
+        else (step.memory.name == agent or step.heard))]
+    split = next((i for i, step in enumerate(modelled) if step.outcome is not None),
                  len(modelled))
-    evolved = split + (split < len(modelled) and not own(modelled[split]))
-    rest = tuple((step, own(step), i >= evolved) for i, step in enumerate(modelled[split:], split))
-    return layout, tuple(modelled[:evolved]), rest
+    return layout, tuple(modelled[:split]), tuple(modelled[split:])
 
 
 def apply_announcement(model: AgentModel, announcer: str, label: str) -> AgentModel:

@@ -3,18 +3,21 @@
 :func:`schedule` gives a variant's round as a tuple of :class:`Step` values
 in time order:
 
-* t=0  the coin is measured by its friend (unitary premeasurement), the spin
-       is prepared conditionally on the coin, enabled notebooks are written;
+* t=0  the coin is measured by its friend, the spin is prepared
+       conditionally on the coin, enabled notebooks are written;
 * t=1  the spin is measured by its friend (+ notebook copy);
 * t=2  the coin-lab superobserver measures the coin lab in the ok/fail basis
-       (sampled collapse recorded into its memory); in the intrusion variant
-       an ``ok`` is followed by a direct spin measurement;
+       (a sampled read of the record in its memory); in the intrusion
+       variant an ``ok`` is followed by a direct spin measurement;
 * t=3  the spin-lab superobserver does the same for the spin lab, unless
        an intrusion came first.
 
-Each step carries the condition that skips it (:meth:`Step.skipped`), which
-every walker of the schedule reads.  The round halts the experiment when
-both superobservers record ``ok`` (:attr:`OutcomeKey.halts`).
+A measurement is two steps: a premeasurement, the unitary that writes the
+outcome into the observer's memory, then the read of that record, which
+carries the outcome (:class:`Step`).  Each step carries the condition that
+skips it (:meth:`Step.skipped`), which every walker of the schedule reads.
+The round halts the experiment when both superobservers record ``ok``
+(:attr:`OutcomeKey.halts`).
 
 The true dynamics fold over the schedule from the one start that
 :func:`compiled_round` holds per variant: :func:`run_round` samples it on
@@ -23,13 +26,11 @@ once into the one tree of labels and Born probabilities that sampling and
 exact enumeration read, one table of rows; both walkers read it a level at a
 time and take the first branch whose running sum exceeds the uniform, the
 roundoff slack above the last sum being each row's last interval.  Agents
-fold over it in :mod:`frsim.perspectives`.  Until a fold samples or
-conditions on an outcome it is a run of unitary steps on a fresh state,
-ending with the premeasurement of the first record it reads;
-:func:`prefix_state` builds each such record-free prefix once per (layout,
-the schedule's steps), and the true dynamics and every agent share it.  The
-fresh state is the empty prefix.  Nothing after the first collapse or
-conditioning is cached.
+fold over it in :mod:`frsim.perspectives`.  A fold's steps before its
+first read are unitary steps on a fresh state; :func:`prefix_state` builds
+each such record-free prefix once per (layout, the schedule's steps), and
+the true dynamics and every agent share it.  The fresh state is the empty
+prefix.  Nothing after the first collapse or conditioning is cached.
 
 Randomness contract: one master seed; round ``k`` draws from an independent
 substream derived from ``(seed, k)`` (``(seed, *stream, k)`` with a stream
@@ -443,15 +444,18 @@ _PREPARE_SPIN = np.block([
 class Step:
     """One event of a round, read alike by the true dynamics and every agent.
 
-    A measurement step writes the outcome of ``basis`` into ``memory`` by a
-    unitary premeasurement; ``outcome`` names the ``Given`` field that
-    holds it.  A ``sampled`` step then collapses on that record in the true
-    dynamics.  An ``announced`` step's outcome is listed in the round's
-    transcript; a ``heard`` one conditions every agent's model on its
-    memory.  The spin preparation applies ``unitary`` to ``targets``
-    instead.  The intrusion has ``after=(field, label)``: it happens only
-    when that earlier outcome has that label, and reads ``basis`` directly
-    (its ``memory`` only names whose reading it is).  A step with
+    A measurement is two steps.  Its premeasurement has no ``outcome``: the
+    unitary that writes the outcome of ``basis`` into ``memory``.  Its read
+    follows it, with the same time, basis, memory and ``unless``; its
+    ``outcome`` names the ``Given`` field that holds the record.  A
+    ``sampled`` read collapses on that record in the true dynamics.  An
+    ``announced`` read's outcome is listed in the round's transcript; a
+    ``heard`` one conditions every agent's model on its memory.  A notebook
+    copy is a premeasurement with no read.  The spin preparation applies
+    ``unitary`` to ``targets`` instead.  The intrusion is a read with no
+    premeasurement and ``after=(field, label)``: it happens only when that
+    earlier outcome has that label, and reads ``basis`` directly (its
+    ``memory`` only names whose reading it is).  A step with
     ``unless=(field, label)`` is skipped once that outcome is known to have
     that label.
     """
@@ -475,22 +479,22 @@ class Step:
 
     @property
     def readout(self) -> MeasurementBasis:
-        """What a sampled step collapses: its written record, or its basis directly."""
+        """What a sampled read collapses: its written record, or its basis directly."""
         return self.basis if self.after is not None else record_basis(self.memory)
 
     def evolve(self, state: StateVector) -> StateVector:
-        """The unitary part of the step: the spin preparation or the premeasurement."""
+        """The step's unitary: the spin preparation or a premeasurement; a read has none."""
         if self.unitary is not None:
             return apply_unitary(state, self.targets, self.unitary)
-        if self.after is None:
+        if self.outcome is None:
             return premeasure(state, self.basis, self.memory)
         return state
 
 
 # The spin preparation, and every measurement step through one cache: equal
 # steps are then one object, so a run of steps, hashed by identity, keys
-# :func:`prefix_state`.  The 24 variants have eleven distinct measurement
-# steps (whether a lab step is announced, heard or skipped makes it another).
+# :func:`prefix_state`.  The 24 variants have sixteen distinct measurement
+# steps (whether a read is announced, heard or skipped makes it another).
 _SPIN_PREPARATION = Step(0, ("R", "S"), unitary=_PREPARE_SPIN)
 
 
@@ -499,26 +503,34 @@ def _measured(time: int, basis: MeasurementBasis, memory: SystemId, outcome=None
     return Step(time, basis.target_names, basis, memory, outcome, **flags)
 
 
+def _measurement(time: int, basis: MeasurementBasis, memory: SystemId, outcome: str,
+                 unless: tuple[str, str] | None = None, **flags) -> tuple[Step, Step]:
+    """A measurement's premeasurement of ``basis`` into ``memory``, then its read."""
+    return (_measured(time, basis, memory, unless=unless),
+            _measured(time, basis, memory, outcome, unless=unless, **flags))
+
+
 @lru_cache(maxsize=None)
 def schedule(variant: ProtocolVariant) -> tuple[Step, ...]:
     """The variant's round as one tuple of steps in time order, built once
     per variant and shared: steps are immutable, and equal steps of different
     variants are the same object."""
-    steps = [_measured(0, coin_basis(), FBAR, "r")]
+    steps = [*_measurement(0, coin_basis(), FBAR, "r")]
     if "Fbar" in variant.notebooks:
         steps.append(_measured(0, coin_basis(), NBAR))
     steps.append(_SPIN_PREPARATION)
-    steps.append(_measured(1, spin_basis(), F, "s"))
+    steps += _measurement(1, spin_basis(), F, "s")
     if "F" in variant.notebooks:
         steps.append(_measured(1, spin_basis(), N))
     heard = variant.announce_wbar  # else Wbar's outcome stays secret, and W's is not heard
-    steps.append(_measured(2, coin_lab_basis(), WBAR, "wbar", sampled=True,
-                           announced=heard, heard=heard))
+    steps += _measurement(2, coin_lab_basis(), WBAR, "wbar", sampled=True,
+                          announced=heard, heard=heard)
     if variant.intrusion:
         steps.append(_measured(2, spin_basis(), WBAR, "intrusion", sampled=True,
                                after=("wbar", "ok")))
-    steps.append(_measured(3, spin_lab_basis(), W, "w", sampled=True, announced=True,
-                           heard=heard, unless=("wbar", "ok") if variant.intrusion else None))
+    unless = ("wbar", "ok") if variant.intrusion else None
+    steps += _measurement(3, spin_lab_basis(), W, "w", unless, sampled=True, announced=True,
+                          heard=heard)
     return tuple(steps)
 
 
@@ -556,14 +568,14 @@ def _at(variant: ProtocolVariant, *times: int) -> tuple[Step, ...]:
     return tuple(step for step in schedule(variant) if step.time in times)
 
 
-@lru_cache(maxsize=64)  # every agent model, prepared state and round of the 24 variants use 56
+@lru_cache(maxsize=64)  # every agent model, prepared state and round of the 24 variants use 48
 def prefix_state(layout: RegisterLayout, steps: tuple[Step, ...]) -> StateVector:
-    """The fresh state evolved by each step in turn: a record-free prefix of
+    """The fresh state after each step in turn: a record-free prefix of
     a round, which no sampled or known outcome has touched yet.  The fresh
     state, ``prefix_state(layout, ())``, has the coin in
     ``sqrt(2/3)|t> + sqrt(1/3)|h>``, the spin resting in ``down`` until
-    prepared and every memory and notebook ready.  A fold's prefix ends with
-    the premeasurement of the first record it reads (:func:`run_round`,
+    prepared and every memory and notebook ready.  A fold's prefix is its
+    unitary steps before its first read (:func:`run_round`,
     :func:`~frsim.perspectives.agent_model_at`).  Built once per (layout,
     steps) and shared by the true dynamics and every agent; equal steps of
     different variants are one object, so their equal prefixes are one entry."""
@@ -580,18 +592,13 @@ def _fold(
     state: StateVector,
     steps: tuple[Step, ...],
     rng: np.random.Generator | None = None,
-    evolved: int = 0,
 ) -> tuple[StateVector, dict[str, str]]:
-    """The true dynamics of ``steps``: the final state and the sampled
-    outcomes.  ``state`` already holds the unitary parts of the first
-    ``evolved`` steps (a shared prefix), so the fold samples those without
-    evolving them again."""
+    """The true dynamics of ``steps``: the final state and the sampled outcomes."""
     outcomes: dict[str, str] = {}
-    for i, step in enumerate(steps):
+    for step in steps:
         if step.skipped(outcomes):
             continue
-        if i >= evolved:
-            state = step.evolve(state)
+        state = step.evolve(state)
         if step.sampled:
             outcomes[step.outcome], state = sample(state, step.readout, rng)
     return state, outcomes
@@ -603,8 +610,9 @@ def _key(outcomes: dict[str, str]) -> OutcomeKey:
 
 def state_after_preparation(variant: ProtocolVariant) -> StateVector:
     """Deterministic state after t=1, before any sampled measurement: the
-    shared :func:`prefix_state` of the variant's t=0,1 steps."""
-    return prefix_state(variant.layout(), _at(variant, 0, 1))
+    shared :func:`prefix_state` of the variant's t=0,1 unitary steps."""
+    return prefix_state(variant.layout(),
+                        tuple(step for step in _at(variant, 0, 1) if step.outcome is None))
 
 
 def run_round(
@@ -618,7 +626,7 @@ def run_round(
     through Wbar's premeasurement, the first record it reads, so only the rest
     of t=2,3 folds per round; its announcements are the compiled table's."""
     sampler = compiled_round(variant)
-    _, outcomes = _fold(prefix_state(*sampler.start), sampler.steps, rng, sampler.evolved)
+    _, outcomes = _fold(prefix_state(*sampler.start), sampler.steps, rng)
     key = _key(outcomes)
     return RoundTranscript(round_index, key, sampler.announcements[key])
 
@@ -630,7 +638,6 @@ def _branch_tree(
     probability: float,
     nodes: list[tuple[list[float], tuple[int, ...]]],
     leaves: dict[OutcomeKey, float],
-    evolved: int = 0,
 ) -> int:
     """Expand ``steps`` like :func:`_fold`, following every branch of each sampled step.
 
@@ -646,8 +653,7 @@ def _branch_tree(
     for i, step in enumerate(steps):
         if step.skipped(outcomes):
             continue
-        if i >= evolved:
-            state = step.evolve(state)
+        state = step.evolve(state)
         if step.sampled:
             branches = branch_all(state, step.readout)
             children = tuple(
@@ -667,10 +673,10 @@ class RoundSampler:
     """The branch tree of one round's sampled steps, compiled once into one table.
 
     It and :func:`run_round` start at ``start``, the :func:`prefix_state` key
-    of the first ``evolved`` ``steps``, through the first sampled step's
-    premeasurement.  The tree holds the exact Born probability of every
-    branch, computed with the same operations as the reference path, and an
-    outcome key at every leaf; no state.  ``distribution``, the variant's
+    of the unitary steps before the first sampled read, and fold ``steps``,
+    the schedule from that read on.  The tree holds the exact Born
+    probability of every branch, computed with the same operations as the
+    reference path, and an outcome key at every leaf; no state.  ``distribution``, the variant's
     one :class:`JointDistribution`, checked once here, gives each leaf its
     (nonzero) probability; ``leaves`` lists the leaf keys in the same order,
     ``halting`` marks the leaves that halt the experiment, and
@@ -688,12 +694,13 @@ class RoundSampler:
     """
 
     def __init__(self, variant: ProtocolVariant):
-        self.steps = steps = schedule(variant)
-        self.evolved = 1 + next(i for i, step in enumerate(steps) if step.sampled)
-        self.start = (variant.layout(), steps[:self.evolved])
+        steps = schedule(variant)
+        first = next(i for i, step in enumerate(steps) if step.sampled)
+        self.start = variant.layout(), tuple(step for step in steps[:first] if step.outcome is None)
+        self.steps = steps = steps[first:]
         nodes: list[tuple[list[float], tuple[int, ...]]] = []
         joint: dict[OutcomeKey, float] = {}
-        root = _branch_tree(prefix_state(*self.start), steps, {}, 1.0, nodes, joint, self.evolved)
+        root = _branch_tree(prefix_state(*self.start), steps, {}, 1.0, nodes, joint)
         self.distribution = JointDistribution(joint)
         self.leaves = tuple(joint)
         # A step a leaf leaves empty was not reached, so it announces nothing.

@@ -11,7 +11,9 @@ tables, z-scores), the shared exact distribution's read-only entries, the
 integer reads of seeds and counts, a state's own read-only copy, the one (targets, rest) index, the one read (its
 labeled outcome, its residual, the level-basis gather, the projected
 probabilities, the order of its sum), the premeasurement's writes, the
-schedule's reach and announcement rules, the shared record-free prefixes,
+schedule's reach and announcement rules, each read's premeasurement and its
+skip condition, the shared record-free prefixes (the round's start, the
+agents' split at their first read), the tier-1 hypothesis profile,
 the agents' layouts, level occupancies, announcements, certainty threshold
 and calibration, the detection bound's verified bracket, its uncapped Newton
 steps, its bisection in bits and its replayed bisection, the detection
@@ -210,12 +212,23 @@ MUTANTS = (
     Mutant("the ready check reads RESIDUAL_TOL, not ZERO_PROBABILITY_ATOL",
            "src/frsim/measurement.py", "le, ZERO_PROBABILITY_ATOL, ValueError",
            "le, RESIDUAL_TOL, ValueError", (f"{_PAST}[ready]",)),
-    Mutant("a round's shared prefix runs one step past its first collapse",
-           "src/frsim/protocol.py", "evolved = 1 + next(", "evolved = 2 + next(",
+    Mutant("the round's start leaves out the first sampled read's premeasurement",
+           "src/frsim/protocol.py", "tuple(step for step in steps[:first] if",
+           "tuple(step for step in steps[:first - 1] if",
            ("tests/test_protocol.py::test_a_round_premeasures_only_w_after_its_shared_prefix",)),
-    Mutant("an agent's fold evolves again the heard step its prefix premeasured",
-           "src/frsim/perspectives.py", "if evolve:", "if True:",
+    Mutant("an agent's fold splits only at its first own read, so a heard read falls into "
+           "the prefix",
+           "src/frsim/perspectives.py", "enumerate(modelled) if step.outcome is not None)",
+           "enumerate(modelled) if step.outcome is not None and step.memory.name == agent)",
            ("tests/test_perspectives.py::test_a_heard_first_fold_conditions_before_it_premeasures",)),
+    Mutant("W's premeasurement loses its read's unless condition",
+           "src/frsim/protocol.py", "return (_measured(time, basis, memory, unless=unless),",
+           "return (_measured(time, basis, memory),",
+           ("tests/test_protocol.py::"
+            "test_every_read_but_the_intrusion_follows_its_premeasurement",)),
+    Mutant("tier-1 hypothesis draws fresh examples on every run",
+           "tests/conftest.py", '"tier1", derandomize=True,', '"tier1", derandomize=False,',
+           ("tests/test_isolation.py::test_hypothesis_runs_the_deterministic_tier1_profile",)),
     Mutant("level occupancies gathered through the inverse permutation",
            "src/frsim/tensor.py", "reshape(dims).transpose(perm)",
            "reshape(dims).transpose(np.argsort(perm))",
@@ -262,10 +275,11 @@ MUTANTS = (
            "src/frsim/perspectives.py", "CERTAINTY_TOL = 1e-10", "CERTAINTY_TOL = 1e-16",
            ("tests/test_perspectives.py::test_the_inference_chain_in_every_variant",)),
     Mutant("W is not announced in secret transcripts",
-           "src/frsim/protocol.py", '"w", sampled=True, announced=True,',
-           '"w", sampled=True, announced=heard,', _REACH),
+           "src/frsim/protocol.py", '"w", unless, sampled=True, announced=True,',
+           '"w", unless, sampled=True, announced=heard,', _REACH),
     Mutant("W is heard in every protocol",
-           "src/frsim/protocol.py", "heard=heard, unless=", "heard=True, unless=", _REACH),
+           "src/frsim/protocol.py", "announced=True,\n                          heard=heard)",
+           "announced=True,\n                          heard=True)", _REACH),
     Mutant("the intrusion's after-check raises before its field is known",
            "src/frsim/protocol.py",
            "if outcomes.get(field) is not None:  # else the step may yet be reached",

@@ -215,7 +215,7 @@ def test_equal_variants_share_one_distribution_built_from_the_leaves(v):
     # equal distribution, bit for bit and in the order of the sampler's leaves.
     sampler, leaves = compiled_round(v), {}
     protocol._branch_tree(protocol.prefix_state(*sampler.start), sampler.steps, {}, 1.0, [],
-                          leaves, sampler.evolved)
+                          leaves)
     fresh = JointDistribution(dict(leaves))
     assert fresh == joint and fresh is not joint
     assert [(key, p.hex()) for key, p in joint.entries.items()] \

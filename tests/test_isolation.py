@@ -1,5 +1,6 @@
 """Tier-1 stands alone: no module under tests/ imports the benchmark harness,
-and the exact oracle imports nothing from the package it checks.
+the exact oracle imports nothing from the package it checks, and hypothesis
+draws the same examples on every run.
 
 perfbench may import from tests/, never the other way round, so the suite
 runs and passes in a checkout whatever state the harness is in.
@@ -7,6 +8,8 @@ runs and passes in a checkout whatever state the harness is in.
 
 import ast
 from pathlib import Path
+
+from hypothesis import settings
 
 TESTS = Path(__file__).resolve().parent
 
@@ -56,3 +59,9 @@ def test_the_exact_oracle_imports_nothing_from_frsim():
     assert _imports_of("frsim", "import frsim.cli\nfrom frsim import x\nimport frsimx") == [
         "frsim.cli", "frsim"]
     assert _imports_of("frsim", (TESTS / "exact_oracle.py").read_text()) == []
+
+
+def test_hypothesis_runs_the_deterministic_tier1_profile():
+    # conftest.py's profile: a seed fixed per test, and no example database.
+    assert settings.default.derandomize is True
+    assert settings.default.database is None

@@ -23,6 +23,7 @@ from frsim.protocol import (
     round_rng,
     run_round,
     run_until_halt,
+    schedule,
     state_after_preparation,
 )
 from frsim.systems import coin_basis, coin_lab_basis, spin_basis
@@ -320,10 +321,32 @@ def test_walk_keeps_the_grid_shape(axes):
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=variant_id)
+def test_every_read_but_the_intrusion_follows_its_premeasurement(variant):
+    # A measurement is two steps: the premeasurement, a unitary step with no
+    # outcome that writes the basis into the memory, then the read of that
+    # record, at the same time and under the same skip condition.  Only the
+    # intrusion reads its basis with no premeasurement of its own.
+    steps = schedule(variant)
+    for before, step in zip((None,) + steps, steps):
+        if step.outcome is None:
+            assert not (step.sampled or step.announced or step.heard), step
+            assert step.after is None and (step.unitary is None) == (step.memory is not None)
+            continue
+        assert step.unitary is None and before is not None, step.outcome
+        premeasured = before.outcome is None and before.unitary is None and \
+            before.basis is step.basis and before.memory == step.memory
+        assert premeasured == (step.outcome != "intrusion"), step.outcome
+        if premeasured:
+            assert (before.time, before.unless) == (step.time, step.unless), step.outcome
+    reads = [step.outcome for step in steps if step.outcome is not None]
+    assert reads == ["r", "s", "wbar"] + ["intrusion"] * variant.intrusion + ["w"]
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=variant_id)
 def test_a_round_premeasures_only_w_after_its_shared_prefix(variant, monkeypatch):
-    # The shared prefix runs through Wbar's premeasurement, the first record a
-    # round reads, so with a warm cache a round premeasures only W's lab, and
-    # only when its key reaches W's step.
+    # The shared prefix runs through Wbar's premeasurement, before the first
+    # record a round reads, so with a warm cache a round premeasures only W's
+    # lab, and only when its key reaches W's steps.
     run_round(variant, round_rng(43, 0), 0)
     premeasure, memories = protocol.premeasure, []
 
