@@ -30,16 +30,16 @@ and each post-state.  A level basis, each outcome one level ket of one
 system (every :func:`level_basis` and :func:`record_basis`, so the coin and
 spin bases), is recognised when it is built (``MeasurementBasis.levels``)
 and reads its rows: their ``|psi|**2`` sums are its outcome probabilities,
-the floats projection gives, and sum to the total, and a picked row over
-the square root of its probability is the post-state.  The coin-lab and
+the floats projection gives, and sum to the total, and a picked row,
+normalized (:func:`_normalized`), is the post-state.  The coin-lab and
 spin-lab bases project on each read outcome's bras, their total is one
 reduce of ``|psi|**2``, and their post-states are written back through the
 index.  The residual is the total less the outcome probabilities.
 :func:`premeasure` writes by index: the ready check leaves weight only on
 the memory's ready slice, so it gathers that slice alone, projects each
-outcome on it with the same products as any basis, and adds each
-projection, then the residual, into a zeroed array through the rows of its
-label's level and of the ready level (:func:`_record_plan`);
+outcome on it with the same products as any basis, adds each projection,
+then the residual, into its level's slice of one zeroed (memory levels,
+targets, rest) block, and writes the block once (:func:`_record_plan`);
 :func:`record_copy` premeasures the source's :func:`level_basis`.  Each
 index checks once per layout and targets (and memory) that they are
 distinct systems of the state's layout, and raises
@@ -56,9 +56,10 @@ from typing import Callable, ClassVar, Sequence
 import numpy as np
 
 from .tensor import (NORM_TOL, ORTHO_ATOL, RESIDUAL_TOL, ZERO_PROBABILITY_ATOL, RegisterLayout,
-                     StateVector, SystemId, _write, require, transpose_plan)
+                     StateVector, SystemId, _adopt, _write, require, transpose_plan)
 
 READY = "ready"  # the level every memory starts in, before an outcome is written
+_TINY = np.finfo(np.float64).tiny  # the smallest normal float; below it a float keeps fewer bits
 
 
 class BasisError(ValueError):
@@ -200,13 +201,23 @@ def _levels(basis: MeasurementBasis) -> tuple[int, ...] | None:
     return tuple(levels.tolist()) if np.array_equal(kets, np.eye(kets.shape[1])[levels]) else None
 
 
+def _normalized(projection: np.ndarray, probability: float) -> np.ndarray:
+    """``projection``, of Born probability above 0, over its norm: over the
+    probability's square root, or, below :data:`_TINY`, where the probability
+    keeps a few bits, over its own norm once scaled by its largest magnitude."""
+    if probability >= _TINY:
+        return projection / np.sqrt(probability)
+    scaled = projection / np.abs(projection).max()
+    return scaled / np.linalg.norm(scaled)
+
+
 def _read(state: StateVector, basis: MeasurementBasis,
           label: str | None = None) -> tuple[list[float], Callable, Callable]:
     """Every outcome's Born probability, or the labeled outcome's alone; what
-    gives their total with the residual; and what gives the normalized
-    amplitudes of the outcome at an index of those probabilities from the
-    square root of its probability.  A level basis reads its gathered rows;
-    any other basis projects on each read outcome's bras."""
+    gives their total with the residual; and what gives the post-state of the
+    outcome at an index of those probabilities from its probability.  A level
+    basis reads its gathered rows; any other basis projects on each read
+    outcome's bras."""
     rows = transpose_plan(state.layout, basis.targets)
     mat = state.amplitudes[rows]  # (targets, rest)
     outcomes, levels = basis.outcomes, basis.levels
@@ -216,16 +227,16 @@ def _read(state: StateVector, basis: MeasurementBasis,
     if levels is not None:
         weights = np.add.reduce(np.abs(mat) ** 2, axis=-1).tolist()  # as standard_predictions sums
 
-        def project(index: int, norm: float) -> np.ndarray:
-            amplitudes = np.zeros_like(state.amplitudes)
-            amplitudes[rows[levels[index]]] = mat[levels[index]] / norm
-            return amplitudes
+        def project(index: int, probability: float) -> StateVector:
+            amplitudes = np.zeros(len(state.amplitudes), np.complex128)
+            amplitudes[rows[levels[index]]] = _normalized(mat[levels[index]], probability)
+            return _adopt(state.layout, amplitudes)
 
         return [weights[level] for level in levels], lambda: sum(weights), project
     coefficients = [outcome.bras @ mat for outcome in outcomes]  # on each outcome's kets
     return ([_weight(c) for c in coefficients], lambda: _weight(state.amplitudes),
-            lambda i, norm: _write(state.layout, rows,
-                                   outcomes[i].vectors.T @ coefficients[i] / norm))
+            lambda i, probability: _write(state.layout, rows, _normalized(
+                outcomes[i].vectors.T @ coefficients[i], probability)))
 
 
 def _checked(state: StateVector, basis: MeasurementBasis) -> tuple[list[float], Callable]:
@@ -262,7 +273,7 @@ def branch_all(state: StateVector, basis: MeasurementBasis) -> list[Branch]:
     :data:`RESIDUAL_TOL` on.
     """
     probabilities, project = _checked(state, basis)
-    return [Branch(outcome.label, p, StateVector(state.layout, project(index, np.sqrt(p))))
+    return [Branch(outcome.label, p, project(index, p))
             for index, (outcome, p) in enumerate(zip(basis.outcomes, probabilities)) if p > 0.0]
 
 
@@ -298,7 +309,7 @@ def sample(
     """
     probabilities, project = _checked(state, basis)
     i = pick_index(probabilities, float(rng.random()))  # never a probability-0 outcome
-    return basis.outcomes[i].label, StateVector(state.layout, project(i, np.sqrt(probabilities[i])))
+    return basis.outcomes[i].label, project(i, probabilities[i])
 
 
 def condition_on(state: StateVector, basis: MeasurementBasis, label: str) -> StateVector:
@@ -315,7 +326,7 @@ def condition_on(state: StateVector, basis: MeasurementBasis, label: str) -> Sta
         f"outcome {label!r} on {basis.target_names} has probability "
         f"{probability:.3e}; conditioning on it is inconsistent"))
     _check_total(total_of(), basis)
-    return StateVector(state.layout, project(0, np.sqrt(probability)))
+    return project(0, probability)
 
 
 def outcome_probability(state: StateVector, basis: MeasurementBasis, label: str) -> float:
@@ -350,14 +361,14 @@ def premeasure(
         f"(off-ready probability {off_ready:.3e})"))
 
     mat = state.amplitudes[rows[ready]]  # the ready slice: (targets, rest)
-    amplitudes = np.zeros_like(state.amplitudes)
+    block = np.zeros(rows.shape, np.complex128)  # (memory levels, targets, rest)
     residual = mat
     for outcome, level in zip(basis.outcomes, written):
         projected = outcome.vectors.T @ (outcome.bras @ mat)
         residual = residual - projected
-        amplitudes[rows[level]] += projected
-    amplitudes[rows[ready]] += residual
-    return StateVector(state.layout, amplitudes)
+        block[level] += projected  # an add, as into zeros: a -0.0 lands as 0.0
+    block[ready] += residual
+    return _write(state.layout, rows, block)
 
 
 @lru_cache(maxsize=1024)

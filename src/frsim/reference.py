@@ -78,13 +78,13 @@ def _term_vector(layout: RegisterLayout, factors: dict[str, str]) -> np.ndarray:
                     f"composite {composite!r} needs adjacent systems {systems} in {names}"
                 )
             outcome = basis_fn().outcome(factors[composite])
-            vec = np.kron(vec, outcome.vectors[0])
+            vec = np.multiply.outer(vec, outcome.vectors[0]).ravel()
             used.add(composite)
             i += 2
             continue
         if name not in factors:
             raise ValueError(f"term is missing a factor for system {name!r}")
-        vec = np.kron(vec, layout.system(name).ket(factors[name]))
+        vec = np.multiply.outer(vec, layout.system(name).ket(factors[name])).ravel()
         used.add(name)
         i += 1
     if unused := set(factors) - used:

@@ -17,12 +17,12 @@ there once per key.
 
 All values are immutable after construction and all operations are pure
 functions, so states can be shared freely between threads and callers: a
-state copies the amplitudes it is built from and makes its copy read-only.
-That is what lets :mod:`frsim.protocol` hand one cached state, such as a
-round's record-free prefix, to the true dynamics and to every agent.  The
-layouts, indices and other values built once per layout and then shared are
-immutable too; two threads that build the same one at once build equal
-values.
+state holds a read-only copy of a caller's amplitudes, or the one array an
+operation here has just written (:func:`_adopt`).  That is what lets
+:mod:`frsim.protocol` hand one cached state, such as a round's record-free
+prefix, to the true dynamics and to every agent.  The layouts, indices and
+other values built once per layout and then shared are immutable too; two
+threads that build the same one at once build equal values.
 """
 
 from __future__ import annotations
@@ -161,7 +161,7 @@ class RegisterLayout:
 class StateVector:
     """Amplitudes over a layout's product basis, meant to be normalized: the
     constructor checks only their count (else :class:`LayoutError`), not their
-    norm or that each is finite, and keeps a read-only complex copy."""
+    norm or that each is finite, and keeps its own read-only complex copy."""
 
     layout: RegisterLayout
     amplitudes: np.ndarray
@@ -185,6 +185,14 @@ class StateVector:
         rule for listing terms, not an invariant."""
         return [(self.layout.basis_label(int(idx)), complex(self.amplitudes[idx]))
                 for idx in np.flatnonzero(np.abs(self.amplitudes) > 1e-12)]
+
+
+def _adopt(layout: RegisterLayout, amplitudes: np.ndarray) -> StateVector:
+    """The state keeping ``amplitudes``, a fresh flat array nothing else holds, read-only."""
+    amplitudes.setflags(write=False)
+    state = object.__new__(StateVector)
+    vars(state).update(layout=layout, amplitudes=amplitudes)
+    return state
 
 
 def _as_ket(system: SystemId, factor: np.ndarray | Sequence[complex] | str) -> np.ndarray:
@@ -219,8 +227,8 @@ def product_state(
         ket = _as_ket(system, factors[system.name])
         require(abs(np.linalg.norm(ket) - 1.0), le, FACTOR_NORM_TOL, ValueError,
                 lambda: f"factor for system {system.name!r} is not normalized")
-        amps = np.kron(amps, ket)
-    return StateVector(layout, amps)
+        amps = np.multiply.outer(amps, ket).ravel()  # np.kron's products, without its reshapes
+    return _adopt(layout, amps)
 
 
 def reorder(state: StateVector, target: RegisterLayout) -> StateVector:
@@ -297,11 +305,11 @@ def _level_stack(layout: RegisterLayout, count: int) -> tuple[tuple[SystemId, ..
     return systems, stack
 
 
-def _write(layout: RegisterLayout, index: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """The flat amplitudes whose (targets, rest) matrix by ``index`` is ``matrix``."""
+def _write(layout: RegisterLayout, index: np.ndarray, matrix: np.ndarray) -> StateVector:
+    """The state whose (targets, rest) matrix by ``index``, every position once, is ``matrix``."""
     amplitudes = np.empty(layout.total_dimension, dtype=np.complex128)
     amplitudes[index] = matrix
-    return amplitudes
+    return _adopt(layout, amplitudes)
 
 
 @lru_cache(maxsize=64)  # the protocol applies one matrix; tests a few dozen
@@ -339,4 +347,4 @@ def apply_unitary(
     drift = _unitarity_drift(u.tobytes(), len(u))
     require(drift, le, UNITARY_ATOL, UnitarityError,
             lambda: f"matrix is not unitary: |U^dagger U - 1| reaches {drift:.3e}")
-    return StateVector(state.layout, _write(state.layout, index, u @ mat))
+    return _write(state.layout, index, u @ mat)

@@ -8,13 +8,15 @@ comparison, reference states), the residual's and the zero probability's
 boundaries, a sampled outcome's collapse, each branch's collapse and the
 branches of probability 0, the remaining construction checks (frequency
 tables, z-scores), the shared exact distribution's read-only entries, the
-integer reads of seeds and counts, a state's own read-only copy, the one (targets, rest) index, the one read (its
-labeled outcome, its residual, the level-basis gather, the projected
-probabilities, the order of its sum), the premeasurement's writes, the
-schedule's reach and announcement rules, each read's premeasurement and its
-skip condition, the shared record-free prefixes (the round's start, the
-agents' split at their first read), the tier-1 hypothesis profile,
-the agents' layouts, level occupancies, announcements, certainty threshold
+integer reads of seeds and counts, a state's own read-only copy (of a
+read-only array too) and a built state's read-only array, the one (targets,
+rest) index, the one read (its labeled outcome, its residual, the
+level-basis gather, the projected probabilities, the order of its sum), the
+rescale of a post-state of subnormal probability, the premeasurement's
+writes, the schedule's reach and announcement rules, each read's
+premeasurement and its skip condition, the shared record-free prefixes (the
+round's start, the agents' split at their first read), the tier-1
+hypothesis profile, the agents' layouts, level occupancies, announcements, certainty threshold
 and calibration, the detection bound's verified bracket, its uncapped Newton
 steps, its bisection in bits and its replayed bisection, the detection
 verdict, the CLI's usage errors, its fraction rule, its JSON writer and the
@@ -139,8 +141,8 @@ MUTANTS = (
            ("tests/test_measurement.py::"
             "test_level_bases_read_by_index_match_the_projection_bit_for_bit",)),
     Mutant("condition_on without its normalization check",
-           "src/frsim/measurement.py", "_check_total(total_of(), basis)\n    return StateVector",
-           "return StateVector",
+           "src/frsim/measurement.py", "_check_total(total_of(), basis)\n    return project(0",
+           "return project(0",
            ("tests/test_measurement.py::"
             "test_one_outcome_of_an_unnormalized_state_fails_the_normalization_check",)),
     Mutant("outcome_probability without its normalization check",
@@ -160,11 +162,11 @@ MUTANTS = (
            "[np.vdot(c, c).real for c in coefficients]",
            ("tests/test_perspectives.py::test_agent_models_keep_every_bit",)),
     Mutant("premeasure without writing the residual back to the ready level",
-           "src/frsim/measurement.py", "amplitudes[rows[ready]] += residual", "pass",
+           "src/frsim/measurement.py", "block[ready] += residual", "pass",
            _PREMEASURE_BITS),
     Mutant("premeasure writes each projection to the ready level, not its label's",
-           "src/frsim/measurement.py", "amplitudes[rows[level]] += projected",
-           "amplitudes[rows[ready]] += projected",
+           "src/frsim/measurement.py", "block[level] += projected",
+           "block[ready] += projected",
            _PREMEASURE_BITS),
     Mutant("the unitarity check reads PROBABILITY_ATOL, not UNITARY_ATOL",
            "src/frsim/tensor.py", "le, UNITARY_ATOL, UnitarityError",
@@ -177,16 +179,13 @@ MUTANTS = (
     Mutant("branch_all keeps the state as it was for an outcome below the zero-probability "
            "tolerance",
            "src/frsim/measurement.py",
-           "StateVector(state.layout, project(index, np.sqrt(p)))",
-           "(StateVector(state.layout, project(index, np.sqrt(p))) "
-           "if p > ZERO_PROBABILITY_ATOL else state)",
+           "p, project(index, p))", "p, project(index, p) if p > ZERO_PROBABILITY_ATOL else state)",
            ("tests/test_measurement.py::"
             "test_a_branch_below_the_zero_probability_tolerance_is_collapsed_onto",)),
     Mutant("sample keeps the state as it was for an outcome below the zero-probability tolerance",
            "src/frsim/measurement.py",
-           "StateVector(state.layout, project(i, np.sqrt(probabilities[i])))",
-           "(StateVector(state.layout, project(i, np.sqrt(probabilities[i]))) "
-           "if probabilities[i] > ZERO_PROBABILITY_ATOL else state)",
+           "project(i, probabilities[i])",
+           "(project(i, probabilities[i]) if probabilities[i] > ZERO_PROBABILITY_ATOL else state)",
            ("tests/test_measurement.py::"
             "test_a_drawn_outcome_below_the_zero_probability_tolerance_is_collapsed_onto",)),
     Mutant("conditioning reads RESIDUAL_TOL, not ZERO_PROBABILITY_ATOL",
@@ -360,9 +359,21 @@ MUTANTS = (
            "src/frsim/tensor.py", "amps = np.array(self.amplitudes,",
            "amps = np.asarray(self.amplitudes,",
            _OWN_COPY),
+    Mutant("the public constructor adopts a read-only array",
+           "src/frsim/tensor.py", "amps = np.array(self.amplitudes,",
+           "amps = (np.array if np.asarray(self.amplitudes).flags.writeable else np.asarray)"
+           "(self.amplitudes,",
+           ("tests/test_tensor.py::"
+            "test_a_state_copies_a_read_only_array_that_its_owner_may_write_again",)),
+    Mutant("the subnormal rescale is dropped",
+           "src/frsim/measurement.py", "if probability >= _TINY:", "if True:",
+           ("tests/test_measurement.py::test_a_post_state_of_subnormal_probability_has_norm_1",)),
     Mutant("a StateVector's amplitudes stay writable",
            "src/frsim/tensor.py", "amps.setflags(write=False)\n        object.", "object.",
            _OWN_COPY),
+    Mutant("a state an operation builds keeps its amplitudes writable",
+           "src/frsim/tensor.py", "amplitudes.setflags(write=False)\n    state", "state",
+           ("tests/test_tensor.py::test_each_built_state_is_read_only_and_shares_no_input",)),
     Mutant("round_rng truncates a float seed",
            "src/frsim/protocol.py", _ENTROPY, "entropy = (int(seed), *map(index, key))",
            ("tests/test_protocol.py::test_seeds_and_counts_are_integers[round_rng-seed]",)),

@@ -364,6 +364,20 @@ def test_a_branch_below_the_zero_probability_tolerance_is_collapsed_onto():
     np.testing.assert_allclose(branches["t"].post_state.amplitudes, R.ket("t"), rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("a", (1e-160, 1e-161, 3.5e-162))
+def test_a_post_state_of_subnormal_probability_has_norm_1(a):
+    # |a|**2 is subnormal and keeps only a few bits, so a post-state over its
+    # square root had norm 1.0000056, 1.006 and 1.113 at these amplitudes.
+    layout = RegisterLayout((R,))
+    (h,) = (b for b in branch_all(StateVector(layout, [1, a]), coin_basis()) if b.label == "h")
+    label, drawn = sample(StateVector(layout, [a, 1]), coin_basis(),
+                          SimpleNamespace(random=lambda: 0.0))
+    assert 0.0 < h.probability < np.finfo(float).tiny and label == "t"
+    for post, level in ((h.post_state, "h"), (drawn, "t")):
+        assert abs(post.norm - 1.0) <= NORM_TOL
+        np.testing.assert_array_equal(post.amplitudes, R.ket(level))
+
+
 # sample ----------------------------------------------------------------------
 
 def test_sample_frequencies_match_branch_all():

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import frsim
-from frsim.systems import FBAR, R, S, coin_lab_basis
+from frsim.measurement import branch_all, condition_on, premeasure, sample
+from frsim.systems import FBAR, R, S, coin_basis, coin_lab_basis
 from frsim.tensor import (
     LayoutError,
     RegisterLayout,
@@ -235,6 +236,48 @@ def test_a_state_keeps_its_own_read_only_copy(transposed):
     assert state.amplitudes.flags.c_contiguous and not state.amplitudes.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         state.amplitudes[0] = 0.0
+
+
+def test_a_state_copies_a_read_only_array_that_its_owner_may_write_again():
+    layout = RegisterLayout((two_level("a"), SystemId("b", ("0", "1", "2"))))
+    source = np.arange(6, dtype=np.complex128)
+    source.setflags(write=False)
+    state = StateVector(layout, source)
+    source.setflags(write=True)
+    source[:] = -1.0
+    assert np.array_equal(state.amplitudes, np.arange(6))
+
+
+@pytest.mark.parametrize("operation", ("apply_unitary", "premeasure", "condition_on", "sample",
+                                       "branch_all", "product_state", "reorder"))
+def test_each_built_state_is_read_only_and_shares_no_input(operation):
+    # A state an operation builds keeps the array the operation wrote, with no
+    # second copy; that array must still be read-only and its own.  Each
+    # readout reads a level basis and a lab basis.
+    ket, ready = np.array([SQ23, SQ13], dtype=np.complex128), FBAR.ket("ready")
+    hadamard = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
+    state = product_state(RegisterLayout((R, FBAR)), {"R": ket, "Fbar": ready})
+    written = premeasure(state, coin_basis(), FBAR)  # the coin in the notebook
+    bases = (coin_basis(), coin_lab_basis())
+    built = {
+        "apply_unitary": lambda: [apply_unitary(state, ("R",), hadamard)],
+        "premeasure": lambda: [written],
+        "condition_on": lambda: [condition_on(written, bases[0], "h"),
+                                 condition_on(written, bases[1], "ok")],
+        "sample": lambda: [sample(written, basis, np.random.default_rng(5))[1] for basis in bases],
+        "branch_all": lambda: [branch.post_state for basis in bases
+                               for branch in branch_all(written, basis)],
+        "product_state": lambda: [state],
+        "reorder": lambda: [reorder(written, RegisterLayout((FBAR, R)))],
+    }[operation]()
+    inputs = [ket, ready, hadamard, state.amplitudes, written.amplitudes] + [
+        rows for basis in bases for outcome in basis.outcomes
+        for rows in (outcome.vectors, outcome.bras)]
+    for result in built:
+        assert not result.amplitudes.flags.writeable
+        assert result.amplitudes.flags.c_contiguous and result.amplitudes.shape == (6,)
+        assert not any(np.shares_memory(result.amplitudes, array) for array in inputs
+                       if array is not result.amplitudes)
 
 
 def test_system_levels_given_as_a_list_are_kept_as_a_tuple():
